@@ -48,13 +48,13 @@ def _load_preset(name_or_path: str) -> dict:
     except OSError as exc:
         raise ValueError(f"unknown preset {name_or_path!r} "
                          f"(not built-in, not readable: {exc})") from exc
-    out = {}
-    for key, conv in (("g", float), ("cutoff", int), ("qe", float),
-                      ("attenuation", float), ("p_inject", float),
-                      ("dark", float), ("pulses", int)):
-        if key in values:
-            out[key] = conv(values[key])
-    return out
+    convert = {"g": float, "cutoff": int, "qe": float, "attenuation": float,
+               "p_inject": float, "dark": float, "pulses": int}
+    unknown = sorted(set(values) - set(convert))
+    if unknown:
+        raise ValueError(f"unknown keys in preset {name_or_path!r}: {unknown}; "
+                         f"known keys are {sorted(convert)}")
+    return {key: convert[key](val) for key, val in values.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:

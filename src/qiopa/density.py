@@ -19,7 +19,6 @@ from .fock import (FockState4, GainParams, MODE_PAIRS, inner_product,
                    pair_probability, pair_tail)
 from .polarization import Qubit
 
-HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-9
 ENTROPY_EIGENVALUE_CUT = 1e-15
 BLOCK_COHERENCE_TOL = 1e-12

@@ -12,12 +12,14 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import logm
+
+from .polarization import PolarizationUnitary
 
 MODE_ORDER = ("1h", "1v", "2h", "2v")
 MODE_PAIRS = {"mode1": (0, 1), "mode2": (2, 3)}
 
 PRUNE_THRESHOLD = 1e-15
-UNITARITY_TOL = 1e-12
 # cutoff rule: the analytic pair-number tail beyond the cutoff must stay below this
 TAIL_RULE = 1e-9
 
@@ -133,52 +135,34 @@ def number_expectation(state: FockState4, mode: str) -> float:
     return sum(abs(a) ** 2 * idx[pos] for idx, a in state.amplitudes.items())
 
 
-def _check_unitary(u) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if np.abs(u.conj().T @ u - np.eye(2)).max() > UNITARITY_TOL:
-        raise ValueError(f"matrix is not unitary to within {UNITARITY_TOL:g}")
-    return u
-
-
 @lru_cache(maxsize=None)
 def _pair_rotation(u_key: tuple, t: int) -> np.ndarray:
     """Unitary acting on the (t+1)-dim fixed-total subspace of a mode pair.
 
     D[p, m] is the amplitude of |p, t-p> in the image of |m, t-m>, for the
     creation-operator substitution bh+ -> u00 ch+ + u10 cv+,
-    bv+ -> u01 ch+ + u11 cv+.
+    bv+ -> u01 ch+ + u11 cv+.  Writing u = exp(iH), D = exp(iG) with G the
+    one-body generator sum_ab H_ab a_a+ a_b on the block: a Hermitian
+    tridiagonal matrix, so D from its eigenbasis is unitary at every t.
     """
-    u00, u01, u10, u11 = u_key
-    lf = np.zeros(t + 1)
-    if t:
-        lf[1:] = np.cumsum(np.log(np.arange(1, t + 1)))
-    D = np.zeros((t + 1, t + 1), dtype=complex)
-    for m in range(t + 1):
-        n = t - m
-        for p in range(t + 1):
-            q = t - p
-            k0, k1 = max(0, p - n), min(m, p)
-            if k0 > k1:
-                continue
-            k = np.arange(k0, k1 + 1)
-            logc = lf[m] - lf[k] - lf[m - k] + lf[n] - lf[p - k] - lf[n - p + k]
-            terms = (np.exp(logc)
-                     * u00 ** k * u10 ** (m - k)
-                     * u01 ** (p - k) * u11 ** (n - p + k))
-            D[p, m] = math.exp(0.5 * (lf[p] + lf[q] - lf[m] - lf[n])) * terms.sum()
-    return D
+    h = -1j * logm(np.reshape(u_key, (2, 2)))
+    p = np.arange(t + 1)
+    gen = np.diag(p * h[0, 0].real + (t - p) * h[1, 1].real).astype(complex)
+    hop = np.sqrt(p[1:] * (t - p[:-1])) * h[0, 1]   # <p+1, t-p-1| G |p, t-p>
+    gen[p[1:], p[:-1]] = hop
+    gen[p[:-1], p[1:]] = hop.conj()
+    lam, vec = np.linalg.eigh(gen)
+    return (vec * np.exp(1j * lam)) @ vec.conj().T
 
 
 def rotate_mode_pair(state: FockState4, pair: str, u) -> FockState4:
     """Apply a 2x2 linear-optics unitary to a polarization mode pair.
 
-    The transform acts as the standard binomial convolution on each fixed
-    total occupation of the pair; photon number in the pair and the overall
-    norm are preserved.
+    The transform acts on each fixed total occupation t of the pair through
+    the (t+1)-dimensional representation of u; photon number in the pair and
+    the overall norm are preserved.
     """
-    u = _check_unitary(u)
+    u = PolarizationUnitary(u).matrix
     if pair not in MODE_PAIRS:
         raise ValueError(f"pair must be 'mode1' or 'mode2', got {pair!r}")
     i0, i1 = MODE_PAIRS[pair]

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .amplifier import AmplifierConfig, amplify, vacuum_output
+from .errors import NumericalError
 from .fock import FockIndex4, rotate_mode_pair
 from .observables import DETECTED_FIELD_UNITARY
 from .polarization import BlochPath, Qubit
@@ -98,7 +99,12 @@ class PulseSampler:
                 st = rotate_mode_pair(st, "mode1", DETECTED_FIELD_UNITARY)
             occ = np.array(list(st.amplitudes.keys()), dtype=np.int64)
             p = np.abs(np.array(list(st.amplitudes.values()))) ** 2
-            self.tables[label] = (occ, np.cumsum(p / p.sum()))
+            total = p.sum()
+            if not 1.0 - cfg.epsilon_trunc - 1e-12 <= total <= 1.0 + 1e-12:
+                raise NumericalError(
+                    f"{label} sampling table holds weight {total!r}, outside "
+                    f"1 - epsilon_trunc ({cfg.epsilon_trunc:.3g}) .. 1")
+            self.tables[label] = (occ, np.cumsum(p / total))
 
     def sample_chunk(self, rng: np.random.Generator, n: int):
         det = self.det

@@ -20,6 +20,14 @@ class TestPresets:
         f.write_text("# comment\ng = 0.3\npulses = 500\n")
         assert _load_preset(str(f)) == {"g": 0.3, "pulses": 500}
 
+    def test_preset_file_unknown_key_rejected(self, tmp_path, capsys):
+        f = tmp_path / "typo.preset"
+        f.write_text("gain = 1.5\n")
+        with pytest.raises(ValueError, match="gain"):
+            _load_preset(str(f))
+        assert main(["pairs", "--preset", str(f)]) == 2
+        assert "gain" in capsys.readouterr().err
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             _load_preset("no-such-preset")

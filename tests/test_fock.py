@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qiopa.fock import (FockIndex4, FockState4, default_cutoff, inner_product,
-                        make_gain, number_expectation, pair_probability,
-                        pair_tail, rotate_mode_pair)
+from qiopa.amplifier import AmplifierConfig
+from qiopa.fock import (FockIndex4, FockState4, _pair_rotation, default_cutoff,
+                        inner_product, make_gain, number_expectation,
+                        pair_probability, pair_tail, rotate_mode_pair)
+from qiopa.observables import DETECTED_FIELD_UNITARY
 
 from conftest import random_qubit
 
@@ -128,6 +130,14 @@ class TestRotateModePair:
         assert out.amplitudes[FockIndex4(0, 0, 1, 0)] == pytest.approx(2 ** -0.5)
         assert out.amplitudes[FockIndex4(0, 0, 0, 1)] == pytest.approx(2 ** -0.5)
 
+    def test_hong_ou_mandel_pair_bunches(self):
+        st = FockState4({(0, 0, 1, 1): 1.0}, 4)
+        u = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        out = rotate_mode_pair(st, "mode2", u)
+        assert out.amplitudes[FockIndex4(0, 0, 2, 0)] == pytest.approx(2 ** -0.5)
+        assert out.amplitudes[FockIndex4(0, 0, 0, 2)] == pytest.approx(-2 ** -0.5)
+        assert FockIndex4(0, 0, 1, 1) not in out.amplitudes
+
     def test_norm_and_pair_total_preserved(self, rng):
         theta, phase = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         u = np.array([[math.cos(theta), math.sin(theta) * np.exp(1j * phase)],
@@ -143,3 +153,35 @@ class TestRotateModePair:
         st = FockState4({(0, 0, 1, 0): 1.0}, 4)
         with pytest.raises(ValueError):
             rotate_mode_pair(st, "mode2", np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+def _random_u2(rng):
+    """Haar-random U(2) matrix; its determinant is a generic phase."""
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _key(u):
+    return tuple(complex(x) for x in np.asarray(u).ravel())
+
+
+class TestPairRotationBlocks:
+    def test_unitary_through_high_gain_totals(self, rng):
+        top = 2 * AmplifierConfig.for_gain(1.5).cutoff + 1
+        random_u = _random_u2(rng)
+        assert abs(np.linalg.det(random_u) - 1.0) > 1e-3
+        for u in (DETECTED_FIELD_UNITARY, random_u):
+            for t in range(top + 1):
+                # bypass the cache: these blocks are far larger than any run needs
+                d = _pair_rotation.__wrapped__(_key(u), t)
+                assert np.abs(d.conj().T @ d - np.eye(t + 1)).max() < 1e-12, t
+
+    def test_blocks_form_a_representation(self, rng):
+        u, w = _random_u2(rng), _random_u2(rng)
+        # single photon: |1,0> -> u00|1,0> + u10|0,1>, rows/columns ordered by p
+        assert np.allclose(_pair_rotation(_key(u), 1), u[::-1, ::-1], atol=1e-14)
+        for t in range(13):
+            assert np.allclose(_pair_rotation(_key(u @ w), t),
+                               _pair_rotation(_key(u), t) @ _pair_rotation(_key(w), t),
+                               atol=1e-12)

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from qiopa import montecarlo
 from qiopa.amplifier import AmplifierConfig
+from qiopa.errors import NumericalError
+from qiopa.fock import FockState4
 from qiopa.montecarlo import (DETECTORS, CalibrationResult, DetectorConfig,
                               PulseSampler, RunStats, SweepStats,
                               calibrate_visibility_loss, run, sample_pulse)
@@ -55,6 +58,20 @@ class TestSamplePulse:
         det = DetectorConfig(qe=0.0, dark_rate=1.0)
         rec = sample_pulse(BALANCED, LG, det, np.random.default_rng(0))
         assert all(rec.clicks.values())
+
+
+class TestPulseSampler:
+    def test_lost_norm_raises_instead_of_renormalising(self, monkeypatch):
+        rotate = montecarlo.rotate_mode_pair
+
+        def lossy(state, pair, u):
+            out = rotate(state, pair, u)
+            return FockState4({k: 0.99 * v for k, v in out.amplitudes.items()},
+                              out.cutoff)
+
+        monkeypatch.setattr(montecarlo, "rotate_mode_pair", lossy)
+        with pytest.raises(NumericalError):
+            PulseSampler(BALANCED, LG, DetectorConfig())
 
 
 class TestRunPoint:

@@ -65,6 +65,15 @@ class TestOracleAgreement:
             assert num.g2h == pytest.approx(ana.g2h, abs=1e-8)
             assert num.g2v == pytest.approx(ana.g2v, abs=1e-8)
 
+    def test_high_gain_matches_closed_form(self, rng):
+        cfg = AmplifierConfig.for_gain(1.5)
+        tol = 1e-8 + cfg.epsilon_trunc * (2 * cfg.cutoff + 1)
+        q = random_qubit(rng)
+        num = g1_oracle(q, cfg)
+        ana = g1_closed_form(q, cfg.gain)
+        assert num.g2h == pytest.approx(ana.g2h, abs=tol)
+        assert num.g2v == pytest.approx(ana.g2v, abs=tol)
+
 
 class TestVisibility:
     def test_balanced_case_is_exactly_one_third(self):

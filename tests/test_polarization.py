@@ -125,6 +125,20 @@ class TestApply:
         assert abs(out.global_phase) == pytest.approx(math.pi)
 
 
+class TestPolarizationUnitary:
+    @pytest.mark.parametrize("m", [[[1.0, 0.1], [0.0, 1.0]],
+                                   [[math.nan, 0.0], [0.0, 1.0]],
+                                   np.eye(3)])
+    def test_rejects_non_unitary(self, m):
+        with pytest.raises(ValueError):
+            PolarizationUnitary(m)
+
+    def test_caller_array_stays_writable(self):
+        m = np.eye(2, dtype=complex)
+        PolarizationUnitary(m)
+        m[0, 0] = -1.0
+
+
 class TestBlochPath:
     def test_requires_increasing_angles(self):
         with pytest.raises(ValueError):
