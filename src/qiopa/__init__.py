@@ -10,7 +10,7 @@ from .fock import (FockIndex4, FockState4, GainParams, default_cutoff, fidelity,
                    pair_tail, rotate_mode_pair)
 from .montecarlo import (CalibrationResult, DetectorConfig, PulseRecord,
                          PulseSampler, RunStats, SweepStats,
-                         calibrate_visibility_loss, run, sample_pulse)
+                         calibrate_visibility_loss, run)
 from .observables import (DETECTED_FIELD_UNITARY, FringeTable, G1Pair,
                           fringe_sweep, g1_closed_form, g1_oracle,
                           signal_to_noise, visibility)

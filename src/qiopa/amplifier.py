@@ -18,7 +18,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from .errors import NumericalError
 from .fock import (FockIndex4, FockState4, GainParams, TAIL_RULE,
-                   default_cutoff, inner_product, make_gain, pair_tail)
+                   default_cutoff, make_gain, pair_tail)
 from .polarization import Qubit
 
 # the interaction transiently populates the truncation boundary
@@ -51,46 +51,33 @@ class AmplifierConfig:
         return cls(gain, default_cutoff(gain) if cutoff is None else cutoff)
 
 
+def _pair_weights(cfg: AmplifierConfig, pref: float):
+    """Pair terms (i, j), n = i + j then i ascending, and pref (-Gamma)^i Gamma^j
+    (scalar pow: numpy's vectorised pow can round the last bit differently)."""
+    n, i = np.tril_indices(cfg.cutoff + 1)
+    gam = cfg.gain.Gamma
+    powers = np.array([[(-gam) ** k, gam ** k] for k in range(cfg.cutoff + 1)])
+    return i, n - i, pref * powers[i, 0] * powers[n - i, 1]
+
+
 def amplify(q: Qubit, cfg: AmplifierConfig) -> FockState4:
-    """Closed-form amplifier output for an injected qubit."""
-    gp = cfg.gain
-    a_amp = q.alpha
+    """Closed-form amplifier output for an injected qubit.
+
+    Each pair term (i, j) gives |i+1, j, j, i> (alpha) and then |i, j+1, j, i> (beta).
+    """
+    i, j, base = _pair_weights(cfg, cfg.gain.gamma)
     b_amp = q.beta * cmath.exp(1j * q.phi)
-    amps: dict = {}
-    for n in range(cfg.cutoff + 1):
-        for i in range(n + 1):
-            j = n - i
-            base = gp.gamma * (-gp.Gamma) ** i * gp.Gamma ** j
-            if base == 0.0:
-                continue
-            if a_amp:
-                amps[(i + 1, j, j, i)] = a_amp * base * math.sqrt(i + 1)
-            if b_amp:
-                amps[(i, j + 1, j, i)] = b_amp * base * math.sqrt(j + 1)
-    return FockState4(amps, cfg.cutoff)
+    occ = np.column_stack([i + 1, j, j, i, i, j + 1, j, i]).reshape(-1, 4)
+    amp = np.column_stack([q.alpha * base * np.sqrt(i + 1),
+                           b_amp * base * np.sqrt(j + 1)]).reshape(-1)
+    return FockState4.from_arrays(occ, amp, cfg.cutoff)
 
 
 def vacuum_output(cfg: AmplifierConfig) -> FockState4:
     """Squeezed-vacuum output when the amplifier is fed no qubit."""
-    gp = cfg.gain
-    pref = gp.C ** -2
-    amps: dict = {}
-    for n in range(cfg.cutoff + 1):
-        for i in range(n + 1):
-            j = n - i
-            amp = pref * (-gp.Gamma) ** i * gp.Gamma ** j
-            if amp != 0.0:
-                amps[(i, j, j, i)] = amp
-    return FockState4(amps, cfg.cutoff)
-
-
-def _injected_state(q: Qubit, cutoff: int) -> FockState4:
-    amps = {}
-    if q.alpha:
-        amps[(1, 0, 0, 0)] = q.alpha
-    if q.beta:
-        amps[(0, 1, 0, 0)] = q.beta * cmath.exp(1j * q.phi)
-    return FockState4(amps, cutoff)
+    i, j, amp = _pair_weights(cfg, cfg.gain.C ** -2)
+    return FockState4.from_arrays(np.column_stack([i, j, j, i]),
+                                  amp.astype(complex), cfg.cutoff)
 
 
 # creation-pair couplings (mode indices, sign): the (1h, 2v) pairs carry the
@@ -134,12 +121,15 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig, steps: int = 1) -> Foc
     if steps < 1:
         raise ValueError("steps must be >= 1")
     g = cfg.gain.g
-    psi_in = _injected_state(q, cfg.cutoff)
+    psi_in = FockState4.from_arrays(np.array([[1, 0, 0, 0], [0, 1, 0, 0]]),
+                                    np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)]),
+                                    cfg.cutoff)
     if g == 0.0:
         return psi_in
 
     pad_cut = cfg.cutoff + PROPAGATOR_PADDING
-    basis = _basis_by_bfs(list(psi_in.amplitudes), pad_cut)
+    seeds = [FockIndex4(*s) for s in psi_in.occ.tolist()]
+    basis = _basis_by_bfs(seeds, pad_cut)
     index = {s: k for k, s in enumerate(basis)}
     dim = len(basis)
 
@@ -159,8 +149,7 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig, steps: int = 1) -> Foc
     K = created - created.T  # real antisymmetric: evolution is exactly unitary
 
     psi0 = np.zeros(dim, dtype=complex)
-    for idx, amp in psi_in.amplitudes.items():
-        psi0[index[idx]] = amp
+    psi0[[index[s] for s in seeds]] = psi_in.amp
 
     def evolve(nsteps: int) -> np.ndarray:
         psi = psi0
@@ -178,8 +167,6 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig, steps: int = 1) -> Foc
             f"propagation did not converge under step doubling "
             f"(fidelity defect {1.0 - overlap / norms:.3e})")
 
-    amps = {
-        s: psi_b[k] for s, k in index.items()
-        if s.total // 2 <= cfg.cutoff
-    }
-    return FockState4(amps, cfg.cutoff)
+    occ = np.array(basis, dtype=np.int64)
+    keep = occ.sum(axis=1) // 2 <= cfg.cutoff
+    return FockState4.from_arrays(occ[keep], psi_b[keep], cfg.cutoff)

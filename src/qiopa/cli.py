@@ -82,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--threads", type=int, default=1)
     shared.add_argument("--threshold", type=int, default=None,
                         help="pair-number threshold for tail reporting")
-    shared.add_argument("--selftest", action="store_true",
-                        help="run the fast invariant suite and exit")
 
     parser = argparse.ArgumentParser(
         prog="qiopa",

@@ -15,8 +15,8 @@ import numpy as np
 
 from .amplifier import AmplifierConfig
 from .errors import NumericalError
-from .fock import (FockState4, GainParams, MODE_PAIRS, inner_product,
-                   pair_probability, pair_tail)
+from .fock import (FockState4, GainParams, MODE_PAIRS, fidelity,
+                   pair_probability, pair_tail, row_groups)
 from .polarization import Qubit
 
 EIGENVALUE_FLOOR = -1e-9
@@ -101,24 +101,26 @@ def partial_trace(state: FockState4, keep: str) -> SectorDensity:
         raise ValueError(f"keep must be 'mode1' or 'mode2', got {keep!r}")
     k0, k1 = MODE_PAIRS[keep]
     t0, t1 = MODE_PAIRS["mode2" if keep == "mode1" else "mode1"]
+    amp, mag = state.amp, np.abs(state.amp)
+    total = state.occ[:, k0] + state.occ[:, k1]
+    traced = row_groups(state.occ[:, [t0, t1]])[0]
 
-    groups: dict = {}
-    for idx, amp in state.amplitudes.items():
-        groups.setdefault((idx[t0], idx[t1]), []).append(((idx[k0], idx[k1]), amp))
+    # the largest |a b*| across sectors of one traced occupation pairs its
+    # largest entry with an entry of another sector
+    order = np.lexsort((-mag, traced))
+    top = order[np.diff(traced[order], prepend=-1) != 0][traced]
+    cross = total != total[top]
+    if np.any(mag[cross] * mag[top[cross]] > BLOCK_COHERENCE_TOL):
+        raise ValueError(
+            "reduced state has coherences across photon-number "
+            "sectors; block-diagonal storage does not apply")
 
-    max_t = max((k[0] + k[1] for g in groups.values() for k, _ in g), default=0)
-    blocks = [np.zeros((t + 1, t + 1), dtype=complex) for t in range(max_t + 1)]
-    for entries in groups.values():
-        for (ka, aa) in entries:
-            ta = ka[0] + ka[1]
-            for (kb, ab_) in entries:
-                if kb[0] + kb[1] != ta:
-                    if abs(aa * ab_.conjugate()) > BLOCK_COHERENCE_TOL:
-                        raise ValueError(
-                            "reduced state has coherences across photon-number "
-                            "sectors; block-diagonal storage does not apply")
-                    continue
-                blocks[ta][ka[1], kb[1]] += aa * ab_.conjugate()
+    blocks = []
+    for t in range(int(total.max(initial=0)) + 1):
+        sel = total == t
+        psi = np.zeros((sel.sum(), t + 1), dtype=complex)
+        psi[np.unique(traced[sel], return_inverse=True)[1], state.occ[sel, k1]] = amp[sel]
+        blocks.append(psi.T @ psi.conj())
     return SectorDensity(keep, blocks)
 
 
@@ -139,12 +141,9 @@ def entropy(rho: SectorDensity) -> float:
 def hs_distance(a, b) -> float:
     """Hilbert-Schmidt distance Tr[(rho_a - rho_b)^2]."""
     if isinstance(a, FockState4) and isinstance(b, FockState4):
-        # states define unit-trace projectors, so normalize before comparing;
+        # states define unit-trace projectors, so the overlap is normalized;
         # otherwise the truncation loss of each state leaks into the distance
-        na, nb = a.norm_sq(), b.norm_sq()
-        if na == 0.0 or nb == 0.0:
-            raise ValueError("cannot form a projector from a zero state")
-        return 2.0 - 2.0 * abs(inner_product(a, b)) ** 2 / (na * nb)
+        return 2.0 - 2.0 * fidelity(a, b)
     if isinstance(a, SectorDensity) and isinstance(b, SectorDensity):
         if a.mode != b.mode:
             raise ValueError(f"mode mismatch: {a.mode} vs {b.mode}")

@@ -1,14 +1,16 @@
 """Truncated four-mode Fock space: sparse state vectors and mode algebra.
 
 Modes are ordered (1h, 1v, 2h, 2v): horizontal/vertical polarization on the
-two output spatial modes k1 and k2.  States are sparse maps from occupation
-tuples to complex amplitudes; amplitudes below PRUNE_THRESHOLD are dropped.
+two output spatial modes k1 and k2.  A state holds an (N, 4) array of
+occupation rows and the N matching complex amplitudes; amplitudes below
+PRUNE_THRESHOLD are dropped.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -87,38 +89,55 @@ def default_cutoff(gain: GainParams, tol: float = TAIL_RULE) -> int:
     return max(n, 12)
 
 
-@dataclass
 class FockState4:
-    """Sparse complex amplitude map over four-mode occupation numbers."""
+    """Amplitudes amp (N complex) on distinct occupation rows occ (N x 4 int64);
+    FockState4(mapping, cutoff) takes a map of occupation tuples to amplitudes."""
 
-    amplitudes: dict
-    cutoff: int
+    def __init__(self, amplitudes: dict, cutoff: int):
+        self._set(np.array(list(amplitudes), dtype=np.int64).reshape(len(amplitudes), 4),
+                  np.array(list(amplitudes.values()), dtype=complex), cutoff)
 
-    def __post_init__(self):
-        self.amplitudes = {
-            FockIndex4(*k): complex(v)
-            for k, v in self.amplitudes.items()
-            if abs(v) >= PRUNE_THRESHOLD
-        }
+    @classmethod
+    def from_arrays(cls, occ: np.ndarray, amp: np.ndarray, cutoff: int) -> FockState4:
+        """State on distinct rows occ with amplitudes amp, pruned like every state."""
+        state = cls.__new__(cls)
+        state._set(occ, amp, cutoff)
+        return state
+
+    def _set(self, occ, amp, cutoff):
+        keep = np.abs(amp) >= PRUNE_THRESHOLD
+        self.occ, self.amp, self.cutoff = occ[keep], amp[keep], cutoff
+
+    @property
+    def amplitudes(self) -> MappingProxyType:
+        """Read-only map from FockIndex4 to amplitude, built on each access."""
+        return MappingProxyType(dict(zip(map(FockIndex4._make, self.occ.tolist()),
+                                         self.amp.tolist())))
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
+        return float(np.sum(np.abs(self.amp) ** 2))
 
     def __len__(self) -> int:
-        return len(self.amplitudes)
+        return len(self.amp)
+
+
+def row_groups(rows: np.ndarray):
+    """Number the distinct rows of a non-negative integer array by first
+    appearance: each row's number, and ascending, the first row of each number."""
+    key = np.ravel_multi_index(rows.T, rows.max(axis=0, initial=0) + 1)
+    _, first, label = np.unique(key, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[label], np.sort(first)
 
 
 def inner_product(a: FockState4, b: FockState4) -> complex:
     """Sesquilinear form <a|b> (conjugate-linear in the first argument)."""
     if a.cutoff != b.cutoff:
         raise ValueError(f"mode caps differ: {a.cutoff} vs {b.cutoff}")
-    if len(b.amplitudes) < len(a.amplitudes):
-        return inner_product(b, a).conjugate()
-    return sum(
-        amp.conjugate() * b.amplitudes[idx]
-        for idx, amp in a.amplitudes.items()
-        if idx in b.amplitudes
-    )
+    label, first = row_groups(np.concatenate([a.occ, b.occ]))
+    va, vb = np.zeros((2, len(first)), dtype=complex)
+    va[label[:len(a)]] = a.amp
+    vb[label[len(a):]] = b.amp
+    return complex(np.vdot(va, vb))
 
 
 def fidelity(a: FockState4, b: FockState4) -> float:
@@ -132,7 +151,7 @@ def fidelity(a: FockState4, b: FockState4) -> float:
 def number_expectation(state: FockState4, mode: str) -> float:
     """Mean photon number in one of the modes 1h, 1v, 2h, 2v."""
     pos = MODE_ORDER.index(mode)
-    return sum(abs(a) ** 2 * idx[pos] for idx, a in state.amplitudes.items())
+    return float(np.sum(np.abs(state.amp) ** 2 * state.occ[:, pos]))
 
 
 @lru_cache(maxsize=None)
@@ -160,32 +179,33 @@ def rotate_mode_pair(state: FockState4, pair: str, u) -> FockState4:
 
     The transform acts on each fixed total occupation t of the pair through
     the (t+1)-dimensional representation of u; photon number in the pair and
-    the overall norm are preserved.
+    the overall norm are preserved.  Entries sharing the other pair's
+    occupations and the total t form one group; the output lists the groups
+    in order of first appearance, each with |p, t-p> for p = 0..t ascending.
     """
     u = PolarizationUnitary(u).matrix
     if pair not in MODE_PAIRS:
         raise ValueError(f"pair must be 'mode1' or 'mode2', got {pair!r}")
     i0, i1 = MODE_PAIRS[pair]
-    u_key = (complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]))
+    rest = [j for j in range(4) if j not in (i0, i1)]
+    u_key = tuple(complex(x) for x in u.ravel())
 
-    groups: dict = {}
-    for idx, amp in state.amplitudes.items():
-        rest = tuple(idx[j] for j in range(4) if j not in (i0, i1))
-        groups.setdefault((rest, idx[i0] + idx[i1]), []).append((idx[i0], amp))
+    m = state.occ[:, i0]
+    t = m + state.occ[:, i1]
+    group, heads = row_groups(np.column_stack([state.occ[:, rest], t]))
+    width = t[heads] + 1
+    start = np.cumsum(width) - width
+    g_out = np.repeat(np.arange(len(heads)), width)
 
-    out: dict = {}
-    for (rest, t), entries in groups.items():
-        vin = np.zeros(t + 1, dtype=complex)
-        for m, amp in entries:
-            vin[m] += amp
-        vout = _pair_rotation(u_key, t) @ vin
-        for p in np.nonzero(np.abs(vout) >= PRUNE_THRESHOLD)[0]:
-            occ = [0, 0, 0, 0]
-            occ[i0], occ[i1] = int(p), t - int(p)
-            rit = iter(rest)
-            for j in range(4):
-                if j not in (i0, i1):
-                    occ[j] = next(rit)
-            key = FockIndex4(*occ)
-            out[key] = out.get(key, 0.0) + vout[p]
-    return FockState4(out, state.cutoff)
+    # group g holds its block vector at start[g] .. start[g] + t
+    vin = np.zeros(len(g_out), dtype=complex)
+    vin[start[group] + m] = state.amp
+    out = np.empty_like(vin)
+    for w in np.unique(width):
+        idx = start[width == w] + np.arange(w)[:, None]
+        out[idx] = _pair_rotation(u_key, int(w) - 1) @ vin[idx]
+
+    occ = state.occ[heads[g_out]]
+    occ[:, i0] = np.arange(len(g_out)) - start[g_out]
+    occ[:, i1] = width[g_out] - 1 - occ[:, i0]
+    return FockState4.from_arrays(occ, out, state.cutoff)

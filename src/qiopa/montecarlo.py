@@ -97,14 +97,13 @@ class PulseSampler:
             st = rotate_mode_pair(state, "mode2", DETECTED_FIELD_UNITARY)
             if rotate_mode1:
                 st = rotate_mode_pair(st, "mode1", DETECTED_FIELD_UNITARY)
-            occ = np.array(list(st.amplitudes.keys()), dtype=np.int64)
-            p = np.abs(np.array(list(st.amplitudes.values()))) ** 2
+            p = np.abs(st.amp) ** 2
             total = p.sum()
             if not 1.0 - cfg.epsilon_trunc - 1e-12 <= total <= 1.0 + 1e-12:
                 raise NumericalError(
                     f"{label} sampling table holds weight {total!r}, outside "
                     f"1 - epsilon_trunc ({cfg.epsilon_trunc:.3g}) .. 1")
-            self.tables[label] = (occ, np.cumsum(p / total))
+            self.tables[label] = (st.occ, np.cumsum(p / total))
 
     def sample_chunk(self, rng: np.random.Generator, n: int):
         det = self.det
@@ -124,16 +123,13 @@ class PulseSampler:
             trigger |= rng.random(n) < det.dark_rate
         return occ, survivors, clicks, trigger
 
-
-def sample_pulse(q: Qubit, cfg: AmplifierConfig, det: DetectorConfig,
-                 rng: np.random.Generator, sampler: PulseSampler | None = None) -> PulseRecord:
-    """Draw a single pulse; run() is the fast path for large counts."""
-    s = sampler if sampler is not None else PulseSampler(q, cfg, det)
-    occ, _surv, clicks, trigger = s.sample_chunk(rng, 1)
-    cl = {"D_T": bool(trigger[0])}
-    cl.update({d: bool(clicks[0, m]) for d, m in _DETECTOR_MODE.items()})
-    return PulseRecord(index=FockIndex4(*(int(x) for x in occ[0])), clicks=cl,
-                       coincidence=all(cl[d] for d in det.coincidence_mask))
+    def sample_pulse(self, rng: np.random.Generator) -> PulseRecord:
+        """Draw a single pulse; run() is the fast path for large counts."""
+        occ, _surv, clicks, trigger = self.sample_chunk(rng, 1)
+        cl = {"D_T": bool(trigger[0])}
+        cl.update({d: bool(clicks[0, m]) for d, m in _DETECTOR_MODE.items()})
+        return PulseRecord(index=FockIndex4(*occ[0].tolist()), clicks=cl,
+                           coincidence=all(cl[d] for d in self.det.coincidence_mask))
 
 
 def _click_matrix(clicks: np.ndarray, trigger: np.ndarray, detectors) -> np.ndarray:

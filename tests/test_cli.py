@@ -170,3 +170,9 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "PASS" in out
+
+    def test_selftest_flag_wins_over_a_subcommand(self, capsys):
+        assert main(["--selftest", "pairs", "--preset", "LG"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        assert "n,p_n,cumulative" not in out

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qiopa.amplifier import AmplifierConfig
+from qiopa.amplifier import AmplifierConfig, amplify
 from qiopa.fock import (FockIndex4, FockState4, _pair_rotation, default_cutoff,
                         inner_product, make_gain, number_expectation,
                         pair_probability, pair_tail, rotate_mode_pair)
 from qiopa.observables import DETECTED_FIELD_UNITARY
+from qiopa.polarization import Qubit
 
 from conftest import random_qubit
 
@@ -153,6 +154,48 @@ class TestRotateModePair:
         st = FockState4({(0, 0, 1, 0): 1.0}, 4)
         with pytest.raises(ValueError):
             rotate_mode_pair(st, "mode2", np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+    def test_entry_order_matches_grouped_reference(self, rng):
+        # per-entry reference: groups of (other pair, total) in order of
+        # first appearance, then p ascending within each group
+        st = _random_state(rng, n_entries=40)
+        u = _random_u2(rng)
+        out = rotate_mode_pair(st, "mode1", u)
+        groups: dict = {}
+        for (n1h, n1v, n2h, n2v), amp in st.amplitudes.items():
+            groups.setdefault((n2h, n2v, n1h + n1v), {})[n1h] = amp
+        keys, amps = [], []
+        for (n2h, n2v, t), entries in groups.items():
+            vin = np.zeros(t + 1, dtype=complex)
+            for m, amp in entries.items():
+                vin[m] = amp
+            for p, a in enumerate(_pair_rotation(_key(u), t) @ vin):
+                if abs(a) >= 1e-15:
+                    keys.append((p, t - p, n2h, n2v))
+                    amps.append(a)
+        assert out.occ.tolist() == [list(k) for k in keys]
+        assert np.allclose(out.amp, amps, rtol=0, atol=1e-14)
+
+    def test_high_gain_analyzer_keeps_norm(self):
+        st = amplify(Qubit(2 ** -0.5, 2 ** -0.5), AmplifierConfig.for_gain(1.13, 100))
+        out = rotate_mode_pair(st, "mode2", DETECTED_FIELD_UNITARY)
+        assert abs(out.norm_sq() - st.norm_sq()) < 1e-14
+
+    def test_high_gain_round_trip_restores_state(self):
+        st = amplify(Qubit(0.6, 0.8, 0.9), AmplifierConfig.for_gain(1.13, 100))
+        u = DETECTED_FIELD_UNITARY
+        back = rotate_mode_pair(rotate_mode_pair(st, "mode2", u), "mode2", u.conj().T)
+        before, after = st.amplitudes, back.amplitudes
+        assert set(after) == set(before)
+        assert max(abs(after[k] - a) for k, a in before.items()) < 1e-12
+
+    def test_rotations_on_the_two_pairs_commute(self, rng):
+        st = amplify(Qubit(0.6, 0.8, 0.9), AmplifierConfig.for_gain(0.5))
+        u, w = _random_u2(rng), _random_u2(rng)
+        a = rotate_mode_pair(rotate_mode_pair(st, "mode1", u), "mode2", w).amplitudes
+        b = rotate_mode_pair(rotate_mode_pair(st, "mode2", w), "mode1", u).amplitudes
+        assert set(a) == set(b)
+        assert max(abs(a[k] - v) for k, v in b.items()) < 1e-12
 
 
 def _random_u2(rng):

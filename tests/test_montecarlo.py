@@ -10,7 +10,7 @@ from qiopa.errors import NumericalError
 from qiopa.fock import FockState4
 from qiopa.montecarlo import (DETECTORS, CalibrationResult, DetectorConfig,
                               PulseSampler, RunStats, SweepStats,
-                              calibrate_visibility_loss, run, sample_pulse)
+                              calibrate_visibility_loss, run)
 from qiopa.polarization import BlochPath, Qubit
 
 BALANCED = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
@@ -41,22 +41,21 @@ class TestDetectorConfig:
 class TestSamplePulse:
     def test_reports_all_detectors(self):
         det = DetectorConfig(pulses=1, seed=7)
-        rec = sample_pulse(BALANCED, LG, det, np.random.default_rng(7))
+        rec = PulseSampler(BALANCED, LG, det).sample_pulse(np.random.default_rng(7))
         assert set(rec.clicks) == set(DETECTORS)
         assert rec.coincidence == all(
             rec.clicks[d] for d in det.coincidence_mask)
 
     def test_zero_efficiency_never_clicks(self):
-        det = DetectorConfig(qe=0.0)
         rng = np.random.default_rng(3)
-        sampler = PulseSampler(BALANCED, LG, det)
+        sampler = PulseSampler(BALANCED, LG, DetectorConfig(qe=0.0))
         for _ in range(50):
-            rec = sample_pulse(BALANCED, LG, det, rng, sampler)
+            rec = sampler.sample_pulse(rng)
             assert not any(rec.clicks.values())
 
     def test_dark_counts_fire_on_empty_input(self):
         det = DetectorConfig(qe=0.0, dark_rate=1.0)
-        rec = sample_pulse(BALANCED, LG, det, np.random.default_rng(0))
+        rec = PulseSampler(BALANCED, LG, det).sample_pulse(np.random.default_rng(0))
         assert all(rec.clicks.values())
 
 
@@ -120,6 +119,19 @@ class TestRunPoint:
         for xi in (stats.xi_h, stats.xi_v):
             assert 0.0 <= xi <= 1.0
         assert stats.counts_h == round(stats.xi_h * stats.pulses)
+
+    @pytest.mark.parametrize("cfg,det,counts", [
+        # exact counts of seeded runs; the LG mask rotates both mode pairs.
+        # Table order or sampling changes move them.
+        (LG, DetectorConfig(qe=1.0, p_inject=0.5, pulses=200_000, seed=3,
+                            coincidence_mask=frozenset({"D_T", "D1", "D2"})),
+         (6, 961, 6)),
+        (_hg(), DetectorConfig(p_inject=0.5, pulses=100_000, seed=11),
+         (6345, 4668, 6345)),
+    ], ids=["LG-D_T,D1,D2", "HG"])
+    def test_seeded_counts_pinned(self, cfg, det, counts):
+        stats = run(BALANCED, cfg, det)
+        assert (stats.counts_h, stats.counts_v, stats.coincidences) == counts
 
     def test_four_fold_mask_rarer_than_two_fold(self):
         det2 = DetectorConfig(pulses=80_000, seed=9)
