@@ -8,7 +8,6 @@ against a brute-force partial trace.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,47 +50,39 @@ class SectorDensity:
         return float(sum(self.weights))
 
 
+def _tridiagonal(diag, lower) -> np.ndarray:
+    """Hermitian block with real diagonal diag and sub-diagonal lower."""
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(lower.conj(), 1)
+
+
 def rho1_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
-    """Reduced state of the cloning mode, assembled from overlapping 2x2 blocks."""
+    """Reduced state of the cloning mode: pair term n fills sector t = n + 1
+    with diagonal alpha^2 (t-p) + beta^2 p and sub-diagonal
+    alpha beta e^{i phi} sqrt((t-p)(p+1)), p = 0..t vertical photons."""
     gp = cfg.gain
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
     blocks = [np.zeros((1, 1), dtype=complex)]  # mode 1 always holds >= 1 photon
     for n in range(cfg.cutoff + 1):
         t = n + 1
         w = gp.gamma ** 2 * gp.Gamma ** (2 * n)
-        M = np.zeros((t + 1, t + 1), dtype=complex)
-        for i in range(n + 1):
-            pa = t - i        # |i>_h |n-i+1>_v
-            pb = t - i - 1    # |i+1>_h |n-i>_v
-            M[pa, pa] += q.beta ** 2 * (n - i + 1)
-            M[pb, pb] += q.alpha ** 2 * (i + 1)
-            c = ab * math.sqrt((i + 1) * (n - i + 1))
-            M[pa, pb] += c
-            M[pb, pa] += c.conjugate()
-        blocks.append(w * M)
+        p = np.arange(t + 1)
+        blocks.append(w * _tridiagonal(q.alpha ** 2 * (t - p) + q.beta ** 2 * p,
+                                       ab * np.sqrt((t - p[:-1]) * (p[:-1] + 1))))
     return SectorDensity("mode1", blocks)
 
 
 def rho2_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
-    """Reduced state of the anticloning mode; note the negative cross terms."""
+    """Reduced state of the anticloning mode: pair term n fills sector n with
+    diagonal beta^2 (n-p+1) + alpha^2 (p+1) and the negative sub-diagonal
+    -alpha beta e^{i phi} sqrt((n-p)(p+1)), p = 0..n vertical photons."""
     gp = cfg.gain
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
     blocks = []
     for n in range(cfg.cutoff + 1):
         w = gp.gamma ** 2 * gp.Gamma ** (2 * n)
-        M = np.zeros((n + 1, n + 1), dtype=complex)
-        for i in range(n + 2):
-            # block kets |n-i>_h |i>_v (position i) and |n-i+1>_h |i-1>_v
-            # (position i-1); edge summands with invalid kets contribute zero
-            if i <= n:
-                M[i, i] += q.beta ** 2 * (n - i + 1)
-            if i >= 1:
-                M[i - 1, i - 1] += q.alpha ** 2 * i
-            if 1 <= i <= n:
-                c = -ab * math.sqrt((n - i + 1) * i)
-                M[i, i - 1] += c
-                M[i - 1, i] += c.conjugate()
-        blocks.append(w * M)
+        p = np.arange(n + 1)
+        blocks.append(w * _tridiagonal(q.beta ** 2 * (n - p + 1) + q.alpha ** 2 * (p + 1),
+                                       -ab * np.sqrt((n - p[:-1]) * (p[:-1] + 1))))
     return SectorDensity("mode2", blocks)
 
 

@@ -99,7 +99,7 @@ class PulseSampler:
                 st = rotate_mode_pair(st, "mode1", DETECTED_FIELD_UNITARY)
             p = np.abs(st.amp) ** 2
             total = p.sum()
-            if not 1.0 - cfg.epsilon_trunc - 1e-12 <= total <= 1.0 + 1e-12:
+            if not cfg.holds_norm(total):
                 raise NumericalError(
                     f"{label} sampling table holds weight {total!r}, outside "
                     f"1 - epsilon_trunc ({cfg.epsilon_trunc:.3g}) .. 1")
@@ -220,6 +220,8 @@ def _null_pvalue(points) -> float:
 
 def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
     """Aggregate pulses for a single qubit (RunStats) or a Bloch path (SweepStats)."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     root = np.random.SeedSequence(det.seed)
     if isinstance(target, Qubit):
         return _run_point(PulseSampler(target, cfg, det), root, threads)

@@ -1,9 +1,15 @@
 import math
+import os
 
-import numpy as np
-import pytest
+# one BLAS thread, as the benchmark runs: on a shared host OpenBLAS's default
+# threads make the small per-total matrix products of a rotation many times slower
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
 
-from qiopa.polarization import Qubit
+import numpy as np  # noqa: E402  (after the BLAS thread pin)
+import pytest  # noqa: E402
+
+from qiopa.polarization import Qubit  # noqa: E402
 
 
 def random_qubit(rng: np.random.Generator) -> Qubit:

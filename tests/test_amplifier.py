@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
-from qiopa.amplifier import (AmplifierConfig, amplify, propagate_hamiltonian,
-                             vacuum_output)
+from qiopa.amplifier import (_COUPLINGS, PROPAGATOR_PADDING, AmplifierConfig,
+                             amplify, propagate_hamiltonian, vacuum_output)
 from qiopa.fock import (FockIndex4, FockState4, fidelity, inner_product,
                         make_gain, number_expectation, pair_tail)
 from qiopa.polarization import Qubit
@@ -48,8 +50,10 @@ class TestAmplify:
                         + bphase * v.amplitudes.get(idx, 0.0))
             assert amp == pytest.approx(expected, abs=1e-15)
 
-    def test_pair_correlation_structure(self):
-        st = amplify(Qubit(1.0, 0.0), AmplifierConfig.for_gain(0.8))
+    @pytest.mark.parametrize("build", [amplify, propagate_hamiltonian],
+                             ids=["amplify", "propagate_hamiltonian"])
+    def test_pair_correlation_structure(self, build):
+        st = build(Qubit(1.0, 0.0), AmplifierConfig.for_gain(0.8))
         for idx in st.amplitudes:
             assert idx.n1v == idx.n2h
             assert idx.n2v == idx.n1h - 1
@@ -86,7 +90,56 @@ class TestVacuumOutput:
             number_expectation(st, "2v"), abs=1e-14)
 
 
+def _propagate_by_search(q, cfg):
+    """Reference propagator: basis by a search over the pair couplings from
+    the injected rows, generator by a loop over its rows, two steps of g/2."""
+    psi_in = FockState4.from_arrays(np.array([[1, 0, 0, 0], [0, 1, 0, 0]]),
+                                    np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)]),
+                                    cfg.cutoff)
+    seeds = [tuple(s) for s in psi_in.occ.tolist()]
+    max_total = 2 * (cfg.cutoff + PROPAGATOR_PADDING) + 1
+    seen, stack = set(seeds), list(seeds)
+    while stack:
+        s = stack.pop()
+        for (a, b), _sign in _COUPLINGS:
+            for step in (1, -1):
+                nxt = list(s)
+                nxt[a] += step
+                nxt[b] += step
+                if min(nxt) >= 0 and sum(nxt) <= max_total and tuple(nxt) not in seen:
+                    seen.add(tuple(nxt))
+                    stack.append(tuple(nxt))
+    index = {s: k for k, s in enumerate(sorted(seen))}
+    rows, cols, vals = [], [], []
+    for s, k in index.items():
+        for (a, b), sign in _COUPLINGS:
+            up = list(s)
+            up[a] += 1
+            up[b] += 1
+            if sum(up) <= max_total:
+                rows.append(index[tuple(up)])
+                cols.append(k)
+                vals.append(sign * math.sqrt(up[a] * up[b]))
+    created = sp.csr_matrix((vals, (rows, cols)), shape=(len(index),) * 2)
+    psi = np.zeros(len(index), dtype=complex)
+    psi[[index[s] for s in seeds]] = psi_in.amp
+    for _ in range(2):
+        psi = expm_multiply(cfg.gain.g / 2 * (created - created.T), psi)
+    occ = np.array(list(index), dtype=np.int64)
+    keep = occ.sum(axis=1) // 2 <= cfg.cutoff
+    return FockState4.from_arrays(occ[keep], psi[keep], cfg.cutoff)
+
+
 class TestPropagateHamiltonian:
+    @pytest.mark.parametrize("q", [Qubit(1.0, 0.0), Qubit(0.0, 1.0),
+                                   Qubit(0.6, 0.8, -2.1)], ids=["H", "V", "mixed"])
+    def test_equals_search_reference(self, q):
+        cfg = AmplifierConfig.for_gain(0.3)
+        st, ref = propagate_hamiltonian(q, cfg), _propagate_by_search(q, cfg)
+        assert np.array_equal(st.occ, ref.occ)
+        assert np.array_equal(st.amp, ref.amp)
+
+
     def test_zero_gain_returns_input(self):
         cfg = AmplifierConfig.for_gain(0.0)
         st = propagate_hamiltonian(Qubit(1.0, 0.0), cfg)

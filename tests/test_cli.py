@@ -158,6 +158,20 @@ class TestErrorHandling:
         assert main(["montecarlo", "--mask", "D_T,D9", "--pulses", "10"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_bad_thread_count_exits_2(self, threads, capsys):
+        assert main(["montecarlo", "--preset", "LG", "--pulses", "10",
+                     "--threads", threads]) == 2
+        assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, fmt", [("entropy", "csv"),
+                                              ("montecarlo", "json")])
+    def test_format_the_command_cannot_write_exits_2(self, command, fmt, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", fmt])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "x.csv"
         assert main(["pairs", "--g", "0.1", "--out", str(target)]) == 4

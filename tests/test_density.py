@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -19,7 +20,51 @@ def _max_block_diff(a: SectorDensity, b: SectorDensity) -> float:
     return max(np.abs(x - y).max() for x, y in zip(a.blocks, b.blocks))
 
 
+def _blocks_by_summands(q, cfg, mode):
+    """Reference: each closed-form block accumulated summand by summand, in
+    pair-term order i, on kets indexed by their vertical photon number."""
+    gp = cfg.gain
+    ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
+    blocks = [np.zeros((1, 1), dtype=complex)] if mode == "mode1" else []
+    for n in range(cfg.cutoff + 1):
+        if mode == "mode1":
+            M = np.zeros((n + 2, n + 2), dtype=complex)
+            for i in range(n + 1):
+                pa, pb = n + 1 - i, n - i   # |i>_h |n-i+1>_v and |i+1>_h |n-i>_v
+                M[pa, pa] += q.beta ** 2 * (n - i + 1)
+                M[pb, pb] += q.alpha ** 2 * (i + 1)
+                c = ab * math.sqrt((i + 1) * (n - i + 1))
+                M[pa, pb] += c
+                M[pb, pa] += c.conjugate()
+        else:
+            M = np.zeros((n + 1, n + 1), dtype=complex)
+            for i in range(n + 2):
+                # |n-i>_h |i>_v at i and |n-i+1>_h |i-1>_v at i-1
+                if i <= n:
+                    M[i, i] += q.beta ** 2 * (n - i + 1)
+                if i >= 1:
+                    M[i - 1, i - 1] += q.alpha ** 2 * i
+                if 1 <= i <= n:
+                    c = -ab * math.sqrt((n - i + 1) * i)
+                    M[i, i - 1] += c
+                    M[i - 1, i] += c.conjugate()
+        blocks.append(gp.gamma ** 2 * gp.Gamma ** (2 * n) * M)
+    return blocks
+
+
 class TestClosedFormsAgainstPartialTrace:
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100)])
+    def test_blocks_equal_summand_reference(self, g, cutoff, rng):
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        for q in (Qubit(1.0, 0.0), Qubit(0.0, 1.0), random_qubit(rng)):
+            for build, mode in ((rho1_closed_form, "mode1"),
+                                (rho2_closed_form, "mode2")):
+                blocks = build(q, cfg).blocks
+                reference = _blocks_by_summands(q, cfg, mode)
+                assert len(blocks) == len(reference)
+                for b, r in zip(blocks, reference):
+                    assert np.array_equal(b, r)
+
     @pytest.mark.parametrize("g", [0.07, 0.5])
     def test_rho1_matches_oracle(self, g, rng):
         cfg = AmplifierConfig.for_gain(g)

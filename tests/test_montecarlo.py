@@ -84,6 +84,11 @@ class TestRunPoint:
         det = DetectorConfig(pulses=450_000, seed=5)
         assert run(BALANCED, LG, det) == run(BALANCED, LG, det, threads=4)
 
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_thread_count_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run(BALANCED, LG, DetectorConfig(pulses=10), threads=threads)
+
     def test_seed_changes_counts(self):
         det = DetectorConfig(pulses=30_000, seed=1)
         a = run(BALANCED, _hg(), det)
