@@ -58,29 +58,26 @@ def _load_preset(name_or_path: str) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--g", type=float, default=None, help="amplifier gain")
-    shared.add_argument("--cutoff", type=int, default=None,
-                        help="pair-number cutoff override")
-    shared.add_argument("--alpha", type=float, default=None)
-    shared.add_argument("--beta", type=float, default=None)
-    shared.add_argument("--phi", type=float, default=0.0)
-    shared.add_argument("--path", default=None, metavar="AXIS:START:STEP:COUNT",
-                        help="Bloch-sphere sweep, e.g. z:0:0.196:32")
-    shared.add_argument("--qe", type=float, default=None)
-    shared.add_argument("--attenuation", type=float, default=None)
-    shared.add_argument("--p-inject", type=float, default=None)
-    shared.add_argument("--dark", type=float, default=None)
-    shared.add_argument("--mask", default=None,
-                        help="comma-separated coincidence detectors")
-    shared.add_argument("--pulses", type=int, default=None)
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--out", default=None, help="output path ('-' = stdout)")
-    shared.add_argument("--preset", default=None,
-                        help="LG, HG, or a key=value preset file")
-    shared.add_argument("--threads", type=int, default=1)
-    shared.add_argument("--threshold", type=int, default=None,
-                        help="pair-number threshold for tail reporting")
+    common, qubit, sweep, tail = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    common.add_argument("--g", type=float, default=None, help="amplifier gain")
+    common.add_argument("--cutoff", type=int, default=None, help="pair-number cutoff override")
+    common.add_argument("--out", default=None, help="output path ('-' = stdout)")
+    common.add_argument("--preset", default=None, help="LG, HG, or a key=value preset file")
+    qubit.add_argument("--alpha", type=float, default=None)
+    qubit.add_argument("--beta", type=float, default=None)
+    qubit.add_argument("--phi", type=float, default=0.0)
+    sweep.add_argument("--path", default=None, metavar="AXIS:START:STEP:COUNT",
+                       help="Bloch-sphere sweep, e.g. z:0:0.196:32")
+    sweep.add_argument("--qe", type=float, default=None)
+    sweep.add_argument("--attenuation", type=float, default=None)
+    sweep.add_argument("--p-inject", type=float, default=None)
+    sweep.add_argument("--dark", type=float, default=None)
+    sweep.add_argument("--mask", default=None, help="comma-separated coincidence detectors")
+    sweep.add_argument("--pulses", type=int, default=None)
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--threads", type=int, default=1)
+    tail.add_argument("--threshold", type=int, default=None,
+                      help="pair-number threshold for tail reporting")
 
     parser = argparse.ArgumentParser(
         prog="qiopa",
@@ -88,15 +85,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--selftest", action="store_true",
                         help="run the fast invariant suite and exit")
     sub = parser.add_subparsers(dest="command")
-    # --format offers only what a command writes: entropy writes JSON, and
-    # montecarlo writes its CSV table followed by a JSON summary
-    for name, formats, hlp in (
-            ("fringe", ("csv", "json"), "interference fringe table over a Bloch path"),
-            ("pairs", ("csv", "json"), "photon-pair number distribution"),
-            ("entropy", ("json",), "reduced-state entropies and distances"),
-            ("montecarlo", ("csv",), "conditional coincidence-detection run")):
-        cmd = sub.add_parser(name, parents=[shared], help=hlp)
+    # a command takes only the flags it reads, so one it would ignore is an error;
+    # --format offers only what it writes: entropy writes JSON, and montecarlo
+    # writes its CSV table followed by a JSON summary
+    for name, parents, formats, hlp in (
+            ("fringe", (common, qubit, sweep), ("csv", "json"),
+             "interference fringe table over a Bloch path"),
+            ("pairs", (common, tail), ("csv", "json"), "photon-pair number distribution"),
+            ("entropy", (common, qubit), ("json",), "reduced-state entropies and distances"),
+            ("montecarlo", (common, qubit, sweep), ("csv",),
+             "conditional coincidence-detection run")):
+        cmd = sub.add_parser(name, parents=parents, help=hlp)
         cmd.add_argument("--format", choices=formats, default=formats[0])
+        for group in {common, qubit, sweep, tail} - set(parents):
+            cmd.set_defaults(**vars(group.parse_args([])))   # what _Resolved reads
     return parser
 
 

@@ -134,11 +134,34 @@ class TestPropagateHamiltonian:
     @pytest.mark.parametrize("q", [Qubit(1.0, 0.0), Qubit(0.0, 1.0),
                                    Qubit(0.6, 0.8, -2.1)], ids=["H", "V", "mixed"])
     def test_equals_search_reference(self, q):
+        # same rows; amplitudes to rounding, since the reference integrates
+        # the four-mode generator with a different method
         cfg = AmplifierConfig.for_gain(0.3)
         st, ref = propagate_hamiltonian(q, cfg), _propagate_by_search(q, cfg)
         assert np.array_equal(st.occ, ref.occ)
-        assert np.array_equal(st.amp, ref.amp)
+        assert np.abs(st.amp - ref.amp).max() < 1e-13
 
+    @pytest.mark.parametrize("g", [1.5, 2.0])
+    def test_matches_closed_form_at_high_gain(self, g, rng):
+        cfg = AmplifierConfig.for_gain(g)
+        q = random_qubit(rng)
+        assert fidelity(propagate_hamiltonian(q, cfg), amplify(q, cfg)) \
+            >= 1.0 - 1e-8
+
+    def test_amplitudes_match_closed_form_at_hg(self, rng):
+        cfg = AmplifierConfig.for_gain(1.13, 100)
+        q = random_qubit(rng)
+        st, ref = propagate_hamiltonian(q, cfg), amplify(q, cfg)
+        order = np.lexsort(ref.occ.T[::-1])
+        assert np.array_equal(st.occ, ref.occ[order])
+        assert np.abs(st.amp - ref.amp[order]).max() < 1e-10
+
+    def test_step_count_does_not_move_the_result(self, rng):
+        cfg = AmplifierConfig.for_gain(1.13, 100)
+        q = random_qubit(rng)
+        one, two = propagate_hamiltonian(q, cfg), propagate_hamiltonian(q, cfg, steps=2)
+        assert np.array_equal(one.occ, two.occ)
+        assert np.abs(one.amp - two.amp).max() < 1e-12
 
     def test_zero_gain_returns_input(self):
         cfg = AmplifierConfig.for_gain(0.0)

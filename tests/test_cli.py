@@ -172,6 +172,19 @@ class TestErrorHandling:
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["pairs", "--threads", "0"], ["pairs", "--pulses", "5"],
+        ["pairs", "--mask", "D1"], ["pairs", "--path", "z:0:1:2"],
+        ["pairs", "--alpha", "1"], ["entropy", "--threshold", "8"],
+        ["entropy", "--pulses", "5"], ["entropy", "--seed", "3"],
+        ["fringe", "--threshold", "8"], ["montecarlo", "--threshold", "8"]],
+        ids=" ".join)
+    def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:1], "--preset", "LG", *argv[1:]])
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "x.csv"
         assert main(["pairs", "--g", "0.1", "--out", str(target)]) == 4
