@@ -24,7 +24,6 @@ from .polarization import Qubit
 
 # the interaction transiently populates the truncation boundary
 PROPAGATOR_PADDING = 8
-CONVERGENCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,42 +91,39 @@ def vacuum_output(cfg: AmplifierConfig) -> FockState4:
 _COUPLINGS = (((0, 3), -1.0), ((1, 2), +1.0))
 
 
-def _chain(g: float, sign: float, d: int, length: int, steps: int) -> np.ndarray:
-    """Amplitudes on |d+k, k>, k < length, of one coupling's pair after time g
-    from |d, 0>.  The coupling keeps d and creates a pair with amplitude
-    sign sqrt((k+1)(k+1+d)), so its generator K = created - created^T is a real
-    antisymmetric tridiagonal chain: K = -i D T D^-1 with D = diag(i^k) and T
-    the symmetric chain, so exp(dt K) = D V exp(-i dt Lambda) V^T D^-1."""
+def _chain(cfg: AmplifierConfig, sign: float, d: int) -> np.ndarray:
+    """Amplitudes on |d+k, k>, k <= cutoff + PROPAGATOR_PADDING, of one
+    coupling's pair after time g from |d, 0>.  The coupling keeps d and
+    creates a pair with amplitude sign sqrt((k+1)(k+1+d)), so its generator
+    K = created - created^T is a real antisymmetric tridiagonal chain:
+    K = -i D T D^-1 with D = diag(i^k) and T the symmetric chain, so
+    exp(gK) = D V exp(-i g Lambda) V^T D^-1.  The weight beyond the cutoff is
+    a marginal of the pair-number tail, so it may not exceed epsilon_trunc."""
+    length = cfg.cutoff + PROPAGATOR_PADDING + 1
     k = np.arange(1, length)
     lam, v = eigh_tridiagonal(np.zeros(length), sign * np.sqrt(k * (k + d)))
     phase = 1j ** (np.arange(length) % 4)   # exact powers of i
-
-    def evolve(nsteps: int) -> np.ndarray:
-        # exp(gK) is real: the imaginary part is rounding
-        return (phase * (v @ (np.exp(-1j * g / nsteps * lam) ** nsteps * v[0]))).real
-
-    psi_a, psi_b = evolve(steps), evolve(2 * steps)
-    defect = 1.0 - (psi_a @ psi_b) ** 2 / ((psi_a @ psi_a) * (psi_b @ psi_b))
-    if defect > CONVERGENCE_TOL:
+    # exp(gK) is real: the imaginary part is rounding
+    psi = (phase * (v @ (np.exp(-1j * cfg.gain.g * lam) * v[0]))).real
+    beyond = psi[cfg.cutoff + 1:] @ psi[cfg.cutoff + 1:]
+    if not beyond <= cfg.epsilon_trunc + 1e-12:
         raise NumericalError(
-            f"propagation did not converge under step doubling "
-            f"(fidelity defect {defect:.3e})")
-    return psi_b
+            f"pair chain holds weight {beyond:.3e} beyond the cutoff, more than "
+            f"the pair-number tail {cfg.epsilon_trunc:.3e}")
+    return psi
 
 
-def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig, steps: int = 1) -> FockState4:
+def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
     """Numerically integrate the two-pair squeezing interaction for time g.
 
     The couplings act on disjoint mode pairs, so they commute, and each keeps
     its pair's photon-number difference d (0 or 1 for the injected photon, any
     excess in the pair's first mode).  So each injected row evolves into a
     product of one chain |d+k, k> per coupling, truncated at
-    cutoff + PROPAGATOR_PADDING pairs, where the generator is exactly
-    antisymmetric and each step unitary.  Convergence is checked per chain by
-    doubling the step count; the product is truncated back to the cutoff.
+    cutoff + PROPAGATOR_PADDING pairs and exponentiated exactly.  Each chain's
+    weight beyond the cutoff is checked against the pair-number tail; the
+    product is truncated back to the cutoff.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     g = cfg.gain.g
     psi_in = FockState4.from_arrays(np.array([[1, 0, 0, 0], [0, 1, 0, 0]]),
                                     np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)]),
@@ -135,7 +131,6 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig, steps: int = 1) -> Foc
     if g == 0.0:
         return psi_in
 
-    length = cfg.cutoff + PROPAGATOR_PADDING + 1
     pair = np.eye(4, dtype=np.int64)[[ab for ab, _sign in _COUPLINGS]].sum(axis=1)
     k = np.indices((cfg.cutoff + 1,) * len(_COUPLINGS)).reshape(len(_COUPLINGS), -1).T
     k = k[k.sum(axis=1) <= cfg.cutoff]   # k[:, c] pairs of coupling c
@@ -143,7 +138,7 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig, steps: int = 1) -> Foc
     for seed, amp0 in zip(psi_in.occ, psi_in.amp):
         terms = np.full(len(k), amp0)
         for c, ((a, b), sign) in enumerate(_COUPLINGS):
-            terms *= _chain(g, sign, seed[a] - seed[b], length, steps)[k[:, c]]
+            terms *= _chain(cfg, sign, seed[a] - seed[b])[k[:, c]]
         occ.append(seed + k @ pair)
         amp.append(terms)
     occ, amp = np.concatenate(occ), np.concatenate(amp)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplifier import AmplifierConfig, amplify
-from .fock import GainParams, number_expectation, rotate_mode_pair
+from .density import partial_trace
+from .fock import GainParams, _pair_rotation
 from .polarization import BlochPath, Qubit, apply, su2_rotation
 
 # 45-degree analyzer mapping the {h, v} basis of a mode pair onto the
@@ -38,11 +39,25 @@ def g1_closed_form(q: Qubit, gain: GainParams) -> G1Pair:
 
 
 def g1_oracle(q: Qubit, cfg: AmplifierConfig) -> G1Pair:
-    """Brute-force number expectations on the rotated amplifier output."""
-    state = rotate_mode_pair(amplify(q, cfg), "mode2", DETECTED_FIELD_UNITARY)
-    return G1Pair(g2h=number_expectation(state, "2h"),
-                  g2v=number_expectation(state, "2v"),
-                  nbar=cfg.gain.nbar)
+    """Brute-force detected photon numbers: the analyzer applied to the
+    brute-force partial trace of the amplifier output over mode 1.
+
+    Each mode-2 sector t is rotated by the block D_t that rotate_mode_pair
+    uses: diag(D_t rho_t D_t^H), built from the bands of rho_t in O(t^2), is
+    the law of the H photon number h, and of t - h in V.
+    """
+    rho = partial_trace(amplify(q, cfg), "mode2")
+    key = tuple(complex(x) for x in DETECTED_FIELD_UNITARY.ravel())
+    g2h = g2v = 0.0
+    for t in range(rho.sectors):
+        diag, sub = rho.sector(t)
+        # D_t[h, m] acts on |m>_h |t-m>_v, rho_t on |t-p>_h |p>_v
+        d = _pair_rotation(key, t)[:, ::-1]
+        law = np.abs(d) ** 2 @ diag + 2.0 * ((d[:, 1:] * d[:, :-1].conj()) @ sub).real
+        h = np.arange(t + 1)
+        g2h += float(law @ h)
+        g2v += float(law @ (t - h))
+    return G1Pair(g2h=g2h, g2v=g2v, nbar=cfg.gain.nbar)
 
 
 def visibility(q: Qubit) -> float:

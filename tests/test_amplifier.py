@@ -6,8 +6,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
+from qiopa import amplifier
 from qiopa.amplifier import (_COUPLINGS, PROPAGATOR_PADDING, AmplifierConfig,
                              amplify, propagate_hamiltonian, vacuum_output)
+from qiopa.errors import NumericalError
 from qiopa.fock import (FockIndex4, FockState4, fidelity, inner_product,
                         make_gain, number_expectation, pair_tail)
 from qiopa.polarization import Qubit
@@ -156,21 +158,23 @@ class TestPropagateHamiltonian:
         assert np.array_equal(st.occ, ref.occ[order])
         assert np.abs(st.amp - ref.amp[order]).max() < 1e-10
 
-    def test_step_count_does_not_move_the_result(self, rng):
-        cfg = AmplifierConfig.for_gain(1.13, 100)
-        q = random_qubit(rng)
-        one, two = propagate_hamiltonian(q, cfg), propagate_hamiltonian(q, cfg, steps=2)
-        assert np.array_equal(one.occ, two.occ)
-        assert np.abs(one.amp - two.amp).max() < 1e-12
+    def test_corrupted_chain_raises(self, monkeypatch):
+        # an eigensolver returning three times the chain's frequencies evolves
+        # each chain to 3g, pushing weight past the cutoff
+        solve = amplifier.eigh_tridiagonal
+
+        def wrong(d, e):
+            lam, v = solve(d, e)
+            return 3.0 * lam, v
+
+        monkeypatch.setattr(amplifier, "eigh_tridiagonal", wrong)
+        with pytest.raises(NumericalError):
+            propagate_hamiltonian(Qubit(1.0, 0.0), AmplifierConfig.for_gain(1.13, 100))
 
     def test_zero_gain_returns_input(self):
         cfg = AmplifierConfig.for_gain(0.0)
         st = propagate_hamiltonian(Qubit(1.0, 0.0), cfg)
         assert st.amplitudes == {FockIndex4(1, 0, 0, 0): 1.0}
-
-    def test_steps_validated(self):
-        with pytest.raises(ValueError):
-            propagate_hamiltonian(Qubit(1.0, 0.0), AmplifierConfig.for_gain(0.1), 0)
 
     @pytest.mark.parametrize("g", [0.07, 0.3])
     def test_matches_closed_form_at_low_gain(self, g, rng):
@@ -187,6 +191,6 @@ class TestPropagateHamiltonian:
 
     def test_norm_preserved_by_unitary_stepping(self, rng):
         cfg = AmplifierConfig.for_gain(0.5)
-        st = propagate_hamiltonian(random_qubit(rng), cfg, steps=2)
+        st = propagate_hamiltonian(random_qubit(rng), cfg)
         # norm loss only through the final truncation back to the cutoff
         assert st.norm_sq() == pytest.approx(1.0, abs=1e-8)

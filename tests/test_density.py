@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from qiopa.amplifier import AmplifierConfig, amplify
-from qiopa.density import (PairDistribution, SectorDensity, entropy,
-                           hs_distance, pair_distribution, partial_trace,
-                           rho1_closed_form, rho2_closed_form, tail_probability)
+from qiopa.density import (ENTROPY_EIGENVALUE_CUT, PairDistribution,
+                           SectorDensity, entropy, hs_distance,
+                           pair_distribution, partial_trace, rho1_closed_form,
+                           rho2_closed_form, tail_probability)
 from qiopa.errors import NumericalError
-from qiopa.fock import FockState4, make_gain, pair_tail
+from qiopa.fock import FockState4, make_gain, pair_probability, pair_tail
 from qiopa.polarization import Qubit
 
 from conftest import random_qubit
@@ -52,6 +53,43 @@ def _blocks_by_summands(q, cfg, mode):
     return blocks
 
 
+def _cloner_spectrum(cfg, mode):
+    """Sector spectra of the |H> reductions, w_n (t-p), p = 0..t, in mode-1
+    sector t = n + 1 and w_n (p+1), p = 0..n, in mode-2 sector n, with
+    w_n = p(n) / ((n+1)(n+2)/2).  By SU(2) covariance, those of every qubit."""
+    spectra = [np.zeros(1)] if mode == "mode1" else []
+    for n in range(cfg.cutoff + 1):
+        w = float(pair_probability(cfg.gain, n)) * 2 / ((n + 1) * (n + 2))
+        spectra.append(w * np.arange(0 if mode == "mode1" else 1, n + 2))
+    return spectra
+
+
+MODES = ((rho1_closed_form, "mode1"), (rho2_closed_form, "mode2"))
+
+
+class TestCovariance:
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100)])
+    def test_sector_spectra_are_the_h_spectra(self, g, cutoff, rng):
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        for q in (random_qubit(rng), random_qubit(rng)):
+            for build, mode in MODES:
+                blocks = build(q, cfg).blocks
+                spectra = _cloner_spectrum(cfg, mode)
+                assert len(blocks) == len(spectra)
+                for b, lam in zip(blocks, spectra):
+                    assert np.abs(np.linalg.eigvalsh(b) - lam).max() < 1e-14
+
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100), (2.0, None)])
+    def test_entropy_equals_the_known_spectrum(self, g, cutoff, rng):
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        for build, mode in MODES:
+            lam = np.concatenate(_cloner_spectrum(cfg, mode))
+            lam = lam[lam > ENTROPY_EIGENVALUE_CUT]
+            expected = -math.fsum(lam * np.log2(lam))
+            for q in (random_qubit(rng), random_qubit(rng)):
+                assert abs(entropy(build(q, cfg)) - expected) < 1e-12
+
+
 class TestClosedFormsAgainstPartialTrace:
     @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100)])
     def test_blocks_equal_summand_reference(self, g, cutoff, rng):
@@ -80,6 +118,17 @@ class TestClosedFormsAgainstPartialTrace:
             q = random_qubit(rng)
             oracle = partial_trace(amplify(q, cfg), "mode2")
             assert _max_block_diff(rho2_closed_form(q, cfg), oracle) < 1e-10
+
+    def test_bands_match_oracle_at_g2(self, rng):
+        # the bands, not .blocks: a dense view at cutoff 363 is ~250 MB
+        cfg = AmplifierConfig.for_gain(2.0)
+        q = random_qubit(rng)
+        state = amplify(q, cfg)
+        for build, mode in MODES:
+            closed, oracle = build(q, cfg), partial_trace(state, mode)
+            assert closed.sectors == oracle.sectors
+            assert np.abs(closed.diag - oracle.diag).max() < 1e-10
+            assert np.abs(closed.sub - oracle.sub).max() < 1e-10
 
     def test_zero_gain_projectors(self):
         cfg = AmplifierConfig.for_gain(0.0)
@@ -141,6 +190,58 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(st, "mode1")
 
+    def test_off_band_coherence_rejected(self):
+        # one traced occupation holds kept kets at p = 0 and p = 2 of sector 2
+        st = FockState4({(2, 0, 0, 0): 0.6, (0, 2, 0, 0): 0.8}, 4)
+        with pytest.raises(ValueError):
+            partial_trace(st, "mode1")
+
+    def test_off_band_coherence_below_tolerance_accepted(self):
+        st = FockState4({(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1e-13}, 4)
+        rho = partial_trace(st, "mode1")
+        assert rho.diag.tolist() == pytest.approx([0, 0, 0, 1.0, 0, 1e-26], abs=1e-40)
+        assert not rho.sub.any()
+
+    def test_sub_diagonal_sums_products_of_adjacent_kets(self):
+        # two traced occupations, each with kets at p = 0 and 1 of sector 1
+        a, b, c, d = 0.5, 0.5j, -0.5, 0.5
+        st = FockState4({(1, 0, 0, 0): a, (0, 1, 0, 0): b,
+                         (1, 0, 1, 0): c, (0, 1, 1, 0): d}, 4)
+        rho = partial_trace(st, "mode1")
+        assert rho.sector(1)[1] == pytest.approx([b * a.conjugate() + d * c.conjugate()])
+
+
+class TestBands:
+    def test_dense_blocks_round_trip(self, rng):
+        rho = rho2_closed_form(random_qubit(rng), AmplifierConfig.for_gain(0.5))
+        again = SectorDensity(rho.mode, rho.blocks)
+        assert np.array_equal(again.diag, rho.diag)
+        assert np.array_equal(again.sub, rho.sub)
+
+    def test_dense_view_is_read_only(self, rng):
+        rho = rho1_closed_form(random_qubit(rng), AmplifierConfig.for_gain(0.5))
+        with pytest.raises(ValueError):
+            rho.blocks[2][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rho.diag[0] = 1.0
+
+    @pytest.mark.parametrize("entry", [(0, 2), (2, 0)])
+    def test_off_band_block_entry_rejected(self, entry):
+        b = np.eye(3) / 3
+        b[entry] = 0.1
+        with pytest.raises(ValueError):
+            SectorDensity("mode1", [np.zeros((1, 1)), np.zeros((2, 2)), b])
+        b[entry] = 1e-13
+        SectorDensity("mode1", [np.zeros((1, 1)), np.zeros((2, 2)), b])
+
+    def test_non_hermitian_block_rejected(self):
+        with pytest.raises(ValueError):
+            SectorDensity("mode1", [np.zeros((1, 1)), np.array([[0.5, 0.1], [0.2, 0.5]])])
+
+    def test_sub_diagonal_across_sectors_rejected(self):
+        with pytest.raises(ValueError):
+            SectorDensity.from_bands("mode2", [0.5, 0.25, 0.25], [0.1, 0.0, 0.0])
+
 
 class TestEntropy:
     def test_pure_reduction_at_zero_gain(self):
@@ -184,6 +285,16 @@ class TestHsDistance:
         a = amplify(Qubit(1.0, 0.0), cfg)
         b = amplify(Qubit(0.0, 1.0), cfg)
         assert hs_distance(a, b) == pytest.approx(2.0, abs=2 * cfg.epsilon_trunc + 1e-12)
+
+    def test_bands_equal_dense_sum(self, rng):
+        cfg = AmplifierConfig.for_gain(0.5)
+        a = rho1_closed_form(random_qubit(rng), cfg)
+        b = rho1_closed_form(random_qubit(rng), AmplifierConfig.for_gain(0.4))
+        dense = sum(float(np.sum(np.abs(x - y) ** 2)) for x, y in zip(a.blocks, b.blocks))
+        dense += sum(float(np.sum(np.abs(x) ** 2)) for x in a.blocks[len(b.blocks):])
+        assert len(a.blocks) > len(b.blocks)
+        assert hs_distance(a, b) == pytest.approx(dense, rel=1e-12)
+        assert hs_distance(b, a) == hs_distance(a, b)
 
     def test_mode_mismatch_rejected(self):
         cfg = AmplifierConfig.for_gain(0.3)

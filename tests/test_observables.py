@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from qiopa.amplifier import AmplifierConfig
-from qiopa.fock import make_gain
+from qiopa.amplifier import AmplifierConfig, amplify
+from qiopa.fock import make_gain, number_expectation, rotate_mode_pair
 from qiopa.observables import (DETECTED_FIELD_UNITARY, G1Pair, fringe_sweep,
                                g1_closed_form, g1_oracle, signal_to_noise,
                                visibility)
@@ -64,6 +64,16 @@ class TestOracleAgreement:
             ana = g1_closed_form(q, cfg.gain)
             assert num.g2h == pytest.approx(ana.g2h, abs=1e-8)
             assert num.g2v == pytest.approx(ana.g2v, abs=1e-8)
+
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100)])
+    def test_equals_rotated_state_reference(self, g, cutoff, rng):
+        # reference: number expectations on the analyzer-rotated four-mode state
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        for q in (BALANCED, random_qubit(rng)):
+            state = rotate_mode_pair(amplify(q, cfg), "mode2", DETECTED_FIELD_UNITARY)
+            num = g1_oracle(q, cfg)
+            assert abs(num.g2h - number_expectation(state, "2h")) < 1e-12
+            assert abs(num.g2v - number_expectation(state, "2v")) < 1e-12
 
     def test_high_gain_matches_closed_form(self, rng):
         cfg = AmplifierConfig.for_gain(1.5)
