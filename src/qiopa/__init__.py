@@ -12,7 +12,7 @@ from .montecarlo import (CalibrationResult, DetectorConfig, PulseRecord,
                          PulseSampler, RunStats, SweepStats,
                          calibrate_visibility_loss, run)
 from .observables import (DETECTED_FIELD_UNITARY, FringeTable, G1Pair,
-                          fringe_sweep, g1_closed_form, g1_oracle,
+                          detected_law, fringe_sweep, g1_closed_form, g1_oracle,
                           signal_to_noise, visibility)
 from .polarization import (BlochPath, PolarizationUnitary, Qubit, apply, babinet,
                            su2_rotation, waveplate)

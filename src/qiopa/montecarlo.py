@@ -2,10 +2,13 @@
 
 Each pulse either carries the heralded qubit into the amplifier (with
 probability p_inject) or produces squeezed vacuum; one occupation tuple is
-sampled from the rotated output, photons are thinned binomially by the
-attenuation and detector efficiency, and threshold detectors click on at
-least one survivor (or a dark count).  All randomness flows from a single
-seed through spawned per-point, per-chunk streams, so runs are reproducible
+sampled from a table of the detected output, photons are thinned binomially
+by the attenuation and detector efficiency, and threshold detectors click
+on at least one survivor (or a dark count).  Masks that read neither D1 nor
+D1* see only mode 2, so their tables are the closed-form detected law of
+(n2H, n2V); masks with D1 or D1* sample the four-mode states with both mode
+pairs rotated by the analyzer.  All randomness flows from a single seed
+through spawned per-point, per-chunk streams, so runs are reproducible
 regardless of scheduling.
 """
 from __future__ import annotations
@@ -19,13 +22,15 @@ from scipy.stats import chi2
 
 from .amplifier import AmplifierConfig, amplify, vacuum_output
 from .errors import NumericalError
-from .fock import FockIndex4, rotate_mode_pair
-from .observables import DETECTED_FIELD_UNITARY
+from .fock import rotate_mode_pair
+from .observables import DETECTED_FIELD_UNITARY, detected_law
 from .polarization import BlochPath, Qubit
 
 DETECTORS = ("D_T", "D2", "D2*", "D1", "D1*")
-# occupation column watched by each non-trigger detector (post-rotation)
-_DETECTOR_MODE = {"D2": 2, "D2*": 3, "D1": 0, "D1*": 1}
+# occupation column watched by each non-trigger detector: in the rotated
+# four-mode rows (1H, 1V, 2H, 2V), and in the detected law's rows (2H, 2V)
+_FOUR_MODE_COLUMNS = {"D1": 0, "D1*": 1, "D2": 2, "D2*": 3}
+_MODE2_COLUMNS = {"D2": 0, "D2*": 1}
 CHUNK_PULSES = 200_000
 
 
@@ -55,8 +60,8 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class PulseRecord:
-    index: FockIndex4   # sampled post-rotation occupations
-    clicks: dict
+    occupations: dict   # detected photons at each sampled detector but D_T
+    clicks: dict        # D_T and each sampled detector
     coincidence: bool
 
 
@@ -86,29 +91,39 @@ class SweepStats:
 
 
 class PulseSampler:
-    """Precomputed sampling tables for one (qubit, amplifier, detector) setup."""
+    """Precomputed sampling tables for one (qubit, amplifier, detector) setup.
+
+    tables maps "injected" and "vacuum" to (occupation rows, cumulative
+    probabilities); columns maps each detector but D_T to its occupation
+    column.  A mask without D1 and D1* gets the closed-form detected law of
+    (n2H, n2V); a mask with either gets the analyzer-rotated four-mode states.
+    """
 
     def __init__(self, q: Qubit, cfg: AmplifierConfig, det: DetectorConfig):
         self.det = det
-        rotate_mode1 = bool({"D1", "D1*"} & det.coincidence_mask)
+        if {"D1", "D1*"} & det.coincidence_mask:
+            self.columns = _FOUR_MODE_COLUMNS
+            laws = ((label, _rotated_law(state)) for label, state in (
+                ("injected", amplify(q, cfg)), ("vacuum", vacuum_output(cfg))))
+        else:
+            self.columns = _MODE2_COLUMNS
+            laws = (("injected", detected_law(q, cfg)),
+                    ("vacuum", detected_law(None, cfg)))
         self.tables = {}
-        for label, state in (("injected", amplify(q, cfg)),
-                             ("vacuum", vacuum_output(cfg))):
-            st = rotate_mode_pair(state, "mode2", DETECTED_FIELD_UNITARY)
-            if rotate_mode1:
-                st = rotate_mode_pair(st, "mode1", DETECTED_FIELD_UNITARY)
-            p = np.abs(st.amp) ** 2
+        for label, (occ, p) in laws:
             total = p.sum()
             if not cfg.holds_norm(total):
                 raise NumericalError(
                     f"{label} sampling table holds weight {total!r}, outside "
                     f"1 - epsilon_trunc ({cfg.epsilon_trunc:.3g}) .. 1")
-            self.tables[label] = (st.occ, np.cumsum(p / total))
+            self.tables[label] = (occ, np.cumsum(p / total))
 
     def sample_chunk(self, rng: np.random.Generator, n: int):
+        """(occupations, survivors, clicks, trigger) of n pulses; the first
+        three have one column per entry of columns."""
         det = self.det
         inject = rng.random(n) < det.p_inject
-        occ = np.empty((n, 4), dtype=np.int64)
+        occ = np.empty((n, len(self.columns)), dtype=np.int64)
         for label, mask in (("injected", inject), ("vacuum", ~inject)):
             k = int(mask.sum())
             if k:
@@ -119,7 +134,7 @@ class PulseSampler:
         clicks = survivors > 0
         trigger = rng.random(n) < det.qe   # ideal herald photon at D_T
         if det.dark_rate:
-            clicks |= rng.random((n, 4)) < det.dark_rate
+            clicks |= rng.random(clicks.shape) < det.dark_rate
             trigger |= rng.random(n) < det.dark_rate
         return occ, survivors, clicks, trigger
 
@@ -127,15 +142,24 @@ class PulseSampler:
         """Draw a single pulse; run() is the fast path for large counts."""
         occ, _surv, clicks, trigger = self.sample_chunk(rng, 1)
         cl = {"D_T": bool(trigger[0])}
-        cl.update({d: bool(clicks[0, m]) for d, m in _DETECTOR_MODE.items()})
-        return PulseRecord(index=FockIndex4(*occ[0].tolist()), clicks=cl,
-                           coincidence=all(cl[d] for d in self.det.coincidence_mask))
+        cl.update({d: bool(clicks[0, c]) for d, c in self.columns.items()})
+        return PulseRecord(
+            occupations={d: int(occ[0, c]) for d, c in self.columns.items()},
+            clicks=cl, coincidence=all(cl[d] for d in self.det.coincidence_mask))
 
 
-def _click_matrix(clicks: np.ndarray, trigger: np.ndarray, detectors) -> np.ndarray:
+def _rotated_law(state):
+    """Rows and probabilities of a state with both mode pairs rotated by the analyzer."""
+    st = rotate_mode_pair(state, "mode2", DETECTED_FIELD_UNITARY)
+    st = rotate_mode_pair(st, "mode1", DETECTED_FIELD_UNITARY)
+    return st.occ, np.abs(st.amp) ** 2
+
+
+def _click_matrix(clicks: np.ndarray, trigger: np.ndarray, detectors,
+                  columns: dict) -> np.ndarray:
     out = np.ones(len(trigger), dtype=bool)
     for d in detectors:
-        out &= trigger if d == "D_T" else clicks[:, _DETECTOR_MODE[d]]
+        out &= trigger if d == "D_T" else clicks[:, columns[d]]
     return out
 
 
@@ -144,6 +168,7 @@ def _run_point(sampler: PulseSampler, seed_seq: np.random.SeedSequence,
     det = sampler.det
     mask = det.coincidence_mask
     gate_detectors = sorted(mask - {"D2", "D2*"})
+    cols = sampler.columns
     n_chunks = (det.pulses + CHUNK_PULSES - 1) // CHUNK_PULSES
     streams = seed_seq.spawn(n_chunks)
 
@@ -151,13 +176,12 @@ def _run_point(sampler: PulseSampler, seed_seq: np.random.SeedSequence,
         n = min(CHUNK_PULSES, det.pulses - i * CHUNK_PULSES)
         rng = np.random.default_rng(streams[i])
         _occ, surv, clicks, trig = sampler.sample_chunk(rng, n)
-        gate = _click_matrix(clicks, trig, gate_detectors)
-        d2 = clicks[:, _DETECTOR_MODE["D2"]]
-        d2s = clicks[:, _DETECTOR_MODE["D2*"]]
-        sh, sv = surv[gate, 2].astype(float), surv[gate, 3].astype(float)
+        gate = _click_matrix(clicks, trig, gate_detectors, cols)
+        h, v = cols["D2"], cols["D2*"]
+        sh, sv = surv[gate, h].astype(float), surv[gate, v].astype(float)
         return np.array([
-            (gate & d2).sum(), (gate & d2s).sum(),
-            _click_matrix(clicks, trig, mask).sum(), gate.sum(),
+            (gate & clicks[:, h]).sum(), (gate & clicks[:, v]).sum(),
+            _click_matrix(clicks, trig, mask, cols).sum(), gate.sum(),
             sh.sum(), (sh ** 2).sum(), sv.sum(), (sv ** 2).sum()])
 
     if threads > 1:

@@ -11,6 +11,7 @@ from qiopa.fock import FockState4
 from qiopa.montecarlo import (DETECTORS, CalibrationResult, DetectorConfig,
                               PulseSampler, RunStats, SweepStats,
                               calibrate_visibility_loss, run)
+from qiopa.observables import detected_law
 from qiopa.polarization import BlochPath, Qubit
 
 BALANCED = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
@@ -38,13 +39,26 @@ class TestDetectorConfig:
             DetectorConfig(pulses=0)
 
 
+FOUR_FOLD = frozenset({"D_T", "D2", "D1", "D1*"})
+
+
 class TestSamplePulse:
     def test_reports_all_detectors(self):
-        det = DetectorConfig(pulses=1, seed=7)
-        rec = PulseSampler(BALANCED, LG, det).sample_pulse(np.random.default_rng(7))
-        assert set(rec.clicks) == set(DETECTORS)
-        assert rec.coincidence == all(
-            rec.clicks[d] for d in det.coincidence_mask)
+        # every sampled detector, and only those: two-fold masks sample mode 2
+        # alone.  qe = 1: a detector clicks exactly when its occupation is nonzero
+        rng = np.random.default_rng(7)
+        for mask, detectors in (({"D_T", "D2"}, {"D_T", "D2", "D2*"}),
+                                ({"D_T", "D2", "D2*"}, {"D_T", "D2", "D2*"}),
+                                ({"D_T", "D1", "D2"}, set(DETECTORS)),
+                                (FOUR_FOLD, set(DETECTORS))):
+            det = DetectorConfig(qe=1.0, pulses=1, seed=7, coincidence_mask=mask)
+            sampler = PulseSampler(BALANCED, _hg(), det)
+            for _ in range(20):
+                rec = sampler.sample_pulse(rng)
+                assert set(rec.clicks) == detectors
+                assert set(rec.occupations) == detectors - {"D_T"}
+                assert all(rec.clicks[d] == (n > 0) for d, n in rec.occupations.items())
+                assert rec.coincidence == all(rec.clicks[d] for d in mask)
 
     def test_zero_efficiency_never_clicks(self):
         rng = np.random.default_rng(3)
@@ -65,12 +79,63 @@ class TestPulseSampler:
 
         def lossy(state, pair, u):
             out = rotate(state, pair, u)
-            return FockState4({k: 0.99 * v for k, v in out.amplitudes.items()},
-                              out.cutoff)
+            return FockState4.from_arrays(out.occ, 0.99 * out.amp, out.cutoff)
 
         monkeypatch.setattr(montecarlo, "rotate_mode_pair", lossy)
         with pytest.raises(NumericalError):
+            PulseSampler(BALANCED, LG, DetectorConfig(coincidence_mask=FOUR_FOLD))
+
+    def test_law_lost_norm_raises_instead_of_renormalising(self, monkeypatch):
+        def lossy(q, cfg):
+            occ, p = detected_law(q, cfg)
+            return occ, 0.98 * p
+
+        monkeypatch.setattr(montecarlo, "detected_law", lossy)
+        with pytest.raises(NumericalError):
             PulseSampler(BALANCED, LG, DetectorConfig())
+
+    def test_two_fold_tables_need_no_rotation(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a two-fold mask rotated a state")
+
+        monkeypatch.setattr(montecarlo, "rotate_mode_pair", refuse)
+        cfg = _hg()
+        sampler = PulseSampler(BALANCED, cfg, DetectorConfig())
+        rows = (cfg.cutoff + 1) * (cfg.cutoff + 2) // 2
+        for occ, cum in sampler.tables.values():
+            assert occ.shape == (rows, 2) and cum.shape == (rows,)
+
+
+def _expected_rates(q, cfg, det):
+    """Exact per-pulse probabilities of the [D2, D_T] and [D2*, D_T] counts
+    of a run gated by D_T alone, from the closed-form detected law: binomial
+    thinning at qe * attenuation, the herald trigger with probability qe,
+    dark counts and the p_inject mixture of injected and vacuum pulses."""
+    eta, dark = det.qe * det.attenuation, det.dark_rate
+    miss = 0.0    # probability that D2 (D2*) receives no surviving photon
+    for weight, q_or_none in ((det.p_inject, q), (1.0 - det.p_inject, None)):
+        occ, p = detected_law(q_or_none, cfg)
+        miss = miss + weight * (p / p.sum()) @ (1.0 - eta) ** occ
+    trigger = 1.0 - (1.0 - det.qe) * (1.0 - dark)
+    return trigger * (1.0 - (1.0 - dark) * miss)
+
+
+class TestExactRates:
+    @pytest.mark.parametrize("q,cfg,det", [
+        (BALANCED, _hg(), DetectorConfig(p_inject=0.5, pulses=100_000, seed=11)),
+        (Qubit(0.6, 0.8, 0.7), _hg(),
+         DetectorConfig(qe=0.5, attenuation=0.6, dark_rate=0.02, p_inject=0.3,
+                        pulses=100_000, seed=4)),
+        (Qubit(0.8, 0.6, -2.0), LG,
+         DetectorConfig(qe=1.0, dark_rate=0.001, p_inject=0.7, pulses=200_000,
+                        seed=8)),
+    ], ids=["HG-pinned", "HG-lossy-dark", "LG"])
+    def test_seeded_counts_within_binomial_noise(self, q, cfg, det):
+        stats = run(q, cfg, det)
+        for count, rate in zip((stats.counts_h, stats.counts_v),
+                               _expected_rates(q, cfg, det)):
+            z = (count - det.pulses * rate) / math.sqrt(det.pulses * rate * (1 - rate))
+            assert abs(z) < 4
 
 
 class TestRunPoint:
@@ -82,7 +147,8 @@ class TestRunPoint:
 
     def test_threaded_run_matches_serial(self):
         det = DetectorConfig(pulses=450_000, seed=5)
-        assert run(BALANCED, LG, det) == run(BALANCED, LG, det, threads=4)
+        serial = run(BALANCED, LG, det)
+        assert all(run(BALANCED, LG, det, threads=n) == serial for n in (2, 4))
 
     @pytest.mark.parametrize("threads", [0, -5])
     def test_thread_count_below_one_rejected(self, threads):
@@ -126,13 +192,14 @@ class TestRunPoint:
         assert stats.counts_h == round(stats.xi_h * stats.pulses)
 
     @pytest.mark.parametrize("cfg,det,counts", [
-        # exact counts of seeded runs; the LG mask rotates both mode pairs.
-        # Table order or sampling changes move them.
+        # exact counts of seeded runs; the LG mask rotates both mode pairs,
+        # the HG mask samples the detected law (TestExactRates checks its
+        # rates).  Table order or sampling changes move them.
         (LG, DetectorConfig(qe=1.0, p_inject=0.5, pulses=200_000, seed=3,
                             coincidence_mask=frozenset({"D_T", "D1", "D2"})),
          (6, 961, 6)),
         (_hg(), DetectorConfig(p_inject=0.5, pulses=100_000, seed=11),
-         (6345, 4668, 6345)),
+         (6179, 4579, 6179)),
     ], ids=["LG-D_T,D1,D2", "HG"])
     def test_seeded_counts_pinned(self, cfg, det, counts):
         stats = run(BALANCED, cfg, det)
@@ -140,8 +207,7 @@ class TestRunPoint:
 
     def test_four_fold_mask_rarer_than_two_fold(self):
         det2 = DetectorConfig(pulses=80_000, seed=9)
-        det4 = dataclasses.replace(
-            det2, coincidence_mask=frozenset({"D_T", "D2", "D1", "D1*"}))
+        det4 = dataclasses.replace(det2, coincidence_mask=FOUR_FOLD)
         assert run(BALANCED, _hg(), det4).coincidences <= \
             run(BALANCED, _hg(), det2).coincidences
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from qiopa.amplifier import AmplifierConfig, amplify
+from qiopa.amplifier import AmplifierConfig, amplify, vacuum_output
+from qiopa.density import rho2_closed_form
 from qiopa.fock import make_gain, number_expectation, rotate_mode_pair
-from qiopa.observables import (DETECTED_FIELD_UNITARY, G1Pair, fringe_sweep,
-                               g1_closed_form, g1_oracle, signal_to_noise,
-                               visibility)
+from qiopa.observables import (DETECTED_FIELD_UNITARY, G1Pair, _analyzed_sector,
+                               detected_law, fringe_sweep, g1_closed_form,
+                               g1_oracle, signal_to_noise, visibility)
 from qiopa.polarization import BlochPath, Qubit
 
 from conftest import random_qubit
@@ -83,6 +84,54 @@ class TestOracleAgreement:
         ana = g1_closed_form(q, cfg.gain)
         assert num.g2h == pytest.approx(ana.g2h, abs=tol)
         assert num.g2v == pytest.approx(ana.g2v, abs=tol)
+
+
+def _rotated_marginal(state, size):
+    """Law of (n2H, n2V) in the detected-law row order, from the mode-2
+    marginal of the analyzer-rotated four-mode state."""
+    st = rotate_mode_pair(state, "mode2", DETECTED_FIELD_UNITARY)
+    h, v = st.occ[:, 2], st.occ[:, 3]
+    n = h + v
+    return np.bincount(n * (n + 1) // 2 + h, np.abs(st.amp) ** 2, size)
+
+
+class TestDetectedLaw:
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100)])
+    def test_equals_rotated_state_marginal(self, g, cutoff, rng):
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        occ, p = detected_law(None, cfg)
+        n = occ.sum(axis=1)
+        assert np.array_equal(n * (n + 1) // 2 + occ[:, 0], np.arange(len(p)))
+        assert np.abs(p - _rotated_marginal(vacuum_output(cfg), len(p))).max() < 1e-13
+        for q in (Qubit(1.0, 0.0), Qubit(0.0, 1.0), random_qubit(rng),
+                  random_qubit(rng)):
+            occ_q, p = detected_law(q, cfg)
+            assert np.array_equal(occ_q, occ)
+            assert np.abs(p - _rotated_marginal(amplify(q, cfg), len(p))).max() < 1e-13
+
+    def test_equals_analyzed_closed_form_bands_at_high_gain(self, rng):
+        # every sector would take seconds of analyzer blocks at cutoff 363;
+        # the lowest, middle and highest sectors cover the law's range
+        cfg = AmplifierConfig.for_gain(2.0)
+        assert cfg.cutoff == 363
+        for q in (BALANCED, random_qubit(rng)):
+            occ, p = detected_law(q, cfg)
+            rho = rho2_closed_form(q, cfg)
+            for t in (0, 1, 2, 120, 240, 362, 363):
+                k = t * (t + 1) // 2
+                assert np.array_equal(occ[k:k + t + 1, 0], np.arange(t + 1))
+                assert np.abs(p[k:k + t + 1] - _analyzed_sector(rho, t)).max() < 1e-13
+
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100), (2.0, None)])
+    def test_first_moments_equal_closed_form(self, g, cutoff, rng):
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        tol = 1e-8 + cfg.epsilon_trunc * (2 * cfg.cutoff + 1)
+        occ, p = detected_law(None, cfg)
+        assert p @ occ == pytest.approx([cfg.gain.nbar] * 2, abs=tol)
+        for q in (BALANCED, random_qubit(rng), random_qubit(rng)):
+            occ, p = detected_law(q, cfg)
+            cf = g1_closed_form(q, cfg.gain)
+            assert p @ occ == pytest.approx([cf.g2h, cf.g2v], abs=tol)
 
 
 class TestVisibility:
