@@ -1,15 +1,19 @@
 """Pulsed conditional-detection Monte Carlo over the amplified states.
 
 Each pulse either carries the heralded qubit into the amplifier (with
-probability p_inject) or produces squeezed vacuum; one occupation tuple is
-sampled from a table of the detected output, photons are thinned binomially
-by the attenuation and detector efficiency, and threshold detectors click
-on at least one survivor (or a dark count).  Masks that read neither D1 nor
-D1* see only mode 2, so their tables are the closed-form detected law of
-(n2H, n2V); masks with D1 or D1* sample the four-mode states with both mode
-pairs rotated by the analyzer.  All randomness flows from a single seed
-through spawned per-point, per-chunk streams, so runs are reproducible
-regardless of scheduling.
+probability p_inject) or produces squeezed vacuum.  Its photon numbers
+behind the 45-degree analyzer are thinned binomially by the attenuation and
+detector efficiency, and threshold detectors click on at least one survivor
+(or a dark count).  Masks that read neither D1 nor D1* see only mode 2, so
+their tables are the closed-form detected law of (n2H, n2V); masks with D1
+or D1* read the four-mode amplified state of the analyzed qubit.
+
+Every statistic of a run sums, over independent pulses, a function of one
+per-pulse outcome: whether the gate passed and what D2 and D2* saw.  So a
+chunk of n pulses is one multinomial draw of n pulses over the exact law of
+that outcome, the same law as n single-pulse draws.  All randomness flows
+from a single seed through spawned per-point, per-chunk streams, so runs
+are reproducible regardless of scheduling.
 """
 from __future__ import annotations
 
@@ -18,16 +22,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.stats import binom, chi2
 
 from .amplifier import AmplifierConfig, amplify, vacuum_output
 from .errors import NumericalError
-from .fock import rotate_mode_pair
 from .observables import DETECTED_FIELD_UNITARY, detected_law
-from .polarization import BlochPath, Qubit
+from .polarization import BlochPath, PolarizationUnitary, Qubit, apply
 
 DETECTORS = ("D_T", "D2", "D2*", "D1", "D1*")
-# occupation column watched by each non-trigger detector: in the rotated
+# occupation column watched by each non-trigger detector: in the analyzed
 # four-mode rows (1H, 1V, 2H, 2V), and in the detected law's rows (2H, 2V)
 _FOUR_MODE_COLUMNS = {"D1": 0, "D1*": 1, "D2": 2, "D2*": 3}
 _MODE2_COLUMNS = {"D2": 0, "D2*": 1}
@@ -91,98 +94,115 @@ class SweepStats:
 
 
 class PulseSampler:
-    """Precomputed sampling tables for one (qubit, amplifier, detector) setup.
+    """The exact per-pulse outcome law of one (qubit, amplifier, detector) setup.
 
     tables maps "injected" and "vacuum" to (occupation rows, cumulative
     probabilities); columns maps each detector but D_T to its occupation
     column.  A mask without D1 and D1* gets the closed-form detected law of
-    (n2H, n2V); a mask with either gets the analyzer-rotated four-mode states.
+    (n2H, n2V); a mask with either gets the four-mode amplified state of the
+    analyzed qubit and the squeezed vacuum.  sample_pulse draws from the
+    tables one pulse at a time.
+
+    law is the probability of each outcome a pulse contributes to a run: the
+    cell (oH, oV) of a gated pulse, flattened, then one sink cell for every
+    pulse the gate rejects.  oH and oV are the outcomes of D2 and D2*, each
+    one of `outcomes`: 0 no click, 1 a dark click with no survivor, 1 + s
+    for s >= 1 survivors.  Each row weighs in with its gate probability, the
+    rows are summed onto (n2H, n2V), and both axes are thinned by the matrix
+    of outcome given photon number.
     """
 
     def __init__(self, q: Qubit, cfg: AmplifierConfig, det: DetectorConfig):
         self.det = det
-        if {"D1", "D1*"} & det.coincidence_mask:
+        mask = det.coincidence_mask
+        if {"D1", "D1*"} & mask:
+            # the analyzer has det 1, so by the amplifier's SU(2) covariance
+            # rotating both mode pairs of amplify(q) gives amplify(U q), and
+            # the squeezed vacuum is invariant
             self.columns = _FOUR_MODE_COLUMNS
-            laws = ((label, _rotated_law(state)) for label, state in (
-                ("injected", amplify(q, cfg)), ("vacuum", vacuum_output(cfg))))
+            analyzed = apply(PolarizationUnitary(DETECTED_FIELD_UNITARY), q)
+            laws = ((label, state.occ, np.abs(state.amp) ** 2) for label, state in (
+                ("injected", amplify(analyzed, cfg)), ("vacuum", vacuum_output(cfg))))
         else:
             self.columns = _MODE2_COLUMNS
-            laws = (("injected", detected_law(q, cfg)),
-                    ("vacuum", detected_law(None, cfg)))
+            laws = (("injected", *detected_law(q, cfg)),
+                    ("vacuum", *detected_law(None, cfg)))
+        eta, dark = det.qe * det.attenuation, det.dark_rate
+        top = cfg.cutoff + 1        # photon numbers 0..cutoff on each mode-2 column
         self.tables = {}
-        for label, (occ, p) in laws:
+        gated = np.zeros(top * top)
+        for (label, occ, p), share in zip(laws, (det.p_inject, 1.0 - det.p_inject)):
             total = p.sum()
             if not cfg.holds_norm(total):
                 raise NumericalError(
                     f"{label} sampling table holds weight {total!r}, outside "
                     f"1 - epsilon_trunc ({cfg.epsilon_trunc:.3g}) .. 1")
-            self.tables[label] = (occ, np.cumsum(p / total))
+            p = p / total
+            self.tables[label] = (occ, np.cumsum(p))
+            weight = share * p
+            if "D_T" in mask:   # ideal herald photon at D_T
+                weight = weight * (1.0 - (1.0 - det.qe) * (1.0 - dark))
+            # sorted: a fixed product order keeps seeded runs byte-identical
+            # across processes, whose set order differs
+            for d in sorted(mask & {"D1", "D1*"}):
+                weight = weight * (1.0 - (1.0 - eta) ** occ[:, self.columns[d]]
+                                   * (1.0 - dark))
+            cell = occ[:, self.columns["D2"]] * top + occ[:, self.columns["D2*"]]
+            gated += np.bincount(cell, weight, minlength=top * top)
+        self.outcomes = top + 1
+        thin = _thinning(cfg.cutoff, eta, dark)
+        joint = thin @ gated.reshape(top, top) @ thin.T
+        sink = 1.0 - joint.sum()
+        if sink < -1e-12:
+            raise NumericalError(f"outcome law holds gated weight {1.0 - sink!r} > 1")
+        self.law = np.append(joint.ravel(), max(sink, 0.0))
 
-    def sample_chunk(self, rng: np.random.Generator, n: int):
-        """(occupations, survivors, clicks, trigger) of n pulses; the first
-        three have one column per entry of columns."""
-        det = self.det
-        inject = rng.random(n) < det.p_inject
-        occ = np.empty((n, len(self.columns)), dtype=np.int64)
-        for label, mask in (("injected", inject), ("vacuum", ~inject)):
-            k = int(mask.sum())
-            if k:
-                table, cum = self.tables[label]
-                pick = np.searchsorted(cum, rng.random(k), side="right")
-                occ[mask] = table[np.minimum(pick, len(table) - 1)]
-        survivors = rng.binomial(occ, det.attenuation * det.qe)
-        clicks = survivors > 0
-        trigger = rng.random(n) < det.qe   # ideal herald photon at D_T
-        if det.dark_rate:
-            clicks |= rng.random(clicks.shape) < det.dark_rate
-            trigger |= rng.random(n) < det.dark_rate
-        return occ, survivors, clicks, trigger
+    def sample_chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Counts of each outcome of law over n pulses."""
+        return rng.multinomial(n, self.law)
 
     def sample_pulse(self, rng: np.random.Generator) -> PulseRecord:
-        """Draw a single pulse; run() is the fast path for large counts."""
-        occ, _surv, clicks, trigger = self.sample_chunk(rng, 1)
-        cl = {"D_T": bool(trigger[0])}
-        cl.update({d: bool(clicks[0, c]) for d, c in self.columns.items()})
+        """Draw a single pulse from the tables; run() draws from law instead."""
+        det = self.det
+        table, cum = self.tables["injected" if rng.random() < det.p_inject else "vacuum"]
+        occ = table[min(int(np.searchsorted(cum, rng.random(), side="right")),
+                        len(table) - 1)]
+        survivors = rng.binomial(occ, det.attenuation * det.qe)
+        fired = rng.random(len(self.columns) + 1) < det.dark_rate   # D_T's last
+        clicks = {"D_T": bool(rng.random() < det.qe or fired[-1])}  # herald photon
+        clicks.update({d: bool(survivors[c] > 0 or fired[c])
+                       for d, c in self.columns.items()})
         return PulseRecord(
-            occupations={d: int(occ[0, c]) for d, c in self.columns.items()},
-            clicks=cl, coincidence=all(cl[d] for d in self.det.coincidence_mask))
+            occupations={d: int(occ[c]) for d, c in self.columns.items()},
+            clicks=clicks, coincidence=all(clicks[d] for d in det.coincidence_mask))
 
 
-def _rotated_law(state):
-    """Rows and probabilities of a state with both mode pairs rotated by the analyzer."""
-    st = rotate_mode_pair(state, "mode2", DETECTED_FIELD_UNITARY)
-    st = rotate_mode_pair(st, "mode1", DETECTED_FIELD_UNITARY)
-    return st.occ, np.abs(st.amp) ** 2
-
-
-def _click_matrix(clicks: np.ndarray, trigger: np.ndarray, detectors,
-                  columns: dict) -> np.ndarray:
-    out = np.ones(len(trigger), dtype=bool)
-    for d in detectors:
-        out &= trigger if d == "D_T" else clicks[:, columns[d]]
-    return out
+def _thinning(cutoff: int, eta: float, dark: float) -> np.ndarray:
+    """B[o, n]: probability of outcome o of one threshold detector fed n
+    photons, each surviving with probability eta, with dark counts."""
+    n = np.arange(cutoff + 1)
+    pmf = binom.pmf(n[:, None], n, eta)     # pmf[s, n]
+    return np.vstack([pmf[0] * (1.0 - dark), pmf[0] * dark, pmf[1:]])
 
 
 def _run_point(sampler: PulseSampler, seed_seq: np.random.SeedSequence,
                threads: int = 1) -> RunStats:
     det = sampler.det
     mask = det.coincidence_mask
-    gate_detectors = sorted(mask - {"D2", "D2*"})
-    cols = sampler.columns
+    # the eight totals of one chunk are integer dot products of its outcome
+    # counts with fixed weights; the sink cell weighs 0 in every total
+    oh, ov = np.divmod(np.arange(len(sampler.law) - 1), sampler.outcomes)
+    sh, sv = np.maximum(oh - 1, 0), np.maximum(ov - 1, 0)
+    coincident = ((oh > 0) | ("D2" not in mask)) & ((ov > 0) | ("D2*" not in mask))
+    weights = np.zeros((8, len(sampler.law)), dtype=np.int64)
+    weights[:, :-1] = [oh > 0, ov > 0, coincident, np.ones_like(oh),
+                       sh, sh ** 2, sv, sv ** 2]
     n_chunks = (det.pulses + CHUNK_PULSES - 1) // CHUNK_PULSES
     streams = seed_seq.spawn(n_chunks)
 
     def one_chunk(i: int):
         n = min(CHUNK_PULSES, det.pulses - i * CHUNK_PULSES)
-        rng = np.random.default_rng(streams[i])
-        _occ, surv, clicks, trig = sampler.sample_chunk(rng, n)
-        gate = _click_matrix(clicks, trig, gate_detectors, cols)
-        h, v = cols["D2"], cols["D2*"]
-        sh, sv = surv[gate, h].astype(float), surv[gate, v].astype(float)
-        return np.array([
-            (gate & clicks[:, h]).sum(), (gate & clicks[:, v]).sum(),
-            _click_matrix(clicks, trig, mask, cols).sum(), gate.sum(),
-            sh.sum(), (sh ** 2).sum(), sv.sum(), (sv ** 2).sum()])
+        return weights @ sampler.sample_chunk(np.random.default_rng(streams[i]), n)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

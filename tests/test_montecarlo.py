@@ -1,17 +1,18 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qiopa import montecarlo
-from qiopa.amplifier import AmplifierConfig
+from qiopa import fock, montecarlo
+from qiopa.amplifier import AmplifierConfig, amplify, vacuum_output
 from qiopa.errors import NumericalError
-from qiopa.fock import FockState4
+from qiopa.fock import FockState4, rotate_mode_pair
 from qiopa.montecarlo import (DETECTORS, CalibrationResult, DetectorConfig,
                               PulseSampler, RunStats, SweepStats,
                               calibrate_visibility_loss, run)
-from qiopa.observables import detected_law
+from qiopa.observables import DETECTED_FIELD_UNITARY, detected_law
 from qiopa.polarization import BlochPath, Qubit
 
 BALANCED = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
@@ -73,15 +74,83 @@ class TestSamplePulse:
         assert all(rec.clicks.values())
 
 
+def _reference_laws(q, cfg, four_mode):
+    """Normalised (rows, probabilities) of the injected and the vacuum
+    output: the closed-form detected law of (n2H, n2V), or the four-mode
+    states with both mode pairs rotated by the analyzer."""
+    if four_mode:
+        laws = []
+        for state in (amplify(q, cfg), vacuum_output(cfg)):
+            for pair in ("mode2", "mode1"):
+                state = rotate_mode_pair(state, pair, DETECTED_FIELD_UNITARY)
+            laws.append((state.occ, np.abs(state.amp) ** 2))
+    else:
+        laws = [detected_law(q, cfg), detected_law(None, cfg)]
+    return [(occ, p / p.sum()) for occ, p in laws]
+
+
+def _detector_law(n, eta, dark):
+    """{(click, survivors): probability} of a threshold detector fed n
+    photons, each kept with probability eta, by explicit loops over the
+    survivors and the dark count."""
+    law = {}
+    for s in range(n + 1):
+        kept = math.comb(n, s) * eta ** s * (1.0 - eta) ** (n - s)
+        for fired, p_dark in ((True, dark), (False, 1.0 - dark)):
+            key = (s > 0 or fired, s)
+            law[key] = law.get(key, 0.0) + kept * p_dark
+    return law
+
+
+def _brute_force_law(q, cfg, det):
+    """{outcome: probability} of one pulse, enumerated row by row and over
+    every detector's thinning and dark outcomes: (oH, oV) of a gated pulse,
+    o = 0 (no click), 1 (dark click, no survivor) or 1 + s, and "sink" for
+    a pulse the gate rejects.  D_T is a detector fed the herald photon."""
+    mask = det.coincidence_mask
+    four_mode = bool({"D1", "D1*"} & mask)
+    columns = ({"D1": 0, "D1*": 1, "D2": 2, "D2*": 3} if four_mode
+               else {"D2": 0, "D2*": 1})
+    eta, dark = det.qe * det.attenuation, det.dark_rate
+    code = lambda click, s: 0 if not click else 1 + s
+    out = {}
+    for share, (occ, p) in zip((det.p_inject, 1.0 - det.p_inject),
+                               _reference_laws(q, cfg, four_mode)):
+        for row, p_row in zip(occ.tolist(), p):
+            laws = [_detector_law(1, det.qe, dark) if d == "D_T"
+                    else _detector_law(row[columns[d]], eta, dark)
+                    for d in sorted(mask - {"D2", "D2*"})]
+            gate = {True: 0.0, False: 0.0}
+            for combo in itertools.product(*(law.items() for law in laws)):
+                gate[all(click for (click, _s), _p in combo)] += math.prod(
+                    p_d for _key, p_d in combo)
+            out["sink"] = out.get("sink", 0.0) + share * p_row * gate[False]
+            for (kh, ph), (kv, pv) in itertools.product(
+                    _detector_law(row[columns["D2"]], eta, dark).items(),
+                    _detector_law(row[columns["D2*"]], eta, dark).items()):
+                cell = (code(*kh), code(*kv))
+                out[cell] = out.get(cell, 0.0) + share * p_row * gate[True] * ph * pv
+    return out
+
+
+def _brute_force_rates(q, cfg, det):
+    """Per-pulse probabilities of counts_h, counts_v and coincidences."""
+    law = _brute_force_law(q, cfg, det)
+    cells = [(cell, p) for cell, p in law.items() if cell != "sink"]
+    mask = det.coincidence_mask
+    return (sum(p for (oh, _ov), p in cells if oh),
+            sum(p for (_oh, ov), p in cells if ov),
+            sum(p for (oh, ov), p in cells
+                if (oh or "D2" not in mask) and (ov or "D2*" not in mask)))
+
+
 class TestPulseSampler:
     def test_lost_norm_raises_instead_of_renormalising(self, monkeypatch):
-        rotate = montecarlo.rotate_mode_pair
-
-        def lossy(state, pair, u):
-            out = rotate(state, pair, u)
+        def lossy(q, cfg):
+            out = amplify(q, cfg)
             return FockState4.from_arrays(out.occ, 0.99 * out.amp, out.cutoff)
 
-        monkeypatch.setattr(montecarlo, "rotate_mode_pair", lossy)
+        monkeypatch.setattr(montecarlo, "amplify", lossy)
         with pytest.raises(NumericalError):
             PulseSampler(BALANCED, LG, DetectorConfig(coincidence_mask=FOUR_FOLD))
 
@@ -94,16 +163,55 @@ class TestPulseSampler:
         with pytest.raises(NumericalError):
             PulseSampler(BALANCED, LG, DetectorConfig())
 
-    def test_two_fold_tables_need_no_rotation(self, monkeypatch):
-        def refuse(*_args):
-            raise AssertionError("a two-fold mask rotated a state")
+    def test_gated_mass_above_one_raises(self, monkeypatch):
+        thinning = montecarlo._thinning
+        monkeypatch.setattr(montecarlo, "_thinning",
+                            lambda *args: 1.001 * thinning(*args))
+        with pytest.raises(NumericalError):
+            PulseSampler(BALANCED, LG, DetectorConfig(qe=1.0, coincidence_mask={"D2"}))
 
-        monkeypatch.setattr(montecarlo, "rotate_mode_pair", refuse)
+    def test_two_fold_tables_need_no_rotation(self, monkeypatch):
+        # no mask rotates a state: masks with D1 or D1* amplify the analyzed qubit
+        def refuse(*_args):
+            raise AssertionError("a sampler rotated a state")
+
+        monkeypatch.setattr(fock, "rotate_mode_pair", refuse)
         cfg = _hg()
-        sampler = PulseSampler(BALANCED, cfg, DetectorConfig())
-        rows = (cfg.cutoff + 1) * (cfg.cutoff + 2) // 2
-        for occ, cum in sampler.tables.values():
-            assert occ.shape == (rows, 2) and cum.shape == (rows,)
+        for k in range(len(DETECTORS) + 1):
+            for mask in itertools.combinations(DETECTORS, k):
+                sampler = PulseSampler(BALANCED, cfg, DetectorConfig(coincidence_mask=mask))
+                four_mode = bool({"D1", "D1*"} & set(mask))
+                for occ, cum in sampler.tables.values():
+                    rows = len(occ) if four_mode else (cfg.cutoff + 1) * (cfg.cutoff + 2) // 2
+                    assert occ.shape == (rows, 4 if four_mode else 2)
+                    assert cum.shape == (rows,)
+
+    @pytest.mark.parametrize("cfg", [LG, _hg()], ids=["LG", "HG"])
+    def test_four_mode_tables_equal_the_rotated_states(self, cfg):
+        for q in (BALANCED, Qubit(0.6, 0.8, 0.7), Qubit(0.28, 0.96, -2.4)):
+            sampler = PulseSampler(q, cfg, DetectorConfig(coincidence_mask=FOUR_FOLD))
+            for (occ, cum), (ref_occ, ref_p) in zip(sampler.tables.values(),
+                                                    _reference_laws(q, cfg, True)):
+                order, ref_order = np.lexsort(occ.T), np.lexsort(ref_occ.T)
+                assert np.array_equal(occ[order], ref_occ[ref_order])
+                p = np.diff(cum, prepend=0.0)
+                assert np.abs(p[order] - ref_p[ref_order]).max() < 1e-15
+
+    @pytest.mark.parametrize("mask", [
+        {"D_T", "D2"}, {"D_T", "D2", "D2*"}, {"D_T", "D1", "D2"}, FOUR_FOLD, {"D2"}],
+        ids=lambda m: ",".join(sorted(m)))
+    def test_outcome_law_equals_brute_force(self, mask):
+        q = Qubit(0.6, 0.8, 0.7)
+        det = DetectorConfig(qe=0.6, attenuation=0.7, dark_rate=0.03, p_inject=0.6,
+                             coincidence_mask=mask)
+        law = PulseSampler(q, LG, det).law
+        side = LG.cutoff + 2
+        assert law.shape == (side * side + 1,)
+        want = np.zeros_like(law)
+        for cell, p in _brute_force_law(q, LG, det).items():
+            want[-1 if cell == "sink" else cell[0] * side + cell[1]] += p
+        assert np.abs(law - want).max() < 1e-14
+        assert abs(law.sum() - 1.0) < 1e-12
 
 
 def _expected_rates(q, cfg, det):
@@ -134,6 +242,26 @@ class TestExactRates:
         stats = run(q, cfg, det)
         for count, rate in zip((stats.counts_h, stats.counts_v),
                                _expected_rates(q, cfg, det)):
+            z = (count - det.pulses * rate) / math.sqrt(det.pulses * rate * (1 - rate))
+            assert abs(z) < 4
+
+    @pytest.mark.parametrize("q,det", [
+        (Qubit(0.6, 0.8, 0.7),
+         DetectorConfig(qe=0.8, attenuation=0.7, dark_rate=0.01, p_inject=0.6,
+                        pulses=200_000, seed=31,
+                        coincidence_mask=frozenset({"D_T", "D1", "D2"}))),
+        (BALANCED,
+         DetectorConfig(qe=0.7, attenuation=0.8, dark_rate=0.005, p_inject=0.8,
+                        pulses=200_000, seed=32,
+                        coincidence_mask=frozenset({"D_T", "D2", "D2*"}))),
+    ], ids=["D_T,D1,D2", "D_T,D2,D2*"])
+    def test_seeded_counts_match_enumerated_rates(self, q, det):
+        # rates from the row-by-row enumeration, at a gain where mode 2
+        # often holds several photons
+        cfg = AmplifierConfig.for_gain(0.5)
+        stats = run(q, cfg, det)
+        for count, rate in zip((stats.counts_h, stats.counts_v, stats.coincidences),
+                               _brute_force_rates(q, cfg, det)):
             z = (count - det.pulses * rate) / math.sqrt(det.pulses * rate * (1 - rate))
             assert abs(z) < 4
 
@@ -192,14 +320,15 @@ class TestRunPoint:
         assert stats.counts_h == round(stats.xi_h * stats.pulses)
 
     @pytest.mark.parametrize("cfg,det,counts", [
-        # exact counts of seeded runs; the LG mask rotates both mode pairs,
-        # the HG mask samples the detected law (TestExactRates checks its
-        # rates).  Table order or sampling changes move them.
+        # exact counts of seeded runs; the LG mask reads the four-mode state,
+        # the HG mask the detected law (TestExactRates checks the rates of
+        # both kinds).  Changes to the outcome law's cell order or to the
+        # draw move them.
         (LG, DetectorConfig(qe=1.0, p_inject=0.5, pulses=200_000, seed=3,
                             coincidence_mask=frozenset({"D_T", "D1", "D2"})),
-         (6, 961, 6)),
+         (4, 1000, 4)),
         (_hg(), DetectorConfig(p_inject=0.5, pulses=100_000, seed=11),
-         (6179, 4579, 6179)),
+         (6246, 4625, 6246)),
     ], ids=["LG-D_T,D1,D2", "HG"])
     def test_seeded_counts_pinned(self, cfg, det, counts):
         stats = run(BALANCED, cfg, det)
