@@ -16,8 +16,8 @@ from .amplifier import AmplifierConfig, amplify, vacuum_output
 from .density import (entropy, hs_distance, pair_distribution,
                       rho1_closed_form, rho2_closed_form, tail_probability)
 from .errors import NumericalError
-from .fock import inner_product, make_gain, number_expectation
-from .montecarlo import DetectorConfig, RunStats, SweepStats, run
+from .fock import inner_product, number_expectation
+from .montecarlo import DetectorConfig, run
 from .observables import fringe_sweep, g1_closed_form, g1_oracle, visibility
 from .polarization import BlochPath, Qubit
 

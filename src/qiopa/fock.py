@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import logm
+from scipy.linalg import eigh_tridiagonal, logm
 
 from .polarization import PolarizationUnitary
 
@@ -154,28 +153,27 @@ def number_expectation(state: FockState4, mode: str) -> float:
     return float(np.sum(np.abs(state.amp) ** 2 * state.occ[:, pos]))
 
 
-@lru_cache(maxsize=None)
-def _pair_rotation(u_key: tuple, t: int) -> np.ndarray:
+def _pair_rotation(h: np.ndarray, t: int) -> np.ndarray:
     """Unitary acting on the (t+1)-dim fixed-total subspace of a mode pair.
 
     D[p, m] is the amplitude of |p, t-p> in the image of |m, t-m>, for the
     creation-operator substitution bh+ -> u00 ch+ + u10 cv+,
-    bv+ -> u01 ch+ + u11 cv+.  Writing u = exp(iH), D = exp(iG) with G the
-    one-body generator sum_ab H_ab a_a+ a_b on the block: a Hermitian
-    tridiagonal matrix, so D from its eigenbasis is unitary at every t.
+    bv+ -> u01 ch+ + u11 cv+, u = exp(ih).  D = exp(iG) with G the one-body
+    generator sum_ab h_ab a_a+ a_b on the block, Hermitian tridiagonal:
+    G = P S P^H with S real symmetric and P = diag(e^{i p arg h01}), so D
+    from the eigenbasis of S is unitary at every t.
     """
-    h = -1j * logm(np.reshape(u_key, (2, 2)))
     p = np.arange(t + 1)
-    gen = np.diag(p * h[0, 0].real + (t - p) * h[1, 1].real).astype(complex)
-    hop = np.sqrt(p[1:] * (t - p[:-1])) * h[0, 1]   # <p+1, t-p-1| G |p, t-p>
-    gen[p[1:], p[:-1]] = hop
-    gen[p[:-1], p[1:]] = hop.conj()
-    lam, vec = np.linalg.eigh(gen)
-    return (vec * np.exp(1j * lam)) @ vec.conj().T
+    # G[p+1, p] = <p+1, t-p-1| G |p, t-p> = sqrt((p+1)(t-p)) h01
+    lam, v = eigh_tridiagonal(p * h[0, 0].real + (t - p) * h[1, 1].real,
+                              np.sqrt(p[1:] * (t - p[:-1])) * abs(h[0, 1]))
+    v = np.exp(1j * np.angle(h[0, 1]) * p)[:, None] * v    # P V
+    return (v * np.exp(1j * lam)) @ v.conj().T
 
 
 def rotate_mode_pair(state: FockState4, pair: str, u) -> FockState4:
-    """Apply a 2x2 linear-optics unitary to a polarization mode pair.
+    """Apply a 2x2 linear-optics unitary to a polarization mode pair; no other
+    package code rotates a state, so this is the tests' rotation reference.
 
     The transform acts on each fixed total occupation t of the pair through
     the (t+1)-dimensional representation of u; photon number in the pair and
@@ -188,7 +186,7 @@ def rotate_mode_pair(state: FockState4, pair: str, u) -> FockState4:
         raise ValueError(f"pair must be 'mode1' or 'mode2', got {pair!r}")
     i0, i1 = MODE_PAIRS[pair]
     rest = [j for j in range(4) if j not in (i0, i1)]
-    u_key = tuple(complex(x) for x in u.ravel())
+    h = -1j * logm(u)
 
     m = state.occ[:, i0]
     t = m + state.occ[:, i1]
@@ -203,7 +201,7 @@ def rotate_mode_pair(state: FockState4, pair: str, u) -> FockState4:
     out = np.empty_like(vin)
     for w in np.unique(width):
         idx = start[width == w] + np.arange(w)[:, None]
-        out[idx] = _pair_rotation(u_key, int(w) - 1) @ vin[idx]
+        out[idx] = _pair_rotation(h, int(w) - 1) @ vin[idx]
 
     occ = state.occ[heads[g_out]]
     occ[:, i0] = np.arange(len(g_out)) - start[g_out]

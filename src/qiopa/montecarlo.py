@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import binom, chi2
+from scipy.special import chdtrc
 
 from .amplifier import AmplifierConfig, amplify, vacuum_output
 from .errors import NumericalError
@@ -179,9 +179,15 @@ class PulseSampler:
 
 def _thinning(cutoff: int, eta: float, dark: float) -> np.ndarray:
     """B[o, n]: probability of outcome o of one threshold detector fed n
-    photons, each surviving with probability eta, with dark counts."""
-    n = np.arange(cutoff + 1)
-    pmf = binom.pmf(n[:, None], n, eta)     # pmf[s, n]
+    photons, each surviving with probability eta, with dark counts.  The
+    binomial law of s survivors comes from Pascal's recurrence, each entry a
+    convex combination of two non-negative ones, so it stays accurate in n."""
+    pmf = np.zeros((cutoff + 1, cutoff + 1))    # pmf[n, s]
+    pmf[0, 0] = 1.0
+    for n in range(1, cutoff + 1):
+        pmf[n] = (1.0 - eta) * pmf[n - 1]
+        pmf[n, 1:] += eta * pmf[n - 1, :-1]
+    pmf = pmf.T
     return np.vstack([pmf[0] * (1.0 - dark), pmf[0] * dark, pmf[1:]])
 
 
@@ -259,7 +265,7 @@ def _null_pvalue(points) -> float:
         if tot:
             stat += (p.counts_h - p.counts_v) ** 2 / tot
             dof += 1
-    return float(chi2.sf(stat, dof)) if dof else 1.0
+    return float(chdtrc(dof, stat)) if dof else 1.0   # chi2 survival function
 
 
 def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):

@@ -7,15 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplifier import AmplifierConfig, amplify
-from .density import SectorDensity, _flat_index, _pair_weights, partial_trace
-from .fock import GainParams, _pair_rotation
-from .polarization import BlochPath, Qubit, apply, su2_rotation
+from .density import _flat_index, _pair_weights, partial_trace
+from .fock import GainParams
+from .polarization import BlochPath, Qubit
 
 # 45-degree analyzer mapping the {h, v} basis of a mode pair onto the
 # detected fields {H, V}.  The sign convention is fixed once against the
 # closed forms: the H output carries the +cos(phi) interference term.
 DETECTED_FIELD_UNITARY = np.array([[1, -1], [1, 1]], dtype=complex) / math.sqrt(2)
-_ANALYZER_KEY = tuple(complex(x) for x in DETECTED_FIELD_UNITARY.ravel())
 
 
 @dataclass(frozen=True)
@@ -40,26 +39,16 @@ def g1_closed_form(q: Qubit, gain: GainParams) -> G1Pair:
 
 
 def g1_oracle(q: Qubit, cfg: AmplifierConfig) -> G1Pair:
-    """Brute-force detected photon numbers: the analyzer applied to the
-    brute-force partial trace of the amplifier output over mode 1."""
+    """Brute-force detected photon numbers Tr(rho2 N_c) on the two bands of the
+    brute-force partial trace over mode 1: the analyzer output c = sum_j u_cj b_j
+    has N_c = |u_ch|^2 n_h + |u_cv|^2 n_v + 2 Re(u_ch* u_cv b_h+ b_v)."""
     rho = partial_trace(amplify(q, cfg), "mode2")
-    g2h = g2v = 0.0
-    for t in range(rho.sectors):
-        law = _analyzed_sector(rho, t)
-        h = np.arange(t + 1)
-        g2h += float(law @ h)
-        g2v += float(law @ (t - h))
-    return G1Pair(g2h=g2h, g2v=g2v, nbar=cfg.gain.nbar)
-
-
-def _analyzed_sector(rho: SectorDensity, t: int) -> np.ndarray:
-    """Law of h = 0..t detected H photons (t - h in V) in sector t of a
-    mode-2 density: diag(D_t rho_t D_t^H), built from the bands of rho_t in
-    O(t^2), with D_t the analyzer block that rotate_mode_pair uses."""
-    diag, sub = rho.sector(t)
-    # D_t[h, m] acts on |m>_h |t-m>_v, rho_t on |t-p>_h |p>_v
-    d = _pair_rotation(_ANALYZER_KEY, t)[:, ::-1]
-    return np.abs(d) ** 2 @ diag + 2.0 * ((d[:, 1:] * d[:, :-1].conj()) @ sub).real
+    t, p = _flat_index(rho.sectors)
+    numbers = np.array([rho.diag @ (t - p), rho.diag @ p])   # <n_h>, <n_v>
+    hop = rho.sub @ np.sqrt((t - p) * (p + 1))                # <b_h+ b_v>
+    u = DETECTED_FIELD_UNITARY
+    g2h, g2v = np.abs(u) ** 2 @ numbers + 2.0 * (u[:, 0].conj() * u[:, 1] * hop).real
+    return G1Pair(g2h=float(g2h), g2v=float(g2v), nbar=cfg.gain.nbar)
 
 
 def detected_law(q: Qubit | None, cfg: AmplifierConfig):

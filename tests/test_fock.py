@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import logm
 
 from qiopa.amplifier import AmplifierConfig, amplify
 from qiopa.fock import (FockIndex4, FockState4, _pair_rotation, default_cutoff,
@@ -169,7 +170,7 @@ class TestRotateModePair:
             vin = np.zeros(t + 1, dtype=complex)
             for m, amp in entries.items():
                 vin[m] = amp
-            for p, a in enumerate(_pair_rotation(_key(u), t) @ vin):
+            for p, a in enumerate(_pair_rotation(_generator(u), t) @ vin):
                 if abs(a) >= 1e-15:
                     keys.append((p, t - p, n2h, n2v))
                     amps.append(a)
@@ -205,8 +206,9 @@ def _random_u2(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _key(u):
-    return tuple(complex(x) for x in np.asarray(u).ravel())
+def _generator(u):
+    """Hermitian generator h of u = exp(ih), the argument of _pair_rotation."""
+    return -1j * logm(np.asarray(u))
 
 
 class TestPairRotationBlocks:
@@ -215,16 +217,16 @@ class TestPairRotationBlocks:
         random_u = _random_u2(rng)
         assert abs(np.linalg.det(random_u) - 1.0) > 1e-3
         for u in (DETECTED_FIELD_UNITARY, random_u):
+            h = _generator(u)
             for t in range(top + 1):
-                # bypass the cache: these blocks are far larger than any run needs
-                d = _pair_rotation.__wrapped__(_key(u), t)
+                d = _pair_rotation(h, t)
                 assert np.abs(d.conj().T @ d - np.eye(t + 1)).max() < 1e-12, t
 
     def test_blocks_form_a_representation(self, rng):
         u, w = _random_u2(rng), _random_u2(rng)
         # single photon: |1,0> -> u00|1,0> + u10|0,1>, rows/columns ordered by p
-        assert np.allclose(_pair_rotation(_key(u), 1), u[::-1, ::-1], atol=1e-14)
+        assert np.allclose(_pair_rotation(_generator(u), 1), u[::-1, ::-1], atol=1e-14)
         for t in range(13):
-            assert np.allclose(_pair_rotation(_key(u @ w), t),
-                               _pair_rotation(_key(u), t) @ _pair_rotation(_key(w), t),
-                               atol=1e-12)
+            assert np.allclose(_pair_rotation(_generator(u @ w), t),
+                               _pair_rotation(_generator(u), t)
+                               @ _pair_rotation(_generator(w), t), atol=1e-12)

@@ -1,9 +1,13 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from qiopa import fock, montecarlo
 from qiopa.amplifier import AmplifierConfig, amplify, vacuum_output
@@ -142,6 +146,27 @@ def _brute_force_rates(q, cfg, det):
             sum(p for (_oh, ov), p in cells if ov),
             sum(p for (oh, ov), p in cells
                 if (oh or "D2" not in mask) and (ov or "D2*" not in mask)))
+
+
+class TestThinning:
+    @pytest.mark.parametrize("cutoff", [12, 100, 363])
+    @pytest.mark.parametrize("eta", [0.0, 0.18, 1.0])
+    def test_equals_library_binomial(self, cutoff, eta):
+        n = np.arange(cutoff + 1)
+        pmf = binom.pmf(n[:, None], n, eta)     # pmf[s, n]
+        dark = 0.01
+        expected = np.vstack([pmf[0] * (1.0 - dark), pmf[0] * dark, pmf[1:]])
+        assert np.abs(montecarlo._thinning(cutoff, eta, dark) - expected).max() < 1e-14
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats would double the package's import time and add ~40 MB
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, qiopa; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestPulseSampler:

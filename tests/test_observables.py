@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import logm
 from scipy.optimize import minimize_scalar
 
 from qiopa.amplifier import AmplifierConfig, amplify, vacuum_output
 from qiopa.density import rho2_closed_form
-from qiopa.fock import make_gain, number_expectation, rotate_mode_pair
-from qiopa.observables import (DETECTED_FIELD_UNITARY, G1Pair, _analyzed_sector,
-                               detected_law, fringe_sweep, g1_closed_form,
-                               g1_oracle, signal_to_noise, visibility)
+from qiopa.fock import _pair_rotation, make_gain, number_expectation, rotate_mode_pair
+from qiopa.observables import (DETECTED_FIELD_UNITARY, G1Pair, detected_law,
+                               fringe_sweep, g1_closed_form, g1_oracle,
+                               signal_to_noise, visibility)
 from qiopa.polarization import BlochPath, Qubit
 
 from conftest import random_qubit
@@ -76,8 +77,9 @@ class TestOracleAgreement:
             assert abs(num.g2h - number_expectation(state, "2h")) < 1e-12
             assert abs(num.g2v - number_expectation(state, "2v")) < 1e-12
 
-    def test_high_gain_matches_closed_form(self, rng):
-        cfg = AmplifierConfig.for_gain(1.5)
+    @pytest.mark.parametrize("g", [1.5, 2.0])
+    def test_high_gain_matches_closed_form(self, g, rng):
+        cfg = AmplifierConfig.for_gain(g)
         tol = 1e-8 + cfg.epsilon_trunc * (2 * cfg.cutoff + 1)
         q = random_qubit(rng)
         num = g1_oracle(q, cfg)
@@ -93,6 +95,16 @@ def _rotated_marginal(state, size):
     h, v = st.occ[:, 2], st.occ[:, 3]
     n = h + v
     return np.bincount(n * (n + 1) // 2 + h, np.abs(st.amp) ** 2, size)
+
+
+def _analyzed_sector(rho, t):
+    """Law of h = 0..t detected H photons (t - h in V) in sector t of a
+    mode-2 density: diag(D_t rho_t D_t^H) from the bands of rho_t, with D_t
+    the analyzer block that rotate_mode_pair uses."""
+    diag, sub = rho.sector(t)
+    # D_t[h, m] acts on |m>_h |t-m>_v, rho_t on |t-p>_h |p>_v
+    d = _pair_rotation(-1j * logm(DETECTED_FIELD_UNITARY), t)[:, ::-1]
+    return np.abs(d) ** 2 @ diag + 2.0 * ((d[:, 1:] * d[:, :-1].conj()) @ sub).real
 
 
 class TestDetectedLaw:
