@@ -91,17 +91,17 @@ def vacuum_output(cfg: AmplifierConfig) -> FockState4:
 _COUPLINGS = (((0, 3), -1.0), ((1, 2), +1.0))
 
 
-def _chain(cfg: AmplifierConfig, sign: float, d: int) -> np.ndarray:
-    """Amplitudes on |d+k, k>, k <= cutoff + PROPAGATOR_PADDING, of one
+def _chain(cfg: AmplifierConfig, d: int) -> np.ndarray:
+    """Amplitudes on |d+k, k>, k <= cutoff + PROPAGATOR_PADDING, of a +1
     coupling's pair after time g from |d, 0>.  The coupling keeps d and
-    creates a pair with amplitude sign sqrt((k+1)(k+1+d)), so its generator
+    creates a pair with amplitude sqrt((k+1)(k+1+d)), so its generator
     K = created - created^T is a real antisymmetric tridiagonal chain:
     K = -i D T D^-1 with D = diag(i^k) and T the symmetric chain, so
     exp(gK) = D V exp(-i g Lambda) V^T D^-1.  The weight beyond the cutoff is
     a marginal of the pair-number tail, so it may not exceed epsilon_trunc."""
     length = cfg.cutoff + PROPAGATOR_PADDING + 1
     k = np.arange(1, length)
-    lam, v = eigh_tridiagonal(np.zeros(length), sign * np.sqrt(k * (k + d)))
+    lam, v = eigh_tridiagonal(np.zeros(length), np.sqrt(k * (k + d)))
     phase = 1j ** (np.arange(length) % 4)   # exact powers of i
     # exp(gK) is real: the imaginary part is rounding
     psi = (phase * (v @ (np.exp(-1j * cfg.gain.g * lam) * v[0]))).real
@@ -120,9 +120,11 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
     its pair's photon-number difference d (0 or 1 for the injected photon, any
     excess in the pair's first mode).  So each injected row evolves into a
     product of one chain |d+k, k> per coupling, truncated at
-    cutoff + PROPAGATOR_PADDING pairs and exponentiated exactly.  Each chain's
-    weight beyond the cutoff is checked against the pair-number tail; the
-    product is truncated back to the cutoff.
+    cutoff + PROPAGATOR_PADDING pairs and exponentiated exactly.  Negating a
+    coupling is the gauge diag((-1)^k) on its chain, so the chains of both
+    signs come from one solve per d.  Each chain's weight beyond the cutoff
+    is checked against the pair-number tail; the product is truncated back
+    to the cutoff.
     """
     g = cfg.gain.g
     psi_in = FockState4.from_arrays(np.array([[1, 0, 0, 0], [0, 1, 0, 0]]),
@@ -134,11 +136,13 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
     pair = np.eye(4, dtype=np.int64)[[ab for ab, _sign in _COUPLINGS]].sum(axis=1)
     k = np.indices((cfg.cutoff + 1,) * len(_COUPLINGS)).reshape(len(_COUPLINGS), -1).T
     k = k[k.sum(axis=1) <= cfg.cutoff]   # k[:, c] pairs of coupling c
+    chains = [_chain(cfg, d) for d in (0, 1)]   # an injected row has d = 0 or 1
+    pairs = np.arange(chains[0].size)
     occ, amp = [], []
     for seed, amp0 in zip(psi_in.occ, psi_in.amp):
         terms = np.full(len(k), amp0)
         for c, ((a, b), sign) in enumerate(_COUPLINGS):
-            terms *= _chain(cfg, sign, seed[a] - seed[b])[k[:, c]]
+            terms *= (sign ** pairs * chains[seed[a] - seed[b]])[k[:, c]]
         occ.append(seed + k @ pair)
         amp.append(terms)
     occ, amp = np.concatenate(occ), np.concatenate(amp)

@@ -7,6 +7,12 @@ tridiagonal.  A density is therefore stored as two bands over all sectors,
 a real diagonal and a complex sub-diagonal.  Closed-form assemblies fill
 the bands directly and are cross-checked against a brute-force partial
 trace, which checks the banded structure instead of assuming it.
+
+Covariance also fixes each sector's spectrum to that of the |H> reduction,
+the optimal-cloner and universal-NOT spectra (Gisin & Massar, PRL 79, 2153,
+1997; Buzek, Hillery & Werner, PRA 60, R2626, 1999).  The closed forms carry
+it, so their entropy needs no eigensolve; any other density, the partial
+trace included, is eigensolved, which keeps that path the oracle.
 """
 from __future__ import annotations
 
@@ -43,8 +49,9 @@ class SectorDensity:
     bands over k = t(t+1)/2 + p: the real diagonal diag[k] and the
     sub-diagonal sub[k] = <t, p+1| rho |t, p>, which is zero at p = t where
     a sector ends.  The bands thus also form one tridiagonal matrix of all
-    sectors.  SectorDensity(mode, blocks) takes dense blocks, for densities
-    built by hand, and rejects entries the bands cannot hold.
+    sectors, whose ascending read-only eigenvalues are the spectrum.
+    SectorDensity(mode, blocks) takes dense blocks, for densities built by
+    hand, and rejects entries the bands cannot hold.
     """
 
     def __init__(self, mode: str, blocks):
@@ -59,10 +66,21 @@ class SectorDensity:
                 raise ValueError(f"sector {t} block is not Hermitian tridiagonal")
 
     @classmethod
-    def from_bands(cls, mode: str, diag, sub) -> SectorDensity:
-        """Density from its two bands, laid out as in the class docstring."""
+    def from_bands(cls, mode: str, diag, sub, spectrum=None) -> SectorDensity:
+        """Density from its two bands, laid out as in the class docstring.
+
+        A known spectrum, in any order, spares the eigensolve; without one it
+        is solved from the bands on first access.
+        """
         rho = cls.__new__(cls)
         rho._set(mode, [diag], [sub])
+        if spectrum is not None:
+            spectrum = np.sort(np.asarray(spectrum, dtype=float))
+            if spectrum.size != rho.diag.size:
+                raise ValueError(
+                    f"spectrum of length {spectrum.size} for bands of length {rho.diag.size}")
+            spectrum.setflags(write=False)
+            rho._spectrum = spectrum
         return rho
 
     def _set(self, mode, diags, subs):
@@ -80,11 +98,30 @@ class SectorDensity:
             raise ValueError("sub-diagonal couples two sectors")
         self.diag.setflags(write=False)
         self.sub.setflags(write=False)
+        self._spectrum = None
 
     def sector(self, t: int):
         """Diagonal (t+1 entries) and sub-diagonal (t entries) of sector t."""
         k = t * (t + 1) // 2
         return self.diag[k:k + t + 1], self.sub[k:k + t]
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of all sectors, ascending and read-only.
+
+        Unless given, one tridiagonal eigensolve over the bands: the zero
+        coupling at each sector end keeps the sectors apart, and the diagonal
+        phase gauge that makes each sub-diagonal entry its modulus leaves the
+        spectrum unchanged.  The LAPACK routine is named because older scipy
+        defaults to stemr, whose workspace is quadratic in the band length.
+        """
+        if self._spectrum is None:
+            lam = (eigvalsh_tridiagonal(self.diag, np.abs(self.sub[:-1]),
+                                        lapack_driver="sterf")
+                   if self.sectors else np.zeros(0))
+            lam.setflags(write=False)
+            self._spectrum = lam
+        return self._spectrum
 
     @property
     def blocks(self) -> tuple:
@@ -114,25 +151,27 @@ def _pair_weights(cfg: AmplifierConfig) -> np.ndarray:
 def rho1_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
     """Reduced state of the cloning mode: pair term n fills sector t = n + 1
     with diagonal alpha^2 (t-p) + beta^2 p and sub-diagonal
-    alpha beta e^{i phi} sqrt((t-p)(p+1)), p = 0..t vertical photons."""
+    alpha beta e^{i phi} sqrt((t-p)(p+1)), p = 0..t vertical photons.  Its
+    spectrum is the |H> diagonal w_n (t-p), the optimal 1 -> t cloner's."""
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
     w = np.append(0.0, _pair_weights(cfg))   # mode 1 always holds >= 1 photon
     t, p = _flat_index(cfg.cutoff + 2)
     return SectorDensity.from_bands(
         "mode1", w[t] * (q.alpha ** 2 * (t - p) + q.beta ** 2 * p),
-        w[t] * (ab * np.sqrt((t - p) * (p + 1))))
+        w[t] * (ab * np.sqrt((t - p) * (p + 1))), w[t] * (t - p))
 
 
 def rho2_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
     """Reduced state of the anticloning mode: pair term n fills sector n with
     diagonal beta^2 (n-p+1) + alpha^2 (p+1) and the negative sub-diagonal
-    -alpha beta e^{i phi} sqrt((n-p)(p+1)), p = 0..n vertical photons."""
+    -alpha beta e^{i phi} sqrt((n-p)(p+1)), p = 0..n vertical photons.  Its
+    spectrum is the |H> diagonal w_n (p+1), the universal NOT's."""
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
     w = _pair_weights(cfg)
     n, p = _flat_index(cfg.cutoff + 1)
     return SectorDensity.from_bands(
         "mode2", w[n] * (q.beta ** 2 * (n - p + 1) + q.alpha ** 2 * (p + 1)),
-        w[n] * (-ab * np.sqrt((n - p) * (p + 1))))
+        w[n] * (-ab * np.sqrt((n - p) * (p + 1))), w[n] * (p + 1))
 
 
 def partial_trace(state: FockState4, keep: str) -> SectorDensity:
@@ -179,15 +218,14 @@ def partial_trace(state: FockState4, keep: str) -> SectorDensity:
 def entropy(rho: SectorDensity) -> float:
     """Von Neumann entropy in bits, -sum lambda log2 lambda over all sectors.
 
-    One tridiagonal eigensolve over the bands: the zero coupling at each
-    sector end keeps the sectors apart, and the diagonal phase gauge that
-    makes each sub-diagonal entry its modulus leaves the spectrum unchanged.
-    The LAPACK routine is named because older scipy defaults to stemr, whose
-    workspace is quadratic in the length of all sectors together.
+    Reads rho.spectrum: the cloner spectrum for a closed form, one
+    eigensolve over the bands otherwise.  The sum runs in ascending order,
+    so the two closed forms, whose nonzero eigenvalues coincide, give the
+    same float.
     """
-    if not rho.sectors:
+    lam = rho.spectrum
+    if not lam.size:
         return 0.0
-    lam = eigvalsh_tridiagonal(rho.diag, np.abs(rho.sub[:-1]), lapack_driver="sterf")
     if lam.min() < EIGENVALUE_FLOOR:
         raise NumericalError(
             f"density block has eigenvalue {lam.min():.3e} below {EIGENVALUE_FLOOR:g}")

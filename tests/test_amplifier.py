@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import expm_multiply
 
 from qiopa import amplifier
@@ -170,6 +171,30 @@ class TestPropagateHamiltonian:
         monkeypatch.setattr(amplifier, "eigh_tridiagonal", wrong)
         with pytest.raises(NumericalError):
             propagate_hamiltonian(Qubit(1.0, 0.0), AmplifierConfig.for_gain(1.13, 100))
+
+    @pytest.mark.parametrize("g", [0.07, 1.13, 2.0])
+    def test_negated_coupling_is_the_parity_gauge(self, g):
+        # reference: the -1 coupling's chain solved on the negated off-diagonal
+        cfg = AmplifierConfig.for_gain(g)
+        length = cfg.cutoff + PROPAGATOR_PADDING + 1
+        k = np.arange(length)
+        for d in (0, 1):
+            lam, v = eigh_tridiagonal(np.zeros(length), -np.sqrt(k[1:] * (k[1:] + d)))
+            direct = (1j ** (k % 4) * (v @ (np.exp(-1j * g * lam) * v[0]))).real
+            gauged = (-1.0) ** k * amplifier._chain(cfg, d)
+            assert np.abs(gauged - direct).max() <= 1e-15
+
+    def test_two_chain_solves_per_call(self, monkeypatch):
+        calls = []
+        solve = amplifier.eigh_tridiagonal
+
+        def counted(d, e):
+            calls.append(len(d))
+            return solve(d, e)
+
+        monkeypatch.setattr(amplifier, "eigh_tridiagonal", counted)
+        propagate_hamiltonian(Qubit(0.6, 0.8, 0.4), AmplifierConfig.for_gain(0.5))
+        assert len(calls) == 2
 
     def test_zero_gain_returns_input(self):
         cfg = AmplifierConfig.for_gain(0.0)

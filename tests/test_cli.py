@@ -116,6 +116,13 @@ class TestEntropy:
         assert doc["branch_hs_distance"] == pytest.approx(2.0, abs=1e-8)
         assert doc["branch_overlap"] == 0.0
 
+    def test_report_at_g_2_5(self, capsys):
+        # cutoff 988: the closed-form entropies read the cloner spectrum,
+        # where an eigensolve over their 490k band entries takes seconds
+        assert main(["entropy", "--g", "2.5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["entropy_difference"] <= 1e-9
+
 
 class TestMonteCarlo:
     def test_outputs_csv_and_json(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from qiopa.amplifier import AmplifierConfig, amplify
 from qiopa.density import (ENTROPY_EIGENVALUE_CUT, PairDistribution,
@@ -80,6 +81,17 @@ class TestCovariance:
                     assert np.abs(np.linalg.eigvalsh(b) - lam).max() < 1e-14
 
     @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100), (2.0, None)])
+    def test_spectrum_equals_the_eigensolved_bands(self, g, cutoff, rng):
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        q = random_qubit(rng)
+        for build, _mode in MODES:
+            rho = build(q, cfg)
+            solved = np.sort(eigvalsh_tridiagonal(rho.diag, np.abs(rho.sub[:-1]),
+                                                  lapack_driver="sterf"))
+            assert np.abs(rho.spectrum - solved).max() <= 1e-14 * solved.max()
+
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100), (2.0, None),
+                                           (2.5, None)])
     def test_entropy_equals_the_known_spectrum(self, g, cutoff, rng):
         cfg = AmplifierConfig.for_gain(g, cutoff)
         for build, mode in MODES:
@@ -118,6 +130,16 @@ class TestClosedFormsAgainstPartialTrace:
             q = random_qubit(rng)
             oracle = partial_trace(amplify(q, cfg), "mode2")
             assert _max_block_diff(rho2_closed_form(q, cfg), oracle) < 1e-10
+
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100), (2.0, None)])
+    def test_entropy_matches_eigensolved_oracle(self, g, cutoff, rng):
+        # the partial trace carries no spectrum, so its entropy is eigensolved
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        q = random_qubit(rng)
+        state = amplify(q, cfg)
+        for build, mode in MODES:
+            oracle = entropy(partial_trace(state, mode))
+            assert abs(entropy(build(q, cfg)) - oracle) <= 1e-12
 
     def test_bands_match_oracle_at_g2(self, rng):
         # the bands, not .blocks: a dense view at cutoff 363 is ~250 MB
@@ -225,6 +247,16 @@ class TestBands:
         with pytest.raises(ValueError):
             rho.diag[0] = 1.0
 
+    def test_spectrum_is_read_only(self, rng):
+        q, cfg = random_qubit(rng), AmplifierConfig.for_gain(0.5)
+        for rho in (rho2_closed_form(q, cfg), partial_trace(amplify(q, cfg), "mode2")):
+            with pytest.raises(ValueError):
+                rho.spectrum[0] = 1.0
+
+    def test_spectrum_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            SectorDensity.from_bands("mode2", [0.5, 0.25, 0.25], [0.0] * 3, [0.5, 0.5])
+
     @pytest.mark.parametrize("entry", [(0, 2), (2, 0)])
     def test_off_band_block_entry_rejected(self, entry):
         b = np.eye(3) / 3
@@ -259,6 +291,17 @@ class TestEntropy:
             q = random_qubit(rng)
             s1 = entropy(rho1_closed_form(q, cfg))
             s2 = entropy(rho2_closed_form(q, cfg))
+            assert abs(s1 - s2) <= 1e-9
+
+    @pytest.mark.parametrize("g", [0.07, 0.5, 1.13])
+    def test_partial_trace_entropies_equal(self, g, rng):
+        # the closed forms share one spectrum; the eigensolved partial traces
+        # check S1 = S2 without it
+        cfg = AmplifierConfig.for_gain(g)
+        for _ in range(3):
+            state = amplify(random_qubit(rng), cfg)
+            s1 = entropy(partial_trace(state, "mode1"))
+            s2 = entropy(partial_trace(state, "mode2"))
             assert abs(s1 - s2) <= 1e-9
 
     def test_negative_eigenvalue_reported(self):
