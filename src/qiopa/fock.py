@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, logm
@@ -23,17 +22,6 @@ MODE_PAIRS = {"mode1": (0, 1), "mode2": (2, 3)}
 PRUNE_THRESHOLD = 1e-15
 # cutoff rule: the analytic pair-number tail beyond the cutoff must stay below this
 TAIL_RULE = 1e-9
-
-
-class FockIndex4(NamedTuple):
-    n1h: int
-    n1v: int
-    n2h: int
-    n2v: int
-
-    @property
-    def total(self) -> int:
-        return self.n1h + self.n1v + self.n2h + self.n2v
 
 
 @dataclass(frozen=True)
@@ -90,7 +78,8 @@ def default_cutoff(gain: GainParams, tol: float = TAIL_RULE) -> int:
 
 class FockState4:
     """Amplitudes amp (N complex) on distinct occupation rows occ (N x 4 int64);
-    FockState4(mapping, cutoff) takes a map of occupation tuples to amplitudes."""
+    FockState4(mapping, cutoff) takes a map of (n1h, n1v, n2h, n2v) tuples to
+    amplitudes, and .amplitudes gives one back."""
 
     def __init__(self, amplitudes: dict, cutoff: int):
         self._set(np.array(list(amplitudes), dtype=np.int64).reshape(len(amplitudes), 4),
@@ -109,8 +98,8 @@ class FockState4:
 
     @property
     def amplitudes(self) -> MappingProxyType:
-        """Read-only map from FockIndex4 to amplitude, built on each access."""
-        return MappingProxyType(dict(zip(map(FockIndex4._make, self.occ.tolist()),
+        """Read-only map from occupation tuple to amplitude, built on each access."""
+        return MappingProxyType(dict(zip(map(tuple, self.occ.tolist()),
                                          self.amp.tolist())))
 
     def norm_sq(self) -> float:

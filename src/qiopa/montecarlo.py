@@ -5,7 +5,7 @@ probability p_inject) or produces squeezed vacuum.  Its photon numbers
 behind the 45-degree analyzer are thinned binomially by the attenuation and
 detector efficiency, and threshold detectors click on at least one survivor
 (or a dark count).  Masks that read neither D1 nor D1* see only mode 2, so
-their tables are the closed-form detected law of (n2H, n2V); masks with D1
+they read the closed-form detected law of (n2H, n2V); masks with D1
 or D1* read the four-mode amplified state of the analyzed qubit.
 
 Every statistic of a run sums, over independent pulses, a function of one
@@ -62,13 +62,6 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class PulseRecord:
-    occupations: dict   # detected photons at each sampled detector but D_T
-    clicks: dict        # D_T and each sampled detector
-    coincidence: bool
-
-
-@dataclass(frozen=True)
 class RunStats:
     pulses: int
     counts_h: int               # [D2, D_T] gated coincidences
@@ -96,12 +89,9 @@ class SweepStats:
 class PulseSampler:
     """The exact per-pulse outcome law of one (qubit, amplifier, detector) setup.
 
-    tables maps "injected" and "vacuum" to (occupation rows, cumulative
-    probabilities); columns maps each detector but D_T to its occupation
-    column.  A mask without D1 and D1* gets the closed-form detected law of
-    (n2H, n2V); a mask with either gets the four-mode amplified state of the
-    analyzed qubit and the squeezed vacuum.  sample_pulse draws from the
-    tables one pulse at a time.
+    For the injected and the vacuum pulse, a mask without D1 and D1* reads
+    the closed-form detected law of (n2H, n2V); a mask with either reads the
+    four-mode amplified state of the analyzed qubit and the squeezed vacuum.
 
     law is the probability of each outcome a pulse contributes to a run: the
     cell (oH, oV) of a gated pulse, flattened, then one sink cell for every
@@ -119,17 +109,16 @@ class PulseSampler:
             # the analyzer has det 1, so by the amplifier's SU(2) covariance
             # rotating both mode pairs of amplify(q) gives amplify(U q), and
             # the squeezed vacuum is invariant
-            self.columns = _FOUR_MODE_COLUMNS
+            columns = _FOUR_MODE_COLUMNS
             analyzed = apply(PolarizationUnitary(DETECTED_FIELD_UNITARY), q)
             laws = ((label, state.occ, np.abs(state.amp) ** 2) for label, state in (
                 ("injected", amplify(analyzed, cfg)), ("vacuum", vacuum_output(cfg))))
         else:
-            self.columns = _MODE2_COLUMNS
+            columns = _MODE2_COLUMNS
             laws = (("injected", *detected_law(q, cfg)),
                     ("vacuum", *detected_law(None, cfg)))
         eta, dark = det.qe * det.attenuation, det.dark_rate
         top = cfg.cutoff + 1        # photon numbers 0..cutoff on each mode-2 column
-        self.tables = {}
         gated = np.zeros(top * top)
         for (label, occ, p), share in zip(laws, (det.p_inject, 1.0 - det.p_inject)):
             total = p.sum()
@@ -138,16 +127,15 @@ class PulseSampler:
                     f"{label} sampling table holds weight {total!r}, outside "
                     f"1 - epsilon_trunc ({cfg.epsilon_trunc:.3g}) .. 1")
             p = p / total
-            self.tables[label] = (occ, np.cumsum(p))
             weight = share * p
             if "D_T" in mask:   # ideal herald photon at D_T
                 weight = weight * (1.0 - (1.0 - det.qe) * (1.0 - dark))
             # sorted: a fixed product order keeps seeded runs byte-identical
             # across processes, whose set order differs
             for d in sorted(mask & {"D1", "D1*"}):
-                weight = weight * (1.0 - (1.0 - eta) ** occ[:, self.columns[d]]
+                weight = weight * (1.0 - (1.0 - eta) ** occ[:, columns[d]]
                                    * (1.0 - dark))
-            cell = occ[:, self.columns["D2"]] * top + occ[:, self.columns["D2*"]]
+            cell = occ[:, columns["D2"]] * top + occ[:, columns["D2*"]]
             gated += np.bincount(cell, weight, minlength=top * top)
         self.outcomes = top + 1
         thin = _thinning(cfg.cutoff, eta, dark)
@@ -160,21 +148,6 @@ class PulseSampler:
     def sample_chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Counts of each outcome of law over n pulses."""
         return rng.multinomial(n, self.law)
-
-    def sample_pulse(self, rng: np.random.Generator) -> PulseRecord:
-        """Draw a single pulse from the tables; run() draws from law instead."""
-        det = self.det
-        table, cum = self.tables["injected" if rng.random() < det.p_inject else "vacuum"]
-        occ = table[min(int(np.searchsorted(cum, rng.random(), side="right")),
-                        len(table) - 1)]
-        survivors = rng.binomial(occ, det.attenuation * det.qe)
-        fired = rng.random(len(self.columns) + 1) < det.dark_rate   # D_T's last
-        clicks = {"D_T": bool(rng.random() < det.qe or fired[-1])}  # herald photon
-        clicks.update({d: bool(survivors[c] > 0 or fired[c])
-                       for d, c in self.columns.items()})
-        return PulseRecord(
-            occupations={d: int(occ[c]) for d, c in self.columns.items()},
-            clicks=clicks, coincidence=all(clicks[d] for d in det.coincidence_mask))
 
 
 def _thinning(cutoff: int, eta: float, dark: float) -> np.ndarray:

@@ -167,7 +167,7 @@ def test_10_entropy_symmetry(rng):
 
 def test_11_hilbert_schmidt():
     ok = True
-    for g in (0.07, 1.13):
+    for g in (0.0, 0.07, 1.13):
         cfg = _config(g)
         d = hs_distance(amplify(Qubit(1.0, 0.0), cfg),
                         amplify(Qubit(0.0, 1.0), cfg))

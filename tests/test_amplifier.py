@@ -11,9 +11,10 @@ from qiopa import amplifier
 from qiopa.amplifier import (_COUPLINGS, PROPAGATOR_PADDING, AmplifierConfig,
                              amplify, propagate_hamiltonian, vacuum_output)
 from qiopa.errors import NumericalError
-from qiopa.fock import (FockIndex4, FockState4, fidelity, inner_product,
-                        make_gain, number_expectation, pair_tail)
-from qiopa.polarization import Qubit
+from qiopa.fock import (FockState4, fidelity, inner_product, make_gain,
+                        number_expectation, pair_tail, rotate_mode_pair)
+from qiopa.observables import DETECTED_FIELD_UNITARY
+from qiopa.polarization import PolarizationUnitary, Qubit, apply
 
 from conftest import random_qubit
 
@@ -32,7 +33,7 @@ class TestAmplifierConfig:
 class TestAmplify:
     def test_zero_gain_passes_qubit_through(self):
         st = amplify(Qubit(1.0, 0.0), AmplifierConfig.for_gain(0.0))
-        assert st.amplitudes == {FockIndex4(1, 0, 0, 0): 1.0}
+        assert st.amplitudes == {(1, 0, 0, 0): 1.0}
 
     @pytest.mark.parametrize("g", [0.07, 0.5, 1.13])
     def test_norm_within_analytic_tail(self, g, rng):
@@ -57,9 +58,9 @@ class TestAmplify:
                              ids=["amplify", "propagate_hamiltonian"])
     def test_pair_correlation_structure(self, build):
         st = build(Qubit(1.0, 0.0), AmplifierConfig.for_gain(0.8))
-        for idx in st.amplitudes:
-            assert idx.n1v == idx.n2h
-            assert idx.n2v == idx.n1h - 1
+        for n1h, n1v, n2h, n2v in st.amplitudes:
+            assert n1v == n2h
+            assert n2v == n1h - 1
 
     def test_branch_orthogonality_exact(self):
         cfg = AmplifierConfig.for_gain(1.13, 100)
@@ -71,7 +72,7 @@ class TestAmplify:
 class TestVacuumOutput:
     def test_zero_gain_is_vacuum(self):
         st = vacuum_output(AmplifierConfig.for_gain(0.0))
-        assert st.amplitudes == {FockIndex4(0, 0, 0, 0): 1.0}
+        assert st.amplitudes == {(0, 0, 0, 0): 1.0}
 
     @pytest.mark.parametrize("g", [0.07, 0.5, 1.13])
     def test_mode2_noise_floor_is_nbar(self, g):
@@ -86,11 +87,39 @@ class TestVacuumOutput:
     def test_perfect_pair_correlation(self):
         cfg = AmplifierConfig.for_gain(0.7)
         st = vacuum_output(cfg)
-        for idx in st.amplitudes:
-            assert idx.n1h == idx.n2v
-            assert idx.n1v == idx.n2h
+        for n1h, n1v, n2h, n2v in st.amplitudes:
+            assert n1h == n2v
+            assert n1v == n2h
         assert number_expectation(st, "1h") == pytest.approx(
             number_expectation(st, "2v"), abs=1e-14)
+
+
+def _analyzed(state):
+    """The state with both mode pairs rotated by the 45-degree analyzer."""
+    for pair in ("mode2", "mode1"):
+        state = rotate_mode_pair(state, pair, DETECTED_FIELD_UNITARY)
+    return state
+
+
+def _assert_same_law(a, b):
+    """Same occupation rows, and probabilities equal within 1e-15."""
+    order_a, order_b = np.lexsort(a.occ.T), np.lexsort(b.occ.T)
+    assert np.array_equal(a.occ[order_a], b.occ[order_b])
+    assert np.abs(np.abs(a.amp[order_a]) ** 2 - np.abs(b.amp[order_b]) ** 2).max() < 1e-15
+
+
+class TestSU2Covariance:
+    @pytest.mark.parametrize("cfg", [AmplifierConfig.for_gain(0.07),
+                                     AmplifierConfig.for_gain(1.13, 100)],
+                             ids=["LG", "HG"])
+    def test_analyzer_commutes_with_the_amplifier(self, cfg):
+        # the analyzer has det 1: rotating both pairs of amplify(q) gives
+        # amplify(U q), and leaves the squeezed vacuum as it is
+        u = PolarizationUnitary(DETECTED_FIELD_UNITARY)
+        for q in (Qubit(2 ** -0.5, 2 ** -0.5), Qubit(0.6, 0.8, 0.7),
+                  Qubit(0.28, 0.96, -2.4)):
+            _assert_same_law(amplify(apply(u, q), cfg), _analyzed(amplify(q, cfg)))
+        _assert_same_law(vacuum_output(cfg), _analyzed(vacuum_output(cfg)))
 
 
 def _propagate_by_search(q, cfg):
@@ -199,7 +228,7 @@ class TestPropagateHamiltonian:
     def test_zero_gain_returns_input(self):
         cfg = AmplifierConfig.for_gain(0.0)
         st = propagate_hamiltonian(Qubit(1.0, 0.0), cfg)
-        assert st.amplitudes == {FockIndex4(1, 0, 0, 0): 1.0}
+        assert st.amplitudes == {(1, 0, 0, 0): 1.0}
 
     @pytest.mark.parametrize("g", [0.07, 0.3])
     def test_matches_closed_form_at_low_gain(self, g, rng):

@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 
 import pytest
 
-from qiopa.cli import _load_preset, main, selftest
+from qiopa import amplifier
+from qiopa.cli import _load_preset, main
 
 
 def _read(path):
@@ -107,14 +109,11 @@ class TestEntropy:
         doc = json.loads(capsys.readouterr().out)
         assert doc["entropy_mode1_bits"] == 0.0
         assert doc["entropy_mode2_bits"] == 0.0
-        assert doc["branch_hs_distance"] == pytest.approx(2.0, abs=1e-12)
 
     def test_high_gain_report(self, capsys):
         assert main(["entropy", "--preset", "HG"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["entropy_difference"] <= 1e-9
-        assert doc["branch_hs_distance"] == pytest.approx(2.0, abs=1e-8)
-        assert doc["branch_overlap"] == 0.0
 
     def test_report_at_g_2_5(self, capsys):
         # cutoff 988: the closed-form entropies read the cloner spectrum,
@@ -122,6 +121,28 @@ class TestEntropy:
         assert main(["entropy", "--g", "2.5"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["entropy_difference"] <= 1e-9
+
+    def test_builds_no_four_mode_state(self, monkeypatch, capsys):
+        # the report reads only the closed-form densities: every module
+        # attribute bound to a four-mode state builder raises
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("entropy built a four-mode state")
+
+        builders = (amplifier.amplify, amplifier.vacuum_output,
+                    amplifier.propagate_hamiltonian)
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "qiopa" or name.startswith("qiopa.")):
+                for attr, value in list(vars(module).items()):
+                    if any(value is fn for fn in builders):
+                        monkeypatch.setattr(module, attr, refuse)
+        assert main(["entropy", "--g", "2.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["entropy_difference"] <= 1e-9
+
+    def test_report_keys(self, capsys):
+        assert main(["entropy", "--preset", "LG"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "g", "qubit", "entropy_mode1_bits", "entropy_mode2_bits",
+            "entropy_difference"]
 
 
 class TestMonteCarlo:
@@ -147,6 +168,13 @@ class TestMonteCarlo:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize("argv", [[], ["--selftest"]], ids=["none", "--selftest"])
+    def test_no_command_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_invalid_config_exits_2_without_partial_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         assert main(["fringe", "--g", "-1", "--out", str(out)]) == 2
@@ -196,17 +224,3 @@ class TestErrorHandling:
         target = tmp_path / "missing-dir" / "x.csv"
         assert main(["pairs", "--g", "0.1", "--out", str(target)]) == 4
         assert "i/o error:" in capsys.readouterr().err
-
-
-class TestSelftest:
-    def test_selftest_passes(self, capsys):
-        assert main(["--selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert "PASS" in out
-
-    def test_selftest_flag_wins_over_a_subcommand(self, capsys):
-        assert main(["--selftest", "pairs", "--preset", "LG"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "n,p_n,cumulative" not in out

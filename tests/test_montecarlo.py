@@ -45,37 +45,7 @@ class TestDetectorConfig:
 
 
 FOUR_FOLD = frozenset({"D_T", "D2", "D1", "D1*"})
-
-
-class TestSamplePulse:
-    def test_reports_all_detectors(self):
-        # every sampled detector, and only those: two-fold masks sample mode 2
-        # alone.  qe = 1: a detector clicks exactly when its occupation is nonzero
-        rng = np.random.default_rng(7)
-        for mask, detectors in (({"D_T", "D2"}, {"D_T", "D2", "D2*"}),
-                                ({"D_T", "D2", "D2*"}, {"D_T", "D2", "D2*"}),
-                                ({"D_T", "D1", "D2"}, set(DETECTORS)),
-                                (FOUR_FOLD, set(DETECTORS))):
-            det = DetectorConfig(qe=1.0, pulses=1, seed=7, coincidence_mask=mask)
-            sampler = PulseSampler(BALANCED, _hg(), det)
-            for _ in range(20):
-                rec = sampler.sample_pulse(rng)
-                assert set(rec.clicks) == detectors
-                assert set(rec.occupations) == detectors - {"D_T"}
-                assert all(rec.clicks[d] == (n > 0) for d, n in rec.occupations.items())
-                assert rec.coincidence == all(rec.clicks[d] for d in mask)
-
-    def test_zero_efficiency_never_clicks(self):
-        rng = np.random.default_rng(3)
-        sampler = PulseSampler(BALANCED, LG, DetectorConfig(qe=0.0))
-        for _ in range(50):
-            rec = sampler.sample_pulse(rng)
-            assert not any(rec.clicks.values())
-
-    def test_dark_counts_fire_on_empty_input(self):
-        det = DetectorConfig(qe=0.0, dark_rate=1.0)
-        rec = PulseSampler(BALANCED, LG, det).sample_pulse(np.random.default_rng(0))
-        assert all(rec.clicks.values())
+LOSSY = {"qe": 0.6, "attenuation": 0.7, "dark_rate": 0.03, "p_inject": 0.6}
 
 
 def _reference_laws(q, cfg, four_mode):
@@ -205,30 +175,25 @@ class TestPulseSampler:
         for k in range(len(DETECTORS) + 1):
             for mask in itertools.combinations(DETECTORS, k):
                 sampler = PulseSampler(BALANCED, cfg, DetectorConfig(coincidence_mask=mask))
-                four_mode = bool({"D1", "D1*"} & set(mask))
-                for occ, cum in sampler.tables.values():
-                    rows = len(occ) if four_mode else (cfg.cutoff + 1) * (cfg.cutoff + 2) // 2
-                    assert occ.shape == (rows, 4 if four_mode else 2)
-                    assert cum.shape == (rows,)
+                assert sampler.law.shape == ((cfg.cutoff + 2) ** 2 + 1,)
 
-    @pytest.mark.parametrize("cfg", [LG, _hg()], ids=["LG", "HG"])
-    def test_four_mode_tables_equal_the_rotated_states(self, cfg):
-        for q in (BALANCED, Qubit(0.6, 0.8, 0.7), Qubit(0.28, 0.96, -2.4)):
-            sampler = PulseSampler(q, cfg, DetectorConfig(coincidence_mask=FOUR_FOLD))
-            for (occ, cum), (ref_occ, ref_p) in zip(sampler.tables.values(),
-                                                    _reference_laws(q, cfg, True)):
-                order, ref_order = np.lexsort(occ.T), np.lexsort(ref_occ.T)
-                assert np.array_equal(occ[order], ref_occ[ref_order])
-                p = np.diff(cum, prepend=0.0)
-                assert np.abs(p[order] - ref_p[ref_order]).max() < 1e-15
-
-    @pytest.mark.parametrize("mask", [
-        {"D_T", "D2"}, {"D_T", "D2", "D2*"}, {"D_T", "D1", "D2"}, FOUR_FOLD, {"D2"}],
-        ids=lambda m: ",".join(sorted(m)))
-    def test_outcome_law_equals_brute_force(self, mask):
+    @pytest.mark.parametrize("mask,detectors", [
+        *(pytest.param(m, LOSSY, id=",".join(sorted(m))) for m in (
+            {"D_T", "D2"}, {"D_T", "D2", "D2*"}, {"D_T", "D1", "D2"}, FOUR_FOLD, {"D2"})),
+        pytest.param({"D2"}, {**LOSSY, "qe": 0.0, "dark_rate": 0.0}, id="D2-blind"),
+        pytest.param({"D_T", "D2"}, {**LOSSY, "qe": 0.0, "dark_rate": 0.0},
+                     id="D2,D_T-blind"),
+        pytest.param({"D_T", "D2"}, {**LOSSY, "qe": 0.0, "dark_rate": 1.0},
+                     id="D2,D_T-dark"),
+        pytest.param(FOUR_FOLD, {**LOSSY, "qe": 0.0, "dark_rate": 1.0},
+                     id="D1,D1*,D2,D_T-dark"),
+        pytest.param({"D_T", "D2"}, {**LOSSY, "qe": 1.0, "dark_rate": 0.0},
+                     id="D2,D_T-ideal"),
+        pytest.param(FOUR_FOLD, {**LOSSY, "qe": 1.0, "dark_rate": 0.0},
+                     id="D1,D1*,D2,D_T-ideal")])
+    def test_outcome_law_equals_brute_force(self, mask, detectors):
         q = Qubit(0.6, 0.8, 0.7)
-        det = DetectorConfig(qe=0.6, attenuation=0.7, dark_rate=0.03, p_inject=0.6,
-                             coincidence_mask=mask)
+        det = DetectorConfig(coincidence_mask=mask, **detectors)
         law = PulseSampler(q, LG, det).law
         side = LG.cutoff + 2
         assert law.shape == (side * side + 1,)
@@ -237,6 +202,13 @@ class TestPulseSampler:
             want[-1 if cell == "sink" else cell[0] * side + cell[1]] += p
         assert np.abs(law - want).max() < 1e-14
         assert abs(law.sum() - 1.0) < 1e-12
+        cells = law[:-1].reshape(side, side)    # [oH, oV] of gated pulses
+        if det.qe == 0.0 and det.dark_rate == 0.0:      # nothing can click
+            assert not cells[1:].any() and not cells[:, 1:].any()
+        if det.qe == 0.0 and det.dark_rate == 1.0:      # every detector fires dark
+            assert np.flatnonzero(cells).tolist() == [side + 1]
+        if det.qe == 1.0 and det.dark_rate == 0.0:      # a click is a survivor
+            assert not cells[1].any() and not cells[:, 1].any()
 
 
 def _expected_rates(q, cfg, det):
