@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -30,10 +31,17 @@ PROPAGATOR_PADDING = 8
 class AmplifierConfig:
     gain: GainParams
     cutoff: int
+    # every layer costs O(cutoff^2) memory or more; 1000 holds g = 2.5 (988)
+    MAX_CUTOFF: ClassVar[int] = 1000
 
     def __post_init__(self):
         if self.cutoff < 0:
             raise ValueError("cutoff must be non-negative")
+        if self.cutoff > self.MAX_CUTOFF:
+            raise ValueError(
+                f"cutoff {self.cutoff} (gain {self.gain.g:g}) exceeds MAX_CUTOFF "
+                f"{self.MAX_CUTOFF}; the largest gain whose default cutoff fits "
+                f"is g = {_largest_gain():.4f}")
         tail = pair_tail(self.gain, self.cutoff + 1)
         if tail >= TAIL_RULE:
             raise ValueError(
@@ -53,7 +61,18 @@ class AmplifierConfig:
     @classmethod
     def for_gain(cls, g: float, cutoff: int | None = None) -> "AmplifierConfig":
         gain = make_gain(g)
-        return cls(gain, default_cutoff(gain) if cutoff is None else cutoff)
+        return cls(gain, default_cutoff(gain, cls.MAX_CUTOFF) if cutoff is None else cutoff)
+
+
+def _largest_gain() -> float:
+    """Largest gain whose tail rule MAX_CUTOFF meets, by bisection: the pair
+    tail rises with g, and tanh g rounds to 1 by g = 20."""
+    lo, hi = 0.0, 20.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        tail = pair_tail(make_gain(mid), AmplifierConfig.MAX_CUTOFF + 1)
+        lo, hi = (mid, hi) if tail < TAIL_RULE else (lo, mid)
+    return lo
 
 
 def _pair_weights(cfg: AmplifierConfig, pref: float):

@@ -242,6 +242,12 @@ def cmd_entropy(res: _Resolved) -> None:
     _emit(json.dumps(report, indent=2) + "\n", res.out)
 
 
+def _json_number(x: float) -> float | None:
+    """x, or None (JSON null) for a NaN, which strict JSON cannot hold: the
+    visibility has no stderr when no photon survives."""
+    return None if math.isnan(x) else x
+
+
 def cmd_montecarlo(res: _Resolved) -> None:
     target = res.path or res.default_path()
     sweep = run(target, res.cfg, res.detectors, threads=res.threads)
@@ -265,10 +271,10 @@ def cmd_montecarlo(res: _Resolved) -> None:
             "coincidences": sum(pt.coincidences for pt in sweep.points),
         },
         "visibility": {
-            "estimate": sweep.visibility,
-            "stderr": sweep.visibility_stderr,
-            "ci95": [sweep.visibility - 1.96 * sweep.visibility_stderr,
-                     sweep.visibility + 1.96 * sweep.visibility_stderr],
+            "estimate": _json_number(sweep.visibility),
+            "stderr": _json_number(sweep.visibility_stderr),
+            "ci95": [_json_number(sweep.visibility - 1.96 * sweep.visibility_stderr),
+                     _json_number(sweep.visibility + 1.96 * sweep.visibility_stderr)],
         },
         "null_pvalue": sweep.null_pvalue,
     }

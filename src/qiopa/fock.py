@@ -59,6 +59,8 @@ def pair_tail(gain: GainParams, start: int) -> float:
     x = gain.Gamma ** 2
     if x == 0.0:
         return 0.0
+    if x == 1.0:    # tanh g rounds to 1: no finite cutoff holds any weight
+        return 1.0
     m = start
     one = 1.0 - x
     # geometric sums of n^0, n^1, n^2 weights starting at n = m
@@ -68,10 +70,11 @@ def pair_tail(gain: GainParams, start: int) -> float:
     return gain.gamma ** 2 * (s2 + 3 * s1 + 2 * s0) / 2
 
 
-def default_cutoff(gain: GainParams, tol: float = TAIL_RULE) -> int:
-    """Smallest pair-number cutoff satisfying the tail rule (floor of 12)."""
+def default_cutoff(gain: GainParams, limit: int, tol: float = TAIL_RULE) -> int:
+    """Smallest pair-number cutoff satisfying the tail rule (floor of 12), or
+    limit + 1 when no cutoff up to limit does."""
     n = 0
-    while pair_tail(gain, n + 1) >= tol:
+    while n <= limit and pair_tail(gain, n + 1) >= tol:
         n += 1
     return max(n, 12)
 

@@ -4,9 +4,9 @@ Each pulse either carries the heralded qubit into the amplifier (with
 probability p_inject) or produces squeezed vacuum.  Its photon numbers
 behind the 45-degree analyzer are thinned binomially by the attenuation and
 detector efficiency, and threshold detectors click on at least one survivor
-(or a dark count).  Masks that read neither D1 nor D1* see only mode 2, so
-they read the closed-form detected law of (n2H, n2V); masks with D1
-or D1* read the four-mode amplified state of the analyzed qubit.
+(or a dark count).  Every mask reads the closed-form detected law of both
+modes behind the analyzer: mode 2's numbers, and per clone branch mode 1's
+numbers, which the D1 and D1* gates see.
 
 Every statistic of a run sums, over independent pulses, a function of one
 per-pulse outcome: whether the gate passed and what D2 and D2* saw.  So a
@@ -24,17 +24,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import chdtrc
 
-from .amplifier import AmplifierConfig, amplify, vacuum_output
+from .amplifier import AmplifierConfig
 from .errors import NumericalError
-from .observables import DETECTED_FIELD_UNITARY, detected_law
-from .polarization import BlochPath, PolarizationUnitary, Qubit, apply
+from .observables import detected_law, visibility
+from .polarization import BlochPath, Qubit
 
 DETECTORS = ("D_T", "D2", "D2*", "D1", "D1*")
-# occupation column watched by each non-trigger detector: in the analyzed
-# four-mode rows (1H, 1V, 2H, 2V), and in the detected law's rows (2H, 2V)
-_FOUR_MODE_COLUMNS = {"D1": 0, "D1*": 1, "D2": 2, "D2*": 3}
-_MODE2_COLUMNS = {"D2": 0, "D2*": 1}
 CHUNK_PULSES = 200_000
+FULL_PERIOD_TOL = 1e-3   # relative slack of a sweep's period against 2 pi
 
 
 @dataclass(frozen=True)
@@ -89,54 +86,44 @@ class SweepStats:
 class PulseSampler:
     """The exact per-pulse outcome law of one (qubit, amplifier, detector) setup.
 
-    For the injected and the vacuum pulse, a mask without D1 and D1* reads
-    the closed-form detected law of (n2H, n2V); a mask with either reads the
-    four-mode amplified state of the analyzed qubit and the squeezed vacuum.
+    For the injected and the vacuum pulse, every mask reads the closed-form
+    detected law: D2 and D2* see mode 2's numbers, and the D1 and D1* gates
+    see each clone branch's mode-1 numbers.
 
     law is the probability of each outcome a pulse contributes to a run: the
     cell (oH, oV) of a gated pulse, flattened, then one sink cell for every
     pulse the gate rejects.  oH and oV are the outcomes of D2 and D2*, each
     one of `outcomes`: 0 no click, 1 a dark click with no survivor, 1 + s
-    for s >= 1 survivors.  Each row weighs in with its gate probability, the
-    rows are summed onto (n2H, n2V), and both axes are thinned by the matrix
-    of outcome given photon number.
+    for s >= 1 survivors.  Each branch weighs in with its gate probability,
+    the branches are summed onto (n2H, n2V), and both axes are thinned by
+    the matrix of outcome given photon number.
     """
 
     def __init__(self, q: Qubit, cfg: AmplifierConfig, det: DetectorConfig):
         self.det = det
         mask = det.coincidence_mask
-        if {"D1", "D1*"} & mask:
-            # the analyzer has det 1, so by the amplifier's SU(2) covariance
-            # rotating both mode pairs of amplify(q) gives amplify(U q), and
-            # the squeezed vacuum is invariant
-            columns = _FOUR_MODE_COLUMNS
-            analyzed = apply(PolarizationUnitary(DETECTED_FIELD_UNITARY), q)
-            laws = ((label, state.occ, np.abs(state.amp) ** 2) for label, state in (
-                ("injected", amplify(analyzed, cfg)), ("vacuum", vacuum_output(cfg))))
-        else:
-            columns = _MODE2_COLUMNS
-            laws = (("injected", *detected_law(q, cfg)),
-                    ("vacuum", *detected_law(None, cfg)))
         eta, dark = det.qe * det.attenuation, det.dark_rate
-        top = cfg.cutoff + 1        # photon numbers 0..cutoff on each mode-2 column
+        top = cfg.cutoff + 1        # photon numbers 0..cutoff on each mode-2 axis
         gated = np.zeros(top * top)
-        for (label, occ, p), share in zip(laws, (det.p_inject, 1.0 - det.p_inject)):
-            total = p.sum()
+        for label, source, share in (("injected", q, det.p_inject),
+                                     ("vacuum", None, 1.0 - det.p_inject)):
+            (h, v), branches = detected_law(source, cfg)
+            total = sum(p.sum() for _mode1, p in branches)
             if not cfg.holds_norm(total):
                 raise NumericalError(
                     f"{label} sampling table holds weight {total!r}, outside "
                     f"1 - epsilon_trunc ({cfg.epsilon_trunc:.3g}) .. 1")
-            p = p / total
-            weight = share * p
-            if "D_T" in mask:   # ideal herald photon at D_T
-                weight = weight * (1.0 - (1.0 - det.qe) * (1.0 - dark))
-            # sorted: a fixed product order keeps seeded runs byte-identical
-            # across processes, whose set order differs
-            for d in sorted(mask & {"D1", "D1*"}):
-                weight = weight * (1.0 - (1.0 - eta) ** occ[:, columns[d]]
-                                   * (1.0 - dark))
-            cell = occ[:, columns["D2"]] * top + occ[:, columns["D2*"]]
-            gated += np.bincount(cell, weight, minlength=top * top)
+            cell = h * top + v
+            for mode1, p in branches:
+                weight = share * (p / total)
+                if "D_T" in mask:   # ideal herald photon at D_T
+                    weight = weight * (1.0 - (1.0 - det.qe) * (1.0 - dark))
+                # D1 before D1*, as sorted: a fixed product order keeps seeded
+                # runs byte-identical across processes, whose set order differs
+                for d, n1 in zip(("D1", "D1*"), mode1):
+                    if d in mask:
+                        weight = weight * (1.0 - (1.0 - eta) ** n1 * (1.0 - dark))
+                gated += np.bincount(cell, weight, minlength=top * top)
         self.outcomes = top + 1
         thin = _thinning(cfg.cutoff, eta, dark)
         joint = thin @ gated.reshape(top, top) @ thin.T
@@ -209,8 +196,8 @@ def _run_point(sampler: PulseSampler, seed_seq: np.random.SeedSequence,
 def _estimate_visibility(angles, points):
     """Fourier-projected fringe amplitude over the total channel mean.
 
-    Assumes a uniform angle grid covering one full period; unbiased for a
-    cosine fringe of arbitrary phase.
+    Needs a uniform angle grid covering one full period, which run checks;
+    unbiased for a cosine fringe of arbitrary phase.
     """
     k = len(points)
     d = np.array([p.mean_photons_h - p.mean_photons_v for p in points])
@@ -249,6 +236,14 @@ def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
     if isinstance(target, Qubit):
         return _run_point(PulseSampler(target, cfg, det), root, threads)
     if isinstance(target, BlochPath):
+        # _estimate_visibility needs equal steps over one period: count times
+        # each step must be 2 pi to within FULL_PERIOD_TOL of 2 pi
+        steps = np.diff(target.angles)
+        periods = len(target.angles) * steps / (2 * math.pi)
+        if np.abs(periods - 1.0).max() > FULL_PERIOD_TOL:
+            raise ValueError(
+                f"the visibility estimator needs {len(target.angles)} equal steps "
+                f"covering 2 pi, got steps {steps.min():.6g} .. {steps.max():.6g}")
         qubits = target.qubits()
         seeds = root.spawn(len(qubits))
         points = tuple(
@@ -275,40 +270,29 @@ class CalibrationResult:
 
 
 def calibrate_visibility_loss(target_v: float, q: Qubit, cfg: AmplifierConfig,
-                              det: DetectorConfig, tol: float = 0.01,
-                              sweep_points: int = 12,
-                              max_iter: int = 20) -> CalibrationResult:
-    """Bisection over p_inject until the simulated visibility matches target_v."""
-    if not (0.0 < target_v < 1.0):
-        raise ValueError("target visibility must lie in (0, 1)")
-    path = _phase_sweep(q, sweep_points)
+                              det: DetectorConfig,
+                              sweep_points: int = 12) -> CalibrationResult:
+    """The p_inject whose fringe visibility is target_v, from the closed form.
 
-    def simulate(p: float) -> SweepStats:
-        return run(path, cfg, replace(det, p_inject=p))
-
-    ideal = simulate(1.0)
-    if target_v > ideal.visibility + 3 * ideal.visibility_stderr:
-        raise ValueError(
-            f"target visibility {target_v} exceeds the attainable "
-            f"{ideal.visibility:.4f} (+/- {ideal.visibility_stderr:.4f})")
-
-    lo, hi = 0.0, 1.0
-    v_lo, v_hi = 0.0, ideal.visibility
-    stats = ideal
-    p = 1.0
-    for _ in range(max_iter):
-        p = 0.5 * (lo + hi)
-        stats = simulate(p)
-        if abs(stats.visibility - target_v) <= tol:
-            break
-        if stats.visibility < target_v:
-            lo, v_lo = p, stats.visibility
-        else:
-            hi, v_hi = p, stats.visibility
-        if hi - lo < 1e-4:
-            break
-    slope = (v_hi - v_lo) / (hi - lo) if hi > lo else float("inf")
-    dp = stats.visibility_stderr / slope if slope > 0 else 0.0
+    Without D1 and D1* the gate reads only the herald, which does not see the
+    amplified state, so the gated survivor means are linear in p_inject and
+    the fringe is V(p) = 3 V1 p / (2 + p), with V1 = visibility(q).  So
+    p = 2 V / (3 V1 - V).  One Monte Carlo sweep at p gives the simulated
+    visibility and its stderr, and dV/dp = 6 V1 / (2 + p)^2 turns the stderr
+    into the interval on p.
+    """
+    if {"D1", "D1*"} & det.coincidence_mask:
+        raise ValueError("a mask with D1 or D1* gates on the amplified state, so "
+                         "its fringe has no closed form in p_inject")
+    if det.qe * det.attenuation == 0.0:
+        raise ValueError("qe * attenuation is 0: no photon survives, so there is no fringe")
+    v1 = visibility(q)
+    if not 0.0 < target_v <= v1:
+        raise ValueError(f"target visibility {target_v} must lie in (0, {v1:.6g}], "
+                         f"the visibility at p_inject = 1")
+    p = min(2.0 * target_v / (3.0 * v1 - target_v), 1.0)   # can round above 1 at V1
+    stats = run(_phase_sweep(q, sweep_points), cfg, replace(det, p_inject=p))
+    dp = stats.visibility_stderr * (2.0 + p) ** 2 / (6.0 * v1)
     return CalibrationResult(
         p_inject=p, visibility=stats.visibility,
         visibility_stderr=stats.visibility_stderr,

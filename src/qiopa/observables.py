@@ -52,25 +52,31 @@ def g1_oracle(q: Qubit, cfg: AmplifierConfig) -> G1Pair:
 
 
 def detected_law(q: Qubit | None, cfg: AmplifierConfig):
-    """Closed-form joint law of the photon numbers (n2H, n2V) detected behind
-    the analyzer on the anticloning mode, for an injected qubit q or, with q
-    None, for the squeezed vacuum.
+    """Closed-form joint law of the photon numbers detected behind the analyzer
+    on both output modes, for an injected qubit q or, with q None, for the
+    squeezed vacuum.
 
-    Sector n of rho2 is w_n (1 + N_q_perp), w_n = gamma^2 Gamma^(2n): the
-    universal-NOT output.  The analyzer maps it to the law
-    w_n (1 + a h + (1 - a)(n - h)) of h photons in H and n - h in V, with
-    a = 1/2 + alpha beta cos phi.  The vacuum law C^-4 Gamma^(2n) is flat
-    in h.  Returns the (h, n - h) rows, n = 0..cutoff then h ascending, as
-    an int64 array and their probabilities.
+    The analyzer rotates both mode pairs, so by the amplifier's SU(2)
+    covariance the output is amplify(U q), whose pair term (i, j) puts
+    h = j photons in 2H and n - h = i in 2V, and mode 1 one clone photon
+    ahead: (n - h + 1, h) with weight (1 - a) w_n (n - h + 1), or
+    (n - h, h + 1) with weight a w_n (h + 1), where w_n = gamma^2 Gamma^(2n)
+    and a = 1/2 + alpha beta cos phi.  The mode-2 marginal is the analyzed
+    universal-NOT law w_n (1 + a h + (1 - a)(n - h)).  The squeezed vacuum
+    is invariant: mode 1 holds (n - h, h) with weight C^-4 Gamma^(2n).
+
+    Returns the mode-2 numbers (h, n - h) as two int64 arrays, n = 0..cutoff
+    then h ascending, and one (mode-1 numbers (n1H, n1V), probabilities) pair
+    per clone branch on those cells.
     """
     n, h = _flat_index(cfg.cutoff + 1)
     w = _pair_weights(cfg)[n]
     if q is None:
-        p = w * cfg.gain.C ** 2
-    else:
-        a = 0.5 + q.alpha * q.beta * math.cos(q.phi)
-        p = w * (1.0 + a * h + (1.0 - a) * (n - h))
-    return np.column_stack([h, n - h]), p
+        return (h, n - h), (((n - h, h), w * cfg.gain.C ** 2),)
+    # a is a probability; rounding can put it one ulp outside [0, 1]
+    a = min(max(0.5 + q.alpha * q.beta * math.cos(q.phi), 0.0), 1.0)
+    return (h, n - h), (((n - h + 1, h), (1.0 - a) * w * (n - h + 1)),
+                        ((n - h, h + 1), a * w * (h + 1)))
 
 
 def visibility(q: Qubit) -> float:

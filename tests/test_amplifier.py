@@ -29,6 +29,21 @@ class TestAmplifierConfig:
             cfg = AmplifierConfig.for_gain(g)
             assert cfg.epsilon_trunc < 1e-9
 
+    def test_cutoff_above_the_limit_rejected(self):
+        # the message names the largest gain whose default cutoff fits
+        assert AmplifierConfig.for_gain(2.5).cutoff == 988
+        for make in (lambda: AmplifierConfig(make_gain(1.13), AmplifierConfig.MAX_CUTOFF + 1),
+                     lambda: AmplifierConfig.for_gain(2.51),
+                     lambda: AmplifierConfig.for_gain(20.0)):
+            with pytest.raises(ValueError, match=r"g = 2\.5062"):
+                make()
+
+    def test_largest_gain_is_the_edge_of_the_limit(self):
+        g = amplifier._largest_gain()
+        assert AmplifierConfig.for_gain(g).cutoff <= AmplifierConfig.MAX_CUTOFF
+        with pytest.raises(ValueError, match="MAX_CUTOFF"):
+            AmplifierConfig.for_gain(g + 1e-9)
+
 
 class TestAmplify:
     def test_zero_gain_passes_qubit_through(self):

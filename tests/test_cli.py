@@ -103,6 +103,18 @@ class TestPairs:
             float(meta["three_nbar"]), abs=1e-9)
 
 
+class TestGainLimit:
+    @pytest.mark.parametrize("argv, code", [
+        (["--g", "8"], 2), (["--g", "20"], 2), (["--cutoff", "1001"], 2),
+        (["--g", "2.5"], 0)], ids=["g-8", "g-20", "cutoff-1001", "g-2.5"])
+    def test_pairs_beyond_the_cutoff_limit_exits_2(self, argv, code, capsys):
+        # g = 20 divided by 1 - tanh(20)^2 = 0, and g = 8 searched for a
+        # cutoff near the millions; g = 2.5 (cutoff 988) is the top that runs
+        assert main(["pairs", *argv]) == code
+        err = capsys.readouterr().err
+        assert ("g = 2.5062" in err) == bool(code)
+
+
 class TestEntropy:
     def test_zero_gain_report(self, capsys):
         assert main(["entropy", "--g", "0", "--alpha", "1", "--beta", "0"]) == 0
@@ -155,6 +167,28 @@ class TestMonteCarlo:
         summary = json.loads(_read(tmp_path / "mc.csv.json"))
         assert summary["totals"]["pulses"] == 8000
         assert "estimate" in summary["visibility"]
+
+    def test_summary_is_strict_json(self, tmp_path):
+        # with qe = 0 nothing survives: the undefined stderr is null, not NaN
+        out = tmp_path / "mc.csv"
+        assert main(["montecarlo", "--preset", "LG", "--qe", "0", "--pulses", "1000",
+                     "--path", "z:0:3.14159:2", "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        summary = json.loads(_read(tmp_path / "mc.csv.json"), parse_constant=refuse)
+        assert summary["visibility"] == {"estimate": 0.0, "stderr": None,
+                                         "ci95": [None, None]}
+
+    @pytest.mark.parametrize("path, code", [
+        ("z:0:1.5:3", 2), ("z:0:0.785:8", 0), ("z:0:1.57:4", 0),
+        (f"z:0:{math.pi}:2", 0)])
+    def test_sweep_must_cover_one_period(self, path, code, capsys):
+        # the visibility estimator needs equal steps over one full period
+        assert main(["montecarlo", "--preset", "HG", "--path", path,
+                     "--pulses", "1000", "--seed", "11"]) == code
+        assert ("2 pi" in capsys.readouterr().err) == bool(code)
 
     def test_equal_seeds_byte_identical(self, tmp_path):
         args = ["montecarlo", "--g", "0.5", "--path", "z:0:1.57:4",

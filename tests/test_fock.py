@@ -62,6 +62,10 @@ class TestPairStatistics:
     def test_tail_zero_threshold_is_one(self):
         assert pair_tail(make_gain(0.9), 0) == 1.0
 
+    def test_tail_is_one_where_gamma_rounds_to_one(self):
+        # tanh 20 == 1.0: the geometric sums would divide by 1 - Gamma^2 = 0
+        assert pair_tail(make_gain(20.0), 1) == 1.0
+
     def test_probabilities_sum_with_tail(self):
         gp = make_gain(0.6)
         total = sum(float(pair_probability(gp, n)) for n in range(30))
@@ -70,7 +74,11 @@ class TestPairStatistics:
     def test_default_cutoff_respects_tail_rule(self):
         for g in (0.0, 0.07, 0.5, 1.13):
             gp = make_gain(g)
-            assert pair_tail(gp, default_cutoff(gp) + 1) < 1e-9
+            assert pair_tail(gp, default_cutoff(gp, AmplifierConfig.MAX_CUTOFF) + 1) < 1e-9
+
+    def test_default_cutoff_stops_past_the_limit(self):
+        # at g = 8 the tail rule would need a cutoff in the millions
+        assert default_cutoff(make_gain(8.0), 1000) == 1001
 
 
 def _random_state(rng, n_entries=25, cutoff=6):

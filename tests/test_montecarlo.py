@@ -4,19 +4,20 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from qiopa import fock, montecarlo
+from qiopa import amplifier, fock, montecarlo
 from qiopa.amplifier import AmplifierConfig, amplify, vacuum_output
 from qiopa.errors import NumericalError
-from qiopa.fock import FockState4, rotate_mode_pair
+from qiopa.fock import rotate_mode_pair
 from qiopa.montecarlo import (DETECTORS, CalibrationResult, DetectorConfig,
                               PulseSampler, RunStats, SweepStats,
                               calibrate_visibility_loss, run)
-from qiopa.observables import DETECTED_FIELD_UNITARY, detected_law
+from qiopa.observables import DETECTED_FIELD_UNITARY, detected_law, visibility
 from qiopa.polarization import BlochPath, Qubit
 
 BALANCED = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
@@ -48,18 +49,15 @@ FOUR_FOLD = frozenset({"D_T", "D2", "D1", "D1*"})
 LOSSY = {"qe": 0.6, "attenuation": 0.7, "dark_rate": 0.03, "p_inject": 0.6}
 
 
-def _reference_laws(q, cfg, four_mode):
-    """Normalised (rows, probabilities) of the injected and the vacuum
-    output: the closed-form detected law of (n2H, n2V), or the four-mode
-    states with both mode pairs rotated by the analyzer."""
-    if four_mode:
-        laws = []
-        for state in (amplify(q, cfg), vacuum_output(cfg)):
-            for pair in ("mode2", "mode1"):
-                state = rotate_mode_pair(state, pair, DETECTED_FIELD_UNITARY)
-            laws.append((state.occ, np.abs(state.amp) ** 2))
-    else:
-        laws = [detected_law(q, cfg), detected_law(None, cfg)]
+def _reference_laws(q, cfg):
+    """Normalised (rows (n1H, n1V, n2H, n2V), probabilities) of the injected
+    and the vacuum output: the four-mode states with both mode pairs rotated
+    by the analyzer, which no sampler reads."""
+    laws = []
+    for state in (amplify(q, cfg), vacuum_output(cfg)):
+        for pair in ("mode2", "mode1"):
+            state = rotate_mode_pair(state, pair, DETECTED_FIELD_UNITARY)
+        laws.append((state.occ, np.abs(state.amp) ** 2))
     return [(occ, p / p.sum()) for occ, p in laws]
 
 
@@ -82,14 +80,12 @@ def _brute_force_law(q, cfg, det):
     o = 0 (no click), 1 (dark click, no survivor) or 1 + s, and "sink" for
     a pulse the gate rejects.  D_T is a detector fed the herald photon."""
     mask = det.coincidence_mask
-    four_mode = bool({"D1", "D1*"} & mask)
-    columns = ({"D1": 0, "D1*": 1, "D2": 2, "D2*": 3} if four_mode
-               else {"D2": 0, "D2*": 1})
+    columns = {"D1": 0, "D1*": 1, "D2": 2, "D2*": 3}
     eta, dark = det.qe * det.attenuation, det.dark_rate
     code = lambda click, s: 0 if not click else 1 + s
     out = {}
     for share, (occ, p) in zip((det.p_inject, 1.0 - det.p_inject),
-                               _reference_laws(q, cfg, four_mode)):
+                               _reference_laws(q, cfg)):
         for row, p_row in zip(occ.tolist(), p):
             laws = [_detector_law(1, det.qe, dark) if d == "D_T"
                     else _detector_law(row[columns[d]], eta, dark)
@@ -139,22 +135,19 @@ class TestThinning:
         assert out.stdout.strip() == "False"
 
 
+def _lossy_law(q, cfg):
+    mode2, branches = detected_law(q, cfg)
+    return mode2, tuple((mode1, 0.98 * p) for mode1, p in branches)
+
+
 class TestPulseSampler:
     def test_lost_norm_raises_instead_of_renormalising(self, monkeypatch):
-        def lossy(q, cfg):
-            out = amplify(q, cfg)
-            return FockState4.from_arrays(out.occ, 0.99 * out.amp, out.cutoff)
-
-        monkeypatch.setattr(montecarlo, "amplify", lossy)
+        monkeypatch.setattr(montecarlo, "detected_law", _lossy_law)
         with pytest.raises(NumericalError):
             PulseSampler(BALANCED, LG, DetectorConfig(coincidence_mask=FOUR_FOLD))
 
     def test_law_lost_norm_raises_instead_of_renormalising(self, monkeypatch):
-        def lossy(q, cfg):
-            occ, p = detected_law(q, cfg)
-            return occ, 0.98 * p
-
-        monkeypatch.setattr(montecarlo, "detected_law", lossy)
+        monkeypatch.setattr(montecarlo, "detected_law", _lossy_law)
         with pytest.raises(NumericalError):
             PulseSampler(BALANCED, LG, DetectorConfig())
 
@@ -165,17 +158,27 @@ class TestPulseSampler:
         with pytest.raises(NumericalError):
             PulseSampler(BALANCED, LG, DetectorConfig(qe=1.0, coincidence_mask={"D2"}))
 
-    def test_two_fold_tables_need_no_rotation(self, monkeypatch):
-        # no mask rotates a state: masks with D1 or D1* amplify the analyzed qubit
-        def refuse(*_args):
-            raise AssertionError("a sampler rotated a state")
+    def test_no_mask_builds_a_four_mode_state(self, monkeypatch):
+        # every mask reads the closed-form detected law of both modes: every
+        # module attribute bound to a four-mode state builder or the rotation
+        # kernel raises
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a sampler built a four-mode state")
 
-        monkeypatch.setattr(fock, "rotate_mode_pair", refuse)
+        builders = (amplifier.amplify, amplifier.vacuum_output,
+                    amplifier.propagate_hamiltonian, fock.rotate_mode_pair)
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "qiopa" or name.startswith("qiopa.")):
+                for attr, value in list(vars(module).items()):
+                    if any(value is fn for fn in builders):
+                        monkeypatch.setattr(module, attr, refuse)
         cfg = _hg()
         for k in range(len(DETECTORS) + 1):
             for mask in itertools.combinations(DETECTORS, k):
-                sampler = PulseSampler(BALANCED, cfg, DetectorConfig(coincidence_mask=mask))
+                det = DetectorConfig(coincidence_mask=mask, pulses=1_000)
+                sampler = PulseSampler(Qubit(0.6, 0.8, 0.7), cfg, det)
                 assert sampler.law.shape == ((cfg.cutoff + 2) ** 2 + 1,)
+                assert run(BALANCED, cfg, det).pulses == 1_000
 
     @pytest.mark.parametrize("mask,detectors", [
         *(pytest.param(m, LOSSY, id=",".join(sorted(m))) for m in (
@@ -219,8 +222,9 @@ def _expected_rates(q, cfg, det):
     eta, dark = det.qe * det.attenuation, det.dark_rate
     miss = 0.0    # probability that D2 (D2*) receives no surviving photon
     for weight, q_or_none in ((det.p_inject, q), (1.0 - det.p_inject, None)):
-        occ, p = detected_law(q_or_none, cfg)
-        miss = miss + weight * (p / p.sum()) @ (1.0 - eta) ** occ
+        (h, v), branches = detected_law(q_or_none, cfg)
+        p = sum(p for _mode1, p in branches)
+        miss = miss + weight * (p / p.sum()) @ (1.0 - eta) ** np.column_stack([h, v])
     trigger = 1.0 - (1.0 - det.qe) * (1.0 - dark)
     return trigger * (1.0 - (1.0 - dark) * miss)
 
@@ -366,18 +370,27 @@ class TestSweep:
         with pytest.raises(TypeError):
             run(3.14, _hg(), DetectorConfig())
 
+    @pytest.mark.parametrize("angles", [
+        (0.0, 1.5, 3.0), (0.0, 1.0, 3.0, 4.7), (0.0, 0.785, 1.57, 2.355, 3.14, 3.925, 4.71)],
+        ids=["short", "unequal", "one-step-short"])
+    def test_grid_off_one_period_rejected(self, angles):
+        with pytest.raises(ValueError, match="2 pi"):
+            run(BlochPath("z", angles, BALANCED), LG, DetectorConfig(pulses=10))
+
 
 class TestCalibration:
     def test_recovers_analytic_injection_probability(self):
-        # with partial injection the fringe dilutes to V(p) = p / (2 + p)
+        # with partial injection the fringe dilutes to V(p) = p / (2 + p), at
+        # any efficiency and dark rate
         target = 0.2
-        det = DetectorConfig(qe=1.0, pulses=30_000, seed=19,
-                             coincidence_mask=frozenset({"D_T"}))
-        res = calibrate_visibility_loss(target, BALANCED, _hg(), det,
-                                        tol=0.005)
         expected = 2 * target / (1 - target)
-        assert res.p_inject == pytest.approx(expected, abs=0.08)
-        assert res.ci_low <= res.p_inject <= res.ci_high
+        for detectors in ({"qe": 1.0}, {"qe": 0.6, "attenuation": 0.7, "dark_rate": 0.03}):
+            det = DetectorConfig(pulses=30_000, seed=19,
+                                 coincidence_mask=frozenset({"D_T"}), **detectors)
+            res = calibrate_visibility_loss(target, BALANCED, _hg(), det)
+            assert res.p_inject == pytest.approx(expected, abs=1e-12)
+            assert res.ci_low <= res.p_inject <= res.ci_high
+            assert abs(res.visibility - target) < 4 * res.visibility_stderr
 
     def test_unattainable_target_rejected(self):
         det = DetectorConfig(qe=1.0, pulses=5_000, seed=19,
@@ -385,6 +398,51 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_visibility_loss(0.9, BALANCED, _hg(), det)
 
+    def test_attainable_range_ends_at_full_injection(self):
+        q = Qubit(0.6, 0.8, 0.7)
+        det = DetectorConfig(pulses=5_000, seed=19, coincidence_mask=frozenset({"D_T"}))
+        top = visibility(q)
+        assert calibrate_visibility_loss(top, q, LG, det).p_inject == pytest.approx(
+            1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="visibility"):
+            calibrate_visibility_loss(math.nextafter(top, 1.0), q, LG, det)
+
     def test_target_domain_validated(self):
         with pytest.raises(ValueError):
             calibrate_visibility_loss(0.0, BALANCED, LG, DetectorConfig())
+
+    @pytest.mark.parametrize("detectors", [
+        {"coincidence_mask": frozenset({"D_T", "D1"})},
+        {"coincidence_mask": frozenset({"D_T", "D2", "D1*"})},
+        {"qe": 0.0}, {"attenuation": 0.0}], ids=["D1", "D1*", "qe-0", "attenuation-0"])
+    def test_fringe_without_closed_form_rejected(self, detectors):
+        # D1 and D1* gate on the amplified state, so V(p) has no closed form
+        # (and need not be monotone); with no survivor there is no fringe
+        with pytest.raises(ValueError):
+            calibrate_visibility_loss(0.1, BALANCED, LG, DetectorConfig(**detectors))
+
+
+def _exact_point(sampler):
+    """The gated survivor means of a run point, from the exact outcome law."""
+    cells = sampler.law[:-1].reshape(sampler.outcomes, sampler.outcomes)
+    survivors = np.maximum(np.arange(sampler.outcomes) - 1, 0)
+    gated = cells.sum()
+    return SimpleNamespace(mean_photons_h=cells.sum(axis=1) @ survivors / gated,
+                           mean_photons_v=cells.sum(axis=0) @ survivors / gated,
+                           stderr_mean_h=0.0, stderr_mean_v=0.0)
+
+
+@pytest.mark.parametrize("cfg", [LG, _hg()], ids=["LG", "HG"])
+@pytest.mark.parametrize("mask", [{"D_T"}, {"D_T", "D2", "D2*"}, {"D2"}],
+                         ids=["D_T", "D2,D2*,D_T", "D2"])
+def test_closed_form_fringe_equals_exact_law_estimate(cfg, mask):
+    # the fringe calibrate_visibility_loss inverts, against the estimator on
+    # the exact means of every sweep point
+    for q in (BALANCED, Qubit(0.6, 0.8, 0.7)):
+        path = montecarlo._phase_sweep(q, 12)
+        for p in (0.1, 0.5, 1.0):
+            det = DetectorConfig(qe=0.6, attenuation=0.7, dark_rate=0.03, p_inject=p,
+                                 coincidence_mask=mask)
+            points = [_exact_point(PulseSampler(x, cfg, det)) for x in path.qubits()]
+            v, _se = montecarlo._estimate_visibility(np.asarray(path.angles), points)
+            assert v == pytest.approx(3 * visibility(q) * p / (2 + p), abs=1e-12)

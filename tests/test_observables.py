@@ -11,7 +11,7 @@ from qiopa.fock import _pair_rotation, make_gain, number_expectation, rotate_mod
 from qiopa.observables import (DETECTED_FIELD_UNITARY, G1Pair, detected_law,
                                fringe_sweep, g1_closed_form, g1_oracle,
                                signal_to_noise, visibility)
-from qiopa.polarization import BlochPath, Qubit
+from qiopa.polarization import BlochPath, PolarizationUnitary, Qubit, apply
 
 from conftest import random_qubit
 
@@ -97,6 +97,18 @@ def _rotated_marginal(state, size):
     return np.bincount(n * (n + 1) // 2 + h, np.abs(st.amp) ** 2, size)
 
 
+def _mode2_law(q, cfg):
+    """Mode-2 numbers (h, n - h) of the detected law and their probabilities,
+    summed over the clone branches."""
+    mode2, branches = detected_law(q, cfg)
+    return mode2, sum(p for _mode1, p in branches)
+
+
+def _cells(occ, p):
+    """{(n1H, n1V, n2H, n2V): probability} of distinct rows given as four columns."""
+    return dict(zip(map(tuple, np.column_stack(occ).tolist()), p.tolist()))
+
+
 def _analyzed_sector(rho, t):
     """Law of h = 0..t detected H photons (t - h in V) in sector t of a
     mode-2 density: diag(D_t rho_t D_t^H) from the bands of rho_t, with D_t
@@ -111,15 +123,34 @@ class TestDetectedLaw:
     @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100)])
     def test_equals_rotated_state_marginal(self, g, cutoff, rng):
         cfg = AmplifierConfig.for_gain(g, cutoff)
-        occ, p = detected_law(None, cfg)
-        n = occ.sum(axis=1)
-        assert np.array_equal(n * (n + 1) // 2 + occ[:, 0], np.arange(len(p)))
+        (h, v), p = _mode2_law(None, cfg)
+        n = h + v
+        assert np.array_equal(n * (n + 1) // 2 + h, np.arange(len(p)))
         assert np.abs(p - _rotated_marginal(vacuum_output(cfg), len(p))).max() < 1e-13
         for q in (Qubit(1.0, 0.0), Qubit(0.0, 1.0), random_qubit(rng),
                   random_qubit(rng)):
-            occ_q, p = detected_law(q, cfg)
-            assert np.array_equal(occ_q, occ)
+            (h_q, v_q), p = _mode2_law(q, cfg)
+            assert np.array_equal(h_q, h) and np.array_equal(v_q, v)
             assert np.abs(p - _rotated_marginal(amplify(q, cfg), len(p))).max() < 1e-13
+
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100)])
+    def test_branches_equal_the_analyzed_four_mode_states(self, g, cutoff, rng):
+        # by SU(2) covariance, the analyzer on both mode pairs of amplify(q)
+        # gives amplify(U q) (TestSU2Covariance), and leaves the vacuum alone
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        u = PolarizationUnitary(DETECTED_FIELD_UNITARY)
+        for q, state in [(None, vacuum_output(cfg))] + [
+                (q, amplify(apply(u, q), cfg)) for q in (
+                    BALANCED, Qubit(0.6, 0.8, math.pi), random_qubit(rng),
+                    random_qubit(rng))]:
+            (h, v), branches = detected_law(q, cfg)
+            law = {}
+            for (n1h, n1v), p in branches:   # the branches differ on mode 1
+                assert p.min() >= 0.0
+                law.update(_cells((n1h, n1v, h, v), p))
+            want = _cells(state.occ.T, np.abs(state.amp) ** 2)
+            assert max(abs(law.get(k, 0.0) - want.get(k, 0.0))
+                       for k in law.keys() | want.keys()) < 1e-15
 
     def test_equals_analyzed_closed_form_bands_at_high_gain(self, rng):
         # every sector would take seconds of analyzer blocks at cutoff 363;
@@ -127,23 +158,23 @@ class TestDetectedLaw:
         cfg = AmplifierConfig.for_gain(2.0)
         assert cfg.cutoff == 363
         for q in (BALANCED, random_qubit(rng)):
-            occ, p = detected_law(q, cfg)
+            (h, _v), p = _mode2_law(q, cfg)
             rho = rho2_closed_form(q, cfg)
             for t in (0, 1, 2, 120, 240, 362, 363):
                 k = t * (t + 1) // 2
-                assert np.array_equal(occ[k:k + t + 1, 0], np.arange(t + 1))
+                assert np.array_equal(h[k:k + t + 1], np.arange(t + 1))
                 assert np.abs(p[k:k + t + 1] - _analyzed_sector(rho, t)).max() < 1e-13
 
     @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100), (2.0, None)])
     def test_first_moments_equal_closed_form(self, g, cutoff, rng):
         cfg = AmplifierConfig.for_gain(g, cutoff)
         tol = 1e-8 + cfg.epsilon_trunc * (2 * cfg.cutoff + 1)
-        occ, p = detected_law(None, cfg)
-        assert p @ occ == pytest.approx([cfg.gain.nbar] * 2, abs=tol)
+        (h, v), p = _mode2_law(None, cfg)
+        assert [p @ h, p @ v] == pytest.approx([cfg.gain.nbar] * 2, abs=tol)
         for q in (BALANCED, random_qubit(rng), random_qubit(rng)):
-            occ, p = detected_law(q, cfg)
+            (h, v), p = _mode2_law(q, cfg)
             cf = g1_closed_form(q, cfg.gain)
-            assert p @ occ == pytest.approx([cf.g2h, cf.g2v], abs=tol)
+            assert [p @ h, p @ v] == pytest.approx([cf.g2h, cf.g2v], abs=tol)
 
 
 class TestVisibility:
