@@ -10,9 +10,8 @@ from .fock import (FockState4, GainParams, default_cutoff, fidelity, inner_produ
                    rotate_mode_pair)
 from .montecarlo import (CalibrationResult, DetectorConfig, PulseSampler, RunStats,
                          SweepStats, calibrate_visibility_loss, run)
-from .observables import (DETECTED_FIELD_UNITARY, FringeTable, G1Pair,
-                          detected_law, fringe_sweep, g1_closed_form, g1_oracle,
-                          signal_to_noise, visibility)
+from .observables import (DETECTED_FIELD_UNITARY, FringeTable, G1Pair, fringe_sweep,
+                          g1_closed_form, g1_oracle, signal_to_noise, visibility)
 from .polarization import (BlochPath, PolarizationUnitary, Qubit, apply, babinet,
                            su2_rotation, waveplate)
 

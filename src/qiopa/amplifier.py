@@ -44,9 +44,14 @@ class AmplifierConfig:
                 f"is g = {_largest_gain():.4f}")
         tail = pair_tail(self.gain, self.cutoff + 1)
         if tail >= TAIL_RULE:
+            fix = ("increase the cutoff"
+                   if pair_tail(self.gain, self.MAX_CUTOFF + 1) < TAIL_RULE else
+                   f"no cutoff within MAX_CUTOFF {self.MAX_CUTOFF} holds gain "
+                   f"{self.gain.g:g}; the largest gain whose default cutoff fits "
+                   f"is g = {_largest_gain():.4f}")
             raise ValueError(
                 f"cutoff {self.cutoff} leaves truncated pair weight {tail:.3e} "
-                f">= {TAIL_RULE:g}; increase the cutoff")
+                f">= {TAIL_RULE:g}; {fix}")
 
     @property
     def epsilon_trunc(self) -> float:

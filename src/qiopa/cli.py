@@ -192,8 +192,10 @@ def cmd_fringe(res: _Resolved) -> None:
         for row, pt in zip(rows, sweep.points):
             row += [pt.xi_h, pt.xi_v, pt.xi_h - pt.xi_v,
                     math.hypot(pt.stderr_xi_h, pt.stderr_xi_v)]
-        meta["mc_visibility"] = _fmt(sweep.visibility)
-        meta["mc_visibility_stderr"] = _fmt(sweep.visibility_stderr)
+        for key, x in (("mc_visibility", sweep.visibility),
+                       ("mc_visibility_stderr", sweep.visibility_stderr)):
+            # strict JSON has no NaN (see _json_number); CSV writes nan
+            meta[key] = None if res.fmt == "json" and math.isnan(x) else _fmt(x)
     if res.fmt == "json":
         _emit(json.dumps({"meta": meta, "columns": header, "rows": rows},
                          indent=2) + "\n", res.out)

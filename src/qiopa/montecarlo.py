@@ -4,9 +4,10 @@ Each pulse either carries the heralded qubit into the amplifier (with
 probability p_inject) or produces squeezed vacuum.  Its photon numbers
 behind the 45-degree analyzer are thinned binomially by the attenuation and
 detector efficiency, and threshold detectors click on at least one survivor
-(or a dark count).  Every mask reads the closed-form detected law of both
-modes behind the analyzer: mode 2's numbers, and per clone branch mode 1's
-numbers, which the D1 and D1* gates see.
+(or a dark count).  Behind the analyzer, both mode-2 photon numbers and
+the D1 and D1* gates on mode 1 factor into geometric laws, one per mode-2
+axis, which binomial thinning keeps geometric; so every mask's outcome law
+is one closed form.
 
 Every statistic of a run sums, over independent pulses, a function of one
 per-pulse outcome: whether the gate passed and what D2 and D2* saw.  So a
@@ -26,7 +27,7 @@ from scipy.special import chdtrc
 
 from .amplifier import AmplifierConfig
 from .errors import NumericalError
-from .observables import detected_law, visibility
+from .observables import visibility
 from .polarization import BlochPath, Qubit
 
 DETECTORS = ("D_T", "D2", "D2*", "D1", "D1*")
@@ -86,89 +87,125 @@ class SweepStats:
 class PulseSampler:
     """The exact per-pulse outcome law of one (qubit, amplifier, detector) setup.
 
-    For the injected and the vacuum pulse, every mask reads the closed-form
-    detected law: D2 and D2* see mode 2's numbers, and the D1 and D1* gates
-    see each clone branch's mode-1 numbers.
-
     law is the probability of each outcome a pulse contributes to a run: the
     cell (oH, oV) of a gated pulse, flattened, then one sink cell for every
-    pulse the gate rejects.  oH and oV are the outcomes of D2 and D2*, each
-    one of `outcomes`: 0 no click, 1 a dark click with no survivor, 1 + s
-    for s >= 1 survivors.  Each branch weighs in with its gate probability,
-    the branches are summed onto (n2H, n2V), and both axes are thinned by
-    the matrix of outcome given photon number.
+    other pulse.  oH and oV are the outcomes of D2 and D2*, each one of
+    `outcomes`: 0 no click, 1 a dark click with no survivor, 1 + s for
+    s >= 1 survivors.
+
+    Behind the analyzer the injected pulse holds (n2H, n2V) = (h, v) with
+    mode 1 one clone photon ahead: weight (1 - a) gamma^2 x^(h+v) (v + 1)
+    with mode 1 at (v + 1, h), or a gamma^2 x^(h+v) (h + 1) at (v, h + 1),
+    where x = Gamma^2 and a = 1/2 + alpha beta cos phi.  The squeezed vacuum
+    holds C^-4 x^(h+v) at (v, h).  Each of the three terms is a product over
+    the two axes of (k + 1)^tilt x^k on k photons, and so are its gates: the
+    herald at D_T is a constant, and D1 (D1*) sees the k + tilt photons of
+    mode 1's H (V) on the V (H) axis and passes them with probability
+    1 - (1 - dark)(1 - eta)^(k + tilt), the plain law less one of ratio
+    (1 - eta) x.  Binomial thinning keeps each such law in closed form
+    (_thinned_geometric), so the gated law is sum_t c_t u_t (x) w_t over
+    the three terms.  The grid holds survivors up to the cutoff on each axis;
+    the gated mass beyond it is at most the pair tail epsilon_trunc and goes
+    to the sink.
     """
 
     def __init__(self, q: Qubit, cfg: AmplifierConfig, det: DetectorConfig):
         self.det = det
         mask = det.coincidence_mask
         eta, dark = det.qe * det.attenuation, det.dark_rate
-        top = cfg.cutoff + 1        # photon numbers 0..cutoff on each mode-2 axis
-        gated = np.zeros(top * top)
-        for label, source, share in (("injected", q, det.p_inject),
-                                     ("vacuum", None, 1.0 - det.p_inject)):
-            (h, v), branches = detected_law(source, cfg)
-            total = sum(p.sum() for _mode1, p in branches)
-            if not cfg.holds_norm(total):
-                raise NumericalError(
-                    f"{label} sampling table holds weight {total!r}, outside "
-                    f"1 - epsilon_trunc ({cfg.epsilon_trunc:.3g}) .. 1")
-            cell = h * top + v
-            for mode1, p in branches:
-                weight = share * (p / total)
-                if "D_T" in mask:   # ideal herald photon at D_T
-                    weight = weight * (1.0 - (1.0 - det.qe) * (1.0 - dark))
-                # D1 before D1*, as sorted: a fixed product order keeps seeded
-                # runs byte-identical across processes, whose set order differs
-                for d, n1 in zip(("D1", "D1*"), mode1):
-                    if d in mask:
-                        weight = weight * (1.0 - (1.0 - eta) ** n1 * (1.0 - dark))
-                gated += np.bincount(cell, weight, minlength=top * top)
-        self.outcomes = top + 1
-        thin = _thinning(cfg.cutoff, eta, dark)
-        joint = thin @ gated.reshape(top, top) @ thin.T
-        sink = 1.0 - joint.sum()
-        if sink < -1e-12:
-            raise NumericalError(f"outcome law holds gated weight {1.0 - sink!r} > 1")
-        self.law = np.append(joint.ravel(), max(sink, 0.0))
+        # 1 - x and 1 - (1 - eta) x, summed without cancellation
+        x, rest = cfg.gain.Gamma ** 2, cfg.gain.C ** -2
+        lost_rest = rest + eta * x
+        plain = [_thinned_geometric(x, rest, t, eta, dark, cfg.cutoff) for t in (0, 1)]
+
+        def axis(tilt: int, gated: bool):
+            """One axis of one term: its outcome vector and its total mass."""
+            vec, mass = plain[tilt], rest ** -(1 + tilt)
+            if gated:
+                f = (1.0 - dark) * (1.0 - eta) ** tilt
+                lost = _thinned_geometric((1.0 - eta) * x, lost_rest, tilt, eta, dark,
+                                          cfg.cutoff)
+                # where the gate cannot pass, the difference is 0 up to rounding
+                vec = np.maximum(vec - f * lost, 0.0)
+                mass -= f * lost_rest ** -(1 + tilt)
+            return vec, mass
+
+        herald = 1.0 - (1.0 - det.qe) * (1.0 - dark) if "D_T" in mask else 1.0
+        # a is a probability; rounding can put it one ulp outside [0, 1]
+        a = min(max(0.5 + q.alpha * q.beta * math.cos(q.phi), 0.0), 1.0)
+        gamma2 = cfg.gain.gamma ** 2
+        c, u, w, passed = [], [], [], 0.0
+        for weight, tilt_h, tilt_v in ((det.p_inject * (1.0 - a) * gamma2, 0, 1),
+                                       (det.p_inject * a * gamma2, 1, 0),
+                                       ((1.0 - det.p_inject) * cfg.gain.C ** -4, 0, 0)):
+            u_t, mass_h = axis(tilt_h, "D1*" in mask)
+            w_t, mass_v = axis(tilt_v, "D1" in mask)
+            c.append(herald * weight)
+            u.append(u_t)
+            w.append(w_t)
+            passed += c[-1] * mass_h * mass_v
+        joint = (np.array(u).T * c) @ np.array(w)
+        gated = joint.sum()
+        if gated > 1.0 + 1e-12:
+            raise NumericalError(f"outcome law holds gated weight {gated!r} > 1")
+        dropped = passed - gated
+        if not -1e-12 <= dropped <= cfg.epsilon_trunc + 1e-12:
+            raise NumericalError(
+                f"outcome grid drops gated weight {dropped!r}, outside "
+                f"0 .. epsilon_trunc ({cfg.epsilon_trunc:.3g})")
+        self.outcomes = cfg.cutoff + 2
+        self.law = np.append(joint.ravel(), max(1.0 - gated, 0.0))
 
     def sample_chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Counts of each outcome of law over n pulses."""
         return rng.multinomial(n, self.law)
 
 
-def _thinning(cutoff: int, eta: float, dark: float) -> np.ndarray:
-    """B[o, n]: probability of outcome o of one threshold detector fed n
-    photons, each surviving with probability eta, with dark counts.  The
-    binomial law of s survivors comes from Pascal's recurrence, each entry a
-    convex combination of two non-negative ones, so it stays accurate in n."""
-    pmf = np.zeros((cutoff + 1, cutoff + 1))    # pmf[n, s]
-    pmf[0, 0] = 1.0
-    for n in range(1, cutoff + 1):
-        pmf[n] = (1.0 - eta) * pmf[n - 1]
-        pmf[n, 1:] += eta * pmf[n - 1, :-1]
-    pmf = pmf.T
-    return np.vstack([pmf[0] * (1.0 - dark), pmf[0] * dark, pmf[1:]])
+def _thinned_geometric(z: float, rest: float, tilt: int, eta: float, dark: float,
+                       cutoff: int) -> np.ndarray:
+    """Outcomes 0 (no click), 1 (dark click only) and 1 + s, s = 1..cutoff
+    survivors, of a threshold detector fed the photon weights (k + 1)^tilt z^k,
+    k >= 0, each photon kept with probability eta; rest = 1 - z.
+
+    Thinning z^k gives rho^s / d, with d = 1 - (1 - eta) z and rho = eta z / d;
+    the tilt (k + 1) gives (s + 1) rho^s / d^2.  The entries sum to
+    1 / rest^(1 + tilt) less the survivors beyond the cutoff."""
+    d = rest + eta * z
+    s = np.arange(cutoff + 1)
+    p = (eta * z / d) ** s / d
+    if tilt:
+        p *= (s + 1) / d
+    return np.concatenate(([p[0] * (1.0 - dark), p[0] * dark], p[1:]))
+
+
+def _chunk_totals(counts: np.ndarray, outcomes: int, mask) -> np.ndarray:
+    """The eight integer totals of one chunk's outcome counts (the sink
+    counts in none): [D2, D_T] and [D2*, D_T] counts, coincidences, gated
+    pulses, and the sums of s and s^2 of each channel's survivors, from the
+    row and column marginals of the gated grid."""
+    grid = counts[:-1].reshape(outcomes, outcomes)
+    rows, cols = grid.sum(axis=1), grid.sum(axis=0)     # over oV, over oH
+    gated = rows.sum()
+    s = np.maximum(np.arange(outcomes) - 1, 0)
+    # gated pulses less those with oH = 0 if D2 is in the mask and those with
+    # oV = 0 if D2* is, by inclusion-exclusion
+    need_h, need_v = "D2" in mask, "D2*" in mask
+    coincident = (gated - need_h * rows[0] - need_v * cols[0]
+                  + need_h * need_v * grid[0, 0])
+    return np.array([gated - rows[0], gated - cols[0], coincident, gated,
+                     rows @ s, rows @ s ** 2, cols @ s, cols @ s ** 2])
 
 
 def _run_point(sampler: PulseSampler, seed_seq: np.random.SeedSequence,
                threads: int = 1) -> RunStats:
     det = sampler.det
-    mask = det.coincidence_mask
-    # the eight totals of one chunk are integer dot products of its outcome
-    # counts with fixed weights; the sink cell weighs 0 in every total
-    oh, ov = np.divmod(np.arange(len(sampler.law) - 1), sampler.outcomes)
-    sh, sv = np.maximum(oh - 1, 0), np.maximum(ov - 1, 0)
-    coincident = ((oh > 0) | ("D2" not in mask)) & ((ov > 0) | ("D2*" not in mask))
-    weights = np.zeros((8, len(sampler.law)), dtype=np.int64)
-    weights[:, :-1] = [oh > 0, ov > 0, coincident, np.ones_like(oh),
-                       sh, sh ** 2, sv, sv ** 2]
     n_chunks = (det.pulses + CHUNK_PULSES - 1) // CHUNK_PULSES
     streams = seed_seq.spawn(n_chunks)
 
     def one_chunk(i: int):
         n = min(CHUNK_PULSES, det.pulses - i * CHUNK_PULSES)
-        return weights @ sampler.sample_chunk(np.random.default_rng(streams[i]), n)
+        counts = sampler.sample_chunk(np.random.default_rng(streams[i]), n)
+        return _chunk_totals(counts, sampler.outcomes, det.coincidence_mask)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

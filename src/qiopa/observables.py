@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplifier import AmplifierConfig, amplify
-from .density import _flat_index, _pair_weights, partial_trace
+from .density import _flat_index, partial_trace
 from .fock import GainParams
 from .polarization import BlochPath, Qubit
 
@@ -49,34 +49,6 @@ def g1_oracle(q: Qubit, cfg: AmplifierConfig) -> G1Pair:
     u = DETECTED_FIELD_UNITARY
     g2h, g2v = np.abs(u) ** 2 @ numbers + 2.0 * (u[:, 0].conj() * u[:, 1] * hop).real
     return G1Pair(g2h=float(g2h), g2v=float(g2v), nbar=cfg.gain.nbar)
-
-
-def detected_law(q: Qubit | None, cfg: AmplifierConfig):
-    """Closed-form joint law of the photon numbers detected behind the analyzer
-    on both output modes, for an injected qubit q or, with q None, for the
-    squeezed vacuum.
-
-    The analyzer rotates both mode pairs, so by the amplifier's SU(2)
-    covariance the output is amplify(U q), whose pair term (i, j) puts
-    h = j photons in 2H and n - h = i in 2V, and mode 1 one clone photon
-    ahead: (n - h + 1, h) with weight (1 - a) w_n (n - h + 1), or
-    (n - h, h + 1) with weight a w_n (h + 1), where w_n = gamma^2 Gamma^(2n)
-    and a = 1/2 + alpha beta cos phi.  The mode-2 marginal is the analyzed
-    universal-NOT law w_n (1 + a h + (1 - a)(n - h)).  The squeezed vacuum
-    is invariant: mode 1 holds (n - h, h) with weight C^-4 Gamma^(2n).
-
-    Returns the mode-2 numbers (h, n - h) as two int64 arrays, n = 0..cutoff
-    then h ascending, and one (mode-1 numbers (n1H, n1V), probabilities) pair
-    per clone branch on those cells.
-    """
-    n, h = _flat_index(cfg.cutoff + 1)
-    w = _pair_weights(cfg)[n]
-    if q is None:
-        return (h, n - h), (((n - h, h), w * cfg.gain.C ** 2),)
-    # a is a probability; rounding can put it one ulp outside [0, 1]
-    a = min(max(0.5 + q.alpha * q.beta * math.cos(q.phi), 0.0), 1.0)
-    return (h, n - h), (((n - h + 1, h), (1.0 - a) * w * (n - h + 1)),
-                        ((n - h, h + 1), a * w * (h + 1)))
 
 
 def visibility(q: Qubit) -> float:

@@ -1,0 +1,104 @@
+"""Enumerated Monte Carlo outcome law: the oracle of PulseSampler's closed form.
+
+The detected law lists the photon numbers behind the analyzer cell by cell,
+and the outcome law weighs every cell by its gate probability and thins both
+mode-2 axes by the binomial matrix of outcome given photon number.  It costs
+O(cutoff^3); the package builds the same law from per-axis closed forms.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from qiopa.amplifier import AmplifierConfig
+from qiopa.density import _flat_index, _pair_weights
+from qiopa.errors import NumericalError
+from qiopa.polarization import Qubit
+
+
+def detected_law(q: Qubit | None, cfg: AmplifierConfig):
+    """Closed-form joint law of the photon numbers detected behind the analyzer
+    on both output modes, for an injected qubit q or, with q None, for the
+    squeezed vacuum.
+
+    The analyzer rotates both mode pairs, so by the amplifier's SU(2)
+    covariance the output is amplify(U q), whose pair term (i, j) puts
+    h = j photons in 2H and n - h = i in 2V, and mode 1 one clone photon
+    ahead: (n - h + 1, h) with weight (1 - a) w_n (n - h + 1), or
+    (n - h, h + 1) with weight a w_n (h + 1), where w_n = gamma^2 Gamma^(2n)
+    and a = 1/2 + alpha beta cos phi.  The mode-2 marginal is the analyzed
+    universal-NOT law w_n (1 + a h + (1 - a)(n - h)).  The squeezed vacuum
+    is invariant: mode 1 holds (n - h, h) with weight C^-4 Gamma^(2n).
+
+    Returns the mode-2 numbers (h, n - h) as two int64 arrays, n = 0..cutoff
+    then h ascending, and one (mode-1 numbers (n1H, n1V), probabilities) pair
+    per clone branch on those cells.
+    """
+    n, h = _flat_index(cfg.cutoff + 1)
+    w = _pair_weights(cfg)[n]
+    if q is None:
+        return (h, n - h), (((n - h, h), w * cfg.gain.C ** 2),)
+    # a is a probability; rounding can put it one ulp outside [0, 1]
+    a = min(max(0.5 + q.alpha * q.beta * math.cos(q.phi), 0.0), 1.0)
+    return (h, n - h), (((n - h + 1, h), (1.0 - a) * w * (n - h + 1)),
+                        ((n - h, h + 1), a * w * (h + 1)))
+
+
+def thinning(cutoff: int, eta: float, dark: float) -> np.ndarray:
+    """B[o, n]: probability of outcome o of one threshold detector fed n
+    photons, each surviving with probability eta, with dark counts.  The
+    binomial law of s survivors comes from Pascal's recurrence, each entry a
+    convex combination of two non-negative ones, so it stays accurate in n."""
+    pmf = np.zeros((cutoff + 1, cutoff + 1))    # pmf[n, s]
+    pmf[0, 0] = 1.0
+    for n in range(1, cutoff + 1):
+        pmf[n] = (1.0 - eta) * pmf[n - 1]
+        pmf[n, 1:] += eta * pmf[n - 1, :-1]
+    pmf = pmf.T
+    return np.vstack([pmf[0] * (1.0 - dark), pmf[0] * dark, pmf[1:]])
+
+
+def enumerated_law(q: Qubit, cfg: AmplifierConfig, det, thin=None) -> np.ndarray:
+    """PulseSampler.law by enumeration: each branch of each source, normalised
+    over the truncated cells, weighs in with its gate probability; the
+    branches are summed onto (n2H, n2V) and both axes are thinned, then one
+    sink cell takes every other pulse.  thin, if given, is
+    thinning(cfg.cutoff, qe * attenuation, dark_rate)."""
+    mask = det.coincidence_mask
+    eta, dark = det.qe * det.attenuation, det.dark_rate
+    top = cfg.cutoff + 1        # photon numbers 0..cutoff on each mode-2 axis
+    gated = np.zeros(top * top)
+    for label, source, share in (("injected", q, det.p_inject),
+                                 ("vacuum", None, 1.0 - det.p_inject)):
+        (h, v), branches = detected_law(source, cfg)
+        total = sum(p.sum() for _mode1, p in branches)
+        if not cfg.holds_norm(total):
+            raise NumericalError(
+                f"{label} sampling table holds weight {total!r}, outside "
+                f"1 - epsilon_trunc ({cfg.epsilon_trunc:.3g}) .. 1")
+        cell = h * top + v
+        for mode1, p in branches:
+            weight = share * (p / total)
+            if "D_T" in mask:   # ideal herald photon at D_T
+                weight = weight * (1.0 - (1.0 - det.qe) * (1.0 - dark))
+            for d, n1 in zip(("D1", "D1*"), mode1):
+                if d in mask:
+                    weight = weight * (1.0 - (1.0 - eta) ** n1 * (1.0 - dark))
+            gated += np.bincount(cell, weight, minlength=top * top)
+    if thin is None:
+        thin = thinning(cfg.cutoff, eta, dark)
+    joint = thin @ gated.reshape(top, top) @ thin.T
+    return np.append(joint.ravel(), 1.0 - joint.sum())
+
+
+def chunk_totals_by_weights(counts: np.ndarray, outcomes: int, mask) -> np.ndarray:
+    """The eight totals of one chunk as integer dot products of its outcome
+    counts with one weight row per total; the sink cell weighs 0 in each."""
+    oh, ov = np.divmod(np.arange(len(counts) - 1), outcomes)
+    sh, sv = np.maximum(oh - 1, 0), np.maximum(ov - 1, 0)
+    coincident = ((oh > 0) | ("D2" not in mask)) & ((ov > 0) | ("D2*" not in mask))
+    weights = np.zeros((8, len(counts)), dtype=np.int64)
+    weights[:, :-1] = [oh > 0, ov > 0, coincident, np.ones_like(oh),
+                       sh, sh ** 2, sv, sv ** 2]
+    return weights @ counts

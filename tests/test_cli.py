@@ -68,6 +68,23 @@ class TestFringe:
         assert doc["columns"] == ["Phi", "dG", "g2H", "g2V"]
         assert len(doc["rows"]) == 3
 
+    def test_undefined_monte_carlo_meta_is_json_null(self, tmp_path):
+        # with qe = 0 nothing survives: the visibility has no stderr
+        argv = ["fringe", "--preset", "LG", "--qe", "0", "--pulses", "1000",
+                "--path", "z:0:3.14159:2"]
+        out = tmp_path / "fringe.json"
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        meta = json.loads(_read(out), parse_constant=refuse)["meta"]
+        assert meta["mc_visibility"] == "0"
+        assert meta["mc_visibility_stderr"] is None
+        out = tmp_path / "fringe.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert "# mc_visibility_stderr=nan" in _read(out).splitlines()
+
     def test_monte_carlo_columns_appear_with_pulses(self, tmp_path):
         out = tmp_path / "fringe.csv"
         main(["fringe", "--g", "0.5", "--path", "z:0:1.57:4",
@@ -113,6 +130,19 @@ class TestGainLimit:
         assert main(["pairs", *argv]) == code
         err = capsys.readouterr().err
         assert ("g = 2.5062" in err) == bool(code)
+
+    def test_explicit_cutoff_beyond_the_gain_limit_names_the_limit(self, capsys):
+        # no cutoff within MAX_CUTOFF holds g = 8, so "increase the cutoff"
+        # would send the user to a cutoff the configuration rejects
+        assert main(["pairs", "--g", "8", "--cutoff", "500"]) == 2
+        err = capsys.readouterr().err
+        assert "MAX_CUTOFF 1000" in err and "g = 2.5062" in err
+        assert "increase the cutoff" not in err
+
+    def test_explicit_cutoff_below_the_tail_rule_asks_for_more(self, capsys):
+        assert main(["pairs", "--g", "1.13", "--cutoff", "50"]) == 2
+        err = capsys.readouterr().err
+        assert "increase the cutoff" in err and "MAX_CUTOFF" not in err
 
 
 class TestEntropy:

@@ -11,14 +11,16 @@ import pytest
 from scipy.stats import binom
 
 from qiopa import amplifier, fock, montecarlo
-from qiopa.amplifier import AmplifierConfig, amplify, vacuum_output
+from qiopa.amplifier import AmplifierConfig, _largest_gain, amplify, vacuum_output
 from qiopa.errors import NumericalError
 from qiopa.fock import rotate_mode_pair
 from qiopa.montecarlo import (DETECTORS, CalibrationResult, DetectorConfig,
                               PulseSampler, RunStats, SweepStats,
                               calibrate_visibility_loss, run)
-from qiopa.observables import DETECTED_FIELD_UNITARY, detected_law, visibility
+from qiopa.observables import DETECTED_FIELD_UNITARY, visibility
 from qiopa.polarization import BlochPath, Qubit
+
+from reference import chunk_totals_by_weights, detected_law, enumerated_law, thinning
 
 BALANCED = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
 LG = AmplifierConfig.for_gain(0.07)
@@ -26,6 +28,11 @@ LG = AmplifierConfig.for_gain(0.07)
 
 def _hg():
     return AmplifierConfig.for_gain(1.13, 100)
+
+
+def _top():
+    """The largest gain AmplifierConfig accepts, at its default cutoff."""
+    return AmplifierConfig.for_gain(_largest_gain())
 
 
 class TestDetectorConfig:
@@ -122,7 +129,7 @@ class TestThinning:
         pmf = binom.pmf(n[:, None], n, eta)     # pmf[s, n]
         dark = 0.01
         expected = np.vstack([pmf[0] * (1.0 - dark), pmf[0] * dark, pmf[1:]])
-        assert np.abs(montecarlo._thinning(cutoff, eta, dark) - expected).max() < 1e-14
+        assert np.abs(thinning(cutoff, eta, dark) - expected).max() < 1e-14
 
     def test_package_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats would double the package's import time and add ~40 MB
@@ -135,31 +142,36 @@ class TestThinning:
         assert out.stdout.strip() == "False"
 
 
-def _lossy_law(q, cfg):
-    mode2, branches = detected_law(q, cfg)
-    return mode2, tuple((mode1, 0.98 * p) for mode1, p in branches)
+def _scale_axis_laws(monkeypatch, factor, tilts=(0, 1)):
+    """Scale the per-axis outcome vectors of the terms with the given tilts;
+    the closed-form pass probability the sampler checks against stays."""
+    thinned = montecarlo._thinned_geometric
+    monkeypatch.setattr(
+        montecarlo, "_thinned_geometric",
+        lambda z, rest, tilt, *args: (factor if tilt in tilts else 1.0)
+        * thinned(z, rest, tilt, *args))
 
 
 class TestPulseSampler:
     def test_lost_norm_raises_instead_of_renormalising(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "detected_law", _lossy_law)
-        with pytest.raises(NumericalError):
+        # 2% of the injected terms' mass goes missing from the grid
+        _scale_axis_laws(monkeypatch, 0.98, tilts=(1,))
+        with pytest.raises(NumericalError, match="drops"):
             PulseSampler(BALANCED, LG, DetectorConfig(coincidence_mask=FOUR_FOLD))
 
     def test_law_lost_norm_raises_instead_of_renormalising(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "detected_law", _lossy_law)
-        with pytest.raises(NumericalError):
+        _scale_axis_laws(monkeypatch, 0.98, tilts=(1,))
+        with pytest.raises(NumericalError, match="drops"):
             PulseSampler(BALANCED, LG, DetectorConfig())
 
     def test_gated_mass_above_one_raises(self, monkeypatch):
-        thinning = montecarlo._thinning
-        monkeypatch.setattr(montecarlo, "_thinning",
-                            lambda *args: 1.001 * thinning(*args))
-        with pytest.raises(NumericalError):
+        # both axes scaled by sqrt(1.001): the law is scaled by 1.001
+        _scale_axis_laws(monkeypatch, math.sqrt(1.001))
+        with pytest.raises(NumericalError, match="gated weight .* > 1"):
             PulseSampler(BALANCED, LG, DetectorConfig(qe=1.0, coincidence_mask={"D2"}))
 
     def test_no_mask_builds_a_four_mode_state(self, monkeypatch):
-        # every mask reads the closed-form detected law of both modes: every
+        # every mask's law is a closed form of the gain and the qubit: every
         # module attribute bound to a four-mode state builder or the rotation
         # kernel raises
         def refuse(*_args, **_kwargs):
@@ -212,6 +224,33 @@ class TestPulseSampler:
             assert np.flatnonzero(cells).tolist() == [side + 1]
         if det.qe == 1.0 and det.dark_rate == 0.0:      # a click is a survivor
             assert not cells[1].any() and not cells[:, 1].any()
+
+    @pytest.mark.parametrize("cfg", [LG, _hg(), _top()], ids=["LG", "HG", "top"])
+    def test_outcome_law_equals_enumerated_reference(self, cfg):
+        # the enumeration truncates photon numbers, the closed form survivors:
+        # they part by at most the pair tail.  D2 and D2* pick coincidences
+        # out of the law but do not gate it, and the herald at D_T scales the
+        # gated cells, so the reference is enumerated once per D1/D1* gate
+        q = Qubit(0.6, 0.8, 0.7)
+        qe, dark = 0.18, 0.01
+        detectors = {"qe": qe, "attenuation": 0.7, "dark_rate": dark, "p_inject": 0.6}
+        thin = thinning(cfg.cutoff, qe * 0.7, dark)
+        herald = 1.0 - (1.0 - qe) * (1.0 - dark)
+        references = {}
+        for k in range(len(DETECTORS) + 1):
+            for mask in itertools.combinations(DETECTORS, k):
+                det = DetectorConfig(coincidence_mask=mask, **detectors)
+                gate = det.coincidence_mask & {"D1", "D1*"}
+                if gate not in references:
+                    references[gate] = enumerated_law(
+                        q, cfg, dataclasses.replace(det, coincidence_mask=gate), thin)
+                want = references[gate].copy()
+                if "D_T" in mask:
+                    want[:-1] *= herald
+                    want[-1] = 1.0 - want[:-1].sum()
+                law = PulseSampler(q, cfg, det).law
+                assert np.abs(law - want).max() < cfg.epsilon_trunc + 1e-15
+        assert len(references) == 4
 
 
 def _expected_rates(q, cfg, det):
@@ -279,6 +318,19 @@ class TestRunPoint:
         serial = run(BALANCED, LG, det)
         assert all(run(BALANCED, LG, det, threads=n) == serial for n in (2, 4))
 
+    @pytest.mark.parametrize("outcomes", [3, 14, 102])
+    def test_chunk_totals_equal_weighted_counts(self, outcomes):
+        counts = [np.random.default_rng(outcomes).integers(0, 200_000, outcomes ** 2 + 1),
+                  np.zeros(outcomes ** 2 + 1, dtype=np.int64),
+                  np.arange(outcomes ** 2 + 1)]
+        for k in range(len(DETECTORS) + 1):
+            for mask in itertools.combinations(DETECTORS, k):
+                for c in counts:
+                    totals = montecarlo._chunk_totals(c, outcomes, frozenset(mask))
+                    assert totals.dtype == np.int64
+                    assert totals.tolist() == chunk_totals_by_weights(
+                        c, outcomes, frozenset(mask)).tolist()
+
     @pytest.mark.parametrize("threads", [0, -5])
     def test_thread_count_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
@@ -321,15 +373,14 @@ class TestRunPoint:
         assert stats.counts_h == round(stats.xi_h * stats.pulses)
 
     @pytest.mark.parametrize("cfg,det,counts", [
-        # exact counts of seeded runs; the LG mask reads the four-mode state,
-        # the HG mask the detected law (TestExactRates checks the rates of
-        # both kinds).  Changes to the outcome law's cell order or to the
+        # exact counts of seeded runs (TestExactRates checks their rates).
+        # Changes to the outcome law's cell order, to its rounding or to the
         # draw move them.
         (LG, DetectorConfig(qe=1.0, p_inject=0.5, pulses=200_000, seed=3,
                             coincidence_mask=frozenset({"D_T", "D1", "D2"})),
          (4, 1000, 4)),
         (_hg(), DetectorConfig(p_inject=0.5, pulses=100_000, seed=11),
-         (6246, 4625, 6246)),
+         (6292, 4597, 6292)),
     ], ids=["LG-D_T,D1,D2", "HG"])
     def test_seeded_counts_pinned(self, cfg, det, counts):
         stats = run(BALANCED, cfg, det)

@@ -8,12 +8,13 @@ from scipy.optimize import minimize_scalar
 from qiopa.amplifier import AmplifierConfig, amplify, vacuum_output
 from qiopa.density import rho2_closed_form
 from qiopa.fock import _pair_rotation, make_gain, number_expectation, rotate_mode_pair
-from qiopa.observables import (DETECTED_FIELD_UNITARY, G1Pair, detected_law,
-                               fringe_sweep, g1_closed_form, g1_oracle,
-                               signal_to_noise, visibility)
+from qiopa.observables import (DETECTED_FIELD_UNITARY, G1Pair, fringe_sweep,
+                               g1_closed_form, g1_oracle, signal_to_noise,
+                               visibility)
 from qiopa.polarization import BlochPath, PolarizationUnitary, Qubit, apply
 
 from conftest import random_qubit
+from reference import detected_law
 
 BALANCED = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
 
