@@ -58,10 +58,13 @@ class AmplifierConfig:
         """Analytic bound on the probability weight lost to truncation."""
         return pair_tail(self.gain, self.cutoff + 1)
 
-    def holds_norm(self, norm_sq: float) -> bool:
-        """Whether a truncated state's squared norm lies in
-        1 - epsilon_trunc .. 1, allowing 1e-12 of rounding at each end."""
-        return 1.0 - self.epsilon_trunc - 1e-12 <= norm_sq <= 1.0 + 1e-12
+    def check_lost_weight(self, lost: float, what: str) -> None:
+        """Raise NumericalError unless a weight lost to truncation, named by
+        what, lies in 0 .. epsilon_trunc, allowing 1e-12 of rounding at each end."""
+        if not -1e-12 <= lost <= self.epsilon_trunc + 1e-12:
+            raise NumericalError(
+                f"{what}: {lost:.3e} lies outside 0 .. epsilon_trunc "
+                f"({self.epsilon_trunc:.3e})")
 
     @classmethod
     def for_gain(cls, g: float, cutoff: int | None = None) -> "AmplifierConfig":
@@ -129,11 +132,8 @@ def _chain(cfg: AmplifierConfig, d: int) -> np.ndarray:
     phase = 1j ** (np.arange(length) % 4)   # exact powers of i
     # exp(gK) is real: the imaginary part is rounding
     psi = (phase * (v @ (np.exp(-1j * cfg.gain.g * lam) * v[0]))).real
-    beyond = psi[cfg.cutoff + 1:] @ psi[cfg.cutoff + 1:]
-    if not beyond <= cfg.epsilon_trunc + 1e-12:
-        raise NumericalError(
-            f"pair chain holds weight {beyond:.3e} beyond the cutoff, more than "
-            f"the pair-number tail {cfg.epsilon_trunc:.3e}")
+    cfg.check_lost_weight(psi[cfg.cutoff + 1:] @ psi[cfg.cutoff + 1:],
+                          "weight of the pair chain beyond the cutoff")
     return psi
 
 

@@ -12,12 +12,14 @@ import math
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .amplifier import AmplifierConfig
-from .density import (entropy, pair_distribution, rho1_closed_form,
-                      rho2_closed_form, tail_probability)
+from .density import entropy, rho1_closed_form, rho2_closed_form
 from .errors import NumericalError
+from .fock import pair_probability, pair_tail
 from .montecarlo import DetectorConfig, run
-from .observables import fringe_sweep
+from .observables import g1_closed_form
 from .polarization import BlochPath, Qubit
 
 PRESETS = {
@@ -74,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--mask", default=None, help="comma-separated coincidence detectors")
     sweep.add_argument("--pulses", type=int, default=None)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--threads", type=int, default=1)
     tail.add_argument("--threshold", type=int, default=None,
                       help="pair-number threshold for tail reporting")
 
@@ -146,7 +147,6 @@ class _Resolved:
                 m.strip() for m in args.mask.split(",") if m.strip())
         self.detectors = DetectorConfig(seed=args.seed, **det_kwargs)
         self.mc_requested = args.pulses is not None
-        self.threads = args.threads
         self.threshold = args.threshold
         self.fmt = args.format
         self.out = args.out
@@ -179,15 +179,17 @@ def _csv(meta: dict, header: list, rows: list) -> str:
 
 def cmd_fringe(res: _Resolved) -> None:
     path = res.path or res.default_path()
-    table = fringe_sweep(path, res.cfg.gain)
     meta = {"g": _fmt(res.cfg.gain.g), "nbar": _fmt(res.cfg.gain.nbar),
             "axis": path.axis,
             "start_qubit": f"({_fmt(path.start.alpha)},{_fmt(path.start.beta)},"
                            f"{_fmt(path.start.phi)})"}
     header = ["Phi", "dG", "g2H", "g2V"]
-    rows = [list(r) for r in table.rows]
+    rows = []
+    for angle, qubit in zip(path.angles, path.qubits()):
+        pair = g1_closed_form(qubit, res.cfg.gain)
+        rows.append([angle, pair.difference, pair.g2h, pair.g2v])
     if res.mc_requested:
-        sweep = run(path, res.cfg, res.detectors, threads=res.threads)
+        sweep = run(path, res.cfg, res.detectors)
         header += ["xi_H", "xi_V", "dxi", "stderr"]
         for row, pt in zip(rows, sweep.points):
             row += [pt.xi_h, pt.xi_v, pt.xi_h - pt.xi_v,
@@ -204,15 +206,18 @@ def cmd_fringe(res: _Resolved) -> None:
 
 
 def cmd_pairs(res: _Resolved) -> None:
-    dist = pair_distribution(res.cfg)
-    cum = dist.cumulative()
+    n = np.arange(res.cfg.cutoff + 1)
+    p = pair_probability(res.cfg.gain, n)
     meta = {"g": _fmt(res.cfg.gain.g),
-            "mean_pairs": _fmt(dist.mean()),
+            "mean_pairs": _fmt(np.sum(n * p)),
             "three_nbar": _fmt(3 * res.cfg.gain.nbar)}
     if res.preset in REPORTED_MEAN_PAIRS:
         meta["reported_mean_pairs"] = _fmt(REPORTED_MEAN_PAIRS[res.preset])
     if res.threshold is not None:
-        tail = tail_probability(dist, res.threshold)
+        if res.threshold < 0:
+            # pair_tail reads any start <= 0 as the whole law
+            raise ValueError("threshold must be >= 0")
+        tail = pair_tail(res.cfg.gain, res.threshold)
         meta["tail_threshold"] = res.threshold
         meta["tail_probability"] = _fmt(tail)
         for name, (thr, reported) in REPORTED_TAIL.items():
@@ -221,8 +226,7 @@ def cmd_pairs(res: _Resolved) -> None:
                 meta["reported_tail_agreement"] = (
                     "yes" if abs(tail - reported) < 0.01 else
                     f"no (computed {tail:.4f} differs from reported {reported:.2f})")
-    rows = [[int(n), float(p), float(c)]
-            for n, (p, c) in enumerate(zip(dist.probabilities, cum))]
+    rows = [[k, float(pk), float(c)] for k, (pk, c) in enumerate(zip(p, np.cumsum(p)))]
     if res.fmt == "json":
         _emit(json.dumps({"meta": meta, "columns": ["n", "p_n", "cumulative"],
                           "rows": rows}, indent=2) + "\n", res.out)
@@ -252,7 +256,7 @@ def _json_number(x: float) -> float | None:
 
 def cmd_montecarlo(res: _Resolved) -> None:
     target = res.path or res.default_path()
-    sweep = run(target, res.cfg, res.detectors, threads=res.threads)
+    sweep = run(target, res.cfg, res.detectors)
     meta = {"g": _fmt(res.cfg.gain.g), "seed": res.detectors.seed,
             "pulses_per_point": res.detectors.pulses}
     header = ["sweep", "xi_H", "xi_V", "dxi", "stderr"]

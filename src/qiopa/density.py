@@ -1,4 +1,4 @@
-"""Reduced density matrices, entropies, distances and pair statistics.
+"""Reduced density matrices, their entropies and Hilbert-Schmidt distances.
 
 Both single-mode reductions of the amplified state are exactly
 block-diagonal in the total photon number of the kept mode pair, and the
@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .amplifier import AmplifierConfig
 from .errors import NumericalError
-from .fock import (FockState4, GainParams, MODE_PAIRS, fidelity,
-                   pair_probability, pair_tail, row_groups)
+from .fock import FockState4, MODE_PAIRS, row_groups
 from .polarization import Qubit
 
 EIGENVALUE_FLOOR = -1e-9
@@ -49,46 +47,17 @@ class SectorDensity:
     bands over k = t(t+1)/2 + p: the real diagonal diag[k] and the
     sub-diagonal sub[k] = <t, p+1| rho |t, p>, which is zero at p = t where
     a sector ends.  The bands thus also form one tridiagonal matrix of all
-    sectors, whose ascending read-only eigenvalues are the spectrum.
-    SectorDensity(mode, blocks) takes dense blocks, for densities built by
-    hand, and rejects entries the bands cannot hold.
+    sectors, whose ascending read-only eigenvalues are the spectrum.  A known
+    spectrum, in any order, spares the eigensolve; without one it is solved
+    from the bands on first access.
     """
 
-    def __init__(self, mode: str, blocks):
-        blocks = [np.asarray(b, dtype=complex) for b in blocks]
-        for t, b in enumerate(blocks):
-            if b.shape != (t + 1, t + 1):
-                raise ValueError(f"sector {t} block must have order {t + 1}")
-        self._set(mode, [np.diag(b).real for b in blocks],
-                  [np.append(np.diag(b, -1), 0.0) for b in blocks])
-        for t, (b, band) in enumerate(zip(blocks, self.blocks)):
-            if np.abs(b - band).max() > BLOCK_COHERENCE_TOL:
-                raise ValueError(f"sector {t} block is not Hermitian tridiagonal")
-
-    @classmethod
-    def from_bands(cls, mode: str, diag, sub, spectrum=None) -> SectorDensity:
-        """Density from its two bands, laid out as in the class docstring.
-
-        A known spectrum, in any order, spares the eigensolve; without one it
-        is solved from the bands on first access.
-        """
-        rho = cls.__new__(cls)
-        rho._set(mode, [diag], [sub])
-        if spectrum is not None:
-            spectrum = np.sort(np.asarray(spectrum, dtype=float))
-            if spectrum.size != rho.diag.size:
-                raise ValueError(
-                    f"spectrum of length {spectrum.size} for bands of length {rho.diag.size}")
-            spectrum.setflags(write=False)
-            rho._spectrum = spectrum
-        return rho
-
-    def _set(self, mode, diags, subs):
+    def __init__(self, mode: str, diag, sub, spectrum=None):
         if mode not in MODE_PAIRS:
             raise ValueError(f"mode must be 'mode1' or 'mode2', got {mode!r}")
         self.mode = mode
-        self.diag = np.concatenate([np.zeros(0), *diags]).astype(float)
-        self.sub = np.concatenate([np.zeros(0), *subs]).astype(complex)
+        self.diag = np.array(diag, dtype=float)
+        self.sub = np.array(sub, dtype=complex)
         n = self.diag.size
         self.sectors = (math.isqrt(8 * n + 1) - 1) // 2
         ends = np.arange(1, self.sectors + 1) * np.arange(2, self.sectors + 2) // 2 - 1
@@ -98,7 +67,13 @@ class SectorDensity:
             raise ValueError("sub-diagonal couples two sectors")
         self.diag.setflags(write=False)
         self.sub.setflags(write=False)
-        self._spectrum = None
+        if spectrum is not None:
+            spectrum = np.sort(np.asarray(spectrum, dtype=float))
+            if spectrum.size != n:
+                raise ValueError(
+                    f"spectrum of length {spectrum.size} for bands of length {n}")
+            spectrum.setflags(write=False)
+        self._spectrum = spectrum
 
     def sector(self, t: int):
         """Diagonal (t+1 entries) and sub-diagonal (t entries) of sector t."""
@@ -139,7 +114,7 @@ class SectorDensity:
         return [float(self.sector(t)[0].sum()) for t in range(self.sectors)]
 
     def total_trace(self) -> float:
-        return float(sum(self.weights))
+        return float(self.diag.sum())
 
 
 def _pair_weights(cfg: AmplifierConfig) -> np.ndarray:
@@ -156,7 +131,7 @@ def rho1_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
     w = np.append(0.0, _pair_weights(cfg))   # mode 1 always holds >= 1 photon
     t, p = _flat_index(cfg.cutoff + 2)
-    return SectorDensity.from_bands(
+    return SectorDensity(
         "mode1", w[t] * (q.alpha ** 2 * (t - p) + q.beta ** 2 * p),
         w[t] * (ab * np.sqrt((t - p) * (p + 1))), w[t] * (t - p))
 
@@ -169,7 +144,7 @@ def rho2_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
     w = _pair_weights(cfg)
     n, p = _flat_index(cfg.cutoff + 1)
-    return SectorDensity.from_bands(
+    return SectorDensity(
         "mode2", w[n] * (q.beta ** 2 * (n - p + 1) + q.alpha ** 2 * (p + 1)),
         w[n] * (-ab * np.sqrt((n - p) * (p + 1))), w[n] * (p + 1))
 
@@ -212,7 +187,7 @@ def partial_trace(state: FockState4, keep: str) -> SectorDensity:
         kb = k[lo[band]]
         sub += np.bincount(kb, prod[band].real, size) + 1j * np.bincount(
             kb, prod[band].imag, size)
-    return SectorDensity.from_bands(keep, diag, sub)
+    return SectorDensity(keep, diag, sub)
 
 
 def entropy(rho: SectorDensity) -> float:
@@ -233,52 +208,12 @@ def entropy(rho: SectorDensity) -> float:
     return float(-np.sum(lam * np.log2(lam)))
 
 
-def hs_distance(a, b) -> float:
+def hs_distance(a: SectorDensity, b: SectorDensity) -> float:
     """Hilbert-Schmidt distance Tr[(rho_a - rho_b)^2]."""
-    if isinstance(a, FockState4) and isinstance(b, FockState4):
-        # states define unit-trace projectors, so the overlap is normalized;
-        # otherwise the truncation loss of each state leaks into the distance
-        return 2.0 - 2.0 * fidelity(a, b)
-    if isinstance(a, SectorDensity) and isinstance(b, SectorDensity):
-        if a.mode != b.mode:
-            raise ValueError(f"mode mismatch: {a.mode} vs {b.mode}")
-        n = max(a.diag.size, b.diag.size)
-        dd = np.pad(a.diag, (0, n - a.diag.size)) - np.pad(b.diag, (0, n - b.diag.size))
-        ds = np.pad(a.sub, (0, n - a.sub.size)) - np.pad(b.sub, (0, n - b.sub.size))
-        # each sub-diagonal entry stands for itself and its conjugate
-        return float(dd @ dd + 2.0 * np.sum(ds.real ** 2 + ds.imag ** 2))
-    raise TypeError("expected two FockState4 or two SectorDensity arguments")
-
-
-@dataclass(frozen=True)
-class PairDistribution:
-    probabilities: np.ndarray
-    gain: GainParams
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-
-    def mean(self) -> float:
-        n = np.arange(len(self.probabilities))
-        return float(np.sum(n * self.probabilities))
-
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.probabilities)
-
-
-def pair_distribution(cfg: AmplifierConfig) -> PairDistribution:
-    """Pair-number distribution p(n); independent of the injected qubit."""
-    n = np.arange(cfg.cutoff + 1)
-    return PairDistribution(pair_probability(cfg.gain, n), cfg.gain)
-
-
-def tail_probability(dist: PairDistribution, threshold: int) -> float:
-    """P(n >= threshold), stored probabilities plus the analytic remainder."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    n_max = len(dist.probabilities) - 1
-    if threshold > n_max:
-        return pair_tail(dist.gain, threshold)
-    return float(dist.probabilities[threshold:].sum()) + pair_tail(dist.gain, n_max + 1)
+    if a.mode != b.mode:
+        raise ValueError(f"mode mismatch: {a.mode} vs {b.mode}")
+    n = max(a.diag.size, b.diag.size)
+    dd = np.pad(a.diag, (0, n - a.diag.size)) - np.pad(b.diag, (0, n - b.diag.size))
+    ds = np.pad(a.sub, (0, n - a.sub.size)) - np.pad(b.sub, (0, n - b.sub.size))
+    # each sub-diagonal entry stands for itself and its conjugate
+    return float(dd @ dd + 2.0 * np.sum(ds.real ** 2 + ds.imag ** 2))

@@ -148,11 +148,7 @@ class PulseSampler:
         gated = joint.sum()
         if gated > 1.0 + 1e-12:
             raise NumericalError(f"outcome law holds gated weight {gated!r} > 1")
-        dropped = passed - gated
-        if not -1e-12 <= dropped <= cfg.epsilon_trunc + 1e-12:
-            raise NumericalError(
-                f"outcome grid drops gated weight {dropped!r}, outside "
-                f"0 .. epsilon_trunc ({cfg.epsilon_trunc:.3g})")
+        cfg.check_lost_weight(passed - gated, "gated weight the outcome grid drops")
         self.outcomes = cfg.cutoff + 2
         self.law = np.append(joint.ravel(), max(1.0 - gated, 0.0))
 

@@ -1,4 +1,4 @@
-"""Detected-field correlation functions, fringe patterns and visibility."""
+"""Detected-field correlation functions, visibility and signal-to-noise."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,7 @@ import numpy as np
 from .amplifier import AmplifierConfig, amplify
 from .density import _flat_index, partial_trace
 from .fock import GainParams
-from .polarization import BlochPath, Qubit
+from .polarization import Qubit
 
 # 45-degree analyzer mapping the {h, v} basis of a mode pair onto the
 # detected fields {H, V}.  The sign convention is fixed once against the
@@ -65,20 +65,3 @@ def signal_to_noise(q: Qubit, gain: GainParams) -> float:
     if gain.nbar == 0.0:
         raise ValueError("signal-to-noise undefined at zero gain (nbar = 0)")
     return g1_closed_form(q, gain).g2h / gain.nbar
-
-
-@dataclass(frozen=True)
-class FringeTable:
-    """Rows of (sweep angle, dG, g2H, g2V) for one Bloch path and gain."""
-
-    rows: tuple
-    gain: GainParams
-    path: BlochPath
-
-
-def fringe_sweep(path: BlochPath, gain: GainParams) -> FringeTable:
-    rows = []
-    for angle, qubit in zip(path.angles, path.qubits()):
-        pair = g1_closed_form(qubit, gain)
-        rows.append((angle, pair.difference, pair.g2h, pair.g2v))
-    return FringeTable(rows=tuple(rows), gain=gain, path=path)

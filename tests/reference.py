@@ -13,7 +13,6 @@ import numpy as np
 
 from qiopa.amplifier import AmplifierConfig
 from qiopa.density import _flat_index, _pair_weights
-from qiopa.errors import NumericalError
 from qiopa.polarization import Qubit
 
 
@@ -73,10 +72,7 @@ def enumerated_law(q: Qubit, cfg: AmplifierConfig, det, thin=None) -> np.ndarray
                                  ("vacuum", None, 1.0 - det.p_inject)):
         (h, v), branches = detected_law(source, cfg)
         total = sum(p.sum() for _mode1, p in branches)
-        if not cfg.holds_norm(total):
-            raise NumericalError(
-                f"{label} sampling table holds weight {total!r}, outside "
-                f"1 - epsilon_trunc ({cfg.epsilon_trunc:.3g}) .. 1")
+        cfg.check_lost_weight(1.0 - total, f"weight the {label} sampling table drops")
         cell = h * top + v
         for mode1, p in branches:
             weight = share * (p / total)

@@ -12,10 +12,10 @@ from scipy.optimize import minimize_scalar
 
 from qiopa.amplifier import AmplifierConfig, amplify, propagate_hamiltonian
 from qiopa.cli import main
-from qiopa.density import (entropy, hs_distance, pair_distribution,
-                           partial_trace, rho1_closed_form, rho2_closed_form,
-                           tail_probability)
-from qiopa.fock import fidelity, inner_product, make_gain
+from qiopa.density import (entropy, partial_trace, rho1_closed_form,
+                           rho2_closed_form)
+from qiopa.fock import (fidelity, inner_product, make_gain, pair_probability,
+                        pair_tail)
 from qiopa.montecarlo import DetectorConfig, run
 from qiopa.observables import g1_closed_form, visibility
 from qiopa.polarization import (BlochPath, Qubit, babinet, su2_rotation,
@@ -122,9 +122,10 @@ def test_08_pair_statistics(rng):
     ok = True
     for g in (0.07, 1.13):
         cfg = _config(g)
-        dist = pair_distribution(cfg)
-        ok &= abs(dist.probabilities.sum() - 1.0) < 1e-9
-        ok &= abs(dist.mean() - 3 * math.sinh(g) ** 2) < 1e-9
+        n = np.arange(cfg.cutoff + 1)
+        p = pair_probability(cfg.gain, n)
+        ok &= abs(p.sum() - 1.0) < 1e-9
+        ok &= abs(n @ p - 3 * math.sinh(g) ** 2) < 1e-9
         weights = None
         for q in (Qubit(1.0, 0.0), BALANCED, random_qubit(rng)):
             w = np.asarray(rho1_closed_form(q, cfg).weights[1:])
@@ -137,8 +138,7 @@ def test_08_pair_statistics(rng):
 def test_09_tail_report(capsys):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    dist = pair_distribution(_config(1.13))
-    computed = tail_probability(dist, 8)
+    computed = pair_tail(_config(1.13).gain, 8)
     x = mp.tanh(mp.mpf("1.13")) ** 2
     exact = mp.cosh(mp.mpf("1.13")) ** -6 * mp.nsum(
         lambda n: (n + 1) * (n + 2) / 2 * x ** n, [8, mp.inf])
@@ -169,8 +169,9 @@ def test_11_hilbert_schmidt():
     ok = True
     for g in (0.0, 0.07, 1.13):
         cfg = _config(g)
-        d = hs_distance(amplify(Qubit(1.0, 0.0), cfg),
-                        amplify(Qubit(0.0, 1.0), cfg))
+        # the branch states' projectors, each of unit trace
+        d = 2.0 - 2.0 * fidelity(amplify(Qubit(1.0, 0.0), cfg),
+                                 amplify(Qubit(0.0, 1.0), cfg))
         ok &= abs(d - 2.0) <= 2 * cfg.epsilon_trunc
     _report(11, "branch Hilbert-Schmidt distance 2", ok)
 

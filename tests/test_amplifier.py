@@ -44,6 +44,14 @@ class TestAmplifierConfig:
         with pytest.raises(ValueError, match="MAX_CUTOFF"):
             AmplifierConfig.for_gain(g + 1e-9)
 
+    def test_lost_weight_outside_the_tail_raises(self):
+        cfg = AmplifierConfig.for_gain(1.13, 100)
+        for lost in (0.0, -1e-12, cfg.epsilon_trunc + 1e-12):
+            cfg.check_lost_weight(lost, "weight")
+        for lost in (-2e-12, cfg.epsilon_trunc + 2e-12, float("nan")):
+            with pytest.raises(NumericalError, match="held weight"):
+                cfg.check_lost_weight(lost, "held weight")
+
 
 class TestAmplify:
     def test_zero_gain_passes_qubit_through(self):
@@ -213,7 +221,7 @@ class TestPropagateHamiltonian:
             return 3.0 * lam, v
 
         monkeypatch.setattr(amplifier, "eigh_tridiagonal", wrong)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="beyond the cutoff"):
             propagate_hamiltonian(Qubit(1.0, 0.0), AmplifierConfig.for_gain(1.13, 100))
 
     @pytest.mark.parametrize("g", [0.07, 1.13, 2.0])

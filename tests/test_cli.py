@@ -109,6 +109,11 @@ class TestPairs:
         assert "# reported_tail=0.14" in out
         assert "# reported_tail_agreement=no" in out
 
+    def test_negative_threshold_exits_2(self, capsys):
+        # pair_tail reads a start <= 0 as the whole law; the command rejects it
+        assert main(["pairs", "--g", "0.5", "--threshold", "-1"]) == 2
+        assert "threshold" in capsys.readouterr().err
+
     def test_mean_matches_three_nbar(self, capsys):
         main(["pairs", "--g", "1.13", "--cutoff", "100"])
         meta = {}
@@ -257,12 +262,6 @@ class TestErrorHandling:
         assert main(["montecarlo", "--mask", "D_T,D9", "--pulses", "10"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("threads", ["0", "-5"])
-    def test_bad_thread_count_exits_2(self, threads, capsys):
-        assert main(["montecarlo", "--preset", "LG", "--pulses", "10",
-                     "--threads", threads]) == 2
-        assert "threads" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command, fmt", [("entropy", "csv"),
                                               ("montecarlo", "json")])
     def test_format_the_command_cannot_write_exits_2(self, command, fmt, capsys):
@@ -276,7 +275,8 @@ class TestErrorHandling:
         ["pairs", "--mask", "D1"], ["pairs", "--path", "z:0:1:2"],
         ["pairs", "--alpha", "1"], ["entropy", "--threshold", "8"],
         ["entropy", "--pulses", "5"], ["entropy", "--seed", "3"],
-        ["fringe", "--threshold", "8"], ["montecarlo", "--threshold", "8"]],
+        ["fringe", "--threshold", "8"], ["montecarlo", "--threshold", "8"],
+        ["fringe", "--threads", "2"], ["montecarlo", "--threads", "2"]],
         ids=" ".join)
     def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

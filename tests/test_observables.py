@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,11 +7,11 @@ from scipy.linalg import logm
 from scipy.optimize import minimize_scalar
 
 from qiopa.amplifier import AmplifierConfig, amplify, vacuum_output
+from qiopa.cli import main
 from qiopa.density import rho2_closed_form
 from qiopa.fock import _pair_rotation, make_gain, number_expectation, rotate_mode_pair
-from qiopa.observables import (DETECTED_FIELD_UNITARY, G1Pair, fringe_sweep,
-                               g1_closed_form, g1_oracle, signal_to_noise,
-                               visibility)
+from qiopa.observables import (DETECTED_FIELD_UNITARY, G1Pair, g1_closed_form,
+                               g1_oracle, signal_to_noise, visibility)
 from qiopa.polarization import BlochPath, PolarizationUnitary, Qubit, apply
 
 from conftest import random_qubit
@@ -221,21 +222,32 @@ class TestSignalToNoise:
             signal_to_noise(BALANCED, make_gain(0.0))
 
 
+def _fringe_rows(capsys, g: float, count: int) -> list:
+    """Rows of `qiopa fringe` over one period of the balanced qubit's z sweep,
+    each checked to equal g1_closed_form at its qubit exactly."""
+    step = 2 * math.pi / (count - 1)
+    assert main(["fringe", "--g", repr(g), "--path", f"z:0:{step!r}:{count}",
+                 "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    # the path the command builds: angles start + step k
+    path = BlochPath("z", tuple(0.0 + step * k for k in range(count)), BALANCED)
+    gain = make_gain(g)
+    assert len(rows) == count
+    for row, angle, q in zip(rows, path.angles, path.qubits()):
+        pair = g1_closed_form(q, gain)
+        assert row == [angle, pair.difference, pair.g2h, pair.g2v]
+    return rows
+
+
 class TestFringeSweep:
-    def test_rows_follow_path(self):
-        angles = tuple(np.linspace(0.0, 2 * math.pi, 17))
-        path = BlochPath("z", angles, BALANCED)
-        table = fringe_sweep(path, make_gain(1.13))
-        assert len(table.rows) == len(angles)
-        for (angle, dg, g2h, g2v), phi in zip(table.rows, angles):
-            assert angle == phi
-            assert g2h + g2v == pytest.approx(3 * table.gain.nbar, abs=1e-12)
+    def test_rows_follow_path(self, capsys):
+        nbar = make_gain(1.13).nbar
+        for angle, dg, g2h, g2v in _fringe_rows(capsys, 1.13, 17):
+            assert g2h + g2v == pytest.approx(3 * nbar, abs=1e-12)
             assert dg == pytest.approx(g2h - g2v, abs=1e-14)
 
-    def test_fringe_amplitude_realizes_visibility(self):
-        angles = tuple(np.linspace(0.0, 2 * math.pi, 721))
-        path = BlochPath("z", angles, BALANCED)
-        g2h = np.array([r[2] for r in fringe_sweep(path, make_gain(0.9)).rows])
+    def test_fringe_amplitude_realizes_visibility(self, capsys):
+        g2h = np.array([r[2] for r in _fringe_rows(capsys, 0.9, 721)])
         v = (g2h.max() - g2h.min()) / (g2h.max() + g2h.min())
         assert v == pytest.approx(visibility(BALANCED), abs=1e-5)
 
