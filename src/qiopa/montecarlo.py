@@ -10,16 +10,18 @@ axis, which binomial thinning keeps geometric; so every mask's outcome law
 is one closed form.
 
 Every statistic of a run sums, over independent pulses, a function of one
-per-pulse outcome: whether the gate passed and what D2 and D2* saw.  So a
-chunk of n pulses is one multinomial draw of n pulses over the exact law of
-that outcome, the same law as n single-pulse draws.  All randomness flows
-from a single seed through spawned per-point, per-chunk streams, so runs
-are reproducible regardless of scheduling.
+per-pulse outcome: whether the gate passed and what D2 and D2* saw.  Within
+each of the law's three terms the two axes are independent, so a point of n
+pulses is two multinomial draws: one of n over the 13 cells (term, D2
+clicked, D2* clicked, and a sink for gated-out pulses), then one of each
+term-axis's clicks over that axis's outcomes.  The totals have the same
+law as n single-pulse draws, and the sampler holds O(cutoff) numbers.  All
+randomness flows from a single seed through one spawned stream per point,
+so runs are reproducible.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,7 +33,6 @@ from .observables import visibility
 from .polarization import BlochPath, Qubit
 
 DETECTORS = ("D_T", "D2", "D2*", "D1", "D1*")
-CHUNK_PULSES = 200_000
 FULL_PERIOD_TOL = 1e-3   # relative slack of a sweep's period against 2 pi
 
 
@@ -85,13 +86,13 @@ class SweepStats:
 
 
 class PulseSampler:
-    """The exact per-pulse outcome law of one (qubit, amplifier, detector) setup.
+    """The exact per-pulse outcome law of one (qubit, amplifier, detector) setup,
+    held per axis.
 
-    law is the probability of each outcome a pulse contributes to a run: the
-    cell (oH, oV) of a gated pulse, flattened, then one sink cell for every
-    other pulse.  oH and oV are the outcomes of D2 and D2*, each one of
-    `outcomes`: 0 no click, 1 a dark click with no survivor, 1 + s for
-    s >= 1 survivors.
+    A pulse contributes to a run through the outcome (oH, oV) of D2 and D2*
+    on a gated pulse, each o one of 0 no click, 1 a dark click with no
+    survivor, 1 + s for s >= 1 survivors, or through the sink when the gate
+    rejects it.
 
     Behind the analyzer the injected pulse holds (n2H, n2V) = (h, v) with
     mode 1 one clone photon ahead: weight (1 - a) gamma^2 x^(h+v) (v + 1)
@@ -104,9 +105,16 @@ class PulseSampler:
     1 - (1 - dark)(1 - eta)^(k + tilt), the plain law less one of ratio
     (1 - eta) x.  Binomial thinning keeps each such law in closed form
     (_thinned_geometric), so the gated law is sum_t c_t u_t (x) w_t over
-    the three terms.  The grid holds survivors up to the cutoff on each axis;
-    the gated mass beyond it is at most the pair tail epsilon_trunc and goes
-    to the sink.
+    the three terms, and it is held in that factored form:
+
+    cells[4 t + 2 zH + zV] is the probability that a pulse is gated in term
+    t with D2 clicked iff zH and D2* clicked iff zV: c_t times the mass of
+    u_t on oH = 0 (zH = 0) or oH > 0 (zH = 1) times that of w_t on oV;
+    cells[12] is the sink.  axes[i] is the law of the outcomes 1 .. cutoff + 1
+    of term-axis i given a click: H of terms 0, 1, 2, then V of terms 0, 1,
+    2.  Each axis holds survivors up to the cutoff; the gated mass beyond it
+    is at most the pair tail epsilon_trunc and goes to the sink.  Memory is
+    O(cutoff).
     """
 
     def __init__(self, q: Qubit, cfg: AmplifierConfig, det: DetectorConfig):
@@ -144,17 +152,34 @@ class PulseSampler:
             u.append(u_t)
             w.append(w_t)
             passed += c[-1] * mass_h * mass_v
-        joint = (np.array(u).T * c) @ np.array(w)
-        gated = joint.sum()
+        vecs = np.array(u + w)
+        nonzero = vecs[:, 1:].sum(axis=1)
+        split = np.column_stack([vecs[:, 0], nonzero])      # [term-axis, z]
+        cells = np.array(c)[:, None, None] * split[:3, :, None] * split[3:, None, :]
+        gated = cells.sum()
         if gated > 1.0 + 1e-12:
             raise NumericalError(f"outcome law holds gated weight {gated!r} > 1")
-        cfg.check_lost_weight(passed - gated, "gated weight the outcome grid drops")
-        self.outcomes = cfg.cutoff + 2
-        self.law = np.append(joint.ravel(), max(1.0 - gated, 0.0))
+        cfg.check_lost_weight(passed - gated, "gated weight the outcome law drops")
+        self.cells = np.append(cells.ravel(), max(1.0 - gated, 0.0))
+        # an axis that cannot click keeps a zero row; it never draws a pulse
+        self.axes = np.divide(vecs[:, 1:], nonzero[:, None],
+                              out=np.zeros_like(vecs[:, 1:]), where=nonzero[:, None] > 0)
+        s = np.arange(cfg.cutoff + 1)
+        self.moments = np.column_stack([s, s * s])      # survivors s and s^2
 
     def sample_chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Counts of each outcome of law over n pulses."""
-        return rng.multinomial(n, self.law)
+        """The eight integer totals of n pulses: [D2, D_T] and [D2*, D_T]
+        counts, coincidences, gated pulses, and the sums of s and s^2 of each
+        channel's survivors.  One multinomial puts the pulses on the cells,
+        one more puts each term-axis's non-zero count on its outcomes."""
+        mask = self.det.coincidence_mask
+        cells = rng.multinomial(n, self.cells)[:-1].reshape(3, 2, 2)
+        clicks_h, clicks_v = cells[:, 1, :].sum(axis=1), cells[:, :, 1].sum(axis=1)
+        outcomes = rng.multinomial(np.concatenate([clicks_h, clicks_v]), self.axes)
+        (s1h, s2h), (s1v, s2v) = (outcomes @ self.moments).reshape(2, 3, 2).sum(axis=1)
+        coincident = cells[:, int("D2" in mask):, int("D2*" in mask):].sum()
+        return np.array([clicks_h.sum(), clicks_v.sum(), coincident, cells.sum(),
+                         s1h, s2h, s1v, s2v])
 
 
 def _thinned_geometric(z: float, rest: float, tilt: int, eta: float, dark: float,
@@ -174,41 +199,9 @@ def _thinned_geometric(z: float, rest: float, tilt: int, eta: float, dark: float
     return np.concatenate(([p[0] * (1.0 - dark), p[0] * dark], p[1:]))
 
 
-def _chunk_totals(counts: np.ndarray, outcomes: int, mask) -> np.ndarray:
-    """The eight integer totals of one chunk's outcome counts (the sink
-    counts in none): [D2, D_T] and [D2*, D_T] counts, coincidences, gated
-    pulses, and the sums of s and s^2 of each channel's survivors, from the
-    row and column marginals of the gated grid."""
-    grid = counts[:-1].reshape(outcomes, outcomes)
-    rows, cols = grid.sum(axis=1), grid.sum(axis=0)     # over oV, over oH
-    gated = rows.sum()
-    s = np.maximum(np.arange(outcomes) - 1, 0)
-    # gated pulses less those with oH = 0 if D2 is in the mask and those with
-    # oV = 0 if D2* is, by inclusion-exclusion
-    need_h, need_v = "D2" in mask, "D2*" in mask
-    coincident = (gated - need_h * rows[0] - need_v * cols[0]
-                  + need_h * need_v * grid[0, 0])
-    return np.array([gated - rows[0], gated - cols[0], coincident, gated,
-                     rows @ s, rows @ s ** 2, cols @ s, cols @ s ** 2])
-
-
-def _run_point(sampler: PulseSampler, seed_seq: np.random.SeedSequence,
-               threads: int = 1) -> RunStats:
+def _run_point(sampler: PulseSampler, seed_seq: np.random.SeedSequence) -> RunStats:
     det = sampler.det
-    n_chunks = (det.pulses + CHUNK_PULSES - 1) // CHUNK_PULSES
-    streams = seed_seq.spawn(n_chunks)
-
-    def one_chunk(i: int):
-        n = min(CHUNK_PULSES, det.pulses - i * CHUNK_PULSES)
-        counts = sampler.sample_chunk(np.random.default_rng(streams[i]), n)
-        return _chunk_totals(counts, sampler.outcomes, det.coincidence_mask)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            totals = sum(pool.map(one_chunk, range(n_chunks)))
-    else:
-        totals = sum(one_chunk(i) for i in range(n_chunks))
-
+    totals = sampler.sample_chunk(np.random.default_rng(seed_seq), det.pulses)
     ch, cv, coin, ngate, s1h, s2h, s1v, s2v = totals
     pulses = det.pulses
     xi_h, xi_v = ch / pulses, cv / pulses
@@ -262,12 +255,14 @@ def _null_pvalue(points) -> float:
 
 
 def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
-    """Aggregate pulses for a single qubit (RunStats) or a Bloch path (SweepStats)."""
+    """Aggregate pulses for a single qubit (RunStats) or a Bloch path (SweepStats).
+
+    threads is checked and otherwise unused: a point is two draws."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     root = np.random.SeedSequence(det.seed)
     if isinstance(target, Qubit):
-        return _run_point(PulseSampler(target, cfg, det), root, threads)
+        return _run_point(PulseSampler(target, cfg, det), root)
     if isinstance(target, BlochPath):
         # _estimate_visibility needs equal steps over one period: count times
         # each step must be 2 pi to within FULL_PERIOD_TOL of 2 pi
@@ -280,7 +275,7 @@ def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
         qubits = target.qubits()
         seeds = root.spawn(len(qubits))
         points = tuple(
-            _run_point(PulseSampler(q, cfg, det), s, threads)
+            _run_point(PulseSampler(q, cfg, det), s)
             for q, s in zip(qubits, seeds))
         v, se = _estimate_visibility(np.asarray(target.angles), points)
         return SweepStats(angles=target.angles, points=points, visibility=v,

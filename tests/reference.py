@@ -3,7 +3,8 @@
 The detected law lists the photon numbers behind the analyzer cell by cell,
 and the outcome law weighs every cell by its gate probability and thins both
 mode-2 axes by the binomial matrix of outcome given photon number.  It costs
-O(cutoff^3); the package builds the same law from per-axis closed forms.
+O(cutoff^3); the package holds the same law factored per axis, in O(cutoff),
+and grid_law multiplies that out onto the grid the enumeration fills.
 """
 from __future__ import annotations
 
@@ -59,10 +60,10 @@ def thinning(cutoff: int, eta: float, dark: float) -> np.ndarray:
 
 
 def enumerated_law(q: Qubit, cfg: AmplifierConfig, det, thin=None) -> np.ndarray:
-    """PulseSampler.law by enumeration: each branch of each source, normalised
-    over the truncated cells, weighs in with its gate probability; the
-    branches are summed onto (n2H, n2V) and both axes are thinned, then one
-    sink cell takes every other pulse.  thin, if given, is
+    """grid_law(PulseSampler(q, cfg, det)) by enumeration: each branch of each
+    source, normalised over the truncated cells, weighs in with its gate
+    probability; the branches are summed onto (n2H, n2V) and both axes are
+    thinned, then one sink cell takes every other pulse.  thin, if given, is
     thinning(cfg.cutoff, qe * attenuation, dark_rate)."""
     mask = det.coincidence_mask
     eta, dark = det.qe * det.attenuation, det.dark_rate
@@ -88,13 +89,27 @@ def enumerated_law(q: Qubit, cfg: AmplifierConfig, det, thin=None) -> np.ndarray
     return np.append(joint.ravel(), 1.0 - joint.sum())
 
 
-def chunk_totals_by_weights(counts: np.ndarray, outcomes: int, mask) -> np.ndarray:
-    """The eight totals of one chunk as integer dot products of its outcome
-    counts with one weight row per total; the sink cell weighs 0 in each."""
-    oh, ov = np.divmod(np.arange(len(counts) - 1), outcomes)
+def grid_law(sampler) -> np.ndarray:
+    """The sampler's outcome law on the (cutoff + 2)^2 grid of (oH, oV),
+    flattened, then the sink: each term's 2 x 2 cells spread over the grid
+    by its two axes' conditional non-zero outcome laws."""
+    side = sampler.axes.shape[1] + 1
+    spread = np.zeros((6, 2, side))     # [term-axis, z, o]
+    spread[:, 0, 0] = 1.0
+    spread[:, 1, 1:] = sampler.axes
+    cells = sampler.cells[:-1].reshape(3, 2, 2)
+    joint = sum(spread[t].T @ cells[t] @ spread[3 + t] for t in range(3))
+    return np.append(joint.ravel(), sampler.cells[-1])
+
+
+def per_pulse_totals(sampler) -> np.ndarray:
+    """f[i, cell]: the i-th of the sampler's eight totals for one pulse in
+    each cell of grid_law(sampler); the sink counts in none."""
+    side = sampler.axes.shape[1] + 1
+    oh, ov = np.divmod(np.arange(side * side), side)
     sh, sv = np.maximum(oh - 1, 0), np.maximum(ov - 1, 0)
+    mask = sampler.det.coincidence_mask
     coincident = ((oh > 0) | ("D2" not in mask)) & ((ov > 0) | ("D2*" not in mask))
-    weights = np.zeros((8, len(counts)), dtype=np.int64)
-    weights[:, :-1] = [oh > 0, ov > 0, coincident, np.ones_like(oh),
-                       sh, sh ** 2, sv, sv ** 2]
-    return weights @ counts
+    f = np.zeros((8, side * side + 1))
+    f[:, :-1] = [oh > 0, ov > 0, coincident, np.ones_like(oh), sh, sh ** 2, sv, sv ** 2]
+    return f

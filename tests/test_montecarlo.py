@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, chisquare
 
 from qiopa import amplifier, fock, montecarlo
 from qiopa.amplifier import AmplifierConfig, _largest_gain, amplify, vacuum_output
@@ -20,7 +21,7 @@ from qiopa.montecarlo import (DETECTORS, CalibrationResult, DetectorConfig,
 from qiopa.observables import DETECTED_FIELD_UNITARY, visibility
 from qiopa.polarization import BlochPath, Qubit
 
-from reference import chunk_totals_by_weights, detected_law, enumerated_law, thinning
+from reference import detected_law, enumerated_law, grid_law, per_pulse_totals, thinning
 
 BALANCED = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
 LG = AmplifierConfig.for_gain(0.07)
@@ -189,7 +190,9 @@ class TestPulseSampler:
             for mask in itertools.combinations(DETECTORS, k):
                 det = DetectorConfig(coincidence_mask=mask, pulses=1_000)
                 sampler = PulseSampler(Qubit(0.6, 0.8, 0.7), cfg, det)
-                assert sampler.law.shape == ((cfg.cutoff + 2) ** 2 + 1,)
+                # the per-axis form holds O(cutoff) numbers, no grid
+                arrays = [v for v in vars(sampler).values() if isinstance(v, np.ndarray)]
+                assert arrays and max(v.size for v in arrays) <= 6 * (cfg.cutoff + 1)
                 assert run(BALANCED, cfg, det).pulses == 1_000
 
     @pytest.mark.parametrize("mask,detectors", [
@@ -209,7 +212,7 @@ class TestPulseSampler:
     def test_outcome_law_equals_brute_force(self, mask, detectors):
         q = Qubit(0.6, 0.8, 0.7)
         det = DetectorConfig(coincidence_mask=mask, **detectors)
-        law = PulseSampler(q, LG, det).law
+        law = grid_law(PulseSampler(q, LG, det))
         side = LG.cutoff + 2
         assert law.shape == (side * side + 1,)
         want = np.zeros_like(law)
@@ -248,7 +251,7 @@ class TestPulseSampler:
                 if "D_T" in mask:
                     want[:-1] *= herald
                     want[-1] = 1.0 - want[:-1].sum()
-                law = PulseSampler(q, cfg, det).law
+                law = grid_law(PulseSampler(q, cfg, det))
                 assert np.abs(law - want).max() < cfg.epsilon_trunc + 1e-15
         assert len(references) == 4
 
@@ -318,18 +321,59 @@ class TestRunPoint:
         serial = run(BALANCED, LG, det)
         assert all(run(BALANCED, LG, det, threads=n) == serial for n in (2, 4))
 
-    @pytest.mark.parametrize("outcomes", [3, 14, 102])
-    def test_chunk_totals_equal_weighted_counts(self, outcomes):
-        counts = [np.random.default_rng(outcomes).integers(0, 200_000, outcomes ** 2 + 1),
-                  np.zeros(outcomes ** 2 + 1, dtype=np.int64),
-                  np.arange(outcomes ** 2 + 1)]
+    def test_totals_match_grid_law_expectations(self):
+        # every mask at HG with dark counts: each of the eight totals of one
+        # large draw lies within noise of its exact mean on the 2-D law
+        n, cfg, q = 10 ** 7, _hg(), Qubit(0.6, 0.8, 0.7)
         for k in range(len(DETECTORS) + 1):
             for mask in itertools.combinations(DETECTORS, k):
-                for c in counts:
-                    totals = montecarlo._chunk_totals(c, outcomes, frozenset(mask))
-                    assert totals.dtype == np.int64
-                    assert totals.tolist() == chunk_totals_by_weights(
-                        c, outcomes, frozenset(mask)).tolist()
+                det = DetectorConfig(coincidence_mask=mask, **LOSSY)
+                sampler = PulseSampler(q, cfg, det)
+                totals = sampler.sample_chunk(np.random.default_rng(k), n)
+                f = per_pulse_totals(sampler)
+                p = grid_law(sampler)
+                mean, var = f @ p, f ** 2 @ p - (f @ p) ** 2
+                z = (totals - n * mean) / np.sqrt(np.maximum(n * var, 1e-300))
+                assert np.all((np.abs(z) < 5) | ((var == 0) & (totals == n * mean))), \
+                    (mask, z)
+
+    def test_single_pulse_draws_follow_grid_law(self):
+        # n = 1 totals name the pulse's cell: chi-square against the 2-D law
+        det = DetectorConfig(qe=1.0, dark_rate=0.2, p_inject=0.6,
+                             coincidence_mask=frozenset({"D_T", "D1", "D2"}))
+        sampler = PulseSampler(Qubit(0.6, 0.8, 0.7), LG, det)
+        f = per_pulse_totals(sampler)
+        rng = np.random.default_rng(17)
+        draws = np.array([sampler.sample_chunk(rng, 1) for _ in range(20_000)])
+        clicks_h, clicks_v, _, gated, s_h, _, s_v, _ = draws.T
+        side = LG.cutoff + 2
+        cell = np.where(gated > 0, np.where(clicks_h > 0, 1 + s_h, 0) * side
+                        + np.where(clicks_v > 0, 1 + s_v, 0), side * side)
+        assert (f[:, cell].T == draws).all()
+        counts = np.bincount(cell, minlength=f.shape[1])
+        expected = len(draws) * grid_law(sampler)
+        rich = expected >= 5
+        observed = np.append(counts[rich], counts[~rich].sum())
+        want = np.append(expected[rich], expected[~rich].sum())
+        assert rich.sum() >= 6
+        assert chisquare(observed, want * observed.sum() / want.sum()).pvalue > 1e-3
+
+    def test_huge_run_is_fast_and_consistent(self):
+        # 10^12 pulses at g = 2.5 with D2 and D2* in the mask: the draws do not
+        # grow with the pulse count, and no count exceeds the gated pulses
+        cfg = AmplifierConfig.for_gain(2.5)
+        det = DetectorConfig(pulses=10 ** 12, seed=3,
+                             coincidence_mask=frozenset(DETECTORS))
+        start = time.perf_counter()
+        stats = run(BALANCED, cfg, det)
+        assert time.perf_counter() - start < 1.0
+        totals = PulseSampler(BALANCED, cfg, det).sample_chunk(
+            np.random.default_rng(3), det.pulses)
+        counts_h, counts_v, coincident, gated = totals[:4]
+        assert 0 < coincident <= min(counts_h, counts_v)
+        assert max(counts_h, counts_v) <= gated <= det.pulses
+        assert 0 < stats.coincidences <= min(stats.counts_h, stats.counts_v)
+        assert max(stats.counts_h, stats.counts_v) <= det.pulses
 
     @pytest.mark.parametrize("threads", [0, -5])
     def test_thread_count_below_one_rejected(self, threads):
@@ -374,13 +418,13 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("cfg,det,counts", [
         # exact counts of seeded runs (TestExactRates checks their rates).
-        # Changes to the outcome law's cell order, to its rounding or to the
-        # draw move them.
+        # Changes to the cell or axis order, to the laws' rounding or to the
+        # draws move them.
         (LG, DetectorConfig(qe=1.0, p_inject=0.5, pulses=200_000, seed=3,
                             coincidence_mask=frozenset({"D_T", "D1", "D2"})),
-         (4, 1000, 4)),
+         (9, 1005, 9)),
         (_hg(), DetectorConfig(p_inject=0.5, pulses=100_000, seed=11),
-         (6292, 4597, 6292)),
+         (6230, 4759, 6230)),
     ], ids=["LG-D_T,D1,D2", "HG"])
     def test_seeded_counts_pinned(self, cfg, det, counts):
         stats = run(BALANCED, cfg, det)
@@ -475,8 +519,9 @@ class TestCalibration:
 
 def _exact_point(sampler):
     """The gated survivor means of a run point, from the exact outcome law."""
-    cells = sampler.law[:-1].reshape(sampler.outcomes, sampler.outcomes)
-    survivors = np.maximum(np.arange(sampler.outcomes) - 1, 0)
+    side = sampler.axes.shape[1] + 1
+    cells = grid_law(sampler)[:-1].reshape(side, side)
+    survivors = np.maximum(np.arange(side) - 1, 0)
     gated = cells.sum()
     return SimpleNamespace(mean_photons_h=cells.sum(axis=1) @ survivors / gated,
                            mean_photons_v=cells.sum(axis=0) @ survivors / gated,
