@@ -4,9 +4,8 @@ from .amplifier import AmplifierConfig, amplify, propagate_hamiltonian, vacuum_o
 from .density import (SectorDensity, entropy, hs_distance, partial_trace,
                       rho1_closed_form, rho2_closed_form)
 from .errors import NumericalError
-from .fock import (FockState4, GainParams, default_cutoff, fidelity, inner_product,
-                   make_gain, number_expectation, pair_probability, pair_tail,
-                   rotate_mode_pair)
+from .fock import (FockState4, GainParams, fidelity, inner_product, make_gain,
+                   number_expectation, pair_probability, pair_tail, rotate_mode_pair)
 from .montecarlo import (CalibrationResult, DetectorConfig, PulseSampler, RunStats,
                          SweepStats, calibrate_visibility_loss, run)
 from .observables import (DETECTED_FIELD_UNITARY, G1Pair, g1_closed_form, g1_oracle,

@@ -19,12 +19,13 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError
-from .fock import (FockState4, GainParams, TAIL_RULE, default_cutoff,
-                   make_gain, pair_tail)
+from .fock import FockState4, GainParams, make_gain, pair_tail
 from .polarization import Qubit
 
 # the interaction transiently populates the truncation boundary
 PROPAGATOR_PADDING = 8
+# cutoff rule: the analytic pair-number tail beyond the cutoff must stay below this
+TAIL_RULE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,16 @@ class AmplifierConfig:
 
     @classmethod
     def for_gain(cls, g: float, cutoff: int | None = None) -> "AmplifierConfig":
+        """Config at gain g.  The default cutoff is the smallest that meets
+        TAIL_RULE (floor of 12); the search stops at MAX_CUTOFF + 1, which
+        __post_init__ rejects."""
         gain = make_gain(g)
-        return cls(gain, default_cutoff(gain, cls.MAX_CUTOFF) if cutoff is None else cutoff)
+        if cutoff is None:
+            cutoff = 0
+            while cutoff <= cls.MAX_CUTOFF and pair_tail(gain, cutoff + 1) >= TAIL_RULE:
+                cutoff += 1
+            cutoff = max(cutoff, 12)
+        return cls(gain, cutoff)
 
 
 def _largest_gain() -> float:

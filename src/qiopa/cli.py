@@ -59,7 +59,8 @@ def _load_preset(name_or_path: str) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common, qubit, sweep, tail = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    common, qubit, path, detector, tail = (argparse.ArgumentParser(add_help=False)
+                                           for _ in range(5))
     common.add_argument("--g", type=float, default=None, help="amplifier gain")
     common.add_argument("--cutoff", type=int, default=None, help="pair-number cutoff override")
     common.add_argument("--out", default=None, help="output path ('-' = stdout)")
@@ -67,15 +68,15 @@ def _build_parser() -> argparse.ArgumentParser:
     qubit.add_argument("--alpha", type=float, default=None)
     qubit.add_argument("--beta", type=float, default=None)
     qubit.add_argument("--phi", type=float, default=0.0)
-    sweep.add_argument("--path", default=None, metavar="AXIS:START:STEP:COUNT",
-                       help="Bloch-sphere sweep, e.g. z:0:0.196:32")
-    sweep.add_argument("--qe", type=float, default=None)
-    sweep.add_argument("--attenuation", type=float, default=None)
-    sweep.add_argument("--p-inject", type=float, default=None)
-    sweep.add_argument("--dark", type=float, default=None)
-    sweep.add_argument("--mask", default=None, help="comma-separated coincidence detectors")
-    sweep.add_argument("--pulses", type=int, default=None)
-    sweep.add_argument("--seed", type=int, default=0)
+    path.add_argument("--path", default=None, metavar="AXIS:START:STEP:COUNT",
+                      help="Bloch-sphere sweep, e.g. z:0:0.196:32")
+    detector.add_argument("--qe", type=float, default=None)
+    detector.add_argument("--attenuation", type=float, default=None)
+    detector.add_argument("--p-inject", type=float, default=None)
+    detector.add_argument("--dark", type=float, default=None)
+    detector.add_argument("--mask", default=None, help="comma-separated coincidence detectors")
+    detector.add_argument("--pulses", type=int, default=None)
+    detector.add_argument("--seed", type=int, default=0)
     tail.add_argument("--threshold", type=int, default=None,
                       help="pair-number threshold for tail reporting")
 
@@ -87,15 +88,15 @@ def _build_parser() -> argparse.ArgumentParser:
     # --format offers only what it writes: entropy writes JSON, and montecarlo
     # writes its CSV table followed by a JSON summary
     for name, parents, formats, hlp in (
-            ("fringe", (common, qubit, sweep), ("csv", "json"),
-             "interference fringe table over a Bloch path"),
+            ("fringe", (common, qubit, path), ("csv", "json"),
+             "closed-form interference fringe table over a Bloch path"),
             ("pairs", (common, tail), ("csv", "json"), "photon-pair number distribution"),
             ("entropy", (common, qubit), ("json",), "reduced-state entropies of both modes"),
-            ("montecarlo", (common, qubit, sweep), ("csv",),
+            ("montecarlo", (common, qubit, path, detector), ("csv",),
              "conditional coincidence-detection run")):
         cmd = sub.add_parser(name, parents=parents, help=hlp)
         cmd.add_argument("--format", choices=formats, default=formats[0])
-        for group in {common, qubit, sweep, tail} - set(parents):
+        for group in {common, qubit, path, detector, tail} - set(parents):
             cmd.set_defaults(**vars(group.parse_args([])))   # what _Resolved reads
     return parser
 
@@ -137,7 +138,7 @@ class _Resolved:
         for flag, name in (("qe", "qe"), ("attenuation", "attenuation"),
                            ("dark", "dark_rate"), ("p_inject", "p_inject"),
                            ("pulses", "pulses")):
-            val = getattr(args, flag.replace("-", "_"))
+            val = getattr(args, flag)
             if val is None:
                 val = preset.get(flag)
             if val is not None:
@@ -146,7 +147,6 @@ class _Resolved:
             det_kwargs["coincidence_mask"] = frozenset(
                 m.strip() for m in args.mask.split(",") if m.strip())
         self.detectors = DetectorConfig(seed=args.seed, **det_kwargs)
-        self.mc_requested = args.pulses is not None
         self.threshold = args.threshold
         self.fmt = args.format
         self.out = args.out
@@ -188,16 +188,6 @@ def cmd_fringe(res: _Resolved) -> None:
     for angle, qubit in zip(path.angles, path.qubits()):
         pair = g1_closed_form(qubit, res.cfg.gain)
         rows.append([angle, pair.difference, pair.g2h, pair.g2v])
-    if res.mc_requested:
-        sweep = run(path, res.cfg, res.detectors)
-        header += ["xi_H", "xi_V", "dxi", "stderr"]
-        for row, pt in zip(rows, sweep.points):
-            row += [pt.xi_h, pt.xi_v, pt.xi_h - pt.xi_v,
-                    math.hypot(pt.stderr_xi_h, pt.stderr_xi_v)]
-        for key, x in (("mc_visibility", sweep.visibility),
-                       ("mc_visibility_stderr", sweep.visibility_stderr)):
-            # strict JSON has no NaN (see _json_number); CSV writes nan
-            meta[key] = None if res.fmt == "json" and math.isnan(x) else _fmt(x)
     if res.fmt == "json":
         _emit(json.dumps({"meta": meta, "columns": header, "rows": rows},
                          indent=2) + "\n", res.out)

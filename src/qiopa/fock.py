@@ -20,8 +20,6 @@ MODE_ORDER = ("1h", "1v", "2h", "2v")
 MODE_PAIRS = {"mode1": (0, 1), "mode2": (2, 3)}
 
 PRUNE_THRESHOLD = 1e-15
-# cutoff rule: the analytic pair-number tail beyond the cutoff must stay below this
-TAIL_RULE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,15 +66,6 @@ def pair_tail(gain: GainParams, start: int) -> float:
     s1 = x ** m * (m - (m - 1) * x) / one ** 2
     s2 = x ** m * (m * m - (2 * m * m - 2 * m - 1) * x + (m - 1) ** 2 * x ** 2) / one ** 3
     return gain.gamma ** 2 * (s2 + 3 * s1 + 2 * s0) / 2
-
-
-def default_cutoff(gain: GainParams, limit: int, tol: float = TAIL_RULE) -> int:
-    """Smallest pair-number cutoff satisfying the tail rule (floor of 12), or
-    limit + 1 when no cutoff up to limit does."""
-    n = 0
-    while n <= limit and pair_tail(gain, n + 1) >= tol:
-        n += 1
-    return max(n, 12)
 
 
 class FockState4:

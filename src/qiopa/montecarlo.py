@@ -34,6 +34,7 @@ from .polarization import BlochPath, Qubit
 
 DETECTORS = ("D_T", "D2", "D2*", "D1", "D1*")
 FULL_PERIOD_TOL = 1e-3   # relative slack of a sweep's period against 2 pi
+CALIBRATION_SWEEP_POINTS = 12   # phases of calibrate_visibility_loss's one sweep
 
 
 @dataclass(frozen=True)
@@ -298,8 +299,7 @@ class CalibrationResult:
 
 
 def calibrate_visibility_loss(target_v: float, q: Qubit, cfg: AmplifierConfig,
-                              det: DetectorConfig,
-                              sweep_points: int = 12) -> CalibrationResult:
+                              det: DetectorConfig) -> CalibrationResult:
     """The p_inject whose fringe visibility is target_v, from the closed form.
 
     Without D1 and D1* the gate reads only the herald, which does not see the
@@ -319,7 +319,7 @@ def calibrate_visibility_loss(target_v: float, q: Qubit, cfg: AmplifierConfig,
         raise ValueError(f"target visibility {target_v} must lie in (0, {v1:.6g}], "
                          f"the visibility at p_inject = 1")
     p = min(2.0 * target_v / (3.0 * v1 - target_v), 1.0)   # can round above 1 at V1
-    stats = run(_phase_sweep(q, sweep_points), cfg, replace(det, p_inject=p))
+    stats = run(_phase_sweep(q, CALIBRATION_SWEEP_POINTS), cfg, replace(det, p_inject=p))
     dp = stats.visibility_stderr * (2.0 + p) ** 2 / (6.0 * v1)
     return CalibrationResult(
         p_inject=p, visibility=stats.visibility,

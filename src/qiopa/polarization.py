@@ -1,8 +1,8 @@
 """Injected-qubit algebra: SU(2) rotations, waveplates, Bloch paths.
 
 The qubit is kept in canonical form (alpha, beta real non-negative, explicit
-relative phase); the global phase is recorded for bookkeeping but never
-enters an observable.
+relative phase); a unitary's global phase never enters an observable, so
+apply drops it.
 """
 from __future__ import annotations
 
@@ -35,10 +35,9 @@ class Qubit:
     alpha: float
     beta: float
     phi: float = 0.0
-    global_phase: float = 0.0   # recorded but never observable
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "phi", "global_phase"):
+        for name in ("alpha", "beta", "phi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.alpha < 0 or self.beta < 0:
@@ -47,12 +46,6 @@ class Qubit:
             raise ValueError("qubit must be normalized: alpha^2 + beta^2 = 1")
         # beta = 0 leaves the relative phase unconstrained; fix the gauge
         object.__setattr__(self, "phi", 0.0 if self.beta == 0.0 else _wrap_phase(self.phi))
-        object.__setattr__(self, "global_phase", _wrap_phase(self.global_phase))
-
-    def vector(self) -> np.ndarray:
-        """Amplitudes (alpha, beta e^{i phi}) including the recorded global phase."""
-        return cmath.exp(1j * self.global_phase) * np.array(
-            [self.alpha, self.beta * cmath.exp(1j * self.phi)])
 
 
 @dataclass(frozen=True)
@@ -105,16 +98,12 @@ def babinet(delta: float) -> PolarizationUnitary:
 
 def apply(u: PolarizationUnitary, q: Qubit) -> Qubit:
     """Apply a polarization unitary and re-canonicalize the result."""
-    w = u.matrix @ q.vector()
+    w = u.matrix @ np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)])
     norm = math.hypot(abs(w[0]), abs(w[1]))
     alpha, beta = abs(w[0]) / norm, abs(w[1]) / norm
-    if alpha > 0:
-        gp = cmath.phase(w[0])
-        phi = cmath.phase(w[1]) - gp if beta > 0 else 0.0
-    else:
-        gp = cmath.phase(w[1])
-        phi = 0.0
-    return Qubit(alpha, beta, phi, global_phase=gp)
+    # at alpha = 0 the relative phase is a global one (Qubit zeroes it at beta = 0)
+    phi = cmath.phase(w[1]) - cmath.phase(w[0]) if alpha > 0 else 0.0
+    return Qubit(alpha, beta, phi)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ class TestAmplifierConfig:
         assert AmplifierConfig.for_gain(2.5).cutoff == 988
         for make in (lambda: AmplifierConfig(make_gain(1.13), AmplifierConfig.MAX_CUTOFF + 1),
                      lambda: AmplifierConfig.for_gain(2.51),
+                     lambda: AmplifierConfig.for_gain(8.0),
                      lambda: AmplifierConfig.for_gain(20.0)):
             with pytest.raises(ValueError, match=r"g = 2\.5062"):
                 make()

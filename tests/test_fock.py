@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import logm
 
 from qiopa.amplifier import AmplifierConfig, amplify
-from qiopa.fock import (FockState4, _pair_rotation, default_cutoff, inner_product,
+from qiopa.fock import (FockState4, _pair_rotation, inner_product,
                         make_gain, number_expectation, pair_probability,
                         pair_tail, rotate_mode_pair)
 from qiopa.observables import DETECTED_FIELD_UNITARY
@@ -73,12 +73,12 @@ class TestPairStatistics:
 
     def test_default_cutoff_respects_tail_rule(self):
         for g in (0.0, 0.07, 0.5, 1.13):
-            gp = make_gain(g)
-            assert pair_tail(gp, default_cutoff(gp, AmplifierConfig.MAX_CUTOFF) + 1) < 1e-9
+            assert pair_tail(make_gain(g), AmplifierConfig.for_gain(g).cutoff + 1) < 1e-9
 
     def test_default_cutoff_stops_past_the_limit(self):
         # at g = 8 the tail rule would need a cutoff in the millions
-        assert default_cutoff(make_gain(8.0), 1000) == 1001
+        with pytest.raises(ValueError, match=r"cutoff 1001 \(gain 8\) exceeds MAX_CUTOFF"):
+            AmplifierConfig.for_gain(8.0)
 
 
 def _random_state(rng, n_entries=25, cutoff=6):

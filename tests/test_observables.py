@@ -250,10 +250,3 @@ class TestFringeSweep:
         g2h = np.array([r[2] for r in _fringe_rows(capsys, 0.9, 721)])
         v = (g2h.max() - g2h.min()) / (g2h.max() + g2h.min())
         assert v == pytest.approx(visibility(BALANCED), abs=1e-5)
-
-    def test_global_phase_does_not_shift_fringes(self):
-        gp = make_gain(0.8)
-        q = Qubit(0.6, 0.8, 0.3, global_phase=1.234)
-        plain = Qubit(0.6, 0.8, 0.3)
-        assert g1_closed_form(q, gp).difference == \
-            g1_closed_form(plain, gp).difference

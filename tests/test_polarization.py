@@ -118,12 +118,6 @@ class TestApply:
             out = apply(u, q)
             assert out.alpha ** 2 + out.beta ** 2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_global_phase_recorded_not_lost(self):
-        # -identity from a full turn lands entirely in the recorded phase
-        out = apply(su2_rotation("z", 2 * math.pi), Qubit(1.0, 0.0))
-        assert out.alpha == pytest.approx(1.0)
-        assert abs(out.global_phase) == pytest.approx(math.pi)
-
 
 class TestPolarizationUnitary:
     @pytest.mark.parametrize("m", [[[1.0, 0.1], [0.0, 1.0]],
