@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import scipy
 
 from .errors import NumericalError
 from .fock import FockState4, GainParams, make_gain, pair_tail
@@ -137,7 +137,7 @@ def _chain(cfg: AmplifierConfig, d: int) -> np.ndarray:
     a marginal of the pair-number tail, so it may not exceed epsilon_trunc."""
     length = cfg.cutoff + PROPAGATOR_PADDING + 1
     k = np.arange(1, length)
-    lam, v = eigh_tridiagonal(np.zeros(length), np.sqrt(k * (k + d)))
+    lam, v = scipy.linalg.eigh_tridiagonal(np.zeros(length), np.sqrt(k * (k + d)))
     phase = 1j ** (np.arange(length) % 4)   # exact powers of i
     # exp(gK) is real: the imaginary part is rounding
     psi = (phase * (v @ (np.exp(-1j * cfg.gain.g * lam) * v[0]))).real

@@ -20,7 +20,7 @@ import cmath
 import math
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+import scipy
 
 from .amplifier import AmplifierConfig
 from .errors import NumericalError
@@ -91,8 +91,8 @@ class SectorDensity:
         defaults to stemr, whose workspace is quadratic in the band length.
         """
         if self._spectrum is None:
-            lam = (eigvalsh_tridiagonal(self.diag, np.abs(self.sub[:-1]),
-                                        lapack_driver="sterf")
+            lam = (scipy.linalg.eigvalsh_tridiagonal(
+                       self.diag, np.abs(self.sub[:-1]), lapack_driver="sterf")
                    if self.sectors else np.zeros(0))
             lam.setflags(write=False)
             self._spectrum = lam

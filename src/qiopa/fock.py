@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, logm
+import scipy
 
 from .polarization import PolarizationUnitary
 
@@ -146,8 +146,9 @@ def _pair_rotation(h: np.ndarray, t: int) -> np.ndarray:
     """
     p = np.arange(t + 1)
     # G[p+1, p] = <p+1, t-p-1| G |p, t-p> = sqrt((p+1)(t-p)) h01
-    lam, v = eigh_tridiagonal(p * h[0, 0].real + (t - p) * h[1, 1].real,
-                              np.sqrt(p[1:] * (t - p[:-1])) * abs(h[0, 1]))
+    lam, v = scipy.linalg.eigh_tridiagonal(
+        p * h[0, 0].real + (t - p) * h[1, 1].real,
+        np.sqrt(p[1:] * (t - p[:-1])) * abs(h[0, 1]))
     v = np.exp(1j * np.angle(h[0, 1]) * p)[:, None] * v    # P V
     return (v * np.exp(1j * lam)) @ v.conj().T
 
@@ -167,7 +168,7 @@ def rotate_mode_pair(state: FockState4, pair: str, u) -> FockState4:
         raise ValueError(f"pair must be 'mode1' or 'mode2', got {pair!r}")
     i0, i1 = MODE_PAIRS[pair]
     rest = [j for j in range(4) if j not in (i0, i1)]
-    h = -1j * logm(u)
+    h = -1j * scipy.linalg.logm(u)
 
     m = state.occ[:, i0]
     t = m + state.occ[:, i1]

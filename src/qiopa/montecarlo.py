@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import chdtrc
+import scipy
 
 from .amplifier import AmplifierConfig
 from .errors import NumericalError
@@ -252,7 +252,8 @@ def _null_pvalue(points) -> float:
         if tot:
             stat += (p.counts_h - p.counts_v) ** 2 / tot
             dof += 1
-    return float(chdtrc(dof, stat)) if dof else 1.0   # chi2 survival function
+    # chi2 survival function
+    return float(scipy.special.chdtrc(dof, stat)) if dof else 1.0
 
 
 def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):

@@ -11,8 +11,6 @@ from qiopa.fock import (FockState4, _pair_rotation, inner_product,
 from qiopa.observables import DETECTED_FIELD_UNITARY
 from qiopa.polarization import Qubit
 
-from conftest import random_qubit
-
 
 class TestMakeGain:
     def test_zero_gain_identity_case(self):

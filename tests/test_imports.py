@@ -1,0 +1,55 @@
+import json
+import os
+import subprocess
+import sys
+
+import qiopa
+
+# runs in a fresh interpreter: the test process has loaded scipy.linalg and
+# scipy.special already.  The closed-form commands must leave both unloaded;
+# the oracles and a sweep's p-value load them on first use through scipy's
+# lazy submodule access.
+SCRIPT = """
+import contextlib, io, json, math, sys
+
+from qiopa import cli
+from qiopa.amplifier import AmplifierConfig, propagate_hamiltonian
+from qiopa.density import entropy, partial_trace, rho1_closed_form
+from qiopa.montecarlo import DetectorConfig, run
+from qiopa.polarization import BlochPath, Qubit
+
+def lazy():
+    return [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+
+loaded = {"import qiopa": lazy()}
+for cmd in ("pairs", "entropy", "fringe"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([cmd, "--preset", "HG"])
+    loaded[cmd] = lazy() + ([] if code == 0 else [f"exit {code}"])
+cfg = AmplifierConfig.for_gain(1.13, 100)
+q = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
+run(q, cfg, DetectorConfig(pulses=1000))
+loaded["run(Qubit)"] = lazy()
+
+oracle = entropy(partial_trace(propagate_hamiltonian(q, cfg), "mode1"))
+angles = tuple(2 * math.pi * k / 8 for k in range(8))
+sweep = run(BlochPath("z", angles, q), cfg, DetectorConfig(pulses=1000))
+print(json.dumps({"loaded": loaded, "after": lazy(),
+                  "entropy_error": abs(oracle - entropy(rho1_closed_form(q, cfg))),
+                  "null_pvalue": sweep.null_pvalue}))
+"""
+
+
+def test_closed_forms_leave_scipy_linalg_and_special_unloaded():
+    src = os.path.dirname(os.path.dirname(qiopa.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout)
+    assert report["loaded"] == {"import qiopa": [], "pairs": [], "entropy": [],
+                                "fringe": [], "run(Qubit)": []}
+    # the propagator oracle, the eigensolved spectrum and the p-value still run
+    assert report["after"] == ["scipy.linalg", "scipy.special"]
+    assert report["entropy_error"] <= 1e-12
+    assert 0.0 <= report["null_pvalue"] <= 1.0

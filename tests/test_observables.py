@@ -10,7 +10,7 @@ from qiopa.amplifier import AmplifierConfig, amplify, vacuum_output
 from qiopa.cli import main
 from qiopa.density import rho2_closed_form
 from qiopa.fock import _pair_rotation, make_gain, number_expectation, rotate_mode_pair
-from qiopa.observables import (DETECTED_FIELD_UNITARY, G1Pair, g1_closed_form,
+from qiopa.observables import (DETECTED_FIELD_UNITARY, g1_closed_form,
                                g1_oracle, signal_to_noise, visibility)
 from qiopa.polarization import BlochPath, PolarizationUnitary, Qubit, apply
 
