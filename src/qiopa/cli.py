@@ -1,8 +1,11 @@
 """Command-line front end: presets, sweeps and CSV/JSON emission.
 
 Commands: fringe, pairs, entropy (the closed-form entropies of both
-output modes) and montecarlo.  Exit codes: 0 success, 2 validation error,
-3 numerical failure, 4 I/O error.
+output modes) and montecarlo.  A --preset supplies defaults and flags
+override them, all in one merge, the parser; the detector flags default to
+DetectorConfig's fields.  Each command builds only what it reads, so only
+montecarlo builds a DetectorConfig.  Exit codes: 0 success, 2 validation
+error, 3 numerical failure, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from .amplifier import AmplifierConfig
 from .density import entropy, rho1_closed_form, rho2_closed_form
 from .errors import NumericalError
 from .fock import pair_probability, pair_tail
-from .montecarlo import DetectorConfig, run
+from .montecarlo import DetectorConfig, phase_sweep, run
 from .observables import g1_closed_form
 from .polarization import BlochPath, Qubit
 
@@ -27,9 +30,10 @@ PRESETS = {
     "HG": {"g": 1.13, "cutoff": 100, "qe": 0.18},
 }
 
-# reported experimental reference values, printed for comparison only
-REPORTED_TAIL = {"HG": (8, 0.14)}
-REPORTED_MEAN_PAIRS = {"LG": 0.009, "HG": 4.0}
+# experimental values reported in each preset's regime, printed for comparison
+# only, and only by a run at that preset's gain
+REPORTED = {PRESETS["LG"]["g"]: {"mean_pairs": 0.009},
+            PRESETS["HG"]["g"]: {"mean_pairs": 4.0, "tail_threshold": 8, "tail": 0.14}}
 
 DEFAULT_SWEEP_POINTS = 32
 
@@ -58,10 +62,12 @@ def _load_preset(name_or_path: str) -> dict:
     return {key: convert[key](val) for key, val in values.items()}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(preset: dict | None = None) -> argparse.ArgumentParser:
+    """The parser, with a preset's values as every command's defaults: a flag
+    beats the preset, and the preset beats the built-in default."""
     common, qubit, path, detector, tail = (argparse.ArgumentParser(add_help=False)
                                            for _ in range(5))
-    common.add_argument("--g", type=float, default=None, help="amplifier gain")
+    common.add_argument("--g", type=float, default=0.07, help="amplifier gain")
     common.add_argument("--cutoff", type=int, default=None, help="pair-number cutoff override")
     common.add_argument("--out", default=None, help="output path ('-' = stdout)")
     common.add_argument("--preset", default=None, help="LG, HG, or a key=value preset file")
@@ -70,13 +76,16 @@ def _build_parser() -> argparse.ArgumentParser:
     qubit.add_argument("--phi", type=float, default=0.0)
     path.add_argument("--path", default=None, metavar="AXIS:START:STEP:COUNT",
                       help="Bloch-sphere sweep, e.g. z:0:0.196:32")
-    detector.add_argument("--qe", type=float, default=None)
-    detector.add_argument("--attenuation", type=float, default=None)
-    detector.add_argument("--p-inject", type=float, default=None)
-    detector.add_argument("--dark", type=float, default=None)
-    detector.add_argument("--mask", default=None, help="comma-separated coincidence detectors")
-    detector.add_argument("--pulses", type=int, default=None)
-    detector.add_argument("--seed", type=int, default=0)
+    detector.add_argument("--qe", type=float, default=DetectorConfig.qe)
+    detector.add_argument("--attenuation", type=float, default=DetectorConfig.attenuation)
+    detector.add_argument("--p-inject", type=float, default=DetectorConfig.p_inject)
+    detector.add_argument("--dark", type=float, default=DetectorConfig.dark_rate)
+    detector.add_argument("--mask", default=DetectorConfig.coincidence_mask,
+                          type=lambda text: frozenset(
+                              m.strip() for m in text.split(",") if m.strip()),
+                          help="comma-separated coincidence detectors")
+    detector.add_argument("--pulses", type=int, default=DetectorConfig.pulses)
+    detector.add_argument("--seed", type=int, default=DetectorConfig.seed)
     tail.add_argument("--threshold", type=int, default=None,
                       help="pair-number threshold for tail reporting")
 
@@ -87,74 +96,53 @@ def _build_parser() -> argparse.ArgumentParser:
     # a command takes only the flags it reads, so one it would ignore is an error;
     # --format offers only what it writes: entropy writes JSON, and montecarlo
     # writes its CSV table followed by a JSON summary
-    for name, parents, formats, hlp in (
-            ("fringe", (common, qubit, path), ("csv", "json"),
+    for name, command, parents, formats, hlp in (
+            ("fringe", cmd_fringe, (common, qubit, path), ("csv", "json"),
              "closed-form interference fringe table over a Bloch path"),
-            ("pairs", (common, tail), ("csv", "json"), "photon-pair number distribution"),
-            ("entropy", (common, qubit), ("json",), "reduced-state entropies of both modes"),
-            ("montecarlo", (common, qubit, path, detector), ("csv",),
+            ("pairs", cmd_pairs, (common, tail), ("csv", "json"),
+             "photon-pair number distribution"),
+            ("entropy", cmd_entropy, (common, qubit), ("json",),
+             "reduced-state entropies of both modes"),
+            ("montecarlo", cmd_montecarlo, (common, qubit, path, detector), ("csv",),
              "conditional coincidence-detection run")):
         cmd = sub.add_parser(name, parents=parents, help=hlp)
         cmd.add_argument("--format", choices=formats, default=formats[0])
-        for group in {common, qubit, path, detector, tail} - set(parents):
-            cmd.set_defaults(**vars(group.parse_args([])))   # what _Resolved reads
+        # a preset key the command has no flag for is set and never read
+        cmd.set_defaults(run=command, **(preset or {}))
     return parser
 
 
-class _Resolved:
-    """Validated run configuration assembled from preset plus flags."""
+def _config(args) -> AmplifierConfig:
+    return AmplifierConfig.for_gain(args.g, args.cutoff)
 
-    def __init__(self, args):
-        preset = _load_preset(args.preset) if args.preset else {}
-        g = args.g if args.g is not None else preset.get("g", 0.07)
-        cutoff = args.cutoff if args.cutoff is not None else preset.get("cutoff")
-        self.preset = args.preset
-        self.cfg = AmplifierConfig.for_gain(g, cutoff)
 
-        alpha, beta = args.alpha, args.beta
-        if alpha is None and beta is None:
-            alpha = beta = 2 ** -0.5
-        elif beta is None:
-            beta = math.sqrt(max(1.0 - alpha ** 2, 0.0))
-        elif alpha is None:
-            alpha = math.sqrt(max(1.0 - beta ** 2, 0.0))
-        self.qubit = Qubit(alpha, beta, args.phi)
+def _qubit(args) -> Qubit:
+    """The balanced qubit, or the given amplitudes; one given alone is
+    completed to a unit vector."""
+    alpha, beta = args.alpha, args.beta
+    if alpha is None and beta is None:
+        alpha = beta = 2 ** -0.5
+    elif beta is None:
+        beta = math.sqrt(max(1.0 - alpha ** 2, 0.0))
+    elif alpha is None:
+        alpha = math.sqrt(max(1.0 - beta ** 2, 0.0))
+    return Qubit(alpha, beta, args.phi)
 
-        self.path = None
-        if args.path is not None:
-            try:
-                axis, start, step, count = args.path.split(":")
-                start, step, count = float(start), float(step), int(count)
-            except ValueError as exc:
-                raise ValueError(
-                    f"--path must look like axis:start:step:count, got {args.path!r}"
-                ) from exc
-            if count < 2 or step <= 0:
-                raise ValueError("--path needs count >= 2 and step > 0")
-            angles = tuple(start + step * k for k in range(count))
-            self.path = BlochPath(axis, angles, self.qubit)
 
-        det_kwargs = {}
-        for flag, name in (("qe", "qe"), ("attenuation", "attenuation"),
-                           ("dark", "dark_rate"), ("p_inject", "p_inject"),
-                           ("pulses", "pulses")):
-            val = getattr(args, flag)
-            if val is None:
-                val = preset.get(flag)
-            if val is not None:
-                det_kwargs[name] = val
-        if args.mask is not None:
-            det_kwargs["coincidence_mask"] = frozenset(
-                m.strip() for m in args.mask.split(",") if m.strip())
-        self.detectors = DetectorConfig(seed=args.seed, **det_kwargs)
-        self.threshold = args.threshold
-        self.fmt = args.format
-        self.out = args.out
-
-    def default_path(self) -> BlochPath:
-        step = 2 * math.pi / DEFAULT_SWEEP_POINTS
-        return BlochPath("z", tuple(step * k for k in range(DEFAULT_SWEEP_POINTS)),
-                         self.qubit)
+def _path(args, qubit: Qubit) -> BlochPath:
+    """--path from qubit, or one full period of z in DEFAULT_SWEEP_POINTS steps."""
+    if args.path is None:
+        return phase_sweep(qubit, DEFAULT_SWEEP_POINTS)
+    try:
+        axis, start, step, count = args.path.split(":")
+        start, step, count = float(start), float(step), int(count)
+    except ValueError as exc:
+        raise ValueError(
+            f"--path must look like axis:start:step:count, got {args.path!r}"
+        ) from exc
+    if count < 2 or step <= 0:
+        raise ValueError("--path needs count >= 2 and step > 0")
+    return BlochPath(axis, tuple(start + step * k for k in range(count)), qubit)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -177,55 +165,57 @@ def _csv(meta: dict, header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_fringe(res: _Resolved) -> None:
-    path = res.path or res.default_path()
-    meta = {"g": _fmt(res.cfg.gain.g), "nbar": _fmt(res.cfg.gain.nbar),
+def cmd_fringe(args) -> None:
+    cfg = _config(args)
+    path = _path(args, _qubit(args))
+    meta = {"g": _fmt(cfg.gain.g), "nbar": _fmt(cfg.gain.nbar),
             "axis": path.axis,
             "start_qubit": f"({_fmt(path.start.alpha)},{_fmt(path.start.beta)},"
                            f"{_fmt(path.start.phi)})"}
     header = ["Phi", "dG", "g2H", "g2V"]
     rows = []
     for angle, qubit in zip(path.angles, path.qubits()):
-        pair = g1_closed_form(qubit, res.cfg.gain)
+        pair = g1_closed_form(qubit, cfg.gain)
         rows.append([angle, pair.difference, pair.g2h, pair.g2v])
-    if res.fmt == "json":
+    if args.format == "json":
         _emit(json.dumps({"meta": meta, "columns": header, "rows": rows},
-                         indent=2) + "\n", res.out)
+                         indent=2) + "\n", args.out)
     else:
-        _emit(_csv(meta, header, rows), res.out)
+        _emit(_csv(meta, header, rows), args.out)
 
 
-def cmd_pairs(res: _Resolved) -> None:
-    n = np.arange(res.cfg.cutoff + 1)
-    p = pair_probability(res.cfg.gain, n)
-    meta = {"g": _fmt(res.cfg.gain.g),
+def cmd_pairs(args) -> None:
+    cfg = _config(args)
+    reported = REPORTED.get(cfg.gain.g, {})
+    n = np.arange(cfg.cutoff + 1)
+    p = pair_probability(cfg.gain, n)
+    meta = {"g": _fmt(cfg.gain.g),
             "mean_pairs": _fmt(np.sum(n * p)),
-            "three_nbar": _fmt(3 * res.cfg.gain.nbar)}
-    if res.preset in REPORTED_MEAN_PAIRS:
-        meta["reported_mean_pairs"] = _fmt(REPORTED_MEAN_PAIRS[res.preset])
-    if res.threshold is not None:
-        if res.threshold < 0:
+            "three_nbar": _fmt(3 * cfg.gain.nbar)}
+    if "mean_pairs" in reported:
+        meta["reported_mean_pairs"] = _fmt(reported["mean_pairs"])
+    if args.threshold is not None:
+        if args.threshold < 0:
             # pair_tail reads any start <= 0 as the whole law
             raise ValueError("threshold must be >= 0")
-        tail = pair_tail(res.cfg.gain, res.threshold)
-        meta["tail_threshold"] = res.threshold
+        tail = pair_tail(cfg.gain, args.threshold)
+        meta["tail_threshold"] = args.threshold
         meta["tail_probability"] = _fmt(tail)
-        for name, (thr, reported) in REPORTED_TAIL.items():
-            if res.threshold == thr and abs(res.cfg.gain.g - PRESETS[name]["g"]) < 1e-12:
-                meta["reported_tail"] = _fmt(reported)
-                meta["reported_tail_agreement"] = (
-                    "yes" if abs(tail - reported) < 0.01 else
-                    f"no (computed {tail:.4f} differs from reported {reported:.2f})")
+        if args.threshold == reported.get("tail_threshold"):
+            meta["reported_tail"] = _fmt(reported["tail"])
+            meta["reported_tail_agreement"] = (
+                "yes" if abs(tail - reported["tail"]) < 0.01 else
+                f"no (computed {tail:.4f} differs from reported {reported['tail']:.2f})")
     rows = [[k, float(pk), float(c)] for k, (pk, c) in enumerate(zip(p, np.cumsum(p)))]
-    if res.fmt == "json":
+    if args.format == "json":
         _emit(json.dumps({"meta": meta, "columns": ["n", "p_n", "cumulative"],
-                          "rows": rows}, indent=2) + "\n", res.out)
+                          "rows": rows}, indent=2) + "\n", args.out)
     else:
-        _emit(_csv(meta, ["n", "p_n", "cumulative"], rows), res.out)
+        _emit(_csv(meta, ["n", "p_n", "cumulative"], rows), args.out)
 
 
-def cmd_entropy(res: _Resolved) -> None:
-    q, cfg = res.qubit, res.cfg
+def cmd_entropy(args) -> None:
+    cfg, q = _config(args), _qubit(args)
     s1 = entropy(rho1_closed_form(q, cfg))
     s2 = entropy(rho2_closed_form(q, cfg))
     report = {
@@ -235,7 +225,7 @@ def cmd_entropy(res: _Resolved) -> None:
         "entropy_mode2_bits": s2,
         "entropy_difference": abs(s1 - s2),
     }
-    _emit(json.dumps(report, indent=2) + "\n", res.out)
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
 
 
 def _json_number(x: float) -> float | None:
@@ -244,21 +234,26 @@ def _json_number(x: float) -> float | None:
     return None if math.isnan(x) else x
 
 
-def cmd_montecarlo(res: _Resolved) -> None:
-    target = res.path or res.default_path()
-    sweep = run(target, res.cfg, res.detectors)
-    meta = {"g": _fmt(res.cfg.gain.g), "seed": res.detectors.seed,
-            "pulses_per_point": res.detectors.pulses}
+def cmd_montecarlo(args) -> None:
+    cfg = _config(args)
+    target = _path(args, _qubit(args))
+    detectors = DetectorConfig(qe=args.qe, attenuation=args.attenuation,
+                               dark_rate=args.dark, p_inject=args.p_inject,
+                               coincidence_mask=args.mask, pulses=args.pulses,
+                               seed=args.seed)
+    sweep = run(target, cfg, detectors)
+    meta = {"g": _fmt(cfg.gain.g), "seed": detectors.seed,
+            "pulses_per_point": detectors.pulses}
     header = ["sweep", "xi_H", "xi_V", "dxi", "stderr"]
     rows = [[float(a), pt.xi_h, pt.xi_v, pt.xi_h - pt.xi_v,
              math.hypot(pt.stderr_xi_h, pt.stderr_xi_v)]
             for a, pt in zip(sweep.angles, sweep.points)]
     csv_text = _csv(meta, header, rows)
 
-    det = asdict(res.detectors)
+    det = asdict(detectors)
     det["coincidence_mask"] = sorted(det["coincidence_mask"])
     summary = {
-        "config": {"g": res.cfg.gain.g, "cutoff": res.cfg.cutoff,
+        "config": {"g": cfg.gain.g, "cutoff": cfg.cutoff,
                    "detectors": det},
         "totals": {
             "pulses": sum(pt.pulses for pt in sweep.points),
@@ -275,12 +270,12 @@ def cmd_montecarlo(res: _Resolved) -> None:
         "null_pvalue": sweep.null_pvalue,
     }
     json_text = json.dumps(summary, indent=2) + "\n"
-    if res.out is None or res.out == "-":
+    if args.out is None or args.out == "-":
         sys.stdout.write(csv_text)
         sys.stdout.write(json_text)
     else:
-        _emit(csv_text, res.out)
-        _emit(json_text, res.out + ".json")
+        _emit(csv_text, args.out)
+        _emit(json_text, args.out + ".json")
 
 
 def main(argv=None) -> int:
@@ -289,9 +284,9 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.error("a command is required (fringe, pairs, entropy, montecarlo)")
     try:
-        res = _Resolved(args)
-        {"fringe": cmd_fringe, "pairs": cmd_pairs,
-         "entropy": cmd_entropy, "montecarlo": cmd_montecarlo}[args.command](res)
+        if args.preset:
+            args = _build_parser(_load_preset(args.preset)).parse_args(argv)
+        args.run(args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

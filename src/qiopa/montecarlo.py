@@ -285,7 +285,8 @@ def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
     raise TypeError("target must be a Qubit or a BlochPath")
 
 
-def _phase_sweep(q: Qubit, n_points: int) -> BlochPath:
+def phase_sweep(q: Qubit, n_points: int) -> BlochPath:
+    """One full period of z from q, in n_points equal steps."""
     angles = tuple(2 * math.pi * k / n_points for k in range(n_points))
     return BlochPath("z", angles, q)
 
@@ -320,7 +321,7 @@ def calibrate_visibility_loss(target_v: float, q: Qubit, cfg: AmplifierConfig,
         raise ValueError(f"target visibility {target_v} must lie in (0, {v1:.6g}], "
                          f"the visibility at p_inject = 1")
     p = min(2.0 * target_v / (3.0 * v1 - target_v), 1.0)   # can round above 1 at V1
-    stats = run(_phase_sweep(q, CALIBRATION_SWEEP_POINTS), cfg, replace(det, p_inject=p))
+    stats = run(phase_sweep(q, CALIBRATION_SWEEP_POINTS), cfg, replace(det, p_inject=p))
     dp = stats.visibility_stderr * (2.0 + p) ** 2 / (6.0 * v1)
     return CalibrationResult(
         p_inject=p, visibility=stats.visibility,

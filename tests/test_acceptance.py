@@ -3,7 +3,6 @@
 One test per shipped guarantee; each prints a single pass/fail line so the
 whole gate can be read off `pytest tests/test_acceptance.py -v -s`.
 """
-import json
 import math
 
 import numpy as np

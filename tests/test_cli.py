@@ -35,6 +35,43 @@ class TestPresets:
         with pytest.raises(ValueError):
             _load_preset("no-such-preset")
 
+    def test_preset_file_detector_values_reach_montecarlo(self, tmp_path):
+        f = tmp_path / "det.preset"
+        f.write_text("g = 0.3\nqe = 0.4\ndark = 0.02\npulses = 3000\n")
+        out = tmp_path / "mc.csv"
+        argv = ["montecarlo", "--preset", str(f), "--path", f"z:0:{math.pi}:2",
+                "--out", str(out)]
+        assert main(argv) == 0
+        summary = json.loads(_read(tmp_path / "mc.csv.json"))
+        assert summary["config"]["g"] == 0.3
+        det = summary["config"]["detectors"]
+        assert (det["qe"], det["dark_rate"], det["pulses"]) == (0.4, 0.02, 3000)
+        assert summary["totals"]["pulses"] == 6000
+        # a flag beats the preset
+        assert main([*argv, "--pulses", "500"]) == 0
+        summary = json.loads(_read(tmp_path / "mc.csv.json"))
+        assert summary["config"]["detectors"]["pulses"] == 500
+        assert summary["config"]["detectors"]["qe"] == 0.4
+
+    @pytest.mark.parametrize("command", ["pairs", "fringe", "entropy"])
+    def test_closed_form_commands_ignore_preset_detector_values(
+            self, command, tmp_path, capsys):
+        # only montecarlo builds a DetectorConfig, so an out-of-range qe in
+        # the preset neither stops nor changes the closed-form commands
+        plain, bad = tmp_path / "plain.preset", tmp_path / "bad.preset"
+        plain.write_text("g = 0.3\ncutoff = 40\n")
+        bad.write_text("g = 0.3\ncutoff = 40\nqe = 1.5\n")
+        assert main([command, "--preset", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main([command, "--preset", str(bad)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_montecarlo_rejects_preset_qe_out_of_range(self, tmp_path, capsys):
+        f = tmp_path / "bad.preset"
+        f.write_text("g = 0.3\ncutoff = 40\nqe = 1.5\n")
+        assert main(["montecarlo", "--preset", str(f)]) == 2
+        assert "qe must lie in [0, 1]" in capsys.readouterr().err
+
 
 class TestFringe:
     def test_csv_structure(self, tmp_path, capsys):
@@ -84,6 +121,20 @@ class TestPairs:
         assert "# tail_probability=0.278693840345" in out
         assert "# reported_tail=0.14" in out
         assert "# reported_tail_agreement=no" in out
+
+    @pytest.mark.parametrize("argv, reported", [
+        (["--preset", "HG", "--g", "1.5", "--cutoff", "200"], []),
+        (["--g", "1.13"], ["# reported_mean_pairs=4"]),
+        (["--g", "0.07", "--threshold", "8"], ["# reported_mean_pairs=0.009"]),
+        (["--g", "1.13", "--threshold", "8"],
+         ["# reported_mean_pairs=4", "# reported_tail=0.14",
+          "# reported_tail_agreement=no (computed 0.2787 differs from reported 0.14)"])],
+        ids=["HG-preset-at-g-1.5", "g-1.13", "g-0.07-threshold-8", "g-1.13-threshold-8"])
+    def test_reported_values_follow_the_gain(self, argv, reported, capsys):
+        # reported values print on a run at a preset's gain, whatever the preset
+        assert main(["pairs", *argv]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [l for l in out if l.startswith("# reported")] == reported
 
     def test_negative_threshold_exits_2(self, capsys):
         # pair_tail reads a start <= 0 as the whole law; the command rejects it

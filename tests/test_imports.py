@@ -1,3 +1,5 @@
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -53,3 +55,30 @@ def test_closed_forms_leave_scipy_linalg_and_special_unloaded():
     assert report["after"] == ["scipy.linalg", "scipy.special"]
     assert report["entropy_error"] <= 1e-12
     assert 0.0 <= report["null_pvalue"] <= 1.0
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads, as "path:line name"."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:   # "import a.b" binds a
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path}:{imported[name]} {name}" for name in sorted(set(imported) - read)]
+
+
+def test_every_imported_name_is_read():
+    # __init__.py imports to re-export, so it is left out
+    package = os.path.dirname(qiopa.__file__)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    modules = [path for path in glob.glob(os.path.join(package, "*.py"))
+               if os.path.basename(path) != "__init__.py"]
+    modules += glob.glob(os.path.join(tests, "*.py"))
+    assert len(modules) > 10
+    assert [entry for path in sorted(modules) for entry in _unused_imports(path)] == []

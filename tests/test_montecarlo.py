@@ -15,8 +15,7 @@ from qiopa import amplifier, fock, montecarlo
 from qiopa.amplifier import AmplifierConfig, _largest_gain, amplify, vacuum_output
 from qiopa.errors import NumericalError
 from qiopa.fock import rotate_mode_pair
-from qiopa.montecarlo import (DETECTORS, CalibrationResult, DetectorConfig,
-                              PulseSampler, RunStats, SweepStats,
+from qiopa.montecarlo import (DETECTORS, DetectorConfig, PulseSampler, SweepStats,
                               calibrate_visibility_loss, run)
 from qiopa.observables import DETECTED_FIELD_UNITARY, visibility
 from qiopa.polarization import BlochPath, Qubit
@@ -535,7 +534,7 @@ def test_closed_form_fringe_equals_exact_law_estimate(cfg, mask):
     # the fringe calibrate_visibility_loss inverts, against the estimator on
     # the exact means of every sweep point
     for q in (BALANCED, Qubit(0.6, 0.8, 0.7)):
-        path = montecarlo._phase_sweep(q, 12)
+        path = montecarlo.phase_sweep(q, 12)
         for p in (0.1, 0.5, 1.0):
             det = DetectorConfig(qe=0.6, attenuation=0.7, dark_rate=0.03, p_inject=p,
                                  coincidence_mask=mask)
