@@ -7,7 +7,8 @@ gamma (-Gamma)^i Gamma^j sqrt(j+1).  An independent Hamiltonian propagator
 cross-checks the closed form using only the interaction's symmetries: the
 (1h, 2v) and (1v, 2h) pair couplings commute and each keeps its pair's
 photon-number difference, so the evolution is a product of tridiagonal pair
-chains, each exponentiated exactly.
+chains.  Each chain links only even to odd pair numbers, so one SVD of that
+bipartite half exponentiates it exactly, with numpy alone.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy
 
 from .errors import NumericalError
 from .fock import FockState4, GainParams, make_gain, pair_tail
@@ -129,18 +129,24 @@ _COUPLINGS = (((0, 3), -1.0), ((1, 2), +1.0))
 
 def _chain(cfg: AmplifierConfig, d: int) -> np.ndarray:
     """Amplitudes on |d+k, k>, k <= cutoff + PROPAGATOR_PADDING, of a +1
-    coupling's pair after time g from |d, 0>.  The coupling keeps d and
-    creates a pair with amplitude sqrt((k+1)(k+1+d)), so its generator
-    K = created - created^T is a real antisymmetric tridiagonal chain:
-    K = -i D T D^-1 with D = diag(i^k) and T the symmetric chain, so
-    exp(gK) = D V exp(-i g Lambda) V^T D^-1.  The weight beyond the cutoff is
-    a marginal of the pair-number tail, so it may not exceed epsilon_trunc."""
-    length = cfg.cutoff + PROPAGATOR_PADDING + 1
+    coupling's pair after time g from |d, 0>.  The coupling keeps d; its
+    generator is K = -i D T D^-1, D = diag(i^k), with T the symmetric chain whose
+    e_k = sqrt(k(k+d)) links k - 1 to k.  T links even k to odd k only, so
+    T = [[0, B], [B^T, 0]] and, with B = U Sigma V^T, exp(-igT) e_0 is
+    U cos(g Sigma) U[0] on even k (the full U gives an odd chain's extra null
+    vector cos 0 = 1) and -i V sin(g Sigma) U[0] on odd k; D makes both real.
+    The weight beyond the cutoff is a marginal of the pair-number tail, so it
+    may not exceed epsilon_trunc."""
+    length, g = cfg.cutoff + PROPAGATOR_PADDING + 1, cfg.gain.g
     k = np.arange(1, length)
-    lam, v = scipy.linalg.eigh_tridiagonal(np.zeros(length), np.sqrt(k * (k + d)))
-    phase = 1j ** (np.arange(length) % 4)   # exact powers of i
-    # exp(gK) is real: the imaginary part is rounding
-    psi = (phase * (v @ (np.exp(-1j * cfg.gain.g * lam) * v[0]))).real
+    e, half = np.sqrt(k * (k + d)), np.zeros(((length + 1) // 2, length // 2))
+    np.fill_diagonal(half, e[0::2])       # B[m, m] = e_{2m+1}
+    np.fill_diagonal(half[1:], e[1::2])   # B[m+1, m] = e_{2m+2}
+    u, sigma, vt = np.linalg.svd(half)
+    psi = np.empty(length)
+    psi[0::2] = u @ (np.cos(g * np.pad(sigma, (0, len(u) - len(sigma)))) * u[0])
+    psi[1::2] = vt.T @ (np.sin(g * sigma) * u[0, :len(sigma)])
+    psi *= (-1.0) ** (np.arange(length) // 2)
     cfg.check_lost_weight(psi[cfg.cutoff + 1:] @ psi[cfg.cutoff + 1:],
                           "weight of the pair chain beyond the cutoff")
     return psi

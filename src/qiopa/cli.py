@@ -3,7 +3,8 @@
 Commands: fringe, pairs, entropy (the closed-form entropies of both
 output modes) and montecarlo.  A --preset supplies defaults and flags
 override them, all in one merge, the parser; the detector flags default to
-DetectorConfig's fields.  Each command builds only what it reads, so only
+DetectorConfig's fields.  A preset's cutoff is a default only at the
+preset's own gain.  Each command builds only what it reads, so only
 montecarlo builds a DetectorConfig.  Exit codes: 0 success, 2 validation
 error, 3 numerical failure, 4 I/O error.
 """
@@ -285,7 +286,12 @@ def main(argv=None) -> int:
         parser.error("a command is required (fringe, pairs, entropy, montecarlo)")
     try:
         if args.preset:
-            args = _build_parser(_load_preset(args.preset)).parse_args(argv)
+            preset = _load_preset(args.preset)
+            args = _build_parser(preset).parse_args(argv)
+            if args.g != preset.get("g", args.g):
+                # a preset's cutoff fits its own gain; another takes the tail rule's
+                preset.pop("cutoff", None)
+                args = _build_parser(preset).parse_args(argv)
         args.run(args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import expm_multiply
@@ -198,8 +197,10 @@ class TestPropagateHamiltonian:
         assert np.array_equal(st.occ, ref.occ)
         assert np.abs(st.amp - ref.amp).max() < 1e-13
 
-    @pytest.mark.parametrize("g", [1.5, 2.0])
+    @pytest.mark.parametrize("g", [1.5, 2.0, amplifier._largest_gain()],
+                             ids=["1.5", "2.0", "top"])
     def test_matches_closed_form_at_high_gain(self, g, rng):
+        # the top gain's default cutoff is MAX_CUTOFF, the longest chain
         cfg = AmplifierConfig.for_gain(g)
         q = random_qubit(rng)
         assert fidelity(propagate_hamiltonian(q, cfg), amplify(q, cfg)) \
@@ -214,36 +215,56 @@ class TestPropagateHamiltonian:
         assert np.abs(st.amp - ref.amp[order]).max() < 1e-10
 
     def test_corrupted_chain_raises(self, monkeypatch):
-        # an eigensolver returning three times the chain's frequencies evolves
+        # an SVD returning three times the chain's singular values evolves
         # each chain to 3g, pushing weight past the cutoff
-        def wrong(d, e):
-            lam, v = eigh_tridiagonal(d, e)
-            return 3.0 * lam, v
+        svd = np.linalg.svd
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", wrong)
+        def wrong(a):
+            u, s, vt = svd(a)
+            return u, 3.0 * s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", wrong)
         with pytest.raises(NumericalError, match="beyond the cutoff"):
             propagate_hamiltonian(Qubit(1.0, 0.0), AmplifierConfig.for_gain(1.13, 100))
 
-    @pytest.mark.parametrize("g", [0.07, 1.13, 2.0])
-    def test_negated_coupling_is_the_parity_gauge(self, g):
-        # reference: the -1 coupling's chain solved on the negated off-diagonal
+    @pytest.mark.parametrize("g", [0.07, 1.13, 2.0, amplifier._largest_gain()],
+                             ids=["0.07", "1.13", "2.0", "top"])
+    def test_chain_matches_tridiagonal_eigensolve(self, g):
+        # reference: exp(-igT) from the eigenvectors of the whole chain T
         cfg = AmplifierConfig.for_gain(g)
         length = cfg.cutoff + PROPAGATOR_PADDING + 1
         k = np.arange(length)
         for d in (0, 1):
-            lam, v = eigh_tridiagonal(np.zeros(length), -np.sqrt(k[1:] * (k[1:] + d)))
+            lam, v = eigh_tridiagonal(np.zeros(length), np.sqrt(k[1:] * (k[1:] + d)))
             direct = (1j ** (k % 4) * (v @ (np.exp(-1j * g * lam) * v[0]))).real
+            assert np.abs(amplifier._chain(cfg, d) - direct).max() <= 1e-13
+
+    @pytest.mark.parametrize("g", [0.07, 1.13, 2.0])
+    def test_negated_coupling_is_the_parity_gauge(self, g):
+        # reference: the -1 coupling's chain from the SVD of its negated
+        # bipartite half
+        cfg = AmplifierConfig.for_gain(g)
+        length = cfg.cutoff + PROPAGATOR_PADDING + 1
+        k = np.arange(length)
+        for d in (0, 1):
+            links = np.diag(-np.sqrt(k[1:] * (k[1:] + d)), 1)
+            u, s, vt = np.linalg.svd((links + links.T)[0::2, 1::2])
+            direct = np.empty(length)
+            direct[0::2] = u @ (np.cos(g * np.pad(s, (0, len(u) - len(s)))) * u[0])
+            direct[1::2] = vt.T @ (np.sin(g * s) * u[0, :len(s)])
+            direct *= (-1.0) ** (k // 2)
             gauged = (-1.0) ** k * amplifier._chain(cfg, d)
             assert np.abs(gauged - direct).max() <= 1e-15
 
     def test_two_chain_solves_per_call(self, monkeypatch):
         calls = []
+        svd = np.linalg.svd
 
-        def counted(d, e):
-            calls.append(len(d))
-            return eigh_tridiagonal(d, e)
+        def counted(a):
+            calls.append(a.shape)
+            return svd(a)
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         propagate_hamiltonian(Qubit(0.6, 0.8, 0.4), AmplifierConfig.for_gain(0.5))
         assert len(calls) == 2
 

@@ -66,6 +66,21 @@ class TestPresets:
         assert main([command, "--preset", str(bad)]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_preset_cutoff_holds_only_at_its_gain(self, capsys):
+        def rows(*argv):
+            assert main(["pairs", *argv, "--format", "json"]) == 0
+            return len(json.loads(capsys.readouterr().out)["rows"])
+
+        assert rows("--preset", "LG") == 13
+        # LG's cutoff 12 would truncate 1.3e-7 of the pair weight at g = 0.5
+        assert main(["pairs", "--g", "0.5"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["pairs", "--preset", "LG", "--g", "0.5"]) == 0
+        assert capsys.readouterr().out == expected
+        # an explicit cutoff beats both
+        assert rows("--preset", "LG", "--g", "0.5", "--cutoff", "40") == 41
+        assert main(["pairs", "--preset", "LG", "--g", "0.5", "--cutoff", "12"]) == 2
+
     def test_montecarlo_rejects_preset_qe_out_of_range(self, tmp_path, capsys):
         f = tmp_path / "bad.preset"
         f.write_text("g = 0.3\ncutoff = 40\nqe = 1.5\n")

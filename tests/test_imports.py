@@ -8,16 +8,19 @@ import sys
 import qiopa
 
 # runs in a fresh interpreter: the test process has loaded scipy.linalg and
-# scipy.special already.  The closed-form commands must leave both unloaded;
-# the oracles and a sweep's p-value load them on first use through scipy's
-# lazy submodule access.
+# scipy.special already.  The closed-form commands and one HG oracle round
+# (propagator, partial traces, g1) must leave both unloaded; an eigensolved
+# spectrum and a sweep's p-value load them on first use through scipy's lazy
+# submodule access.
 SCRIPT = """
 import contextlib, io, json, math, sys
 
 from qiopa import cli
-from qiopa.amplifier import AmplifierConfig, propagate_hamiltonian
+from qiopa.amplifier import AmplifierConfig, amplify, propagate_hamiltonian
 from qiopa.density import entropy, partial_trace, rho1_closed_form
+from qiopa.fock import fidelity
 from qiopa.montecarlo import DetectorConfig, run
+from qiopa.observables import g1_closed_form, g1_oracle
 from qiopa.polarization import BlochPath, Qubit
 
 def lazy():
@@ -33,10 +36,17 @@ q = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
 run(q, cfg, DetectorConfig(pulses=1000))
 loaded["run(Qubit)"] = lazy()
 
-oracle = entropy(partial_trace(propagate_hamiltonian(q, cfg), "mode1"))
+state = propagate_hamiltonian(q, cfg)
+defect = 1.0 - fidelity(state, amplify(q, cfg))
+traced = [partial_trace(state, mode) for mode in ("mode1", "mode2")]
+pair = g1_oracle(q, cfg)
+loaded["oracle round"] = lazy()
+
+oracle = entropy(traced[0])
 angles = tuple(2 * math.pi * k / 8 for k in range(8))
 sweep = run(BlochPath("z", angles, q), cfg, DetectorConfig(pulses=1000))
-print(json.dumps({"loaded": loaded, "after": lazy(),
+print(json.dumps({"loaded": loaded, "after": lazy(), "fidelity_defect": defect,
+                  "g1_error": abs(pair.difference - g1_closed_form(q, cfg.gain).difference),
                   "entropy_error": abs(oracle - entropy(rho1_closed_form(q, cfg))),
                   "null_pvalue": sweep.null_pvalue}))
 """
@@ -50,9 +60,11 @@ def test_closed_forms_leave_scipy_linalg_and_special_unloaded():
                          capture_output=True, text=True, check=True)
     report = json.loads(out.stdout)
     assert report["loaded"] == {"import qiopa": [], "pairs": [], "entropy": [],
-                                "fringe": [], "run(Qubit)": []}
-    # the propagator oracle, the eigensolved spectrum and the p-value still run
+                                "fringe": [], "run(Qubit)": [], "oracle round": []}
+    # the eigensolved spectrum and the p-value still run
     assert report["after"] == ["scipy.linalg", "scipy.special"]
+    assert report["fidelity_defect"] <= 1e-8
+    assert report["g1_error"] <= 1e-9
     assert report["entropy_error"] <= 1e-12
     assert 0.0 <= report["null_pvalue"] <= 1.0
 
