@@ -32,7 +32,8 @@ TAIL_RULE = 1e-9
 class AmplifierConfig:
     gain: GainParams
     cutoff: int
-    # every layer costs O(cutoff^2) memory or more; 1000 holds g = 2.5 (988)
+    # the four-mode states and banded densities cost O(cutoff^2), pairs and the
+    # Monte Carlo O(cutoff); 1000 holds g = 2.5 (988).  fringe reads no config
     MAX_CUTOFF: ClassVar[int] = 1000
 
     def __post_init__(self):

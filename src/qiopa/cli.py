@@ -4,9 +4,10 @@ Commands: fringe, pairs, entropy (the closed-form entropies of both
 output modes) and montecarlo.  A --preset supplies defaults and flags
 override them, all in one merge, the parser; the detector flags default to
 DetectorConfig's fields.  A preset's cutoff is a default only at the
-preset's own gain.  Each command builds only what it reads, so only
-montecarlo builds a DetectorConfig.  Exit codes: 0 success, 2 validation
-error, 3 numerical failure, 4 I/O error.
+preset's own gain.  Each command builds only what it reads: fringe reads
+only the gain, so it builds no AmplifierConfig and takes no --cutoff, and
+only montecarlo builds a DetectorConfig.  Exit codes: 0 success, 2
+validation error, 3 numerical failure, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from .amplifier import AmplifierConfig
 from .density import entropy, rho1_closed_form, rho2_closed_form
 from .errors import NumericalError
-from .fock import pair_probability, pair_tail
+from .fock import make_gain, pair_probability, pair_tail
 from .montecarlo import DetectorConfig, phase_sweep, run
 from .observables import g1_closed_form
 from .polarization import BlochPath, Qubit
@@ -50,7 +51,10 @@ def _load_preset(name_or_path: str) -> dict:
                 if not line or line.startswith("#"):
                     continue
                 key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
+                key = key.strip()
+                if key in values:
+                    raise ValueError(f"key {key!r} repeats in preset {name_or_path!r}")
+                values[key] = val.strip()
     except OSError as exc:
         raise ValueError(f"unknown preset {name_or_path!r} "
                          f"(not built-in, not readable: {exc})") from exc
@@ -66,10 +70,10 @@ def _load_preset(name_or_path: str) -> dict:
 def _build_parser(preset: dict | None = None) -> argparse.ArgumentParser:
     """The parser, with a preset's values as every command's defaults: a flag
     beats the preset, and the preset beats the built-in default."""
-    common, qubit, path, detector, tail = (argparse.ArgumentParser(add_help=False)
-                                           for _ in range(5))
+    common, cutoff, qubit, path, detector, tail = (argparse.ArgumentParser(add_help=False)
+                                                   for _ in range(6))
     common.add_argument("--g", type=float, default=0.07, help="amplifier gain")
-    common.add_argument("--cutoff", type=int, default=None, help="pair-number cutoff override")
+    cutoff.add_argument("--cutoff", type=int, default=None, help="pair-number cutoff override")
     common.add_argument("--out", default=None, help="output path ('-' = stdout)")
     common.add_argument("--preset", default=None, help="LG, HG, or a key=value preset file")
     qubit.add_argument("--alpha", type=float, default=None)
@@ -100,21 +104,17 @@ def _build_parser(preset: dict | None = None) -> argparse.ArgumentParser:
     for name, command, parents, formats, hlp in (
             ("fringe", cmd_fringe, (common, qubit, path), ("csv", "json"),
              "closed-form interference fringe table over a Bloch path"),
-            ("pairs", cmd_pairs, (common, tail), ("csv", "json"),
+            ("pairs", cmd_pairs, (common, cutoff, tail), ("csv", "json"),
              "photon-pair number distribution"),
-            ("entropy", cmd_entropy, (common, qubit), ("json",),
+            ("entropy", cmd_entropy, (common, cutoff, qubit), ("json",),
              "reduced-state entropies of both modes"),
-            ("montecarlo", cmd_montecarlo, (common, qubit, path, detector), ("csv",),
+            ("montecarlo", cmd_montecarlo, (common, cutoff, qubit, path, detector), ("csv",),
              "conditional coincidence-detection run")):
         cmd = sub.add_parser(name, parents=parents, help=hlp)
         cmd.add_argument("--format", choices=formats, default=formats[0])
         # a preset key the command has no flag for is set and never read
         cmd.set_defaults(run=command, **(preset or {}))
     return parser
-
-
-def _config(args) -> AmplifierConfig:
-    return AmplifierConfig.for_gain(args.g, args.cutoff)
 
 
 def _qubit(args) -> Qubit:
@@ -158,7 +158,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _csv(meta: dict, header: list, rows: list) -> str:
+def _table(fmt: str, meta: dict, header: list, rows: list) -> str:
+    if fmt == "json":
+        return json.dumps({"meta": meta, "columns": header, "rows": rows}, indent=2) + "\n"
     lines = [f"# {k}={v}" for k, v in meta.items()]
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row)
@@ -167,26 +169,22 @@ def _csv(meta: dict, header: list, rows: list) -> str:
 
 
 def cmd_fringe(args) -> None:
-    cfg = _config(args)
+    gain = make_gain(args.g)
     path = _path(args, _qubit(args))
-    meta = {"g": _fmt(cfg.gain.g), "nbar": _fmt(cfg.gain.nbar),
+    meta = {"g": _fmt(gain.g), "nbar": _fmt(gain.nbar),
             "axis": path.axis,
             "start_qubit": f"({_fmt(path.start.alpha)},{_fmt(path.start.beta)},"
                            f"{_fmt(path.start.phi)})"}
     header = ["Phi", "dG", "g2H", "g2V"]
     rows = []
     for angle, qubit in zip(path.angles, path.qubits()):
-        pair = g1_closed_form(qubit, cfg.gain)
+        pair = g1_closed_form(qubit, gain)
         rows.append([angle, pair.difference, pair.g2h, pair.g2v])
-    if args.format == "json":
-        _emit(json.dumps({"meta": meta, "columns": header, "rows": rows},
-                         indent=2) + "\n", args.out)
-    else:
-        _emit(_csv(meta, header, rows), args.out)
+    _emit(_table(args.format, meta, header, rows), args.out)
 
 
 def cmd_pairs(args) -> None:
-    cfg = _config(args)
+    cfg = AmplifierConfig.for_gain(args.g, args.cutoff)
     reported = REPORTED.get(cfg.gain.g, {})
     n = np.arange(cfg.cutoff + 1)
     p = pair_probability(cfg.gain, n)
@@ -208,15 +206,11 @@ def cmd_pairs(args) -> None:
                 "yes" if abs(tail - reported["tail"]) < 0.01 else
                 f"no (computed {tail:.4f} differs from reported {reported['tail']:.2f})")
     rows = [[k, float(pk), float(c)] for k, (pk, c) in enumerate(zip(p, np.cumsum(p)))]
-    if args.format == "json":
-        _emit(json.dumps({"meta": meta, "columns": ["n", "p_n", "cumulative"],
-                          "rows": rows}, indent=2) + "\n", args.out)
-    else:
-        _emit(_csv(meta, ["n", "p_n", "cumulative"], rows), args.out)
+    _emit(_table(args.format, meta, ["n", "p_n", "cumulative"], rows), args.out)
 
 
 def cmd_entropy(args) -> None:
-    cfg, q = _config(args), _qubit(args)
+    cfg, q = AmplifierConfig.for_gain(args.g, args.cutoff), _qubit(args)
     s1 = entropy(rho1_closed_form(q, cfg))
     s2 = entropy(rho2_closed_form(q, cfg))
     report = {
@@ -236,7 +230,7 @@ def _json_number(x: float) -> float | None:
 
 
 def cmd_montecarlo(args) -> None:
-    cfg = _config(args)
+    cfg = AmplifierConfig.for_gain(args.g, args.cutoff)
     target = _path(args, _qubit(args))
     detectors = DetectorConfig(qe=args.qe, attenuation=args.attenuation,
                                dark_rate=args.dark, p_inject=args.p_inject,
@@ -249,7 +243,7 @@ def cmd_montecarlo(args) -> None:
     rows = [[float(a), pt.xi_h, pt.xi_v, pt.xi_h - pt.xi_v,
              math.hypot(pt.stderr_xi_h, pt.stderr_xi_v)]
             for a, pt in zip(sweep.angles, sweep.points)]
-    csv_text = _csv(meta, header, rows)
+    csv_text = _table("csv", meta, header, rows)
 
     det = asdict(detectors)
     det["coincidence_mask"] = sorted(det["coincidence_mask"])

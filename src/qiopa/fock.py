@@ -34,14 +34,17 @@ class GainParams:
 
 
 def make_gain(g: float) -> GainParams:
-    if not isinstance(g, (int, float)) or not math.isfinite(g):
-        raise ValueError(f"gain must be a finite real number, got {g!r}")
-    if g < 0:
-        raise ValueError(f"gain must be non-negative, got {g}")
+    if not isinstance(g, (int, float)) or not 0 <= g < math.inf:
+        raise ValueError(f"gain must be a finite non-negative real number, got {g!r}")
     g = float(g)
+    try:
+        nbar = math.sinh(g) ** 2
+    except OverflowError:
+        nbar = math.inf
+    if math.isinf(3 * nbar):   # the sum rule g2H + g2V = 3 nbar bounds every mean
+        raise ValueError(f"gain {g:g} overflows 3 sinh(g)^2; the largest gain is about 355.035")
     C = math.cosh(g)
-    return GainParams(g=g, C=C, Gamma=math.tanh(g), gamma=C ** -3,
-                      nbar=math.sinh(g) ** 2)
+    return GainParams(g=g, C=C, Gamma=math.tanh(g), gamma=C ** -3, nbar=nbar)
 
 
 def pair_probability(gain: GainParams, n):

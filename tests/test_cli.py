@@ -7,6 +7,9 @@ import pytest
 
 from qiopa import amplifier
 from qiopa.cli import _load_preset, main
+from qiopa.fock import make_gain
+from qiopa.observables import g1_closed_form
+from qiopa.polarization import BlochPath, Qubit
 
 
 def _read(path):
@@ -30,6 +33,15 @@ class TestPresets:
             _load_preset(str(f))
         assert main(["pairs", "--preset", str(f)]) == 2
         assert "gain" in capsys.readouterr().err
+
+    def test_preset_file_repeated_key_rejected(self, tmp_path, capsys):
+        # the last value used to win silently: this file ran at g = 0.5
+        f = tmp_path / "twice.preset"
+        f.write_text("g = 1.13\ng = 0.5\n")
+        with pytest.raises(ValueError, match="'g' repeats"):
+            _load_preset(str(f))
+        assert main(["fringe", "--preset", str(f)]) == 2
+        assert "'g' repeats" in capsys.readouterr().err
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
@@ -113,6 +125,18 @@ class TestFringe:
                 _, _, g2h, g2v = map(float, line.split(","))
                 assert g2h + g2v == pytest.approx(3 * nbar, abs=1e-9)
 
+    @pytest.mark.parametrize("g", [3.0, 10.0, 100.0])
+    def test_rows_are_the_closed_form_beyond_the_cutoff_limit(self, g, capsys):
+        # fringe reads only the gain, so MAX_CUTOFF does not bind it
+        assert main(["fringe", "--g", repr(g), "--path", "z:0:0.5:4",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        path = BlochPath("z", (0.0, 0.5, 1.0, 1.5), Qubit(2 ** -0.5, 2 ** -0.5))
+        gain = make_gain(g)
+        pairs = [g1_closed_form(q, gain) for q in path.qubits()]
+        assert rows == [[angle, p.difference, p.g2h, p.g2v]
+                        for angle, p in zip(path.angles, pairs)]
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "fringe.json"
         main(["fringe", "--g", "0.3", "--path", "z:0:1:3",
@@ -177,6 +201,12 @@ class TestGainLimit:
         assert main(["pairs", *argv]) == code
         err = capsys.readouterr().err
         assert ("g = 2.5062" in err) == bool(code)
+
+    @pytest.mark.parametrize("command", ["pairs", "fringe", "entropy", "montecarlo"])
+    def test_gain_whose_constants_overflow_exits_2(self, command, capsys):
+        # sinh(400)^2 raised OverflowError, which ended in a traceback (exit 1)
+        assert main([command, "--g", "400"]) == 2
+        assert "355.035" in capsys.readouterr().err
 
     def test_explicit_cutoff_beyond_the_gain_limit_names_the_limit(self, capsys):
         # no cutoff within MAX_CUTOFF holds g = 8, so "increase the cutoff"
@@ -345,7 +375,7 @@ class TestErrorHandling:
         ["fringe", "--threshold", "8"], ["montecarlo", "--threshold", "8"],
         ["fringe", "--threads", "2"], ["montecarlo", "--threads", "2"],
         ["fringe", "--pulses", "5"], ["fringe", "--seed", "3"],
-        ["fringe", "--qe", "0.5"]],
+        ["fringe", "--qe", "0.5"], ["fringe", "--cutoff", "5"]],
         ids=" ".join)
     def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

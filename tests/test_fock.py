@@ -44,6 +44,19 @@ class TestMakeGain:
         with pytest.raises(ValueError):
             make_gain(g)
 
+    @pytest.mark.parametrize("g", [355.036, 355.6, 711.0, 1e308])
+    def test_rejects_gain_whose_constants_overflow(self, g):
+        # 3 sinh(g)^2 overflows just above g = 355.035, sinh(g)^2 above 355.58
+        # and sinh(g) above 710.48
+        with pytest.raises(ValueError, match="355.035"):
+            make_gain(g)
+
+    @pytest.mark.parametrize("g", [355.0, 355.035])
+    def test_accepts_gain_below_the_overflow_edge(self, g):
+        gp = make_gain(g)
+        assert math.isfinite(3 * gp.nbar) and math.isfinite(gp.C)
+        assert (gp.Gamma, gp.gamma) == (1.0, 0.0)
+
 
 class TestPairStatistics:
     def test_tail_matches_extended_precision_sum(self):
