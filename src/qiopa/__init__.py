@@ -1,8 +1,8 @@
 """Numerical simulator of a quantum-injected optical parametric amplifier."""
 
 from .amplifier import AmplifierConfig, amplify, propagate_hamiltonian, vacuum_output
-from .density import (SectorDensity, entropy, hs_distance, partial_trace,
-                      rho1_closed_form, rho2_closed_form)
+from .density import (SectorDensity, cloner_entropy, entropy, hs_distance,
+                      pair_weights, partial_trace, rho1_closed_form, rho2_closed_form)
 from .errors import NumericalError
 from .fock import (FockState4, GainParams, fidelity, inner_product, make_gain,
                    number_expectation, pair_probability, pair_tail, rotate_mode_pair)

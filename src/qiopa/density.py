@@ -8,15 +8,16 @@ a real diagonal and a complex sub-diagonal.  Closed-form assemblies fill
 the bands directly and are cross-checked against a brute-force partial
 trace, which checks the banded structure instead of assuming it.
 
-Covariance also fixes each sector's spectrum to that of the |H> reduction,
-the optimal-cloner and universal-NOT spectra (Gisin & Massar, PRL 79, 2153,
-1997; Buzek, Hillery & Werner, PRA 60, R2626, 1999).  The closed forms carry
-it, so their entropy needs no eigensolve; any other density, the partial
-trace included, is eigensolved, which keeps that path the oracle.
+Covariance also gives pair term n, in either mode, the spectrum w_n {1, ...,
+n+1} of the optimal cloner and the universal NOT (Gisin & Massar, PRL 79, 2153,
+1997; Buzek, Hillery & Werner, PRA 60, R2626, 1999), so a closed form's entropy
+is cloner_entropy, one O(cutoff) sum over its pair weights w_n; any other
+density, the partial trace included, is eigensolved, the oracle path.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -28,7 +29,6 @@ from .fock import FockState4, MODE_PAIRS, row_groups
 from .polarization import Qubit
 
 EIGENVALUE_FLOOR = -1e-9
-ENTROPY_EIGENVALUE_CUT = 1e-15
 BLOCK_COHERENCE_TOL = 1e-12
 
 
@@ -47,12 +47,12 @@ class SectorDensity:
     bands over k = t(t+1)/2 + p: the real diagonal diag[k] and the
     sub-diagonal sub[k] = <t, p+1| rho |t, p>, which is zero at p = t where
     a sector ends.  The bands thus also form one tridiagonal matrix of all
-    sectors, whose ascending read-only eigenvalues are the spectrum.  A known
-    spectrum, in any order, spares the eigensolve; without one it is solved
-    from the bands on first access.
+    sectors, whose eigenvalues are the spectrum.  A closed form also holds
+    its pair weights w_n, one per pair term (sector n + 1 of mode 1, sector
+    n of mode 2), from which entropy sums the spectrum without solving it.
     """
 
-    def __init__(self, mode: str, diag, sub, spectrum=None):
+    def __init__(self, mode: str, diag, sub, pair_weights=None):
         if mode not in MODE_PAIRS:
             raise ValueError(f"mode must be 'mode1' or 'mode2', got {mode!r}")
         self.mode = mode
@@ -67,36 +67,34 @@ class SectorDensity:
             raise ValueError("sub-diagonal couples two sectors")
         self.diag.setflags(write=False)
         self.sub.setflags(write=False)
-        if spectrum is not None:
-            spectrum = np.sort(np.asarray(spectrum, dtype=float))
-            if spectrum.size != n:
-                raise ValueError(
-                    f"spectrum of length {spectrum.size} for bands of length {n}")
-            spectrum.setflags(write=False)
-        self._spectrum = spectrum
+        if pair_weights is not None:   # one per pair term; mode 1's sector 0 holds none
+            pair_weights = np.array(pair_weights, dtype=float)
+            if pair_weights.size != self.sectors - (mode == "mode1"):
+                raise ValueError(f"{pair_weights.size} pair weights for the "
+                                 f"{self.sectors} sectors of {mode}")
+            pair_weights.setflags(write=False)
+        self.pair_weights = pair_weights
 
     def sector(self, t: int):
         """Diagonal (t+1 entries) and sub-diagonal (t entries) of sector t."""
         k = t * (t + 1) // 2
         return self.diag[k:k + t + 1], self.sub[k:k + t]
 
-    @property
+    @functools.cached_property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of all sectors, ascending and read-only.
 
-        Unless given, one tridiagonal eigensolve over the bands: the zero
+        One tridiagonal eigensolve over the bands, on first access: the zero
         coupling at each sector end keeps the sectors apart, and the diagonal
         phase gauge that makes each sub-diagonal entry its modulus leaves the
         spectrum unchanged.  The LAPACK routine is named because older scipy
         defaults to stemr, whose workspace is quadratic in the band length.
         """
-        if self._spectrum is None:
-            lam = (scipy.linalg.eigvalsh_tridiagonal(
-                       self.diag, np.abs(self.sub[:-1]), lapack_driver="sterf")
-                   if self.sectors else np.zeros(0))
-            lam.setflags(write=False)
-            self._spectrum = lam
-        return self._spectrum
+        lam = (scipy.linalg.eigvalsh_tridiagonal(
+                   self.diag, np.abs(self.sub[:-1]), lapack_driver="sterf")
+               if self.sectors else np.zeros(0))
+        lam.setflags(write=False)
+        return lam
 
     @property
     def blocks(self) -> tuple:
@@ -117,7 +115,7 @@ class SectorDensity:
         return float(self.diag.sum())
 
 
-def _pair_weights(cfg: AmplifierConfig) -> np.ndarray:
+def pair_weights(cfg: AmplifierConfig) -> np.ndarray:
     """gamma^2 Gamma^(2n), n = 0..cutoff (scalar pow, as the amplitudes)."""
     gp = cfg.gain
     return np.array([gp.gamma ** 2 * gp.Gamma ** (2 * n) for n in range(cfg.cutoff + 1)])
@@ -129,11 +127,11 @@ def rho1_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
     alpha beta e^{i phi} sqrt((t-p)(p+1)), p = 0..t vertical photons.  Its
     spectrum is the |H> diagonal w_n (t-p), the optimal 1 -> t cloner's."""
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
-    w = np.append(0.0, _pair_weights(cfg))   # mode 1 always holds >= 1 photon
+    w = np.append(0.0, pair_weights(cfg))   # mode 1 always holds >= 1 photon
     t, p = _flat_index(cfg.cutoff + 2)
     return SectorDensity(
         "mode1", w[t] * (q.alpha ** 2 * (t - p) + q.beta ** 2 * p),
-        w[t] * (ab * np.sqrt((t - p) * (p + 1))), w[t] * (t - p))
+        w[t] * (ab * np.sqrt((t - p) * (p + 1))), w[1:])
 
 
 def rho2_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
@@ -142,11 +140,11 @@ def rho2_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
     -alpha beta e^{i phi} sqrt((n-p)(p+1)), p = 0..n vertical photons.  Its
     spectrum is the |H> diagonal w_n (p+1), the universal NOT's."""
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
-    w = _pair_weights(cfg)
+    w = pair_weights(cfg)
     n, p = _flat_index(cfg.cutoff + 1)
     return SectorDensity(
         "mode2", w[n] * (q.beta ** 2 * (n - p + 1) + q.alpha ** 2 * (p + 1)),
-        w[n] * (-ab * np.sqrt((n - p) * (p + 1))), w[n] * (p + 1))
+        w[n] * (-ab * np.sqrt((n - p) * (p + 1))), w)
 
 
 def partial_trace(state: FockState4, keep: str) -> SectorDensity:
@@ -190,22 +188,30 @@ def partial_trace(state: FockState4, keep: str) -> SectorDensity:
     return SectorDensity(keep, diag, sub)
 
 
-def entropy(rho: SectorDensity) -> float:
-    """Von Neumann entropy in bits, -sum lambda log2 lambda over all sectors.
+def cloner_entropy(w) -> float:
+    """Von Neumann entropy in bits of either closed-form reduced state, for any
+    qubit, from its pair weights w_n: covariance gives pair term n the
+    spectrum w_n {1, ..., n+1}, so S = -sum_n w_n (T_n log2 w_n + B_n), with
+    T_n = (n+1)(n+2)/2 and B_n = sum_{k <= n+1} k log2 k.  A weight that
+    underflowed to 0 holds none; 0.0 - sum gives a pure state 0.0, not -0.0."""
+    w = np.asarray(w, dtype=float)
+    k = np.arange(1.0, w.size + 1)
+    log_w = np.log2(w, out=np.zeros_like(w), where=w > 0)
+    return 0.0 - math.fsum(w * (k * (k + 1) / 2 * log_w + np.cumsum(k * np.log2(k))))
 
-    Reads rho.spectrum: the cloner spectrum for a closed form, one
-    eigensolve over the bands otherwise.  The sum runs in ascending order,
-    so the two closed forms, whose nonzero eigenvalues coincide, give the
-    same float.
-    """
+
+def entropy(rho: SectorDensity) -> float:
+    """Von Neumann entropy in bits, -sum lambda log2 lambda over all sectors:
+    cloner_entropy of a closed form's pair weights, and the sum over the
+    positive eigenvalues of any other density."""
+    if rho.pair_weights is not None:
+        return cloner_entropy(rho.pair_weights)
     lam = rho.spectrum
-    if not lam.size:
-        return 0.0
-    if lam.min() < EIGENVALUE_FLOOR:
+    if lam.min(initial=0.0) < EIGENVALUE_FLOOR:
         raise NumericalError(
             f"density block has eigenvalue {lam.min():.3e} below {EIGENVALUE_FLOOR:g}")
-    lam = lam[lam > ENTROPY_EIGENVALUE_CUT]
-    return float(-np.sum(lam * np.log2(lam)))
+    lam = lam[lam > 0]
+    return float(0.0 - np.sum(lam * np.log2(lam)))
 
 
 def hs_distance(a: SectorDensity, b: SectorDensity) -> float:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from qiopa.amplifier import AmplifierConfig
-from qiopa.density import _flat_index, _pair_weights
+from qiopa.density import _flat_index, pair_weights
 from qiopa.polarization import Qubit
 
 
@@ -36,7 +36,7 @@ def detected_law(q: Qubit | None, cfg: AmplifierConfig):
     per clone branch on those cells.
     """
     n, h = _flat_index(cfg.cutoff + 1)
-    w = _pair_weights(cfg)[n]
+    w = pair_weights(cfg)[n]
     if q is None:
         return (h, n - h), (((n - h, h), w * cfg.gain.C ** 2),)
     # a is a probability; rounding can put it one ulp outside [0, 1]

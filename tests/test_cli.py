@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qiopa import amplifier
+from qiopa import amplifier, density
 from qiopa.cli import _load_preset, main
 from qiopa.fock import make_gain
 from qiopa.observables import g1_closed_form
@@ -224,10 +224,13 @@ class TestGainLimit:
 
 class TestEntropy:
     def test_zero_gain_report(self, capsys):
-        assert main(["entropy", "--g", "0", "--alpha", "1", "--beta", "0"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        assert main(["entropy", "--g", "0"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
         assert doc["entropy_mode1_bits"] == 0.0
         assert doc["entropy_mode2_bits"] == 0.0
+        # a pure state's entropy is 0.0, not -0.0
+        assert '"entropy_mode1_bits": 0.0' in out
 
     def test_high_gain_report(self, capsys):
         assert main(["entropy", "--preset", "HG"]) == 0
@@ -235,20 +238,20 @@ class TestEntropy:
         assert doc["entropy_difference"] <= 1e-9
 
     def test_report_at_g_2_5(self, capsys):
-        # cutoff 988: the closed-form entropies read the cloner spectrum,
-        # where an eigensolve over their 490k band entries takes seconds
+        # cutoff 988: one sector sum over 989 pair weights, where an
+        # eigensolve over the 490k band entries of a density takes seconds
         assert main(["entropy", "--g", "2.5"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["entropy_difference"] <= 1e-9
 
     def test_builds_no_four_mode_state(self, monkeypatch, capsys):
-        # the report reads only the closed-form densities: every module
-        # attribute bound to a four-mode state builder raises
+        # the report reads only the pair weights: every module attribute bound
+        # to a four-mode state builder or to the density class raises
         def refuse(*_args, **_kwargs):
-            raise AssertionError("entropy built a four-mode state")
+            raise AssertionError("entropy built a four-mode state or a density")
 
         builders = (amplifier.amplify, amplifier.vacuum_output,
-                    amplifier.propagate_hamiltonian)
+                    amplifier.propagate_hamiltonian, density.SectorDensity)
         for name, module in list(sys.modules.items()):
             if module is not None and (name == "qiopa" or name.startswith("qiopa.")):
                 for attr, value in list(vars(module).items()):
@@ -260,8 +263,7 @@ class TestEntropy:
     def test_report_keys(self, capsys):
         assert main(["entropy", "--preset", "LG"]) == 0
         assert list(json.loads(capsys.readouterr().out)) == [
-            "g", "qubit", "entropy_mode1_bits", "entropy_mode2_bits",
-            "entropy_difference"]
+            "g", "entropy_mode1_bits", "entropy_mode2_bits", "entropy_difference"]
 
 
 class TestMonteCarlo:
@@ -317,7 +319,7 @@ PINNED_STDOUT = {
     "pairs --preset HG --threshold 8 --format json":
         "a6cb026f678653b30e55893ed47ef39302872fcae11182d1f23f94e1d11b2663",
     "entropy --preset HG":
-        "b9fed6014e6c9000a8f64961419315732e82ddee439c81284963c27e05a75f92",
+        "13d283554c3e5104568e2131029e9c3874bbbb7de09372d36fa05eb220f5371c",
     "montecarlo --preset HG --path z:0:0.785:8 --pulses 5000 --seed 31415":
         "97fb7dadf820332506095406b85cecc874b10a2b928c5456e6bbcf66746bee93",
 }
@@ -372,6 +374,8 @@ class TestErrorHandling:
         ["pairs", "--mask", "D1"], ["pairs", "--path", "z:0:1:2"],
         ["pairs", "--alpha", "1"], ["entropy", "--threshold", "8"],
         ["entropy", "--pulses", "5"], ["entropy", "--seed", "3"],
+        ["entropy", "--alpha", "1"], ["entropy", "--beta", "0"],
+        ["entropy", "--phi", "0.3"],
         ["fringe", "--threshold", "8"], ["montecarlo", "--threshold", "8"],
         ["fringe", "--threads", "2"], ["montecarlo", "--threads", "2"],
         ["fringe", "--pulses", "5"], ["fringe", "--seed", "3"],

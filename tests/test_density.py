@@ -3,11 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh_tridiagonal
 
-from qiopa.amplifier import AmplifierConfig, amplify
-from qiopa.density import (ENTROPY_EIGENVALUE_CUT, SectorDensity, entropy,
-                           hs_distance, partial_trace, rho1_closed_form,
+from qiopa.amplifier import AmplifierConfig, _largest_gain, amplify
+from qiopa.density import (SectorDensity, cloner_entropy, entropy, hs_distance,
+                           pair_weights, partial_trace, rho1_closed_form,
                            rho2_closed_form)
 from qiopa.errors import NumericalError
 from qiopa.fock import (FockState4, fidelity, make_gain, pair_probability,
@@ -82,13 +81,13 @@ class TestCovariance:
 
     @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100), (2.0, None)])
     def test_spectrum_equals_the_eigensolved_bands(self, g, cutoff, rng):
+        # .spectrum is always the eigensolve over the bands
         cfg = AmplifierConfig.for_gain(g, cutoff)
         q = random_qubit(rng)
-        for build, _mode in MODES:
-            rho = build(q, cfg)
-            solved = np.sort(eigvalsh_tridiagonal(rho.diag, np.abs(rho.sub[:-1]),
-                                                  lapack_driver="sterf"))
-            assert np.abs(rho.spectrum - solved).max() <= 1e-14 * solved.max()
+        for build, mode in MODES:
+            known = np.sort(np.concatenate(_cloner_spectrum(cfg, mode)))
+            solved = build(q, cfg).spectrum
+            assert np.abs(solved - known).max() <= 1e-14 * known.max()
 
     @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100), (2.0, None),
                                            (2.5, None)])
@@ -96,10 +95,56 @@ class TestCovariance:
         cfg = AmplifierConfig.for_gain(g, cutoff)
         for build, mode in MODES:
             lam = np.concatenate(_cloner_spectrum(cfg, mode))
-            lam = lam[lam > ENTROPY_EIGENVALUE_CUT]
+            lam = lam[lam > 0]
             expected = -math.fsum(lam * np.log2(lam))
             for q in (random_qubit(rng), random_qubit(rng)):
                 assert abs(entropy(build(q, cfg)) - expected) < 1e-12
+
+
+def _fixed_point_entropy(w, bits=256):
+    """-sum lambda log2 lambda over every eigenvalue lambda = w_n k,
+    k = 1..n+1, of the w_n > 0: each term is exact in 2^-bits fixed point
+    but for its mpmath logarithms, so the sum is exact to ~1e-60."""
+    mp = pytest.importorskip("mpmath")
+    one = 1 << bits
+    with mp.workprec(bits + 64):
+        def fixed_log2(x):
+            return int(mp.nint(mp.log(mp.mpf(x), 2) * one))
+
+        log_k = [fixed_log2(k) for k in range(1, w.size + 1)]
+        total = mp.mpf(0)
+        for n, wn in enumerate(w):
+            if wn > 0:
+                num, den = float(wn).as_integer_ratio()
+                log_w = fixed_log2(wn)
+                total += mp.mpf(num * sum(k * (log_w + log_k[k - 1])
+                                          for k in range(1, n + 2))) / den
+        return float(-total / one)
+
+
+class TestClonerEntropy:
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100),
+                                           (_largest_gain(), 1000)],
+                             ids=["LG", "HG", "top"])
+    def test_equals_extended_precision_sum(self, g, cutoff):
+        w = pair_weights(AmplifierConfig.for_gain(g, cutoff))
+        exact = _fixed_point_entropy(w)
+        assert abs(cloner_entropy(w) - exact) <= 1e-14 * exact
+
+    def test_underflowed_pair_weights_hold_no_entropy(self):
+        # Gamma^(2n) underflows to 0 past n ~ 140 at g = 0.07
+        w = pair_weights(AmplifierConfig.for_gain(0.07, 1000))
+        assert w[-1] == 0.0
+        s = cloner_entropy(w)
+        assert math.isfinite(s)
+        assert s == cloner_entropy(pair_weights(AmplifierConfig.for_gain(0.07, 200)))
+
+    @pytest.mark.parametrize("build", [rho1_closed_form, rho2_closed_form])
+    def test_entropy_of_a_closed_form_is_the_sector_sum(self, build, rng):
+        cfg = AmplifierConfig.for_gain(1.13, 100)
+        rho = build(random_qubit(rng), cfg)
+        assert np.array_equal(rho.pair_weights, pair_weights(cfg))
+        assert entropy(rho) == cloner_entropy(pair_weights(cfg))
 
 
 class TestClosedFormsAgainstPartialTrace:
@@ -265,11 +310,14 @@ class TestBands:
             with pytest.raises(ValueError):
                 rho.spectrum[0] = 1.0
 
-    def test_spectrum_of_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="spectrum of length 2"):
-            SectorDensity("mode2", [0.5, 0.25, 0.25], [0.0] * 3, [0.5, 0.5])
-        rho = SectorDensity("mode2", [0.5, 0.25, 0.25], [0.0] * 3, [0.25, 0.5, 0.25])
-        assert rho.spectrum.tolist() == [0.25, 0.25, 0.5]
+    def test_pair_weights_of_wrong_length_rejected(self):
+        # one weight per pair term: mode 1's sector 0 holds none
+        with pytest.raises(ValueError, match="2 pair weights for the 2 sectors of mode1"):
+            SectorDensity("mode1", [0.0, 0.5, 0.5], [0.0] * 3, [0.5, 0.5])
+        with pytest.raises(ValueError, match="1 pair weights for the 2 sectors of mode2"):
+            SectorDensity("mode2", [0.5, 0.25, 0.25], [0.0] * 3, [0.5])
+        rho = SectorDensity("mode2", [0.5, 0.25, 0.25], [0.0] * 3, [0.5, 0.25])
+        assert rho.pair_weights.tolist() == [0.5, 0.25]
 
     @pytest.mark.parametrize("diag, sub", [([0.5, 0.25], [0.0, 0.0]),
                                            ([0.5, 0.25, 0.25], [0.0, 0.0]),
@@ -293,8 +341,11 @@ class TestBands:
 
 class TestEntropy:
     def test_pure_reduction_at_zero_gain(self):
+        # 0.0, not -0.0
         cfg = AmplifierConfig.for_gain(0.0)
-        assert entropy(rho1_closed_form(Qubit(1.0, 0.0), cfg)) == 0.0
+        for build, _mode in MODES:
+            s = entropy(build(Qubit(1.0, 0.0), cfg))
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
     def test_maximally_mixed_block_is_one_bit(self):
         rho = SectorDensity("mode1", [0.0, 0.5, 0.5], [0.0] * 3)
