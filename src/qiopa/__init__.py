@@ -9,7 +9,7 @@ from .fock import (FockState4, GainParams, fidelity, inner_product, make_gain,
 from .montecarlo import (CalibrationResult, DetectorConfig, PulseSampler, RunStats,
                          SweepStats, calibrate_visibility_loss, run)
 from .observables import (DETECTED_FIELD_UNITARY, G1Pair, g1_closed_form, g1_oracle,
-                          signal_to_noise, visibility)
+                          visibility)
 from .polarization import (BlochPath, PolarizationUnitary, Qubit, apply, babinet,
                            su2_rotation, waveplate)
 

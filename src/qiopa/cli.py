@@ -70,8 +70,8 @@ def _load_preset(name_or_path: str) -> dict:
 def _build_parser(preset: dict | None = None) -> argparse.ArgumentParser:
     """The parser, with a preset's values as every command's defaults: a flag
     beats the preset, and the preset beats the built-in default."""
-    common, cutoff, qubit, path, detector, tail = (argparse.ArgumentParser(add_help=False)
-                                                   for _ in range(6))
+    common, cutoff, qubit, path, detector, tail, fmt = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7))
     common.add_argument("--g", type=float, default=0.07, help="amplifier gain")
     cutoff.add_argument("--cutoff", type=int, default=None, help="pair-number cutoff override")
     common.add_argument("--out", default=None, help="output path ('-' = stdout)")
@@ -93,25 +93,25 @@ def _build_parser(preset: dict | None = None) -> argparse.ArgumentParser:
     detector.add_argument("--seed", type=int, default=DetectorConfig.seed)
     tail.add_argument("--threshold", type=int, default=None,
                       help="pair-number threshold for tail reporting")
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
 
     parser = argparse.ArgumentParser(
         prog="qiopa",
         description="Quantum-injected optical parametric amplifier simulator")
     sub = parser.add_subparsers(dest="command")
     # a command takes only the flags it reads, so one it would ignore is an error;
-    # --format offers only what it writes: entropy writes JSON, and montecarlo
+    # only fringe and pairs take --format: entropy writes JSON, and montecarlo
     # writes its CSV table followed by a JSON summary
-    for name, command, parents, formats, hlp in (
-            ("fringe", cmd_fringe, (common, qubit, path), ("csv", "json"),
+    for name, command, parents, hlp in (
+            ("fringe", cmd_fringe, (common, qubit, path, fmt),
              "closed-form interference fringe table over a Bloch path"),
-            ("pairs", cmd_pairs, (common, cutoff, tail), ("csv", "json"),
+            ("pairs", cmd_pairs, (common, cutoff, tail, fmt),
              "photon-pair number distribution"),
-            ("entropy", cmd_entropy, (common, cutoff), ("json",),
+            ("entropy", cmd_entropy, (common, cutoff),
              "reduced-state entropies of both modes"),
-            ("montecarlo", cmd_montecarlo, (common, cutoff, qubit, path, detector), ("csv",),
+            ("montecarlo", cmd_montecarlo, (common, cutoff, qubit, path, detector),
              "conditional coincidence-detection run")):
         cmd = sub.add_parser(name, parents=parents, help=hlp)
-        cmd.add_argument("--format", choices=formats, default=formats[0])
         # a preset key the command has no flag for is set and never read
         cmd.set_defaults(run=command, **(preset or {}))
     return parser

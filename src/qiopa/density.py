@@ -47,12 +47,13 @@ class SectorDensity:
     bands over k = t(t+1)/2 + p: the real diagonal diag[k] and the
     sub-diagonal sub[k] = <t, p+1| rho |t, p>, which is zero at p = t where
     a sector ends.  The bands thus also form one tridiagonal matrix of all
-    sectors, whose eigenvalues are the spectrum.  A closed form also holds
-    its pair weights w_n, one per pair term (sector n + 1 of mode 1, sector
-    n of mode 2), from which entropy sums the spectrum without solving it.
+    sectors, whose eigenvalues are the spectrum.
     """
 
-    def __init__(self, mode: str, diag, sub, pair_weights=None):
+    # set only by the closed forms, whose bands they fill from these weights
+    _pair_weights = None
+
+    def __init__(self, mode: str, diag, sub):
         if mode not in MODE_PAIRS:
             raise ValueError(f"mode must be 'mode1' or 'mode2', got {mode!r}")
         self.mode = mode
@@ -67,13 +68,6 @@ class SectorDensity:
             raise ValueError("sub-diagonal couples two sectors")
         self.diag.setflags(write=False)
         self.sub.setflags(write=False)
-        if pair_weights is not None:   # one per pair term; mode 1's sector 0 holds none
-            pair_weights = np.array(pair_weights, dtype=float)
-            if pair_weights.size != self.sectors - (mode == "mode1"):
-                raise ValueError(f"{pair_weights.size} pair weights for the "
-                                 f"{self.sectors} sectors of {mode}")
-            pair_weights.setflags(write=False)
-        self.pair_weights = pair_weights
 
     def sector(self, t: int):
         """Diagonal (t+1 entries) and sub-diagonal (t entries) of sector t."""
@@ -107,18 +101,20 @@ class SectorDensity:
             out.append(b)
         return tuple(out)
 
-    @property
-    def weights(self) -> list:
-        return [float(self.sector(t)[0].sum()) for t in range(self.sectors)]
-
-    def total_trace(self) -> float:
-        return float(self.diag.sum())
-
 
 def pair_weights(cfg: AmplifierConfig) -> np.ndarray:
     """gamma^2 Gamma^(2n), n = 0..cutoff (scalar pow, as the amplitudes)."""
     gp = cfg.gain
     return np.array([gp.gamma ** 2 * gp.Gamma ** (2 * n) for n in range(cfg.cutoff + 1)])
+
+
+def _with_pair_weights(rho: SectorDensity, w: np.ndarray) -> SectorDensity:
+    """rho, holding the pair weights w_n its bands were filled from, one per
+    pair term (sector n + 1 of mode 1, sector n of mode 2): entropy sums their
+    spectrum w_n {1, ..., n+1} without solving it."""
+    w.setflags(write=False)
+    rho._pair_weights = w
+    return rho
 
 
 def rho1_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
@@ -129,9 +125,9 @@ def rho1_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
     w = np.append(0.0, pair_weights(cfg))   # mode 1 always holds >= 1 photon
     t, p = _flat_index(cfg.cutoff + 2)
-    return SectorDensity(
+    return _with_pair_weights(SectorDensity(
         "mode1", w[t] * (q.alpha ** 2 * (t - p) + q.beta ** 2 * p),
-        w[t] * (ab * np.sqrt((t - p) * (p + 1))), w[1:])
+        w[t] * (ab * np.sqrt((t - p) * (p + 1)))), w[1:])
 
 
 def rho2_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
@@ -142,9 +138,9 @@ def rho2_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
     w = pair_weights(cfg)
     n, p = _flat_index(cfg.cutoff + 1)
-    return SectorDensity(
+    return _with_pair_weights(SectorDensity(
         "mode2", w[n] * (q.beta ** 2 * (n - p + 1) + q.alpha ** 2 * (p + 1)),
-        w[n] * (-ab * np.sqrt((n - p) * (p + 1))), w)
+        w[n] * (-ab * np.sqrt((n - p) * (p + 1)))), w)
 
 
 def partial_trace(state: FockState4, keep: str) -> SectorDensity:
@@ -204,8 +200,8 @@ def entropy(rho: SectorDensity) -> float:
     """Von Neumann entropy in bits, -sum lambda log2 lambda over all sectors:
     cloner_entropy of a closed form's pair weights, and the sum over the
     positive eigenvalues of any other density."""
-    if rho.pair_weights is not None:
-        return cloner_entropy(rho.pair_weights)
+    if rho._pair_weights is not None:
+        return cloner_entropy(rho._pair_weights)
     lam = rho.spectrum
     if lam.min(initial=0.0) < EIGENVALUE_FLOOR:
         raise NumericalError(

@@ -1,4 +1,4 @@
-"""Detected-field correlation functions, visibility and signal-to-noise."""
+"""Detected-field correlation functions and visibility."""
 from __future__ import annotations
 
 import math
@@ -58,10 +58,3 @@ def visibility(q: Qubit) -> float:
     invariant and exact in the symmetric case alpha = beta.
     """
     return (1.0 - (q.alpha - q.beta) ** 2) / 3
-
-
-def signal_to_noise(q: Qubit, gain: GainParams) -> float:
-    """H-channel mean over the squeezed-vacuum floor nbar."""
-    if gain.nbar == 0.0:
-        raise ValueError("signal-to-noise undefined at zero gain (nbar = 0)")
-    return g1_closed_form(q, gain).g2h / gain.nbar

@@ -379,7 +379,8 @@ class TestErrorHandling:
         ["fringe", "--threshold", "8"], ["montecarlo", "--threshold", "8"],
         ["fringe", "--threads", "2"], ["montecarlo", "--threads", "2"],
         ["fringe", "--pulses", "5"], ["fringe", "--seed", "3"],
-        ["fringe", "--qe", "0.5"], ["fringe", "--cutoff", "5"]],
+        ["fringe", "--qe", "0.5"], ["fringe", "--cutoff", "5"],
+        ["entropy", "--format", "json"], ["montecarlo", "--format", "csv"]],
         ids=" ".join)
     def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -143,7 +143,6 @@ class TestClonerEntropy:
     def test_entropy_of_a_closed_form_is_the_sector_sum(self, build, rng):
         cfg = AmplifierConfig.for_gain(1.13, 100)
         rho = build(random_qubit(rng), cfg)
-        assert np.array_equal(rho.pair_weights, pair_weights(cfg))
         assert entropy(rho) == cloner_entropy(pair_weights(cfg))
 
 
@@ -186,9 +185,11 @@ class TestClosedFormsAgainstPartialTrace:
             oracle = entropy(partial_trace(state, mode))
             assert abs(entropy(build(q, cfg)) - oracle) <= 1e-12
 
-    def test_bands_match_oracle_at_g2(self, rng):
+    @pytest.mark.parametrize("g, cutoff", [(2.0, None), (_largest_gain(), 1000)],
+                             ids=["2.0", "top"])
+    def test_bands_match_oracle_at_high_gain(self, g, cutoff, rng):
         # the bands, not .blocks: a dense view at cutoff 363 is ~250 MB
-        cfg = AmplifierConfig.for_gain(2.0)
+        cfg = AmplifierConfig.for_gain(g, cutoff)
         q = random_qubit(rng)
         state = amplify(q, cfg)
         for build, mode in MODES:
@@ -226,8 +227,7 @@ class TestClosedFormsAgainstPartialTrace:
             for b in rho.blocks:
                 assert np.abs(b - b.conj().T).max() < 1e-12
                 assert np.linalg.eigvalsh(b).min() >= -1e-12
-            assert rho.total_trace() == pytest.approx(
-                1.0, abs=cfg.epsilon_trunc + 1e-12)
+            assert rho.diag.sum() == pytest.approx(1.0, abs=cfg.epsilon_trunc + 1e-12)
 
 
 class TestPartialTrace:
@@ -250,7 +250,7 @@ class TestPartialTrace:
         # here verify the trace property on a state with pure-tensor entries
         st = FockState4({(1, 1, 0, 0): 0.6, (1, 1, 2, 0): 0.8}, 6)
         rho = partial_trace(st, "mode1")
-        assert rho.total_trace() == pytest.approx(st.norm_sq(), abs=1e-12)
+        assert rho.diag.sum() == pytest.approx(st.norm_sq(), abs=1e-12)
 
     def test_cross_sector_coherence_rejected(self):
         st = FockState4({(0, 0, 0, 0): 2 ** -0.5, (1, 0, 0, 0): 2 ** -0.5}, 4)
@@ -310,14 +310,13 @@ class TestBands:
             with pytest.raises(ValueError):
                 rho.spectrum[0] = 1.0
 
-    def test_pair_weights_of_wrong_length_rejected(self):
-        # one weight per pair term: mode 1's sector 0 holds none
-        with pytest.raises(ValueError, match="2 pair weights for the 2 sectors of mode1"):
-            SectorDensity("mode1", [0.0, 0.5, 0.5], [0.0] * 3, [0.5, 0.5])
-        with pytest.raises(ValueError, match="1 pair weights for the 2 sectors of mode2"):
-            SectorDensity("mode2", [0.5, 0.25, 0.25], [0.0] * 3, [0.5])
-        rho = SectorDensity("mode2", [0.5, 0.25, 0.25], [0.0] * 3, [0.5, 0.25])
-        assert rho.pair_weights.tolist() == [0.5, 0.25]
+    def test_pair_weights_are_not_a_parameter(self):
+        # weights passed with the bands set the entropy unchecked: these gave
+        # 1.2388 bits, the cloner sum of [0.6, 0.1], where the bands hold 1.3710
+        with pytest.raises(TypeError):
+            SectorDensity("mode2", [0.6, 0.2, 0.2], [0.0] * 3, [0.6, 0.1])
+        rho = SectorDensity("mode2", [0.6, 0.2, 0.2], [0.0] * 3)
+        assert entropy(rho) == pytest.approx(1.3709505944546687, rel=1e-15)
 
     @pytest.mark.parametrize("diag, sub", [([0.5, 0.25], [0.0, 0.0]),
                                            ([0.5, 0.25, 0.25], [0.0, 0.0]),
@@ -435,8 +434,10 @@ class TestPairDistribution:
         p = pair_probability(cfg.gain, np.arange(cfg.cutoff + 1))
         for q in (Qubit(1.0, 0.0), Qubit(2 ** -0.5, 2 ** -0.5, 0.0),
                   random_qubit(rng)):
-            weights = rho1_closed_form(q, cfg).weights[1:]
-            assert weights == pytest.approx(list(p), abs=1e-14)
+            rho = rho1_closed_form(q, cfg)
+            # sector t starts at t(t+1)/2; mode 1's sector 0 holds no pair term
+            weights = np.add.reduceat(rho.diag, np.cumsum(np.arange(rho.sectors)))[1:]
+            assert weights == pytest.approx(p, abs=1e-14)
 
     def test_tail_monotone_and_bounded(self):
         gain = make_gain(1.13)

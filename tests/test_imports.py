@@ -9,15 +9,15 @@ import qiopa
 
 # runs in a fresh interpreter: the test process has loaded scipy.linalg and
 # scipy.special already.  The closed-form commands and one HG oracle round
-# (propagator, partial traces, g1) must leave both unloaded; an eigensolved
-# spectrum and a sweep's p-value load them on first use through scipy's lazy
-# submodule access.
+# (propagator, partial traces, g1, closed-form entropies) must leave both
+# unloaded; an eigensolved spectrum and a sweep's p-value load them on first
+# use through scipy's lazy submodule access.
 SCRIPT = """
 import contextlib, io, json, math, sys
 
 from qiopa import cli
 from qiopa.amplifier import AmplifierConfig, amplify, propagate_hamiltonian
-from qiopa.density import entropy, partial_trace, rho1_closed_form
+from qiopa.density import entropy, partial_trace, rho1_closed_form, rho2_closed_form
 from qiopa.fock import fidelity
 from qiopa.montecarlo import DetectorConfig, run
 from qiopa.observables import g1_closed_form, g1_oracle
@@ -40,6 +40,7 @@ state = propagate_hamiltonian(q, cfg)
 defect = 1.0 - fidelity(state, amplify(q, cfg))
 traced = [partial_trace(state, mode) for mode in ("mode1", "mode2")]
 pair = g1_oracle(q, cfg)
+closed = [entropy(build(q, cfg)) for build in (rho1_closed_form, rho2_closed_form)]
 loaded["oracle round"] = lazy()
 
 oracle = entropy(traced[0])
@@ -47,7 +48,7 @@ angles = tuple(2 * math.pi * k / 8 for k in range(8))
 sweep = run(BlochPath("z", angles, q), cfg, DetectorConfig(pulses=1000))
 print(json.dumps({"loaded": loaded, "after": lazy(), "fidelity_defect": defect,
                   "g1_error": abs(pair.difference - g1_closed_form(q, cfg.gain).difference),
-                  "entropy_error": abs(oracle - entropy(rho1_closed_form(q, cfg))),
+                  "entropy_error": abs(oracle - closed[0]),
                   "null_pvalue": sweep.null_pvalue}))
 """
 
