@@ -1,5 +1,7 @@
 """Amplified output states of the quantum-injected parametric amplifier.
 
+The gain g alone fixes the constants (GainParams), the pair law
+gamma^2 Gamma^(2n) (n+1)(n+2)/2 and, through its tail, the default cutoff.
 The closed-form output for an injected single-photon qubit populates the
 indices |i+1, j, j, i> (weighted by alpha) and |i, j+1, j, i> (weighted by
 beta e^{i phi}) with amplitudes gamma (-Gamma)^i Gamma^j sqrt(i+1) and
@@ -12,20 +14,73 @@ bipartite half exponentiates it exactly, with numpy alone.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import NumericalError
-from .fock import FockState4, GainParams, make_gain, pair_tail
+from .fock import FockState4
 from .polarization import Qubit
 
 # the interaction transiently populates the truncation boundary
 PROPAGATOR_PADDING = 8
 # cutoff rule: the analytic pair-number tail beyond the cutoff must stay below this
 TAIL_RULE = 1e-9
+
+
+@dataclass(frozen=True)
+class GainParams:
+    """Amplifier constants derived from the dimensionless gain g alone."""
+
+    g: float
+    C: float = field(init=False)        # cosh g
+    Gamma: float = field(init=False)    # tanh g
+    gamma: float = field(init=False)    # cosh(g)**-3, overall amplitude prefactor
+    nbar: float = field(init=False)     # sinh(g)**2, mean photon number per squeezed mode
+
+    def __post_init__(self):
+        if not isinstance(self.g, (int, float)) or not 0 <= self.g < math.inf:
+            raise ValueError(f"gain must be a finite non-negative real number, got {self.g!r}")
+        g = float(self.g)
+        try:
+            nbar = math.sinh(g) ** 2
+        except OverflowError:
+            nbar = math.inf
+        if math.isinf(3 * nbar):   # the sum rule g2H + g2V = 3 nbar bounds every mean
+            raise ValueError(
+                f"gain {g:g} overflows 3 sinh(g)^2; the largest gain is about 355.035")
+        C = math.cosh(g)
+        for name, value in (("g", g), ("C", C), ("Gamma", math.tanh(g)),
+                            ("gamma", C ** -3), ("nbar", nbar)):
+            object.__setattr__(self, name, value)
+
+
+def pair_probability(gain: GainParams, n):
+    """Probability of emitting n photon pairs: gamma^2 Gamma^(2n) (n+1)(n+2)/2."""
+    n = np.asarray(n)
+    return gain.gamma ** 2 * gain.Gamma ** (2 * n) * (n + 1) * (n + 2) / 2
+
+
+def pair_tail(gain: GainParams, start: int) -> float:
+    """Closed-form sum of pair_probability(n) over n >= start."""
+    if start <= 0:
+        return 1.0
+    x = gain.Gamma ** 2
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:    # tanh g rounds to 1: no finite cutoff holds any weight
+        return 1.0
+    m = start
+    one = 1.0 - x
+    # geometric sums of n^0, n^1, n^2 weights starting at n = m
+    s0 = x ** m / one
+    s1 = x ** m * (m - (m - 1) * x) / one ** 2
+    s2 = x ** m * (m * m - (2 * m * m - 2 * m - 1) * x + (m - 1) ** 2 * x ** 2) / one ** 3
+    return gain.gamma ** 2 * (s2 + 3 * s1 + 2 * s0) / 2
 
 
 @dataclass(frozen=True)
@@ -71,14 +126,13 @@ class AmplifierConfig:
     @classmethod
     def for_gain(cls, g: float, cutoff: int | None = None) -> "AmplifierConfig":
         """Config at gain g.  The default cutoff is the smallest that meets
-        TAIL_RULE (floor of 12); the search stops at MAX_CUTOFF + 1, which
-        __post_init__ rejects."""
-        gain = make_gain(g)
+        TAIL_RULE (floor of 12), bisected over 0 .. MAX_CUTOFF as the pair tail
+        falls with its start; past MAX_CUTOFF it is MAX_CUTOFF + 1, rejected."""
+        gain = GainParams(g)
         if cutoff is None:
-            cutoff = 0
-            while cutoff <= cls.MAX_CUTOFF and pair_tail(gain, cutoff + 1) >= TAIL_RULE:
-                cutoff += 1
-            cutoff = max(cutoff, 12)
+            cutoff = max(bisect.bisect_left(
+                range(cls.MAX_CUTOFF + 1), True,
+                key=lambda c: pair_tail(gain, c + 1) < TAIL_RULE), 12)
         return cls(gain, cutoff)
 
 
@@ -88,12 +142,18 @@ def _largest_gain() -> float:
     lo, hi = 0.0, 20.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        tail = pair_tail(make_gain(mid), AmplifierConfig.MAX_CUTOFF + 1)
+        tail = pair_tail(GainParams(mid), AmplifierConfig.MAX_CUTOFF + 1)
         lo, hi = (mid, hi) if tail < TAIL_RULE else (lo, mid)
     return lo
 
 
-def _pair_weights(cfg: AmplifierConfig, pref: float):
+def pair_weights(cfg: AmplifierConfig) -> np.ndarray:
+    """gamma^2 Gamma^(2n), n = 0..cutoff (scalar pow, as the amplitudes)."""
+    gp = cfg.gain
+    return np.array([gp.gamma ** 2 * gp.Gamma ** (2 * n) for n in range(cfg.cutoff + 1)])
+
+
+def _pair_amplitudes(cfg: AmplifierConfig, pref: float):
     """Pair terms (i, j), n = i + j then i ascending, and pref (-Gamma)^i Gamma^j
     (scalar pow: numpy's vectorised pow can round the last bit differently)."""
     n, i = np.tril_indices(cfg.cutoff + 1)
@@ -107,7 +167,7 @@ def amplify(q: Qubit, cfg: AmplifierConfig) -> FockState4:
 
     Each pair term (i, j) gives |i+1, j, j, i> (alpha) and then |i, j+1, j, i> (beta).
     """
-    i, j, base = _pair_weights(cfg, cfg.gain.gamma)
+    i, j, base = _pair_amplitudes(cfg, cfg.gain.gamma)
     b_amp = q.beta * cmath.exp(1j * q.phi)
     occ = np.column_stack([i + 1, j, j, i, i, j + 1, j, i]).reshape(-1, 4)
     amp = np.column_stack([q.alpha * base * np.sqrt(i + 1),
@@ -117,7 +177,7 @@ def amplify(q: Qubit, cfg: AmplifierConfig) -> FockState4:
 
 def vacuum_output(cfg: AmplifierConfig) -> FockState4:
     """Squeezed-vacuum output when the amplifier is fed no qubit."""
-    i, j, amp = _pair_weights(cfg, cfg.gain.C ** -2)
+    i, j, amp = _pair_amplitudes(cfg, cfg.gain.C ** -2)
     return FockState4.from_arrays(np.column_stack([i, j, j, i]),
                                   amp.astype(complex), cfg.cutoff)
 

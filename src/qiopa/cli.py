@@ -19,10 +19,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .amplifier import AmplifierConfig
-from .density import cloner_entropy, pair_weights
+from .amplifier import AmplifierConfig, GainParams, pair_probability, pair_tail, pair_weights
+from .density import cloner_entropy
 from .errors import NumericalError
-from .fock import make_gain, pair_probability, pair_tail
 from .montecarlo import DetectorConfig, phase_sweep, run
 from .observables import g1_closed_form
 from .polarization import BlochPath, Qubit
@@ -138,11 +137,8 @@ def _path(args, qubit: Qubit) -> BlochPath:
         axis, start, step, count = args.path.split(":")
         start, step, count = float(start), float(step), int(count)
     except ValueError as exc:
-        raise ValueError(
-            f"--path must look like axis:start:step:count, got {args.path!r}"
-        ) from exc
-    if count < 2 or step <= 0:
-        raise ValueError("--path needs count >= 2 and step > 0")
+        raise ValueError(f"--path must look like axis:start:step:count, "
+                         f"got {args.path!r}") from exc
     return BlochPath(axis, tuple(start + step * k for k in range(count)), qubit)
 
 
@@ -169,7 +165,7 @@ def _table(fmt: str, meta: dict, header: list, rows: list) -> str:
 
 
 def cmd_fringe(args) -> None:
-    gain = make_gain(args.g)
+    gain = GainParams(args.g)
     path = _path(args, _qubit(args))
     meta = {"g": _fmt(gain.g), "nbar": _fmt(gain.nbar),
             "axis": path.axis,

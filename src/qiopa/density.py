@@ -23,7 +23,7 @@ import math
 import numpy as np
 import scipy
 
-from .amplifier import AmplifierConfig
+from .amplifier import AmplifierConfig, pair_weights
 from .errors import NumericalError
 from .fock import FockState4, MODE_PAIRS, row_groups
 from .polarization import Qubit
@@ -100,12 +100,6 @@ class SectorDensity:
             b.setflags(write=False)
             out.append(b)
         return tuple(out)
-
-
-def pair_weights(cfg: AmplifierConfig) -> np.ndarray:
-    """gamma^2 Gamma^(2n), n = 0..cutoff (scalar pow, as the amplitudes)."""
-    gp = cfg.gain
-    return np.array([gp.gamma ** 2 * gp.Gamma ** (2 * n) for n in range(cfg.cutoff + 1)])
 
 
 def _with_pair_weights(rho: SectorDensity, w: np.ndarray) -> SectorDensity:

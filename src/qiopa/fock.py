@@ -7,8 +7,6 @@ PRUNE_THRESHOLD are dropped.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -20,55 +18,6 @@ MODE_ORDER = ("1h", "1v", "2h", "2v")
 MODE_PAIRS = {"mode1": (0, 1), "mode2": (2, 3)}
 
 PRUNE_THRESHOLD = 1e-15
-
-
-@dataclass(frozen=True)
-class GainParams:
-    """Derived amplifier constants for dimensionless gain g."""
-
-    g: float
-    C: float        # cosh g
-    Gamma: float    # tanh g
-    gamma: float    # cosh(g)**-3, overall amplitude prefactor
-    nbar: float     # sinh(g)**2, mean photon number per squeezed mode
-
-
-def make_gain(g: float) -> GainParams:
-    if not isinstance(g, (int, float)) or not 0 <= g < math.inf:
-        raise ValueError(f"gain must be a finite non-negative real number, got {g!r}")
-    g = float(g)
-    try:
-        nbar = math.sinh(g) ** 2
-    except OverflowError:
-        nbar = math.inf
-    if math.isinf(3 * nbar):   # the sum rule g2H + g2V = 3 nbar bounds every mean
-        raise ValueError(f"gain {g:g} overflows 3 sinh(g)^2; the largest gain is about 355.035")
-    C = math.cosh(g)
-    return GainParams(g=g, C=C, Gamma=math.tanh(g), gamma=C ** -3, nbar=nbar)
-
-
-def pair_probability(gain: GainParams, n):
-    """Probability of emitting n photon pairs: gamma^2 Gamma^(2n) (n+1)(n+2)/2."""
-    n = np.asarray(n)
-    return gain.gamma ** 2 * gain.Gamma ** (2 * n) * (n + 1) * (n + 2) / 2
-
-
-def pair_tail(gain: GainParams, start: int) -> float:
-    """Closed-form sum of pair_probability(n) over n >= start."""
-    if start <= 0:
-        return 1.0
-    x = gain.Gamma ** 2
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:    # tanh g rounds to 1: no finite cutoff holds any weight
-        return 1.0
-    m = start
-    one = 1.0 - x
-    # geometric sums of n^0, n^1, n^2 weights starting at n = m
-    s0 = x ** m / one
-    s1 = x ** m * (m - (m - 1) * x) / one ** 2
-    s2 = x ** m * (m * m - (2 * m * m - 2 * m - 1) * x + (m - 1) ** 2 * x ** 2) / one ** 3
-    return gain.gamma ** 2 * (s2 + 3 * s1 + 2 * s0) / 2
 
 
 class FockState4:

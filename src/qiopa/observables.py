@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplifier import AmplifierConfig, amplify
+from .amplifier import AmplifierConfig, GainParams, amplify
 from .density import _flat_index, partial_trace
-from .fock import GainParams
 from .polarization import Qubit
 
 # 45-degree analyzer mapping the {h, v} basis of a mode pair onto the

@@ -120,8 +120,8 @@ class BlochPath:
         angles = tuple(float(a) for a in self.angles)
         if len(angles) < 2:
             raise ValueError("a path needs at least 2 points")
-        if any(b <= a for a, b in zip(angles, angles[1:])):
-            raise ValueError("path angles must be strictly increasing")
+        if not all(-math.inf < a < b < math.inf for a, b in zip(angles, angles[1:])):
+            raise ValueError("path angles must be finite and strictly increasing")
         object.__setattr__(self, "angles", angles)
 
     def qubits(self) -> list:

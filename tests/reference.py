@@ -1,4 +1,5 @@
-"""Enumerated Monte Carlo outcome law: the oracle of PulseSampler's closed form.
+"""Test-side references: the linear search for the default cutoff, and the
+enumerated Monte Carlo outcome law, the oracle of PulseSampler's closed form.
 
 The detected law lists the photon numbers behind the analyzer cell by cell,
 and the outcome law weighs every cell by its gate probability and thins both
@@ -12,9 +13,20 @@ import math
 
 import numpy as np
 
-from qiopa.amplifier import AmplifierConfig
-from qiopa.density import _flat_index, pair_weights
+from qiopa.amplifier import TAIL_RULE, AmplifierConfig, GainParams, pair_tail, pair_weights
+from qiopa.density import _flat_index
 from qiopa.polarization import Qubit
+
+
+def linear_cutoff(g: float) -> int:
+    """AmplifierConfig.for_gain's default cutoff by linear search: the first
+    cutoff from 0 whose pair tail meets TAIL_RULE (floor of 12), or
+    MAX_CUTOFF + 1 when none up to MAX_CUTOFF does."""
+    gain = GainParams(g)
+    cutoff = 0
+    while cutoff <= AmplifierConfig.MAX_CUTOFF and pair_tail(gain, cutoff + 1) >= TAIL_RULE:
+        cutoff += 1
+    return max(cutoff, 12)
 
 
 def detected_law(q: Qubit | None, cfg: AmplifierConfig):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from qiopa.amplifier import AmplifierConfig, amplify, propagate_hamiltonian
+from qiopa.amplifier import (AmplifierConfig, GainParams, amplify, pair_probability,
+                             pair_tail, propagate_hamiltonian)
 from qiopa.cli import main
 from qiopa.density import (entropy, partial_trace, rho1_closed_form,
                            rho2_closed_form)
-from qiopa.fock import (fidelity, inner_product, make_gain, pair_probability,
-                        pair_tail)
+from qiopa.fock import fidelity, inner_product
 from qiopa.montecarlo import DetectorConfig, run
 from qiopa.observables import g1_closed_form, visibility
 from qiopa.polarization import (BlochPath, Qubit, babinet, su2_rotation,
@@ -86,7 +86,7 @@ def test_04_density_oracle_equivalence(rng):
 
 def test_05_visibility(rng):
     ok = visibility(BALANCED) == 1.0 / 3.0
-    gp = make_gain(1.13)
+    gp = GainParams(1.13)
     for _ in range(50):
         q = random_qubit(rng)
 
@@ -103,7 +103,7 @@ def test_05_visibility(rng):
 
 
 def test_06_signal_to_noise():
-    gp = make_gain(1.13)
+    gp = GainParams(1.13)
     snr = g1_closed_form(BALANCED, gp).g2h / gp.nbar
     _report(6, "signal-to-noise 2 at balanced in-phase qubit", abs(snr - 2.0) <= 1e-12)
 
@@ -111,7 +111,7 @@ def test_06_signal_to_noise():
 def test_07_sum_rule(rng):
     ok = True
     for _ in range(100):
-        gp = make_gain(rng.uniform(0.0, 1.2))
+        gp = GainParams(rng.uniform(0.0, 1.2))
         pair = g1_closed_form(random_qubit(rng), gp)
         ok &= abs(pair.g2h + pair.g2v - 3 * math.sinh(gp.g) ** 2) < 1e-10
     _report(7, "channel sum rule 3 sinh^2 g", ok)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -9,20 +10,43 @@ from scipy.sparse.linalg import expm_multiply
 
 from qiopa import amplifier
 from qiopa.amplifier import (_COUPLINGS, PROPAGATOR_PADDING, AmplifierConfig,
-                             amplify, propagate_hamiltonian, vacuum_output)
+                             GainParams, amplify, propagate_hamiltonian, vacuum_output)
 from qiopa.errors import NumericalError
-from qiopa.fock import (FockState4, fidelity, inner_product, make_gain,
-                        number_expectation, rotate_mode_pair)
+from qiopa.fock import (FockState4, fidelity, inner_product, number_expectation,
+                        rotate_mode_pair)
 from qiopa.observables import DETECTED_FIELD_UNITARY
 from qiopa.polarization import PolarizationUnitary, Qubit, apply
 
 from conftest import random_qubit
+from reference import linear_cutoff
+
+
+class TestGainParams:
+    def test_only_the_gain_is_settable(self):
+        # a settable constant could contradict g: Gamma = 0 at g = 1.13 amplifies nothing
+        for make in (lambda: GainParams(1.13, 1.0, 0.0, 1.0, 0.0),
+                     lambda: GainParams(g=1.13, Gamma=0.0)):
+            with pytest.raises(TypeError):
+                make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            GainParams(1.13).Gamma = 0.0
+
+    @pytest.mark.parametrize("g", [0.0, 0.07, 1.13, 2.5, 355.0])
+    def test_constants_are_the_hyperbolic_functions(self, g):
+        gp = GainParams(g)
+        assert (gp.g, gp.C, gp.Gamma, gp.gamma, gp.nbar) == (
+            g, math.cosh(g), math.tanh(g), math.cosh(g) ** -3, math.sinh(g) ** 2)
+
+    @pytest.mark.parametrize("g", ["1.13", None, 1j])
+    def test_rejects_what_is_not_a_real_number(self, g):
+        with pytest.raises(ValueError, match="finite non-negative real number"):
+            GainParams(g)
 
 
 class TestAmplifierConfig:
     def test_cutoff_violating_tail_rule_rejected(self):
         with pytest.raises(ValueError):
-            AmplifierConfig(make_gain(1.13), 5)
+            AmplifierConfig(GainParams(1.13), 5)
 
     def test_for_gain_picks_valid_cutoff(self):
         for g in (0.0, 0.07, 0.5, 1.13):
@@ -32,7 +56,7 @@ class TestAmplifierConfig:
     def test_cutoff_above_the_limit_rejected(self):
         # the message names the largest gain whose default cutoff fits
         assert AmplifierConfig.for_gain(2.5).cutoff == 988
-        for make in (lambda: AmplifierConfig(make_gain(1.13), AmplifierConfig.MAX_CUTOFF + 1),
+        for make in (lambda: AmplifierConfig(GainParams(1.13), AmplifierConfig.MAX_CUTOFF + 1),
                      lambda: AmplifierConfig.for_gain(2.51),
                      lambda: AmplifierConfig.for_gain(8.0),
                      lambda: AmplifierConfig.for_gain(20.0)):
@@ -44,6 +68,21 @@ class TestAmplifierConfig:
         assert AmplifierConfig.for_gain(g).cutoff <= AmplifierConfig.MAX_CUTOFF
         with pytest.raises(ValueError, match="MAX_CUTOFF"):
             AmplifierConfig.for_gain(g + 1e-9)
+
+    def test_default_cutoff_is_the_linear_search(self):
+        # the pair tail falls with its start above the subnormals, so bisection
+        # finds the cutoff that stepping up from 0 finds
+        top = amplifier._largest_gain()
+        for g in [*np.linspace(0.0, top, 2001).tolist(), 0.07, 1.13, 2.5, top]:
+            assert AmplifierConfig.for_gain(g).cutoff == linear_cutoff(g), g
+
+    @pytest.mark.parametrize("g", ["top", 8.0, 20.0])
+    def test_default_cutoff_past_the_cap_is_rejected(self, g):
+        g = amplifier._largest_gain() + 1e-9 if g == "top" else g
+        assert linear_cutoff(g) == AmplifierConfig.MAX_CUTOFF + 1
+        with pytest.raises(ValueError, match=rf"cutoff 1001 \(gain {g:g}\) exceeds "
+                                             r"MAX_CUTOFF 1000; .* g = 2\.5062"):
+            AmplifierConfig.for_gain(g)
 
     def test_lost_weight_outside_the_tail_raises(self):
         cfg = AmplifierConfig.for_gain(1.13, 100)

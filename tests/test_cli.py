@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from qiopa import amplifier, density
+from qiopa.amplifier import GainParams
 from qiopa.cli import _load_preset, main
-from qiopa.fock import make_gain
 from qiopa.observables import g1_closed_form
 from qiopa.polarization import BlochPath, Qubit
 
@@ -132,7 +132,7 @@ class TestFringe:
                      "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         path = BlochPath("z", (0.0, 0.5, 1.0, 1.5), Qubit(2 ** -0.5, 2 ** -0.5))
-        gain = make_gain(g)
+        gain = GainParams(g)
         pairs = [g1_closed_form(q, gain) for q in path.qubits()]
         assert rows == [[angle, p.difference, p.g2h, p.g2v]
                         for angle, p in zip(path.angles, pairs)]
@@ -353,9 +353,12 @@ class TestErrorHandling:
         assert main(["montecarlo", "--qe", "1.5", "--pulses", "10"]) == 2
         capsys.readouterr()
 
-    def test_malformed_path_exits_2(self, capsys):
-        assert main(["fringe", "--path", "z:0:1"]) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize("path", ["z:0:1", "z:0:0:4", "z:0:-1:4", "z:0:1:1",
+                                      "z:0:nan:4", "z:nan:1:4"])
+    def test_malformed_path_exits_2(self, path, capsys):
+        # BlochPath alone checks the count, the ordering and finiteness
+        assert main(["fringe", "--path", path]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_mask_exits_2(self, capsys):
         assert main(["montecarlo", "--mask", "D_T,D9", "--pulses", "10"]) == 2

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from qiopa.amplifier import AmplifierConfig, _largest_gain, amplify
+from qiopa.amplifier import (AmplifierConfig, GainParams, _largest_gain, amplify,
+                             pair_probability, pair_tail, pair_weights)
 from qiopa.density import (SectorDensity, cloner_entropy, entropy, hs_distance,
-                           pair_weights, partial_trace, rho1_closed_form,
-                           rho2_closed_form)
+                           partial_trace, rho1_closed_form, rho2_closed_form)
 from qiopa.errors import NumericalError
-from qiopa.fock import (FockState4, fidelity, make_gain, pair_probability,
-                        pair_tail)
+from qiopa.fock import FockState4, fidelity
 from qiopa.polarization import Qubit
 
 from conftest import random_qubit
@@ -417,7 +416,7 @@ class TestHsDistance:
 
 class TestPairDistribution:
     def test_zero_gain_concentrates_at_zero(self):
-        p = pair_probability(make_gain(0.0), np.arange(13))
+        p = pair_probability(GainParams(0.0), np.arange(13))
         assert p[0] == 1.0
         assert p[1:].sum() == 0.0
 
@@ -440,7 +439,7 @@ class TestPairDistribution:
             assert weights == pytest.approx(p, abs=1e-14)
 
     def test_tail_monotone_and_bounded(self):
-        gain = make_gain(1.13)
+        gain = GainParams(1.13)
         p = pair_probability(gain, np.arange(101))
         assert pair_tail(gain, 0) == pytest.approx(1.0, abs=1e-9)
         prev = 1.0
@@ -458,4 +457,4 @@ class TestPairDistribution:
         pref = mp.cosh(mp.mpf("1.13")) ** -6
         exact = pref * mp.nsum(lambda n: (n + 1) * (n + 2) / 2 * x ** n,
                                [8, mp.inf])
-        assert pair_tail(make_gain(1.13), 8) == pytest.approx(float(exact), abs=1e-12)
+        assert pair_tail(GainParams(1.13), 8) == pytest.approx(float(exact), abs=1e-12)

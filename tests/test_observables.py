@@ -6,10 +6,11 @@ import pytest
 from scipy.linalg import logm
 from scipy.optimize import minimize_scalar
 
-from qiopa.amplifier import AmplifierConfig, _largest_gain, amplify, vacuum_output
+from qiopa.amplifier import (AmplifierConfig, GainParams, _largest_gain, amplify,
+                             vacuum_output)
 from qiopa.cli import main
 from qiopa.density import rho2_closed_form
-from qiopa.fock import _pair_rotation, make_gain, number_expectation, rotate_mode_pair
+from qiopa.fock import _pair_rotation, number_expectation, rotate_mode_pair
 from qiopa.observables import (DETECTED_FIELD_UNITARY, g1_closed_form,
                                g1_oracle, visibility)
 from qiopa.polarization import BlochPath, PolarizationUnitary, Qubit, apply
@@ -26,31 +27,31 @@ class TestClosedForm:
         assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-15
 
     def test_balanced_qubit_in_phase(self):
-        gp = make_gain(0.9)
+        gp = GainParams(0.9)
         pair = g1_closed_form(BALANCED, gp)
         assert pair.g2h == pytest.approx(2.0 * gp.nbar, rel=1e-14)
         assert pair.g2v == pytest.approx(1.0 * gp.nbar, rel=1e-14)
 
     def test_balanced_qubit_out_of_phase_swaps_channels(self):
-        gp = make_gain(0.9)
+        gp = GainParams(0.9)
         q = Qubit(2 ** -0.5, 2 ** -0.5, math.pi)
         pair = g1_closed_form(q, gp)
         assert pair.g2h == pytest.approx(1.0 * gp.nbar, rel=1e-12)
         assert pair.g2v == pytest.approx(2.0 * gp.nbar, rel=1e-12)
 
     def test_pole_qubit_has_no_interference(self):
-        gp = make_gain(0.7)
+        gp = GainParams(0.7)
         pair = g1_closed_form(Qubit(1.0, 0.0), gp)
         assert pair.g2h == pair.g2v == pytest.approx(1.5 * gp.nbar, rel=1e-14)
 
     def test_sum_rule(self, rng):
         for _ in range(100):
-            gp = make_gain(rng.uniform(0.0, 1.2))
+            gp = GainParams(rng.uniform(0.0, 1.2))
             pair = g1_closed_form(random_qubit(rng), gp)
             assert pair.g2h + pair.g2v == pytest.approx(3 * gp.nbar, abs=1e-10)
 
     def test_difference_antisymmetric_under_phase_flip(self, rng):
-        gp = make_gain(0.8)
+        gp = GainParams(0.8)
         for _ in range(10):
             q = random_qubit(rng)
             flipped = Qubit(q.alpha, q.beta, q.phi + math.pi)
@@ -167,7 +168,8 @@ class TestDetectedLaw:
                 assert np.array_equal(h[k:k + t + 1], np.arange(t + 1))
                 assert np.abs(p[k:k + t + 1] - _analyzed_sector(rho, t)).max() < 1e-13
 
-    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100), (2.0, None)])
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100), (2.0, None),
+                                           pytest.param(_largest_gain(), 1000, id="top")])
     def test_first_moments_equal_closed_form(self, g, cutoff, rng):
         cfg = AmplifierConfig.for_gain(g, cutoff)
         tol = 1e-8 + cfg.epsilon_trunc * (2 * cfg.cutoff + 1)
@@ -187,7 +189,7 @@ class TestVisibility:
         assert visibility(Qubit(1.0, 0.0)) == 0.0
 
     def test_matches_fringe_extremization(self, rng):
-        gp = make_gain(1.13)
+        gp = GainParams(1.13)
         for _ in range(20):
             q = random_qubit(rng)
 
@@ -214,7 +216,7 @@ def _fringe_rows(capsys, g: float, count: int) -> list:
     rows = json.loads(capsys.readouterr().out)["rows"]
     # the path the command builds: angles start + step k
     path = BlochPath("z", tuple(0.0 + step * k for k in range(count)), BALANCED)
-    gain = make_gain(g)
+    gain = GainParams(g)
     assert len(rows) == count
     for row, angle, q in zip(rows, path.angles, path.qubits()):
         pair = g1_closed_form(q, gain)
@@ -224,7 +226,7 @@ def _fringe_rows(capsys, g: float, count: int) -> list:
 
 class TestFringeSweep:
     def test_rows_follow_path(self, capsys):
-        nbar = make_gain(1.13).nbar
+        nbar = GainParams(1.13).nbar
         for angle, dg, g2h, g2v in _fringe_rows(capsys, 1.13, 17):
             assert g2h + g2v == pytest.approx(3 * nbar, abs=1e-12)
             assert dg == pytest.approx(g2h - g2v, abs=1e-14)

@@ -137,6 +137,13 @@ class TestBlochPath:
         with pytest.raises(ValueError):
             BlochPath("z", (0.0, 0.0, 1.0), Qubit(1.0, 0.0))
 
+    @pytest.mark.parametrize("angles", [(math.nan, math.nan), (0.0, math.nan),
+                                        (0.0, math.inf), (-math.inf, 0.0)])
+    def test_requires_finite_angles(self, angles):
+        # b <= a is false at NaN, so an ordering check written with it let NaN through
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            BlochPath("z", angles, Qubit(1.0, 0.0))
+
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
             BlochPath("z", (0.0,), Qubit(1.0, 0.0))
