@@ -15,12 +15,16 @@ each of the law's three terms the two axes are independent, so a point of n
 pulses is two multinomial draws: one of n over the 13 cells (term, D2
 clicked, D2* clicked, and a sink for gated-out pulses), then one of each
 term-axis's clicks over that axis's outcomes.  The totals have the same
-law as n single-pulse draws, and the sampler holds O(cutoff) numbers.  All
+law as n single-pulse draws, and the sampler holds O(cutoff) numbers.  The
+per-axis laws depend only on the amplifier, eta, the dark rate and the D1
+and D1* gates, not on the qubit: they are built once per detector setup and
+shared read-only, so a sweep point builds only its 13 cells.  All
 randomness flows from a single seed through one spawned stream per point,
 so runs are reproducible.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -116,57 +120,32 @@ class PulseSampler:
     2.  Each axis holds survivors up to the cutoff; the gated mass beyond it
     is at most the pair tail epsilon_trunc and goes to the sink.  Memory is
     O(cutoff).
+
+    Only c_t reads the qubit.  The axes, their masses and moments depend on
+    (cfg, eta, dark, D1/D1* gates) alone: _axis_laws builds them once per
+    such setup and every sampler of it shares them read-only, so a sampler
+    computes only c_t, its 13 cells and both NumericalError checks.
     """
 
     def __init__(self, q: Qubit, cfg: AmplifierConfig, det: DetectorConfig):
         self.det = det
         mask = det.coincidence_mask
-        eta, dark = det.qe * det.attenuation, det.dark_rate
-        # 1 - x and 1 - (1 - eta) x, summed without cancellation
-        x, rest = cfg.gain.Gamma ** 2, cfg.gain.C ** -2
-        lost_rest = rest + eta * x
-        plain = [_thinned_geometric(x, rest, t, eta, dark, cfg.cutoff) for t in (0, 1)]
-
-        def axis(tilt: int, gated: bool):
-            """One axis of one term: its outcome vector and its total mass."""
-            vec, mass = plain[tilt], rest ** -(1 + tilt)
-            if gated:
-                f = (1.0 - dark) * (1.0 - eta) ** tilt
-                lost = _thinned_geometric((1.0 - eta) * x, lost_rest, tilt, eta, dark,
-                                          cfg.cutoff)
-                # where the gate cannot pass, the difference is 0 up to rounding
-                vec = np.maximum(vec - f * lost, 0.0)
-                mass -= f * lost_rest ** -(1 + tilt)
-            return vec, mass
-
-        herald = 1.0 - (1.0 - det.qe) * (1.0 - dark) if "D_T" in mask else 1.0
+        masses, split, self.axes, self.moments = _axis_laws(
+            cfg, det.qe * det.attenuation, det.dark_rate, "D1*" in mask, "D1" in mask)
+        herald = 1.0 - (1.0 - det.qe) * (1.0 - det.dark_rate) if "D_T" in mask else 1.0
         # a is a probability; rounding can put it one ulp outside [0, 1]
         a = min(max(0.5 + q.alpha * q.beta * math.cos(q.phi), 0.0), 1.0)
         gamma2 = cfg.gain.gamma ** 2
-        c, u, w, passed = [], [], [], 0.0
-        for weight, tilt_h, tilt_v in ((det.p_inject * (1.0 - a) * gamma2, 0, 1),
-                                       (det.p_inject * a * gamma2, 1, 0),
-                                       ((1.0 - det.p_inject) * cfg.gain.C ** -4, 0, 0)):
-            u_t, mass_h = axis(tilt_h, "D1*" in mask)
-            w_t, mass_v = axis(tilt_v, "D1" in mask)
-            c.append(herald * weight)
-            u.append(u_t)
-            w.append(w_t)
-            passed += c[-1] * mass_h * mass_v
-        vecs = np.array(u + w)
-        nonzero = vecs[:, 1:].sum(axis=1)
-        split = np.column_stack([vecs[:, 0], nonzero])      # [term-axis, z]
+        c = [herald * weight for weight in (det.p_inject * (1.0 - a) * gamma2,
+                                            det.p_inject * a * gamma2,
+                                            (1.0 - det.p_inject) * cfg.gain.C ** -4)]
+        passed = sum(ct * mh * mv for ct, mh, mv in zip(c, masses[:3], masses[3:]))
         cells = np.array(c)[:, None, None] * split[:3, :, None] * split[3:, None, :]
         gated = cells.sum()
         if gated > 1.0 + 1e-12:
             raise NumericalError(f"outcome law holds gated weight {gated!r} > 1")
         cfg.check_lost_weight(passed - gated, "gated weight the outcome law drops")
         self.cells = np.append(cells.ravel(), max(1.0 - gated, 0.0))
-        # an axis that cannot click keeps a zero row; it never draws a pulse
-        self.axes = np.divide(vecs[:, 1:], nonzero[:, None],
-                              out=np.zeros_like(vecs[:, 1:]), where=nonzero[:, None] > 0)
-        s = np.arange(cfg.cutoff + 1)
-        self.moments = np.column_stack([s, s * s])      # survivors s and s^2
 
     def sample_chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """The eight integer totals of n pulses: [D2, D_T] and [D2*, D_T]
@@ -181,6 +160,51 @@ class PulseSampler:
         coincident = cells[:, int("D2" in mask):, int("D2*" in mask):].sum()
         return np.array([clicks_h.sum(), clicks_v.sum(), coincident, cells.sum(),
                          s1h, s2h, s1v, s2v])
+
+
+@functools.lru_cache(maxsize=8)
+def _axis_laws(cfg: AmplifierConfig, eta: float, dark: float, gate_h: bool,
+               gate_v: bool):
+    """The qubit-independent part of a PulseSampler: (masses, split, axes,
+    moments) of the six term-axes, H of terms 0, 1, 2 then V, with the H
+    axes gated by D1* iff gate_h and the V axes by D1 iff gate_v.
+
+    masses[i] is the closed-form total mass of term-axis i, split[i] its
+    mass on no click and on a click, axes[i] its law given a click and
+    moments the survivors s and s^2 of each outcome.  A sweep's points
+    share one setup, so the arrays are built once, shared and read-only."""
+    # 1 - x and 1 - (1 - eta) x, summed without cancellation
+    x, rest = cfg.gain.Gamma ** 2, cfg.gain.C ** -2
+    lost_rest = rest + eta * x
+    plain = [_thinned_geometric(x, rest, t, eta, dark, cfg.cutoff) for t in (0, 1)]
+    lost = [_thinned_geometric((1.0 - eta) * x, lost_rest, t, eta, dark, cfg.cutoff)
+            for t in (0, 1)]
+
+    def axis(tilt: int, gated: bool):
+        """One axis of one term: its outcome vector and its total mass."""
+        vec, mass = plain[tilt], rest ** -(1 + tilt)
+        if gated:
+            f = (1.0 - dark) * (1.0 - eta) ** tilt
+            # where the gate cannot pass, the difference is 0 up to rounding
+            vec = np.maximum(vec - f * lost[tilt], 0.0)
+            mass -= f * lost_rest ** -(1 + tilt)
+        return vec, mass
+
+    # term 0 tilts its V axis, term 1 its H axis, the vacuum term neither
+    rows = [axis(tilt, gate_h) for tilt in (0, 1, 0)] + [
+        axis(tilt, gate_v) for tilt in (1, 0, 0)]
+    vecs = np.array([vec for vec, _mass in rows])
+    masses = tuple(mass for _vec, mass in rows)
+    nonzero = vecs[:, 1:].sum(axis=1)
+    split = np.column_stack([vecs[:, 0], nonzero])      # [term-axis, z]
+    # an axis that cannot click keeps a zero row; it never draws a pulse
+    axes = np.divide(vecs[:, 1:], nonzero[:, None],
+                     out=np.zeros_like(vecs[:, 1:]), where=nonzero[:, None] > 0)
+    s = np.arange(cfg.cutoff + 1)
+    moments = np.column_stack([s, s * s])      # survivors s and s^2
+    for arr in (split, axes, moments):
+        arr.setflags(write=False)
+    return masses, split, axes, moments
 
 
 def _thinned_geometric(z: float, rest: float, tilt: int, eta: float, dark: float,

@@ -142,33 +142,49 @@ class TestThinning:
         assert out.stdout.strip() == "False"
 
 
-def _scale_axis_laws(monkeypatch, factor, tilts=(0, 1)):
-    """Scale the per-axis outcome vectors of the terms with the given tilts;
-    the closed-form pass probability the sampler checks against stays."""
-    thinned = montecarlo._thinned_geometric
-    monkeypatch.setattr(
-        montecarlo, "_thinned_geometric",
-        lambda z, rest, tilt, *args: (factor if tilt in tilts else 1.0)
-        * thinned(z, rest, tilt, *args))
+@pytest.fixture
+def scale_axis_laws(monkeypatch):
+    """scale(factor, tilts) scales the per-axis outcome vectors of the terms
+    with the given tilts; the closed-form pass probability the sampler checks
+    against stays.  The memo of axis laws is emptied before the patch, so no
+    entry built without it hides it, and again at teardown, so no entry built
+    with it outlives the test."""
+    def scale(factor, tilts=(0, 1)):
+        montecarlo._axis_laws.cache_clear()
+        thinned = montecarlo._thinned_geometric
+        monkeypatch.setattr(
+            montecarlo, "_thinned_geometric",
+            lambda z, rest, tilt, *args: (factor if tilt in tilts else 1.0)
+            * thinned(z, rest, tilt, *args))
+
+    yield scale
+    montecarlo._axis_laws.cache_clear()
 
 
 class TestPulseSampler:
-    def test_lost_norm_raises_instead_of_renormalising(self, monkeypatch):
+    def test_lost_norm_raises_instead_of_renormalising(self, scale_axis_laws):
         # 2% of the injected terms' mass goes missing from the grid
-        _scale_axis_laws(monkeypatch, 0.98, tilts=(1,))
+        scale_axis_laws(0.98, tilts=(1,))
         with pytest.raises(NumericalError, match="drops"):
             PulseSampler(BALANCED, LG, DetectorConfig(coincidence_mask=FOUR_FOLD))
 
-    def test_law_lost_norm_raises_instead_of_renormalising(self, monkeypatch):
-        _scale_axis_laws(monkeypatch, 0.98, tilts=(1,))
+    def test_law_lost_norm_raises_instead_of_renormalising(self, scale_axis_laws):
+        scale_axis_laws(0.98, tilts=(1,))
         with pytest.raises(NumericalError, match="drops"):
             PulseSampler(BALANCED, LG, DetectorConfig())
 
-    def test_gated_mass_above_one_raises(self, monkeypatch):
+    def test_gated_mass_above_one_raises(self, scale_axis_laws):
         # both axes scaled by sqrt(1.001): the law is scaled by 1.001
-        _scale_axis_laws(monkeypatch, math.sqrt(1.001))
+        scale_axis_laws(math.sqrt(1.001))
         with pytest.raises(NumericalError, match="gated weight .* > 1"):
             PulseSampler(BALANCED, LG, DetectorConfig(qe=1.0, coincidence_mask={"D2"}))
+
+    def test_patch_after_an_unpatched_build_still_raises(self, scale_axis_laws):
+        # an entry the unpatched sampler left in the memo must not hide the patch
+        PulseSampler(BALANCED, LG, DetectorConfig())
+        scale_axis_laws(0.98, tilts=(1,))
+        with pytest.raises(NumericalError, match="drops"):
+            PulseSampler(BALANCED, LG, DetectorConfig())
 
     def test_no_mask_builds_a_four_mode_state(self, monkeypatch):
         # every mask's law is a closed form of the gain and the qubit: every
@@ -268,6 +284,48 @@ def _expected_rates(q, cfg, det):
         miss = miss + weight * (p / p.sum()) @ (1.0 - eta) ** np.column_stack([h, v])
     trigger = 1.0 - (1.0 - det.qe) * (1.0 - dark)
     return trigger * (1.0 - (1.0 - dark) * miss)
+
+
+class TestAxisLawMemo:
+    @pytest.mark.parametrize("cfg", [LG, _hg(), _top()], ids=["LG", "HG", "top"])
+    @pytest.mark.parametrize("detectors", [{}, LOSSY], ids=["default", "lossy"])
+    def test_warm_sampler_equals_cold(self, cfg, detectors):
+        # a warm entry, filled by another qubit, seed and p_inject, gives the
+        # bytes a cold build gives, and its arrays are shared read-only
+        q, other = Qubit(0.6, 0.8, 0.7), Qubit(0.28, 0.96, 2.1)
+        for k in range(len(DETECTORS) + 1):
+            for mask in itertools.combinations(DETECTORS, k):
+                det = DetectorConfig(coincidence_mask=mask, **detectors)
+                montecarlo._axis_laws.cache_clear()
+                cold = PulseSampler(q, cfg, det)
+                montecarlo._axis_laws.cache_clear()
+                filler = PulseSampler(other, cfg, dataclasses.replace(
+                    det, seed=det.seed + 5, p_inject=0.5 * det.p_inject))
+                warm = PulseSampler(q, cfg, det)
+                assert warm.axes is filler.axes and warm.moments is filler.moments
+                for name in ("cells", "axes", "moments"):
+                    a, b = getattr(cold, name), getattr(warm, name)
+                    assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
+                for shared in (warm.axes, warm.moments):
+                    with pytest.raises(ValueError):
+                        shared[0, 0] = 0
+
+    def test_a_sweep_builds_the_axis_laws_once(self, monkeypatch):
+        # two plain and two gated vectors per setup, not two plain and six
+        # gated ones per point
+        calls = []
+        thinned = montecarlo._thinned_geometric
+        monkeypatch.setattr(montecarlo, "_thinned_geometric",
+                            lambda *args: calls.append(args) or thinned(*args))
+        montecarlo._axis_laws.cache_clear()
+        det = DetectorConfig(coincidence_mask=frozenset(DETECTORS), seed=4)
+        run(montecarlo.phase_sweep(BALANCED, 32), _top(), det)
+        assert len(calls) == 4
+        calls.clear()
+        montecarlo._axis_laws.cache_clear()
+        calibrate_visibility_loss(0.2, BALANCED, _hg(), DetectorConfig(seed=4))
+        assert len(calls) == 4
+        montecarlo._axis_laws.cache_clear()
 
 
 class TestExactRates:
