@@ -162,7 +162,7 @@ class PulseSampler:
                          s1h, s2h, s1v, s2v])
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _axis_laws(cfg: AmplifierConfig, eta: float, dark: float, gate_h: bool,
                gate_v: bool):
     """The qubit-independent part of a PulseSampler: (masses, split, axes,
@@ -171,14 +171,16 @@ def _axis_laws(cfg: AmplifierConfig, eta: float, dark: float, gate_h: bool,
 
     masses[i] is the closed-form total mass of term-axis i, split[i] its
     mass on no click and on a click, axes[i] its law given a click and
-    moments the survivors s and s^2 of each outcome.  A sweep's points
-    share one setup, so the arrays are built once, shared and read-only."""
+    moments the survivors s and s^2 of each outcome.  A sweep's points,
+    and a calibration's, share one setup, so the memo keeps only the last
+    one; its arrays are shared and read-only."""
     # 1 - x and 1 - (1 - eta) x, summed without cancellation
     x, rest = cfg.gain.Gamma ** 2, cfg.gain.C ** -2
     lost_rest = rest + eta * x
     plain = [_thinned_geometric(x, rest, t, eta, dark, cfg.cutoff) for t in (0, 1)]
+    # the law a D1 or D1* gate subtracts; no gate, no vector
     lost = [_thinned_geometric((1.0 - eta) * x, lost_rest, t, eta, dark, cfg.cutoff)
-            for t in (0, 1)]
+            for t in (0, 1)] if gate_h or gate_v else None
 
     def axis(tilt: int, gated: bool):
         """One axis of one term: its outcome vector and its total mass."""

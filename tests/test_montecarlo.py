@@ -142,13 +142,21 @@ class TestThinning:
         assert out.stdout.strip() == "False"
 
 
+@pytest.fixture(autouse=True)
+def empty_axis_law_memo():
+    """Each test starts and ends with no memoised axis laws, so what a test
+    covers does not depend on which tests ran before it."""
+    montecarlo._axis_laws.cache_clear()
+    yield
+    montecarlo._axis_laws.cache_clear()
+
+
 @pytest.fixture
 def scale_axis_laws(monkeypatch):
     """scale(factor, tilts) scales the per-axis outcome vectors of the terms
     with the given tilts; the closed-form pass probability the sampler checks
     against stays.  The memo of axis laws is emptied before the patch, so no
-    entry built without it hides it, and again at teardown, so no entry built
-    with it outlives the test."""
+    entry built earlier in the test hides it."""
     def scale(factor, tilts=(0, 1)):
         montecarlo._axis_laws.cache_clear()
         thinned = montecarlo._thinned_geometric
@@ -157,8 +165,7 @@ def scale_axis_laws(monkeypatch):
             lambda z, rest, tilt, *args: (factor if tilt in tilts else 1.0)
             * thinned(z, rest, tilt, *args))
 
-    yield scale
-    montecarlo._axis_laws.cache_clear()
+    return scale
 
 
 class TestPulseSampler:
@@ -311,21 +318,19 @@ class TestAxisLawMemo:
                         shared[0, 0] = 0
 
     def test_a_sweep_builds_the_axis_laws_once(self, monkeypatch):
-        # two plain and two gated vectors per setup, not two plain and six
-        # gated ones per point
+        # a gated setup builds two plain and two gated vectors, not two plain
+        # and six gated ones per point; an ungated one only the plain two
         calls = []
         thinned = montecarlo._thinned_geometric
         monkeypatch.setattr(montecarlo, "_thinned_geometric",
                             lambda *args: calls.append(args) or thinned(*args))
-        montecarlo._axis_laws.cache_clear()
         det = DetectorConfig(coincidence_mask=frozenset(DETECTORS), seed=4)
         run(montecarlo.phase_sweep(BALANCED, 32), _top(), det)
         assert len(calls) == 4
         calls.clear()
         montecarlo._axis_laws.cache_clear()
         calibrate_visibility_loss(0.2, BALANCED, _hg(), DetectorConfig(seed=4))
-        assert len(calls) == 4
-        montecarlo._axis_laws.cache_clear()
+        assert len(calls) == 2
 
 
 class TestExactRates:
