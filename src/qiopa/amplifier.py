@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import NumericalError
-from .fock import FockState4
+from .fock import FockState4, row_keys
 from .polarization import Qubit
 
 # the interaction transiently populates the truncation boundary
@@ -224,7 +224,8 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
     coupling is the gauge diag((-1)^k) on its chain, so the chains of both
     signs come from one solve per d.  Each chain's weight beyond the cutoff
     is checked against the pair-number tail; the product is truncated back
-    to the cutoff.
+    to the cutoff.  The rows come out in lexicographic order of
+    (n1h, n1v, n2h, n2v), sorted by their packed keys.
     """
     g = cfg.gain.g
     psi_in = FockState4.from_arrays(np.array([[1, 0, 0, 0], [0, 1, 0, 0]]),
@@ -234,8 +235,8 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
         return psi_in
 
     pair = np.eye(4, dtype=np.int64)[[ab for ab, _sign in _COUPLINGS]].sum(axis=1)
-    k = np.indices((cfg.cutoff + 1,) * len(_COUPLINGS)).reshape(len(_COUPLINGS), -1).T
-    k = k[k.sum(axis=1) <= cfg.cutoff]   # k[:, c] pairs of coupling c
+    n, i = np.tril_indices(cfg.cutoff + 1)
+    k = np.column_stack([i, n - i])   # k[:, c] pairs of coupling c, at most cutoff in all
     chains = [_chain(cfg, d) for d in (0, 1)]   # an injected row has d = 0 or 1
     pairs = np.arange(chains[0].size)
     occ, amp = [], []
@@ -246,5 +247,5 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
         occ.append(seed + k @ pair)
         amp.append(terms)
     occ, amp = np.concatenate(occ), np.concatenate(amp)
-    order = np.lexsort(occ.T[::-1])
-    return FockState4.from_arrays(occ[order], amp[order], cfg.cutoff)
+    order = np.argsort(row_keys(occ))
+    return FockState4.from_arrays(occ.take(order, axis=0), amp[order], cfg.cutoff)

@@ -25,7 +25,7 @@ import scipy
 
 from .amplifier import AmplifierConfig, pair_weights
 from .errors import NumericalError
-from .fock import FockState4, MODE_PAIRS, row_groups
+from .fock import FockState4, MODE_PAIRS, row_keys
 from .polarization import Qubit
 
 EIGENVALUE_FLOOR = -1e-9
@@ -155,10 +155,12 @@ def partial_trace(state: FockState4, keep: str) -> SectorDensity:
     size = sectors * (sectors + 1) // 2
     diag = np.bincount(k, state.amp.real ** 2 + state.amp.imag ** 2, size)
 
-    # rows of one traced occupation, by sector and p, are contiguous: row i
-    # and row i + d share it only if every row between does
-    traced = row_groups(state.occ[:, [t0, t1]])[0]
-    order = np.lexsort((k, traced))
+    # sorted by the key traced * size + k, the rows of one traced occupation
+    # are contiguous and in band order: row i and row i + d share it only if
+    # every row between does
+    traced = row_keys(state.occ[:, t0:t1 + 1])
+    order = np.argsort(np.ravel_multi_index(
+        (traced, k), (int(traced.max(initial=0)) + 1, size)))
     a, k, total, traced = state.amp[order], k[order], total[order], traced[order]
     sub = np.zeros(size, dtype=complex)
     for d in range(1, len(a)):

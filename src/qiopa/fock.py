@@ -7,6 +7,7 @@ PRUNE_THRESHOLD are dropped.
 """
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 
 import numpy as np
@@ -23,7 +24,8 @@ PRUNE_THRESHOLD = 1e-15
 class FockState4:
     """Amplitudes amp (N complex) on distinct occupation rows occ (N x 4 int64);
     FockState4(mapping, cutoff) takes a map of (n1h, n1v, n2h, n2v) tuples to
-    amplitudes, and .amplitudes gives one back."""
+    amplitudes, and .amplitudes gives one back.  Rows are never repeated, so
+    two states' rows match one to one by their packed keys (row_keys)."""
 
     def __init__(self, amplitudes: dict, cutoff: int):
         self._set(np.array(list(amplitudes), dtype=np.int64).reshape(len(amplitudes), 4),
@@ -38,7 +40,9 @@ class FockState4:
 
     def _set(self, occ, amp, cutoff):
         keep = np.abs(amp) >= PRUNE_THRESHOLD
-        self.occ, self.amp, self.cutoff = occ[keep], amp[keep], cutoff
+        # compress, not occ[keep]: numpy's boolean row indexing of a 2-D array
+        # is several times slower
+        self.occ, self.amp, self.cutoff = occ.compress(keep, axis=0), amp[keep], cutoff
 
     @property
     def amplitudes(self) -> MappingProxyType:
@@ -53,23 +57,38 @@ class FockState4:
         return len(self.amp)
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of a non-negative integer array, ascending in the
+    rows' lexicographic order: the row read as a mixed-radix number whose
+    radix in each column is that column's maximum + 1.  Raises ValueError,
+    rather than wrap, when the radices' product exceeds int64."""
+    # one max per column: rows.max(axis=0) is a slow strided reduction
+    radix = [int(col.max(initial=0)) + 1 for col in rows.T]
+    if math.prod(radix) > np.iinfo(np.int64).max:
+        raise ValueError(f"rows with column maxima {[r - 1 for r in radix]} "
+                         "overflow an int64 key")
+    return np.ravel_multi_index(rows.T, radix)
+
+
 def row_groups(rows: np.ndarray):
     """Number the distinct rows of a non-negative integer array by first
     appearance: each row's number, and ascending, the first row of each number."""
-    key = np.ravel_multi_index(rows.T, rows.max(axis=0, initial=0) + 1)
-    _, first, label = np.unique(key, return_index=True, return_inverse=True)
+    _, first, label = np.unique(row_keys(rows), return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[label], np.sort(first)
 
 
 def inner_product(a: FockState4, b: FockState4) -> complex:
-    """Sesquilinear form <a|b> (conjugate-linear in the first argument)."""
+    """Sesquilinear form <a|b> (conjugate-linear in the first argument).
+
+    Neither state repeats a row, so in one stable sort of both states' keys
+    a key held by both appears exactly twice, the row of a first."""
     if a.cutoff != b.cutoff:
         raise ValueError(f"mode caps differ: {a.cutoff} vs {b.cutoff}")
-    label, first = row_groups(np.concatenate([a.occ, b.occ]))
-    va, vb = np.zeros((2, len(first)), dtype=complex)
-    va[label[:len(a)]] = a.amp
-    vb[label[len(a):]] = b.amp
-    return complex(np.vdot(va, vb))
+    key = row_keys(np.concatenate([a.occ, b.occ]))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    pair = np.flatnonzero(key[1:] == key[:-1])
+    return complex(np.vdot(a.amp[order[pair]], b.amp[order[pair + 1] - len(a)]))
 
 
 def fidelity(a: FockState4, b: FockState4) -> float:
@@ -82,6 +101,8 @@ def fidelity(a: FockState4, b: FockState4) -> float:
 
 def number_expectation(state: FockState4, mode: str) -> float:
     """Mean photon number in one of the modes 1h, 1v, 2h, 2v."""
+    if mode not in MODE_ORDER:
+        raise ValueError(f"mode must be one of {', '.join(MODE_ORDER)}, got {mode!r}")
     pos = MODE_ORDER.index(mode)
     return float(np.sum(np.abs(state.amp) ** 2 * state.occ[:, pos]))
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qiopa.amplifier import (AmplifierConfig, GainParams, _largest_gain, amplify,
-                             pair_probability, pair_tail, pair_weights)
+                             pair_probability, pair_tail, pair_weights,
+                             propagate_hamiltonian)
 from qiopa.density import (SectorDensity, cloner_entropy, entropy, hs_distance,
                            partial_trace, rho1_closed_form, rho2_closed_form)
 from qiopa.errors import NumericalError
@@ -267,6 +268,21 @@ class TestPartialTrace:
         rho = partial_trace(st, "mode1")
         assert rho.diag.tolist() == pytest.approx([0, 0, 0, 1.0, 0, 1e-26], abs=1e-40)
         assert not rho.sub.any()
+
+    @pytest.mark.parametrize("build, g, cutoff", [
+        (amplify, 0.07, 12), (amplify, 1.13, 100), (propagate_hamiltonian, 0.07, 12)],
+        ids=["amplify-LG", "amplify-HG", "propagate-LG"])
+    def test_row_order_does_not_move_the_bands(self, build, g, cutoff, rng):
+        # rows are grouped by their traced key, not by first appearance, so
+        # a shuffle changes at most the order of each band entry's sum
+        state = build(random_qubit(rng), AmplifierConfig.for_gain(g, cutoff))
+        perm = rng.permutation(len(state))
+        shuffled = FockState4.from_arrays(state.occ[perm], state.amp[perm], state.cutoff)
+        for mode in ("mode1", "mode2"):
+            a, b = partial_trace(state, mode), partial_trace(shuffled, mode)
+            assert a.sectors == b.sectors
+            assert np.abs(a.diag - b.diag).max() <= 1e-15
+            assert np.abs(a.sub - b.sub).max() <= 1e-15
 
     def test_sub_diagonal_sums_products_of_adjacent_kets(self):
         # two traced occupations, each with kets at p = 0 and 1 of sector 1

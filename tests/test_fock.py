@@ -7,7 +7,7 @@ from scipy.linalg import logm
 from qiopa.amplifier import (AmplifierConfig, GainParams, amplify, pair_probability,
                              pair_tail)
 from qiopa.fock import (FockState4, _pair_rotation, inner_product,
-                        number_expectation, rotate_mode_pair)
+                        number_expectation, rotate_mode_pair, row_keys)
 from qiopa.observables import DETECTED_FIELD_UNITARY
 from qiopa.polarization import Qubit
 
@@ -125,6 +125,51 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             inner_product(a, b)
 
+    def test_matches_dict_reference_on_shuffled_overlapping_rows(self, rng):
+        # rows drawn from 0..3 per mode overlap in part; each state is handed
+        # over in a shuffled row order
+        for _ in range(20):
+            a, b = (_random_state(rng, n_entries=60) for _ in range(2))
+            perm = rng.permutation(len(b))
+            b = FockState4.from_arrays(b.occ[perm], b.amp[perm], b.cutoff)
+            da, db = a.amplitudes, b.amplitudes
+            shared = da.keys() & db.keys()
+            assert 0 < len(shared) < min(len(da), len(db))
+            ref = sum(da[k].conjugate() * db[k] for k in shared)
+            assert inner_product(a, b) == pytest.approx(ref, abs=1e-13)
+
+    def test_state_with_every_amplitude_pruned_is_orthogonal(self, rng):
+        empty = FockState4({(1, 0, 0, 0): 1e-16, (0, 1, 0, 0): 1e-17}, 6)
+        assert len(empty) == 0
+        st = _random_state(rng)
+        assert inner_product(empty, st) == 0j
+        assert inner_product(st, empty) == 0j
+        assert inner_product(empty, empty) == 0j
+
+    def test_occupations_beyond_an_int64_key_rejected(self):
+        # per-column radices 2^16 + 1 multiply to more than 2^63
+        a = FockState4({(2 ** 16, 2 ** 16, 2 ** 16, 2 ** 16): 1.0}, 4)
+        b = FockState4({(0, 0, 0, 0): 1.0}, 4)
+        with pytest.raises(ValueError, match="int64"):
+            inner_product(a, b)
+
+
+class TestRowKeys:
+    def test_keys_ascend_in_lexicographic_row_order(self, rng):
+        rows = rng.integers(0, 5, size=(200, 4))
+        keys = row_keys(rows)
+        assert keys.dtype == np.int64
+        assert np.array_equal(np.argsort(keys, kind="stable"),
+                              np.lexsort(rows.T[::-1]))
+        assert np.array_equal(keys[:, None] == keys, (rows[:, None] == rows).all(axis=2))
+
+    def test_largest_radix_product_is_exact(self):
+        # radices 2^31 - 1 and 2^32 multiply to 2^63 - 2^32, inside int64
+        rows = np.array([[0, 0], [2 ** 31 - 2, 2 ** 32 - 1]])
+        assert row_keys(rows).tolist() == [0, 2 ** 63 - 2 ** 32 - 1]
+        with pytest.raises(ValueError, match="int64"):
+            row_keys(rows + [[0, 0], [1, 0]])    # radices 2^31, 2^32: 2^63
+
 
 class TestNumberExpectation:
     def test_vacuum_is_zero(self):
@@ -136,6 +181,12 @@ class TestNumberExpectation:
         st = FockState4({(2, 1, 0, 3): 1.0}, 6)
         assert number_expectation(st, "1h") == 2
         assert number_expectation(st, "2v") == 3
+
+    @pytest.mark.parametrize("mode", ["2x", "mode1", "H"])
+    def test_unknown_mode_names_the_four_modes(self, mode):
+        st = FockState4({(2, 1, 0, 3): 1.0}, 6)
+        with pytest.raises(ValueError, match=f"1h, 1v, 2h, 2v, got '{mode}'"):
+            number_expectation(st, mode)
 
 
 class TestRotateModePair:
