@@ -11,11 +11,21 @@ cross-checks the closed form using only the interaction's symmetries: the
 photon-number difference, so the evolution is a product of tridiagonal pair
 chains.  Each chain links only even to odd pair numbers, so one SVD of that
 bipartite half exponentiates it exactly, with numpy alone.
+
+Both outputs are linear in the qubit alpha|H> + beta e^{i phi}|V>: the rows
+and the per-row factors of the two injected branches depend on the
+configuration alone.  amplify and propagate_hamiltonian each keep them for
+the last configuration used (a one-entry memo, read-only arrays that the
+returned states share), so a call at a repeated configuration only scales
+the two branches by the qubit.  The two memos retain 0.96 MB at HG
+(g = 1.13, cutoff 100, 10,302 rows) and 93 MB at the top gain (cutoff 1000,
+1,003,002 rows).
 """
 from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -162,16 +172,31 @@ def _pair_amplitudes(cfg: AmplifierConfig, pref: float):
     return i, n - i, pref * powers[i, 0] * powers[n - i, 1]
 
 
+@functools.lru_cache(maxsize=1)
+def _amplified_kets(cfg: AmplifierConfig):
+    """The qubit-independent part of amplify: (occ, base, sqrt(i+1),
+    sqrt(j+1)) over the pair terms (i, j), occ holding |i+1, j, j, i> and then
+    |i, j+1, j, i> for each term.  Read-only; the memo keeps the last cfg."""
+    i, j, base = _pair_amplitudes(cfg, cfg.gain.gamma)
+    arrays = (np.column_stack([i + 1, j, j, i, i, j + 1, j, i]).reshape(-1, 4),
+              base, np.sqrt(i + 1), np.sqrt(j + 1))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def amplify(q: Qubit, cfg: AmplifierConfig) -> FockState4:
     """Closed-form amplifier output for an injected qubit.
 
     Each pair term (i, j) gives |i+1, j, j, i> (alpha) and then |i, j+1, j, i> (beta).
+    The output is linear in the qubit: the rows and pair factors come from a
+    one-entry memo per configuration, whose rows the state shares when
+    neither branch is pruned.
     """
-    i, j, base = _pair_amplitudes(cfg, cfg.gain.gamma)
-    b_amp = q.beta * cmath.exp(1j * q.phi)
-    occ = np.column_stack([i + 1, j, j, i, i, j + 1, j, i]).reshape(-1, 4)
-    amp = np.column_stack([q.alpha * base * np.sqrt(i + 1),
-                           b_amp * base * np.sqrt(j + 1)]).reshape(-1)
+    occ, base, s_h, s_v = _amplified_kets(cfg)
+    amp = np.empty(len(occ), dtype=complex)
+    amp[0::2] = q.alpha * base * s_h
+    amp[1::2] = q.beta * cmath.exp(1j * q.phi) * base * s_v
     return FockState4.from_arrays(occ, amp, cfg.cutoff)
 
 
@@ -186,6 +211,9 @@ def vacuum_output(cfg: AmplifierConfig) -> FockState4:
 # opposite sign of the (1v, 2h) pairs, fixing the singlet phase so that the
 # first-order amplitudes reproduce the closed form
 _COUPLINGS = (((0, 3), -1.0), ((1, 2), +1.0))
+# the injected photon's rows |1, 0, 0, 0> (alpha) and |0, 1, 0, 0> (beta e^{i phi})
+_INJECTED = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+_INJECTED.setflags(write=False)
 
 
 def _chain(cfg: AmplifierConfig, d: int) -> np.ndarray:
@@ -213,6 +241,33 @@ def _chain(cfg: AmplifierConfig, d: int) -> np.ndarray:
     return psi
 
 
+@functools.lru_cache(maxsize=1)
+def _evolved_kets(cfg: AmplifierConfig):
+    """The qubit-independent part of propagate_hamiltonian: (occ, which, f1,
+    f2), the evolved rows of both injected rows |1, 0, 0, 0> and |0, 1, 0, 0>
+    in lexicographic order, the injected row each came from (uint8) and
+    its factors from the two couplings' chains.  Two chain solves per
+    configuration; read-only, and the memo keeps the last cfg."""
+    pair = np.eye(4, dtype=np.int64)[[ab for ab, _sign in _COUPLINGS]].sum(axis=1)
+    n, i = np.tril_indices(cfg.cutoff + 1)
+    k = np.column_stack([i, n - i])   # k[:, c] pairs of coupling c, at most cutoff in all
+    chains = [_chain(cfg, d) for d in (0, 1)]   # an injected row has d = 0 or 1
+    pairs = np.arange(chains[0].size)
+    occ, factors = [], []
+    for seed in _INJECTED:
+        occ.append(seed + k @ pair)
+        factors.append([(sign ** pairs * chains[seed[a] - seed[b]])[k[:, c]]
+                        for c, ((a, b), sign) in enumerate(_COUPLINGS)])
+    occ = np.concatenate(occ)
+    order = np.argsort(row_keys(occ))
+    arrays = (occ.take(order, axis=0),
+              np.repeat(np.arange(len(_INJECTED), dtype=np.uint8), len(k))[order],
+              *(np.concatenate(f)[order] for f in zip(*factors)))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
     """Numerically integrate the two-pair squeezing interaction for time g.
 
@@ -225,27 +280,16 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
     signs come from one solve per d.  Each chain's weight beyond the cutoff
     is checked against the pair-number tail; the product is truncated back
     to the cutoff.  The rows come out in lexicographic order of
-    (n1h, n1v, n2h, n2v), sorted by their packed keys.
+    (n1h, n1v, n2h, n2v), sorted by their packed keys.  The evolution is
+    linear in the qubit: both injected rows' evolved kets come from a
+    one-entry memo per configuration, whose rows the state shares when
+    neither branch is pruned.
     """
-    g = cfg.gain.g
-    psi_in = FockState4.from_arrays(np.array([[1, 0, 0, 0], [0, 1, 0, 0]]),
-                                    np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)]),
-                                    cfg.cutoff)
-    if g == 0.0:
-        return psi_in
-
-    pair = np.eye(4, dtype=np.int64)[[ab for ab, _sign in _COUPLINGS]].sum(axis=1)
-    n, i = np.tril_indices(cfg.cutoff + 1)
-    k = np.column_stack([i, n - i])   # k[:, c] pairs of coupling c, at most cutoff in all
-    chains = [_chain(cfg, d) for d in (0, 1)]   # an injected row has d = 0 or 1
-    pairs = np.arange(chains[0].size)
-    occ, amp = [], []
-    for seed, amp0 in zip(psi_in.occ, psi_in.amp):
-        terms = np.full(len(k), amp0)
-        for c, ((a, b), sign) in enumerate(_COUPLINGS):
-            terms *= (sign ** pairs * chains[seed[a] - seed[b]])[k[:, c]]
-        occ.append(seed + k @ pair)
-        amp.append(terms)
-    occ, amp = np.concatenate(occ), np.concatenate(amp)
-    order = np.argsort(row_keys(occ))
-    return FockState4.from_arrays(occ.take(order, axis=0), amp[order], cfg.cutoff)
+    amp0 = np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)])
+    if cfg.gain.g == 0.0:
+        return FockState4.from_arrays(_INJECTED, amp0, cfg.cutoff)
+    occ, which, f1, f2 = _evolved_kets(cfg)
+    terms = amp0[which]   # a gather, so a new array: scaled in place
+    terms *= f1
+    terms *= f2
+    return FockState4.from_arrays(occ, terms, cfg.cutoff)

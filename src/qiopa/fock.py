@@ -33,16 +33,23 @@ class FockState4:
 
     @classmethod
     def from_arrays(cls, occ: np.ndarray, amp: np.ndarray, cutoff: int) -> FockState4:
-        """State on distinct rows occ with amplitudes amp, pruned like every state."""
+        """State on distinct rows occ with amplitudes amp, pruned like every
+        state.  When nothing is pruned the state keeps the given arrays, not
+        copies: a read-only occ, such as the amplifier's memoised rows, is
+        shared."""
         state = cls.__new__(cls)
         state._set(occ, amp, cutoff)
         return state
 
     def _set(self, occ, amp, cutoff):
         keep = np.abs(amp) >= PRUNE_THRESHOLD
-        # compress, not occ[keep]: numpy's boolean row indexing of a 2-D array
-        # is several times slower
-        self.occ, self.amp, self.cutoff = occ.compress(keep, axis=0), amp[keep], cutoff
+        self.cutoff = cutoff
+        if keep.all():
+            self.occ, self.amp = occ, amp
+        else:
+            # compress, not occ[keep]: numpy's boolean row indexing of a 2-D
+            # array is several times slower
+            self.occ, self.amp = occ.compress(keep, axis=0), amp[keep]
 
     @property
     def amplitudes(self) -> MappingProxyType:

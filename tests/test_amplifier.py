@@ -21,6 +21,36 @@ from conftest import random_qubit
 from reference import linear_cutoff
 
 
+@pytest.fixture(autouse=True)
+def empty_state_memos():
+    """Each test starts and ends with no memoised amplifier kets, so what a
+    test covers does not depend on which tests ran before it."""
+    amplifier._amplified_kets.cache_clear()
+    amplifier._evolved_kets.cache_clear()
+    yield
+    amplifier._amplified_kets.cache_clear()
+    amplifier._evolved_kets.cache_clear()
+
+
+@pytest.fixture
+def corrupt_svd(monkeypatch):
+    """corrupt() makes np.linalg.svd return three times the singular values,
+    which evolves each chain to 3g and pushes weight past the cutoff.  The
+    memo of evolved kets is emptied before the patch, so no entry built
+    earlier in the test hides it."""
+    def corrupt():
+        amplifier._evolved_kets.cache_clear()
+        svd = np.linalg.svd
+
+        def wrong(a):
+            u, s, vt = svd(a)
+            return u, 3.0 * s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", wrong)
+
+    return corrupt
+
+
 class TestGainParams:
     def test_only_the_gain_is_settable(self):
         # a settable constant could contradict g: Gamma = 0 at g = 1.13 amplifies nothing
@@ -253,18 +283,19 @@ class TestPropagateHamiltonian:
         assert np.array_equal(st.occ, ref.occ[order])
         assert np.abs(st.amp - ref.amp[order]).max() < 1e-10
 
-    def test_corrupted_chain_raises(self, monkeypatch):
-        # an SVD returning three times the chain's singular values evolves
-        # each chain to 3g, pushing weight past the cutoff
-        svd = np.linalg.svd
-
-        def wrong(a):
-            u, s, vt = svd(a)
-            return u, 3.0 * s, vt
-
-        monkeypatch.setattr(np.linalg, "svd", wrong)
+    def test_corrupted_chain_raises(self, corrupt_svd):
+        corrupt_svd()
         with pytest.raises(NumericalError, match="beyond the cutoff"):
             propagate_hamiltonian(Qubit(1.0, 0.0), AmplifierConfig.for_gain(1.13, 100))
+
+    def test_patch_after_an_unpatched_build_still_raises(self, corrupt_svd):
+        # a memo entry built before the patch at the same configuration must
+        # not hide the corrupted chain
+        cfg = AmplifierConfig.for_gain(1.13, 100)
+        propagate_hamiltonian(Qubit(1.0, 0.0), cfg)
+        corrupt_svd()
+        with pytest.raises(NumericalError, match="beyond the cutoff"):
+            propagate_hamiltonian(Qubit(1.0, 0.0), cfg)
 
     @pytest.mark.parametrize("g", [0.07, 1.13, 2.0, amplifier._largest_gain()],
                              ids=["0.07", "1.13", "2.0", "top"])
@@ -295,7 +326,9 @@ class TestPropagateHamiltonian:
             gauged = (-1.0) ** k * amplifier._chain(cfg, d)
             assert np.abs(gauged - direct).max() <= 1e-15
 
-    def test_two_chain_solves_per_call(self, monkeypatch):
+    def test_two_chain_solves_per_configuration(self, monkeypatch):
+        # two solves build a configuration's entry; another qubit at that
+        # configuration reuses it, and the memo holds one configuration only
         calls = []
         svd = np.linalg.svd
 
@@ -303,9 +336,16 @@ class TestPropagateHamiltonian:
             calls.append(a.shape)
             return svd(a)
 
+        amplifier._evolved_kets.cache_clear()
         monkeypatch.setattr(np.linalg, "svd", counted)
-        propagate_hamiltonian(Qubit(0.6, 0.8, 0.4), AmplifierConfig.for_gain(0.5))
-        assert len(calls) == 2
+        first, other = AmplifierConfig.for_gain(0.5), AmplifierConfig.for_gain(0.3)
+        for cfg, q, solves in ((first, Qubit(0.6, 0.8, 0.4), 2),
+                               (first, Qubit(0.8, 0.6, -1.2), 0),
+                               (other, Qubit(0.6, 0.8, 0.4), 2),
+                               (first, Qubit(0.6, 0.8, 0.4), 2)):
+            calls.clear()
+            propagate_hamiltonian(q, cfg)
+            assert len(calls) == solves
 
     def test_zero_gain_returns_input(self):
         cfg = AmplifierConfig.for_gain(0.0)
@@ -330,3 +370,92 @@ class TestPropagateHamiltonian:
         st = propagate_hamiltonian(random_qubit(rng), cfg)
         # norm loss only through the final truncation back to the cutoff
         assert st.norm_sq() == pytest.approx(1.0, abs=1e-8)
+
+
+def _amplify_per_call(q, cfg):
+    """Reference: amplify with every array built in the call."""
+    i, j, base = amplifier._pair_amplitudes(cfg, cfg.gain.gamma)
+    b_amp = q.beta * cmath.exp(1j * q.phi)
+    occ = np.column_stack([i + 1, j, j, i, i, j + 1, j, i]).reshape(-1, 4)
+    amp = np.column_stack([q.alpha * base * np.sqrt(i + 1),
+                           b_amp * base * np.sqrt(j + 1)]).reshape(-1)
+    return FockState4.from_arrays(occ, amp, cfg.cutoff)
+
+
+def _propagate_per_call(q, cfg):
+    """Reference: propagate_hamiltonian evolving only the injected rows the
+    qubit populates, with both chain solves and the row sort in the call."""
+    psi_in = FockState4.from_arrays(np.array([[1, 0, 0, 0], [0, 1, 0, 0]]),
+                                    np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)]),
+                                    cfg.cutoff)
+    if cfg.gain.g == 0.0:
+        return psi_in
+    pair = np.eye(4, dtype=np.int64)[[ab for ab, _sign in _COUPLINGS]].sum(axis=1)
+    n, i = np.tril_indices(cfg.cutoff + 1)
+    k = np.column_stack([i, n - i])
+    chains = [amplifier._chain(cfg, d) for d in (0, 1)]
+    pairs = np.arange(chains[0].size)
+    occ, amp = [], []
+    for seed, amp0 in zip(psi_in.occ, psi_in.amp):
+        terms = np.full(len(k), amp0)
+        for c, ((a, b), sign) in enumerate(_COUPLINGS):
+            terms *= (sign ** pairs * chains[seed[a] - seed[b]])[k[:, c]]
+        occ.append(seed + k @ pair)
+        amp.append(terms)
+    occ, amp = np.concatenate(occ), np.concatenate(amp)
+    order = np.lexsort(occ.T[::-1])
+    return FockState4.from_arrays(occ[order], amp[order], cfg.cutoff)
+
+
+def _assert_same_bytes(a, b):
+    """Same rows, and amplitudes equal bit for bit, signed zeros included."""
+    assert np.array_equal(a.occ, b.occ)
+    assert a.amp.tobytes() == b.amp.tobytes()
+
+
+_MEMO_QUBITS = {"H": Qubit(1.0, 0.0), "V": Qubit(0.0, 1.0),
+                "balanced": Qubit(2 ** -0.5, 2 ** -0.5),
+                "random": random_qubit(np.random.default_rng(2718))}
+_BUILDS = {"amplify": (amplify, _amplify_per_call, amplifier._amplified_kets),
+           "propagate_hamiltonian": (propagate_hamiltonian, _propagate_per_call,
+                                     amplifier._evolved_kets)}
+
+
+class TestStateMemo:
+    @pytest.mark.parametrize("build", list(_BUILDS))
+    @pytest.mark.parametrize("g", [0.0, 0.07, 1.13, 2.0, amplifier._largest_gain()],
+                             ids=["0", "0.07", "1.13", "2.0", "top"])
+    def test_warm_equals_cold_and_per_call(self, g, build):
+        # |V> prunes the whole H branch; a cold call builds the entry, a warm
+        # one after another qubit reuses it, and both equal the reference
+        memoised, per_call, memo = _BUILDS[build]
+        cfg = AmplifierConfig.for_gain(1.13, 100) if g == 1.13 else AmplifierConfig.for_gain(g)
+        for q in _MEMO_QUBITS.values():
+            memo.cache_clear()
+            cold = memoised(q, cfg)
+            memoised(Qubit(0.6, 0.8, 2.2), cfg)
+            _assert_same_bytes(memoised(q, cfg), cold)
+            if g < 2.2 or q is _MEMO_QUBITS["random"]:   # the top gain's reference is slow
+                _assert_same_bytes(cold, per_call(q, cfg))
+
+    @pytest.mark.parametrize("build", list(_BUILDS))
+    def test_memo_arrays_reject_writes(self, build):
+        memoised, _per_call, memo = _BUILDS[build]
+        cfg = AmplifierConfig.for_gain(1.13, 100)
+        state = memoised(_MEMO_QUBITS["balanced"], cfg)
+        for arr in memo(cfg):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        # nothing pruned: the state shares the memo's rows
+        assert np.shares_memory(state.occ, memo(cfg)[0])
+
+    @pytest.mark.parametrize("build", list(_BUILDS))
+    def test_writing_a_returned_state_leaves_the_next_call(self, build):
+        memoised, _per_call, _memo = _BUILDS[build]
+        cfg, q = AmplifierConfig.for_gain(1.13, 100), _MEMO_QUBITS["random"]
+        first = memoised(q, cfg)
+        kept = first.amp.copy()
+        first.amp[:] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            first.occ[0, 0] = 7
+        assert memoised(q, cfg).amp.tobytes() == kept.tobytes()
