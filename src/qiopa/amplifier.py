@@ -176,10 +176,12 @@ def _pair_amplitudes(cfg: AmplifierConfig, pref: float):
 def _amplified_kets(cfg: AmplifierConfig):
     """The qubit-independent part of amplify: (occ, base, sqrt(i+1),
     sqrt(j+1)) over the pair terms (i, j), occ holding |i+1, j, j, i> and then
-    |i, j+1, j, i> for each term.  Read-only; the memo keeps the last cfg."""
+    |i, j+1, j, i> for each term.  Read-only; the memo keeps the last cfg.
+    occ is copied out of the reshape's view to own its memory, so that the
+    trace and overlap plans of fock._planned keep it."""
     i, j, base = _pair_amplitudes(cfg, cfg.gain.gamma)
-    arrays = (np.column_stack([i + 1, j, j, i, i, j + 1, j, i]).reshape(-1, 4),
-              base, np.sqrt(i + 1), np.sqrt(j + 1))
+    occ = np.column_stack([i + 1, j, j, i, i, j + 1, j, i]).reshape(-1, 4).copy()
+    arrays = (occ, base, np.sqrt(i + 1), np.sqrt(j + 1))
     for arr in arrays:
         arr.setflags(write=False)
     return arrays

@@ -6,7 +6,10 @@ amplifier is SU(2)-covariant (universal cloning), so every sector block is
 tridiagonal.  A density is therefore stored as two bands over all sectors,
 a real diagonal and a complex sub-diagonal.  Closed-form assemblies fill
 the bands directly and are cross-checked against a brute-force partial
-trace, which checks the banded structure instead of assuming it.
+trace, which checks the banded structure instead of assuming it.  The
+trace plans which rows pair up from the rows alone and keeps that plan for
+the amplifier's read-only rows, so a warm trace only gathers amplitudes and
+checks and sums their products.
 
 Covariance also gives pair term n, in either mode, the spectrum w_n {1, ...,
 n+1} of the optimal cloner and the universal NOT (Gisin & Massar, PRL 79, 2153,
@@ -25,7 +28,7 @@ import scipy
 
 from .amplifier import AmplifierConfig, pair_weights
 from .errors import NumericalError
-from .fock import FockState4, MODE_PAIRS, row_keys
+from .fock import FockState4, MODE_PAIRS, _planned, row_keys
 from .polarization import Qubit
 
 EIGENVALUE_FLOOR = -1e-9
@@ -137,44 +140,58 @@ def rho2_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
         w[n] * (-ab * np.sqrt((n - p) * (p + 1)))), w)
 
 
+def _trace_plan(occ: np.ndarray, keep: str):
+    """What a partial trace reads of the rows: each row's band index k, the
+    band length, and per distance d the row pairs (lo, hi) that share a traced
+    occupation d apart in (traced, k) order, with the mask of the pairs on the
+    sub-diagonal and their band indices kb."""
+    k0, k1 = MODE_PAIRS[keep]
+    t0, t1 = MODE_PAIRS["mode2" if keep == "mode1" else "mode1"]
+    total = occ[:, k0] + occ[:, k1]
+    k = total * (total + 1) // 2 + occ[:, k1]
+    sectors = int(total.max(initial=0)) + 1
+    size = sectors * (sectors + 1) // 2
+
+    # sorted by the key traced * size + k, the rows of one traced occupation
+    # are contiguous and in band order: row i and row i + d share it only if
+    # every row between does
+    traced = row_keys(occ[:, t0:t1 + 1])
+    order = np.argsort(np.ravel_multi_index(
+        (traced, k), (int(traced.max(initial=0)) + 1, size)))
+    ks, total, traced = k[order], total[order], traced[order]
+    steps = []
+    for d in range(1, len(order)):
+        lo = np.flatnonzero(traced[d:] == traced[:-d])
+        if not lo.size:
+            break
+        hi = lo + d
+        band = (total[hi] == total[lo]) & (ks[hi] == ks[lo] + 1)
+        steps.append((order[lo], order[hi], band, ks[lo[band]]))
+    return k, size, steps
+
+
 def partial_trace(state: FockState4, keep: str) -> SectorDensity:
     """Brute-force contraction over the discarded mode pair.
 
     Rows sharing a traced occupation give the entries a_i a_j* of the reduced
     state.  Those at p and p + 1 of one sector form the sub-diagonal; any
     other, across sectors or off the band, must stay within
-    BLOCK_COHERENCE_TOL or the state is rejected.
+    BLOCK_COHERENCE_TOL (a NaN does not) or the state is rejected.  Which
+    rows pair up is the rows' plan, kept per kept mode for read-only rows
+    (fock._planned), so a repeated call only gathers and checks products.
     """
     if keep not in MODE_PAIRS:
         raise ValueError(f"keep must be 'mode1' or 'mode2', got {keep!r}")
-    k0, k1 = MODE_PAIRS[keep]
-    t0, t1 = MODE_PAIRS["mode2" if keep == "mode1" else "mode1"]
-    total = state.occ[:, k0] + state.occ[:, k1]
-    k = total * (total + 1) // 2 + state.occ[:, k1]
-    sectors = int(total.max(initial=0)) + 1
-    size = sectors * (sectors + 1) // 2
-    diag = np.bincount(k, state.amp.real ** 2 + state.amp.imag ** 2, size)
-
-    # sorted by the key traced * size + k, the rows of one traced occupation
-    # are contiguous and in band order: row i and row i + d share it only if
-    # every row between does
-    traced = row_keys(state.occ[:, t0:t1 + 1])
-    order = np.argsort(np.ravel_multi_index(
-        (traced, k), (int(traced.max(initial=0)) + 1, size)))
-    a, k, total, traced = state.amp[order], k[order], total[order], traced[order]
+    k, size, steps = _planned(keep, (state.occ,), lambda occ: _trace_plan(occ, keep))
+    a = state.amp
+    diag = np.bincount(k, a.real ** 2 + a.imag ** 2, size)
     sub = np.zeros(size, dtype=complex)
-    for d in range(1, len(a)):
-        lo = np.flatnonzero(traced[d:] == traced[:-d])
-        if not lo.size:
-            break
-        hi = lo + d
+    for lo, hi, band, kb in steps:
         prod = a[hi] * a[lo].conj()
-        band = (total[hi] == total[lo]) & (k[hi] == k[lo] + 1)
-        if np.any(np.abs(prod[~band]) > BLOCK_COHERENCE_TOL):
+        if not np.all(np.abs(prod[~band]) <= BLOCK_COHERENCE_TOL):
             raise ValueError(
                 "reduced state has coherences across photon-number sectors "
                 "or off the tridiagonal band; banded sector storage does not apply")
-        kb = k[lo[band]]
         sub += np.bincount(kb, prod[band].real, size) + 1j * np.bincount(
             kb, prod[band].imag, size)
     return SectorDensity(keep, diag, sub)

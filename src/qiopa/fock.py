@@ -3,7 +3,14 @@
 Modes are ordered (1h, 1v, 2h, 2v): horizontal/vertical polarization on the
 two output spatial modes k1 and k2.  A state holds an (N, 4) array of
 occupation rows and the N matching complex amplitudes; amplitudes below
-PRUNE_THRESHOLD are dropped.
+PRUNE_THRESHOLD are dropped, and one of non-finite modulus raises
+NumericalError.
+
+A contraction of states (inner_product here, density.partial_trace) is a
+plan that reads only the rows, applied to the amplitudes.  A plan is kept,
+one per slot, while its rows are the same read-only arrays that own their
+memory, as the amplifier's memoised rows are; so a warm oracle round only
+gathers and sums amplitudes.  Any other rows are planned on every call.
 """
 from __future__ import annotations
 
@@ -13,6 +20,7 @@ from types import MappingProxyType
 import numpy as np
 import scipy
 
+from .errors import NumericalError
 from .polarization import PolarizationUnitary
 
 MODE_ORDER = ("1h", "1v", "2h", "2v")
@@ -42,7 +50,11 @@ class FockState4:
         return state
 
     def _set(self, occ, amp, cutoff):
-        keep = np.abs(amp) >= PRUNE_THRESHOLD
+        mag = np.abs(amp)
+        # a NaN fails the prune test and would vanish without a trace
+        if not np.isfinite(mag).all():
+            raise NumericalError("state has an amplitude of non-finite modulus")
+        keep = mag >= PRUNE_THRESHOLD
         self.cutoff = cutoff
         if keep.all():
             self.occ, self.amp = occ, amp
@@ -84,18 +96,44 @@ def row_groups(rows: np.ndarray):
     return np.argsort(np.argsort(first))[label], np.sort(first)
 
 
-def inner_product(a: FockState4, b: FockState4) -> complex:
-    """Sesquilinear form <a|b> (conjugate-linear in the first argument).
+# the last plan of each slot, as (rows, plan); see _planned
+_PLANS = {}
 
-    Neither state repeats a row, so in one stable sort of both states' keys
-    a key held by both appears exactly twice, the row of a first."""
-    if a.cutoff != b.cutoff:
-        raise ValueError(f"mode caps differ: {a.cutoff} vs {b.cutoff}")
-    key = row_keys(np.concatenate([a.occ, b.occ]))
+
+def _planned(slot: str, rows: tuple, build):
+    """build(*rows), a plan that reads the occupation rows alone.  It is kept
+    in _PLANS[slot] while rows are the same arrays and each is read-only and
+    owns its memory (base None), so no view can write into it; the entry
+    holds the rows, so their ids stay theirs.  Other rows are planned anew
+    and not kept."""
+    held = _PLANS.get(slot)
+    owned = all(r.base is None and not r.flags.writeable for r in rows)
+    if owned and held is not None and all(r is h for r, h in zip(rows, held[0])):
+        return held[1]
+    plan = build(*rows)
+    if owned:
+        _PLANS[slot] = rows, plan
+    return plan
+
+
+def _overlap_plan(occ_a, occ_b):
+    """Row indices (ia, ib) of the rows both sets hold, ascending by key.
+    Neither set repeats a row, so in one stable sort of both sets' keys a
+    key held by both appears exactly twice, the row of a first."""
+    key = row_keys(np.concatenate([occ_a, occ_b]))
     order = np.argsort(key, kind="stable")
     key = key[order]
     pair = np.flatnonzero(key[1:] == key[:-1])
-    return complex(np.vdot(a.amp[order[pair]], b.amp[order[pair + 1] - len(a)]))
+    return order[pair], order[pair + 1] - len(occ_a)
+
+
+def inner_product(a: FockState4, b: FockState4) -> complex:
+    """Sesquilinear form <a|b> (conjugate-linear in the first argument): one
+    vdot over the matched rows of the "overlap" plan."""
+    if a.cutoff != b.cutoff:
+        raise ValueError(f"mode caps differ: {a.cutoff} vs {b.cutoff}")
+    ia, ib = _planned("overlap", (a.occ, b.occ), _overlap_plan)
+    return complex(np.vdot(a.amp[ia], b.amp[ib]))
 
 
 def fidelity(a: FockState4, b: FockState4) -> float:

@@ -9,6 +9,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the BLAS thread pin)
 import pytest  # noqa: E402
 
+from qiopa import fock  # noqa: E402
 from qiopa.polarization import Qubit  # noqa: E402
 
 
@@ -16,6 +17,15 @@ def random_qubit(rng: np.random.Generator) -> Qubit:
     u = rng.uniform(0.0, 1.0)
     return Qubit(math.sqrt(u), math.sqrt(1.0 - u),
                  rng.uniform(-math.pi, math.pi))
+
+
+@pytest.fixture(autouse=True)
+def empty_plan_memo():
+    """Each test starts and ends with no kept trace or overlap plan, so what
+    a test covers does not depend on which tests ran before it."""
+    fock._PLANS.clear()
+    yield
+    fock._PLANS.clear()
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qiopa import density, fock
 from qiopa.amplifier import (AmplifierConfig, GainParams, _largest_gain, amplify,
                              pair_probability, pair_tail, pair_weights,
                              propagate_hamiltonian)
@@ -291,6 +292,88 @@ class TestPartialTrace:
                          (1, 0, 1, 0): c, (0, 1, 1, 0): d}, 4)
         rho = partial_trace(st, "mode1")
         assert rho.sector(1)[1] == pytest.approx([b * a.conjugate() + d * c.conjugate()])
+
+
+def _read_only(rows) -> np.ndarray:
+    """Rows as a read-only int64 array that owns its memory, as the
+    amplifier's memoised rows are."""
+    occ = np.array(rows, dtype=np.int64)
+    occ.setflags(write=False)
+    return occ
+
+
+def _band_bytes(rho: SectorDensity) -> bytes:
+    return rho.diag.tobytes() + rho.sub.tobytes()
+
+
+class TestTracePlans:
+    """partial_trace keeps one plan per kept mode for read-only rows that own
+    their memory, and plans any other rows on every call."""
+
+    @pytest.mark.parametrize("g, cutoff",
+                             [(0.07, 12), (1.13, 100), (_largest_gain(), 1000)],
+                             ids=["LG", "HG", "top"])
+    def test_warm_trace_equals_cold_byte_for_byte(self, g, cutoff, rng, monkeypatch):
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        for mode in ("mode1", "mode2"):
+            partial_trace(amplify(random_qubit(rng), cfg), mode)
+        state = amplify(random_qubit(rng), cfg)
+        cold = {}
+        with monkeypatch.context() as m:
+            m.setattr(fock, "_PLANS", {})
+            for mode in ("mode1", "mode2"):
+                cold[mode] = _band_bytes(partial_trace(state, mode))
+        # the warm calls apply the kept plans: planning again would raise
+        monkeypatch.setattr(density, "_trace_plan", None)
+        for mode in ("mode1", "mode2"):
+            assert _band_bytes(partial_trace(state, mode)) == cold[mode]
+            assert fock._PLANS[mode][0][0] is state.occ
+
+    def test_writable_rows_mutated_in_place_give_fresh_bands(self):
+        occ = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+        amp = np.array([0.6, 0.8j])
+        state = FockState4.from_arrays(occ, amp, 4)
+        assert partial_trace(state, "mode1").sector(1)[1] == pytest.approx([0.48j])
+        occ[1] = [0, 1, 1, 0]     # the two kets no longer share a traced occupation
+        rho = partial_trace(state, "mode1")
+        assert not rho.sub.any()
+        assert fock._PLANS == {}
+
+    def test_read_only_view_of_a_writable_base_is_not_kept(self):
+        base = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+        view = base.view()
+        view.setflags(write=False)
+        state = FockState4.from_arrays(view, np.array([0.6, 0.8j]), 4)
+        assert partial_trace(state, "mode1").sub.any()
+        assert fock._PLANS == {}
+        base[1] = [0, 1, 1, 0]
+        assert not partial_trace(state, "mode1").sub.any()
+
+    def test_warm_plan_still_rejects_off_band_coherence(self):
+        occ = _read_only([[2, 0, 0, 0], [0, 2, 0, 0]])
+        partial_trace(FockState4.from_arrays(occ, np.array([1.0, 1e-13 + 0j]), 4), "mode1")
+        assert fock._PLANS["mode1"][0][0] is occ
+        coherent = FockState4.from_arrays(occ, np.array([0.6, 0.8 + 0j]), 4)
+        with pytest.raises(ValueError, match="off the tridiagonal band"):
+            partial_trace(coherent, "mode1")
+
+    def test_nan_written_into_the_amplitudes_fails_the_off_band_check(self):
+        # nan > tol is False: a guard written as any(|prod| > tol) lets it pass
+        occ = _read_only([[2, 0, 0, 0], [0, 2, 0, 0]])
+        state = FockState4.from_arrays(occ, np.array([1.0, 1e-13 + 0j]), 4)
+        partial_trace(state, "mode1")
+        state.amp[1] = np.nan
+        with pytest.raises(ValueError, match="off the tridiagonal band"):
+            partial_trace(state, "mode1")
+
+    def test_a_second_row_set_replaces_the_entry(self, rng):
+        a = amplify(random_qubit(rng), AmplifierConfig.for_gain(0.07, 12))
+        b = propagate_hamiltonian(random_qubit(rng), AmplifierConfig.for_gain(0.5, 30))
+        cold_a, cold_b = (_band_bytes(partial_trace(s, "mode2")) for s in (a, b))
+        assert fock._PLANS["mode2"][0][0] is b.occ
+        assert _band_bytes(partial_trace(a, "mode2")) == cold_a
+        assert fock._PLANS["mode2"][0][0] is a.occ
+        assert _band_bytes(partial_trace(b, "mode2")) == cold_b
 
 
 class TestBands:

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from scipy.linalg import logm
 
-from qiopa.amplifier import (AmplifierConfig, GainParams, amplify, pair_probability,
-                             pair_tail)
-from qiopa.fock import (FockState4, _pair_rotation, inner_product,
+from qiopa import fock
+from qiopa.amplifier import (AmplifierConfig, GainParams, _largest_gain, amplify,
+                             pair_probability, pair_tail, propagate_hamiltonian)
+from qiopa.errors import NumericalError
+from qiopa.fock import (FockState4, _pair_rotation, fidelity, inner_product,
                         number_expectation, rotate_mode_pair, row_keys)
 from qiopa.observables import DETECTED_FIELD_UNITARY
 from qiopa.polarization import Qubit
+
+from conftest import random_qubit
 
 
 class TestMakeGain:
@@ -152,6 +156,86 @@ class TestInnerProduct:
         b = FockState4({(0, 0, 0, 0): 1.0}, 4)
         with pytest.raises(ValueError, match="int64"):
             inner_product(a, b)
+
+
+class TestNonFiniteAmplitudes:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "imag-inf"])
+    @pytest.mark.parametrize("pos", [0, 1])
+    def test_non_finite_amplitude_raises(self, bad, pos):
+        # a NaN fails the prune test |a| >= PRUNE_THRESHOLD: only this check stops it
+        amp = np.ones(2, dtype=complex)
+        amp[pos] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            FockState4.from_arrays(np.array([[1, 0, 0, 0], [0, 1, 0, 0]]), amp, 5)
+        with pytest.raises(NumericalError, match="non-finite"):
+            FockState4({(1, 0, 0, 0): amp[0], (0, 1, 0, 0): amp[1]}, 5)
+
+
+def _overlap_kept_for(occ_a, occ_b) -> bool:
+    rows_a, rows_b = fock._PLANS["overlap"][0]
+    return rows_a is occ_a and rows_b is occ_b
+
+
+class TestOverlapPlans:
+    """inner_product keeps one plan for read-only row pairs that own their
+    memory, and plans any other rows on every call."""
+
+    @pytest.mark.parametrize("g, cutoff",
+                             [(0.07, 12), (1.13, 100), (_largest_gain(), 1000)],
+                             ids=["LG", "HG", "top"])
+    def test_warm_overlap_equals_cold_byte_for_byte(self, g, cutoff, rng, monkeypatch):
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        q = random_qubit(rng)
+        inner_product(propagate_hamiltonian(q, cfg), amplify(q, cfg))
+        q = random_qubit(rng)
+        prop, state = propagate_hamiltonian(q, cfg), amplify(q, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(fock, "_PLANS", {})
+            cold = inner_product(prop, state), fidelity(prop, state)
+        # the warm calls apply the kept plan: planning again would raise
+        monkeypatch.setattr(fock, "_overlap_plan", None)
+        warm = inner_product(prop, state), fidelity(prop, state)
+        assert np.array(warm).tobytes() == np.array(cold).tobytes()
+        assert _overlap_kept_for(prop.occ, state.occ)
+
+    def test_swapped_arguments_give_the_conjugate(self, rng):
+        cfg = AmplifierConfig.for_gain(1.13, 100)
+        q = random_qubit(rng)
+        prop, state = propagate_hamiltonian(q, cfg), amplify(q, cfg)
+        assert len(prop) == len(state)     # a swapped plan would index in range
+        ab = inner_product(prop, state)
+        ba = inner_product(state, prop)
+        assert ba == pytest.approx(ab.conjugate(), rel=1e-14)
+        fock._PLANS.clear()
+        assert inner_product(state, prop) == ba
+
+    def test_writable_rows_mutated_in_place_give_a_fresh_overlap(self):
+        occ = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+        a = FockState4.from_arrays(occ, np.array([0.6, 0.8 + 0j]), 4)
+        b = FockState4({(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1.0}, 4)
+        assert inner_product(a, b) == pytest.approx(1.4)
+        occ[1] = [0, 1, 1, 0]
+        assert inner_product(a, b) == pytest.approx(0.6)
+        assert fock._PLANS == {}
+
+    def test_read_only_view_of_a_writable_base_is_not_kept(self):
+        base = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+        view = base.view()
+        view.setflags(write=False)
+        b = FockState4.from_arrays(view, np.array([1.0, 1.0 + 0j]), 4)
+        inner_product(b, b)
+        assert fock._PLANS == {}
+
+    def test_a_second_row_set_replaces_the_entry(self, rng):
+        cfg = AmplifierConfig.for_gain(0.07, 12)
+        q = random_qubit(rng)
+        prop, state = propagate_hamiltonian(q, cfg), amplify(q, cfg)
+        ab, aa = inner_product(prop, state), inner_product(state, state)
+        assert _overlap_kept_for(state.occ, state.occ)
+        assert inner_product(prop, state) == ab
+        assert _overlap_kept_for(prop.occ, state.occ)
+        assert inner_product(state, state) == aa
 
 
 class TestRowKeys:
