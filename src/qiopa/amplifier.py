@@ -12,14 +12,13 @@ photon-number difference, so the evolution is a product of tridiagonal pair
 chains.  Each chain links only even to odd pair numbers, so one SVD of that
 bipartite half exponentiates it exactly, with numpy alone.
 
-Both outputs are linear in the qubit alpha|H> + beta e^{i phi}|V>: the rows
-and the per-row factors of the two injected branches depend on the
-configuration alone.  amplify and propagate_hamiltonian each keep them for
-the last configuration used (a one-entry memo, read-only arrays that the
-returned states share), so a call at a repeated configuration only scales
-the two branches by the qubit.  The two memos retain 0.96 MB at HG
-(g = 1.13, cutoff 100, 10,302 rows) and 93 MB at the top gain (cutoff 1000,
-1,003,002 rows).
+Both outputs are linear in the qubit alpha|H> + beta e^{i phi}|V>, and hold
+amplitudes on the same rows: the rows and the per-row factors of the two
+injected branches depend on the configuration alone.  amplify keeps its rows
+and factors, propagate_hamiltonian its factors on amplify's rows, for the
+last configuration used (one-entry memos of read-only arrays, 0.61 MB at HG,
+cutoff 100, and 60 MB at the top gain, cutoff 1000).  Both returned states
+share one row array, and a repeated configuration only scales by the qubit.
 """
 from __future__ import annotations
 
@@ -27,13 +26,14 @@ import bisect
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import NumericalError
-from .fock import FockState4, row_keys
+from .fock import FockState4
 from .polarization import Qubit
 
 # the interaction transiently populates the truncation boundary
@@ -53,7 +53,7 @@ class GainParams:
     nbar: float = field(init=False)     # sinh(g)**2, mean photon number per squeezed mode
 
     def __post_init__(self):
-        if not isinstance(self.g, (int, float)) or not 0 <= self.g < math.inf:
+        if not isinstance(self.g, numbers.Real) or not 0 <= self.g < math.inf:
             raise ValueError(f"gain must be a finite non-negative real number, got {self.g!r}")
         g = float(self.g)
         try:
@@ -245,29 +245,25 @@ def _chain(cfg: AmplifierConfig, d: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _evolved_kets(cfg: AmplifierConfig):
-    """The qubit-independent part of propagate_hamiltonian: (occ, which, f1,
-    f2), the evolved rows of both injected rows |1, 0, 0, 0> and |0, 1, 0, 0>
-    in lexicographic order, the injected row each came from (uint8) and
-    its factors from the two couplings' chains.  Two chain solves per
-    configuration; read-only, and the memo keeps the last cfg."""
+    """The qubit-independent part of propagate_hamiltonian: (f1, f2), both
+    injected rows' evolved kets' factors from the two couplings' chains, laid
+    out as amplify's rows (pair term by pair term, the two alternating).  The
+    evolved rows must equal _amplified_kets' rows, or NumericalError is raised.
+    Two chain solves per configuration; read-only; the memo keeps the last cfg."""
     pair = np.eye(4, dtype=np.int64)[[ab for ab, _sign in _COUPLINGS]].sum(axis=1)
     n, i = np.tril_indices(cfg.cutoff + 1)
     k = np.column_stack([i, n - i])   # k[:, c] pairs of coupling c, at most cutoff in all
+    evolved = (_INJECTED + (k @ pair)[:, None]).reshape(-1, 4)
+    if not np.array_equal(evolved, _amplified_kets(cfg)[0]):
+        raise NumericalError("the propagated rows are not the closed form's rows")
     chains = [_chain(cfg, d) for d in (0, 1)]   # an injected row has d = 0 or 1
     pairs = np.arange(chains[0].size)
-    occ, factors = [], []
-    for seed in _INJECTED:
-        occ.append(seed + k @ pair)
-        factors.append([(sign ** pairs * chains[seed[a] - seed[b]])[k[:, c]]
-                        for c, ((a, b), sign) in enumerate(_COUPLINGS)])
-    occ = np.concatenate(occ)
-    order = np.argsort(row_keys(occ))
-    arrays = (occ.take(order, axis=0),
-              np.repeat(np.arange(len(_INJECTED), dtype=np.uint8), len(k))[order],
-              *(np.concatenate(f)[order] for f in zip(*factors)))
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
+    f1, f2 = (np.column_stack([(sign ** pairs * chains[seed[a] - seed[b]])[k[:, c]]
+                               for seed in _INJECTED]).reshape(-1)
+              for c, ((a, b), sign) in enumerate(_COUPLINGS))
+    f1.setflags(write=False)
+    f2.setflags(write=False)
+    return f1, f2
 
 
 def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
@@ -281,17 +277,16 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
     coupling is the gauge diag((-1)^k) on its chain, so the chains of both
     signs come from one solve per d.  Each chain's weight beyond the cutoff
     is checked against the pair-number tail; the product is truncated back
-    to the cutoff.  The rows come out in lexicographic order of
-    (n1h, n1v, n2h, n2v), sorted by their packed keys.  The evolution is
-    linear in the qubit: both injected rows' evolved kets come from a
-    one-entry memo per configuration, whose rows the state shares when
-    neither branch is pruned.
+    to the cutoff.  The evolution is linear in the qubit: the factors of
+    both injected rows' evolved kets come from a one-entry memo per
+    configuration.  Their rows are amplify's, taken from its memo on every
+    call, so the two outputs share one row array when neither is pruned.
     """
     amp0 = np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)])
     if cfg.gain.g == 0.0:
         return FockState4.from_arrays(_INJECTED, amp0, cfg.cutoff)
-    occ, which, f1, f2 = _evolved_kets(cfg)
-    terms = amp0[which]   # a gather, so a new array: scaled in place
+    f1, f2 = _evolved_kets(cfg)
+    terms = np.tile(amp0, len(f1) // 2)   # a new array: scaled in place
     terms *= f1
     terms *= f2
-    return FockState4.from_arrays(occ, terms, cfg.cutoff)
+    return FockState4.from_arrays(_amplified_kets(cfg)[0], terms, cfg.cutoff)

@@ -7,9 +7,10 @@ tridiagonal.  A density is therefore stored as two bands over all sectors,
 a real diagonal and a complex sub-diagonal.  Closed-form assemblies fill
 the bands directly and are cross-checked against a brute-force partial
 trace, which checks the banded structure instead of assuming it.  The
-trace plans which rows pair up from the rows alone and keeps that plan for
-the amplifier's read-only rows, so a warm trace only gathers amplitudes and
-checks and sums their products.
+trace plans from the rows alone each row's band index and one flat list of
+the row pairs that share a traced occupation, and keeps that plan for the
+amplifier's read-only rows, which both its outputs share; so a warm trace
+only gathers amplitudes and checks and sums their products.
 
 Covariance also gives pair term n, in either mode, the spectrum w_n {1, ...,
 n+1} of the optimal cloner and the universal NOT (Gisin & Massar, PRL 79, 2153,
@@ -142,9 +143,8 @@ def rho2_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
 
 def _trace_plan(occ: np.ndarray, keep: str):
     """What a partial trace reads of the rows: each row's band index k, the
-    band length, and per distance d the row pairs (lo, hi) that share a traced
-    occupation d apart in (traced, k) order, with the mask of the pairs on the
-    sub-diagonal and their band indices kb."""
+    band length, the row pairs (lo, hi) that share a traced occupation, the
+    mask band of the pairs on the sub-diagonal and their band indices kb."""
     k0, k1 = MODE_PAIRS[keep]
     t0, t1 = MODE_PAIRS["mode2" if keep == "mode1" else "mode1"]
     total = occ[:, k0] + occ[:, k1]
@@ -153,21 +153,22 @@ def _trace_plan(occ: np.ndarray, keep: str):
     size = sectors * (sectors + 1) // 2
 
     # sorted by the key traced * size + k, the rows of one traced occupation
-    # are contiguous and in band order: row i and row i + d share it only if
-    # every row between does
+    # are contiguous and their band indices distinct and ascending: row i and
+    # row i + d share it only if every row between does, and only adjacent
+    # rows (d = 1) can sit at p and p + 1 of one sector
     traced = row_keys(occ[:, t0:t1 + 1])
     order = np.argsort(np.ravel_multi_index(
         (traced, k), (int(traced.max(initial=0)) + 1, size)))
     ks, total, traced = k[order], total[order], traced[order]
-    steps = []
+    pairs = [np.zeros((2, 0), dtype=np.intp)]
     for d in range(1, len(order)):
         lo = np.flatnonzero(traced[d:] == traced[:-d])
         if not lo.size:
             break
-        hi = lo + d
-        band = (total[hi] == total[lo]) & (ks[hi] == ks[lo] + 1)
-        steps.append((order[lo], order[hi], band, ks[lo[band]]))
-    return k, size, steps
+        pairs.append((lo, lo + d))
+    lo, hi = np.concatenate(pairs, axis=1)
+    band = (total[hi] == total[lo]) & (ks[hi] == ks[lo] + 1)
+    return k, size, order[lo], order[hi], band, ks[lo[band]]
 
 
 def partial_trace(state: FockState4, keep: str) -> SectorDensity:
@@ -182,18 +183,17 @@ def partial_trace(state: FockState4, keep: str) -> SectorDensity:
     """
     if keep not in MODE_PAIRS:
         raise ValueError(f"keep must be 'mode1' or 'mode2', got {keep!r}")
-    k, size, steps = _planned(keep, (state.occ,), lambda occ: _trace_plan(occ, keep))
+    k, size, lo, hi, band, kb = _planned(keep, (state.occ,),
+                                         lambda occ: _trace_plan(occ, keep))
     a = state.amp
     diag = np.bincount(k, a.real ** 2 + a.imag ** 2, size)
-    sub = np.zeros(size, dtype=complex)
-    for lo, hi, band, kb in steps:
-        prod = a[hi] * a[lo].conj()
-        if not np.all(np.abs(prod[~band]) <= BLOCK_COHERENCE_TOL):
-            raise ValueError(
-                "reduced state has coherences across photon-number sectors "
-                "or off the tridiagonal band; banded sector storage does not apply")
-        sub += np.bincount(kb, prod[band].real, size) + 1j * np.bincount(
-            kb, prod[band].imag, size)
+    prod = a[hi] * a[lo].conj()
+    if not np.all(np.abs(prod[~band]) <= BLOCK_COHERENCE_TOL):
+        raise ValueError(
+            "reduced state has coherences across photon-number sectors "
+            "or off the tridiagonal band; banded sector storage does not apply")
+    sub = np.bincount(kb, prod[band].real, size) + 1j * np.bincount(
+        kb, prod[band].imag, size)
     return SectorDensity(keep, diag, sub)
 
 

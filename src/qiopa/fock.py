@@ -9,8 +9,9 @@ NumericalError.
 A contraction of states (inner_product here, density.partial_trace) is a
 plan that reads only the rows, applied to the amplitudes.  A plan is kept,
 one per slot, while its rows are the same read-only arrays that own their
-memory, as the amplifier's memoised rows are; so a warm oracle round only
-gathers and sums amplitudes.  Any other rows are planned on every call.
+memory, as the amplifier's memoised rows are, one array per configuration
+for both its outputs; so a warm oracle round only gathers and sums
+amplitudes.  Any other rows are planned on every call.
 """
 from __future__ import annotations
 

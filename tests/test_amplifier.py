@@ -67,10 +67,20 @@ class TestGainParams:
         assert (gp.g, gp.C, gp.Gamma, gp.gamma, gp.nbar) == (
             g, math.cosh(g), math.tanh(g), math.cosh(g) ** -3, math.sinh(g) ** 2)
 
-    @pytest.mark.parametrize("g", ["1.13", None, 1j])
+    @pytest.mark.parametrize("g", ["1.13", None, 1j, np.complex128(1.0), np.float64(np.nan),
+                                   np.int64(-1)])
     def test_rejects_what_is_not_a_real_number(self, g):
         with pytest.raises(ValueError, match="finite non-negative real number"):
             GainParams(g)
+
+    @pytest.mark.parametrize("g", [np.int64(1), np.float32(1.13), np.float64(0.07)],
+                             ids=["int64", "float32", "float64"])
+    def test_numpy_real_scalars_are_gains(self, g):
+        assert GainParams(g) == GainParams(float(g))
+
+    def test_configs_over_a_numpy_range(self):
+        assert [AmplifierConfig.for_gain(g) for g in np.arange(3)] == [
+            AmplifierConfig.for_gain(g) for g in (0.0, 1.0, 2.0)]
 
 
 class TestAmplifierConfig:
@@ -259,12 +269,13 @@ class TestPropagateHamiltonian:
     @pytest.mark.parametrize("q", [Qubit(1.0, 0.0), Qubit(0.0, 1.0),
                                    Qubit(0.6, 0.8, -2.1)], ids=["H", "V", "mixed"])
     def test_equals_search_reference(self, q):
-        # same rows; amplitudes to rounding, since the reference integrates
-        # the four-mode generator with a different method
+        # same rows, compared in key order; amplitudes to rounding, since the
+        # reference integrates the four-mode generator with a different method
         cfg = AmplifierConfig.for_gain(0.3)
         st, ref = propagate_hamiltonian(q, cfg), _propagate_by_search(q, cfg)
-        assert np.array_equal(st.occ, ref.occ)
-        assert np.abs(st.amp - ref.amp).max() < 1e-13
+        order = np.lexsort(st.occ.T[::-1])
+        assert np.array_equal(st.occ[order], ref.occ)
+        assert np.abs(st.amp[order] - ref.amp).max() < 1e-13
 
     @pytest.mark.parametrize("g", [1.5, 2.0, amplifier._largest_gain()],
                              ids=["1.5", "2.0", "top"])
@@ -279,9 +290,35 @@ class TestPropagateHamiltonian:
         cfg = AmplifierConfig.for_gain(1.13, 100)
         q = random_qubit(rng)
         st, ref = propagate_hamiltonian(q, cfg), amplify(q, cfg)
-        order = np.lexsort(ref.occ.T[::-1])
-        assert np.array_equal(st.occ, ref.occ[order])
-        assert np.abs(st.amp - ref.amp[order]).max() < 1e-10
+        assert np.array_equal(st.occ, ref.occ)
+        assert np.abs(st.amp - ref.amp).max() < 1e-10
+
+    @pytest.mark.parametrize("g, cutoff",
+                             [(0.07, 12), (1.13, 100), (amplifier._largest_gain(), 1000)],
+                             ids=["LG", "HG", "top"])
+    def test_shares_the_closed_form_rows(self, g, cutoff):
+        # one row set per configuration: with nothing pruned, both outputs
+        # hold the same read-only array, so one plan serves both contractions
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        q = Qubit(0.6, 0.8, 1.3)
+        prop, state = propagate_hamiltonian(q, cfg), amplify(q, cfg)
+        assert len(prop) == len(state) == 2 * (cfg.cutoff + 1) * (cfg.cutoff + 2) // 2
+        assert prop.occ is state.occ
+
+    def test_shares_the_rows_after_another_configuration(self):
+        # amplify at another configuration evicts the rows from its memo; the
+        # propagator keeps only its factors and takes the rebuilt rows
+        lg, hg = AmplifierConfig.for_gain(0.07, 12), AmplifierConfig.for_gain(1.13, 100)
+        q = Qubit(0.6, 0.8, 1.3)
+        propagate_hamiltonian(q, lg)
+        amplify(q, hg)
+        assert propagate_hamiltonian(q, lg).occ is amplify(q, lg).occ
+
+    def test_moved_rows_raise(self, monkeypatch):
+        # swapped injected rows evolve onto the closed form's rows in another order
+        monkeypatch.setattr(amplifier, "_INJECTED", amplifier._INJECTED[::-1])
+        with pytest.raises(NumericalError, match="not the closed form's rows"):
+            propagate_hamiltonian(Qubit(1.0, 0.0), AmplifierConfig.for_gain(0.3))
 
     def test_corrupted_chain_raises(self, corrupt_svd):
         corrupt_svd()
@@ -384,7 +421,8 @@ def _amplify_per_call(q, cfg):
 
 def _propagate_per_call(q, cfg):
     """Reference: propagate_hamiltonian evolving only the injected rows the
-    qubit populates, with both chain solves and the row sort in the call."""
+    qubit populates, with both chain solves in the call, in amplify's layout:
+    pair term by pair term, the populated injected rows' kets alternating."""
     psi_in = FockState4.from_arrays(np.array([[1, 0, 0, 0], [0, 1, 0, 0]]),
                                     np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)]),
                                     cfg.cutoff)
@@ -402,9 +440,8 @@ def _propagate_per_call(q, cfg):
             terms *= (sign ** pairs * chains[seed[a] - seed[b]])[k[:, c]]
         occ.append(seed + k @ pair)
         amp.append(terms)
-    occ, amp = np.concatenate(occ), np.concatenate(amp)
-    order = np.lexsort(occ.T[::-1])
-    return FockState4.from_arrays(occ[order], amp[order], cfg.cutoff)
+    occ, amp = np.stack(occ, axis=1).reshape(-1, 4), np.stack(amp, axis=1).reshape(-1)
+    return FockState4.from_arrays(occ, amp, cfg.cutoff)
 
 
 def _assert_same_bytes(a, b):
@@ -446,8 +483,8 @@ class TestStateMemo:
         for arr in memo(cfg):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
-        # nothing pruned: the state shares the memo's rows
-        assert np.shares_memory(state.occ, memo(cfg)[0])
+        # nothing pruned: the state shares amplify's memoised rows
+        assert np.shares_memory(state.occ, amplifier._amplified_kets(cfg)[0])
 
     @pytest.mark.parametrize("build", list(_BUILDS))
     def test_writing_a_returned_state_leaves_the_next_call(self, build):

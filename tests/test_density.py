@@ -8,10 +8,11 @@ from qiopa import density, fock
 from qiopa.amplifier import (AmplifierConfig, GainParams, _largest_gain, amplify,
                              pair_probability, pair_tail, pair_weights,
                              propagate_hamiltonian)
-from qiopa.density import (SectorDensity, cloner_entropy, entropy, hs_distance,
-                           partial_trace, rho1_closed_form, rho2_closed_form)
+from qiopa.density import (BLOCK_COHERENCE_TOL, SectorDensity, cloner_entropy, entropy,
+                           hs_distance, partial_trace, rho1_closed_form, rho2_closed_form)
 from qiopa.errors import NumericalError
 from qiopa.fock import FockState4, fidelity
+from qiopa.observables import g1_oracle
 from qiopa.polarization import Qubit
 
 from conftest import random_qubit
@@ -270,6 +271,20 @@ class TestPartialTrace:
         assert rho.diag.tolist() == pytest.approx([0, 0, 0, 1.0, 0, 1e-26], abs=1e-40)
         assert not rho.sub.any()
 
+    @pytest.mark.parametrize("far", [0.5, 1e-13])
+    def test_off_band_pair_two_rows_apart(self, far):
+        # one traced occupation holds p = 0, 1, 2 of sector 2: (0, 1) and
+        # (1, 2) lie on the band, and the only off-band pair, (0, 2), sits two
+        # rows apart in band order
+        st = FockState4({(2, 0, 0, 0): 0.6, (1, 1, 0, 0): 0.8, (0, 2, 0, 0): far}, 4)
+        if far > BLOCK_COHERENCE_TOL:
+            with pytest.raises(ValueError, match="off the tridiagonal band"):
+                partial_trace(st, "mode1")
+            return
+        rho = partial_trace(st, "mode1")
+        assert rho.sector(2)[0].tolist() == [0.6 ** 2, 0.8 ** 2, far ** 2]
+        assert rho.sector(2)[1].tolist() == [0.8 * 0.6, far * 0.8]
+
     @pytest.mark.parametrize("build, g, cutoff", [
         (amplify, 0.07, 12), (amplify, 1.13, 100), (propagate_hamiltonian, 0.07, 12)],
         ids=["amplify-LG", "amplify-HG", "propagate-LG"])
@@ -365,6 +380,34 @@ class TestTracePlans:
         state.amp[1] = np.nan
         with pytest.raises(ValueError, match="off the tridiagonal band"):
             partial_trace(state, "mode1")
+
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100)], ids=["LG", "HG"])
+    def test_round_on_the_propagators_state_plans_once(self, g, cutoff, rng, monkeypatch):
+        # the propagator's state shares amplify's rows, so its traces, the
+        # trace in g1_oracle and fidelity in either order reuse one plan each
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+
+        def oracle_round(q):
+            prop, state = propagate_hamiltonian(q, cfg), amplify(q, cfg)
+            partial_trace(prop, "mode1"), partial_trace(prop, "mode2")
+            g1_oracle(q, cfg)
+            fidelity(prop, state), fidelity(state, prop)
+
+        def counted(module, name):
+            plan = getattr(module, name)
+
+            def build(*args):
+                built.append(name)
+                return plan(*args)
+
+            monkeypatch.setattr(module, name, build)
+
+        oracle_round(random_qubit(rng))
+        built = []
+        counted(density, "_trace_plan")
+        counted(fock, "_overlap_plan")
+        oracle_round(random_qubit(rng))
+        assert built == []
 
     def test_a_second_row_set_replaces_the_entry(self, rng):
         a = amplify(random_qubit(rng), AmplifierConfig.for_gain(0.07, 12))
