@@ -177,6 +177,14 @@ def _overlap_kept_for(occ_a, occ_b) -> bool:
     return rows_a is occ_a and rows_b is occ_b
 
 
+def _reversed(state: FockState4) -> FockState4:
+    """The same state on a second row set: its rows in reverse order, held
+    read-only in memory of their own, as the amplifier's memoised rows are."""
+    occ = state.occ[::-1].copy()
+    occ.setflags(write=False)
+    return FockState4.from_arrays(occ, state.amp[::-1].copy(), state.cutoff)
+
+
 class TestOverlapPlans:
     """inner_product keeps one plan for read-only row pairs that own their
     memory, and plans any other rows on every call."""
@@ -200,15 +208,17 @@ class TestOverlapPlans:
         assert _overlap_kept_for(prop.occ, state.occ)
 
     def test_swapped_arguments_give_the_conjugate(self, rng):
+        # the propagator shares amplify's rows, so pair it with a second row
+        # set: a plan kept for (a, b) and reused for (b, a) then misindexes
         cfg = AmplifierConfig.for_gain(1.13, 100)
         q = random_qubit(rng)
-        prop, state = propagate_hamiltonian(q, cfg), amplify(q, cfg)
-        assert len(prop) == len(state)     # a swapped plan would index in range
-        ab = inner_product(prop, state)
-        ba = inner_product(state, prop)
+        prop, other = propagate_hamiltonian(q, cfg), _reversed(amplify(q, cfg))
+        assert len(prop) == len(other)     # a swapped plan would index in range
+        ab = inner_product(prop, other)
+        ba = inner_product(other, prop)
         assert ba == pytest.approx(ab.conjugate(), rel=1e-14)
         fock._PLANS.clear()
-        assert inner_product(state, prop) == ba
+        assert inner_product(other, prop) == ba
 
     def test_writable_rows_mutated_in_place_give_a_fresh_overlap(self):
         occ = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
@@ -230,12 +240,14 @@ class TestOverlapPlans:
     def test_a_second_row_set_replaces_the_entry(self, rng):
         cfg = AmplifierConfig.for_gain(0.07, 12)
         q = random_qubit(rng)
-        prop, state = propagate_hamiltonian(q, cfg), amplify(q, cfg)
-        ab, aa = inner_product(prop, state), inner_product(state, state)
-        assert _overlap_kept_for(state.occ, state.occ)
-        assert inner_product(prop, state) == ab
-        assert _overlap_kept_for(prop.occ, state.occ)
+        state = amplify(q, cfg)
+        other = _reversed(state)
+        aa, ba = inner_product(state, state), inner_product(other, state)
+        assert _overlap_kept_for(other.occ, state.occ)
         assert inner_product(state, state) == aa
+        assert _overlap_kept_for(state.occ, state.occ)
+        assert inner_product(other, state) == ba
+        assert ba == pytest.approx(aa, rel=1e-14)
 
 
 class TestRowKeys:
