@@ -7,16 +7,22 @@ tridiagonal.  A density is therefore stored as two bands over all sectors,
 a real diagonal and a complex sub-diagonal.  Closed-form assemblies fill
 the bands directly and are cross-checked against a brute-force partial
 trace, which checks the banded structure instead of assuming it.  The
-trace plans from the rows alone each row's band index and one flat list of
-the row pairs that share a traced occupation, and keeps that plan for the
-amplifier's read-only rows, which both its outputs share; so a warm trace
-only gathers amplitudes and checks and sums their products.
+trace plans from the rows alone each row's band index and the row pairs
+that share a traced occupation, split into the sub-diagonal's and the
+off-band rest, and keeps that plan for the amplifier's read-only rows,
+which both its outputs share; so a warm trace only gathers amplitudes,
+checks the off-band products and sums the others in one pass.
 
 Covariance also gives pair term n, in either mode, the spectrum w_n {1, ...,
 n+1} of the optimal cloner and the universal NOT (Gisin & Massar, PRL 79, 2153,
 1997; Buzek, Hillery & Werner, PRA 60, R2626, 1999), so a closed form's entropy
 is cloner_entropy, one O(cutoff) sum over its pair weights w_n; any other
-density, the partial trace included, is eigensolved, the oracle path.
+density, the partial trace included, is eigensolved, the oracle path.  Both
+closed forms are linear in the qubit through alpha^2, beta^2 and
+alpha beta e^{i phi}, so their weighted band factors and that entropy depend
+on the configuration alone: a one-entry memo keeps them for the last one
+used (read-only, 0.29 MB at HG, cutoff 100, and 28 MB at the top gain,
+cutoff 1000), and a repeated configuration only scales them by the qubit.
 """
 from __future__ import annotations
 
@@ -54,8 +60,9 @@ class SectorDensity:
     sectors, whose eigenvalues are the spectrum.
     """
 
-    # set only by the closed forms, whose bands they fill from these weights
-    _pair_weights = None
+    # set only by the closed forms: the cloner entropy of the weights they
+    # fill their bands from
+    _entropy = None
 
     def __init__(self, mode: str, diag, sub):
         if mode not in MODE_PAIRS:
@@ -106,12 +113,32 @@ class SectorDensity:
         return tuple(out)
 
 
-def _with_pair_weights(rho: SectorDensity, w: np.ndarray) -> SectorDensity:
-    """rho, holding the pair weights w_n its bands were filled from, one per
-    pair term (sector n + 1 of mode 1, sector n of mode 2): entropy sums their
-    spectrum w_n {1, ..., n+1} without solving it."""
-    w.setflags(write=False)
-    rho._pair_weights = w
+@functools.lru_cache(maxsize=1)
+def _closed_form_bands(cfg: AmplifierConfig):
+    """The qubit-independent part of both closed forms: (s, mode1, mode2),
+    s the cloner_entropy of the pair weights w_n, and each mode's
+    (w, c1, c2, root) over its bands: the gathered weights, the factors of
+    the two squares in the order the diagonal adds them (mode 1: alpha^2
+    (t-p), beta^2 p; mode 2: beta^2 (n-p+1), alpha^2 (p+1)) and
+    sqrt((t-p)(p+1)), mode 2's a prefix of mode 1's.  Read-only; the memo
+    keeps the last cfg."""
+    w = pair_weights(cfg)
+    t, p = _flat_index(cfg.cutoff + 2)
+    root = np.sqrt((t - p) * (p + 1))
+    m = w.size * (w.size + 1) // 2   # mode 2's sectors n = 0..cutoff lead t's
+    n, p2 = t[:m], p[:m]
+    mode1 = (np.append(0.0, w)[t],   # mode 1 always holds >= 1 photon
+             (t - p).astype(float), p.astype(float), root)
+    mode2 = (w[n], (n - p2 + 1).astype(float), (p2 + 1).astype(float), root[:m])
+    for arr in (*mode1, *mode2):
+        arr.setflags(write=False)
+    return cloner_entropy(w), mode1, mode2
+
+
+def _with_entropy(rho: SectorDensity, s: float) -> SectorDensity:
+    """rho, holding the cloner entropy s of the pair weights its bands were
+    filled from: entropy returns it without solving the spectrum."""
+    rho._entropy = s
     return rho
 
 
@@ -121,11 +148,9 @@ def rho1_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
     alpha beta e^{i phi} sqrt((t-p)(p+1)), p = 0..t vertical photons.  Its
     spectrum is the |H> diagonal w_n (t-p), the optimal 1 -> t cloner's."""
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
-    w = np.append(0.0, pair_weights(cfg))   # mode 1 always holds >= 1 photon
-    t, p = _flat_index(cfg.cutoff + 2)
-    return _with_pair_weights(SectorDensity(
-        "mode1", w[t] * (q.alpha ** 2 * (t - p) + q.beta ** 2 * p),
-        w[t] * (ab * np.sqrt((t - p) * (p + 1)))), w[1:])
+    s, (w, c1, c2, root), _ = _closed_form_bands(cfg)
+    return _with_entropy(SectorDensity(
+        "mode1", w * (q.alpha ** 2 * c1 + q.beta ** 2 * c2), w * (ab * root)), s)
 
 
 def rho2_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
@@ -134,17 +159,17 @@ def rho2_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
     -alpha beta e^{i phi} sqrt((n-p)(p+1)), p = 0..n vertical photons.  Its
     spectrum is the |H> diagonal w_n (p+1), the universal NOT's."""
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
-    w = pair_weights(cfg)
-    n, p = _flat_index(cfg.cutoff + 1)
-    return _with_pair_weights(SectorDensity(
-        "mode2", w[n] * (q.beta ** 2 * (n - p + 1) + q.alpha ** 2 * (p + 1)),
-        w[n] * (-ab * np.sqrt((n - p) * (p + 1)))), w)
+    s, _, (w, c1, c2, root) = _closed_form_bands(cfg)
+    return _with_entropy(SectorDensity(
+        "mode2", w * (q.beta ** 2 * c1 + q.alpha ** 2 * c2), w * (-ab * root)), s)
 
 
 def _trace_plan(occ: np.ndarray, keep: str):
     """What a partial trace reads of the rows: each row's band index k, the
-    band length, the row pairs (lo, hi) that share a traced occupation, the
-    mask band of the pairs on the sub-diagonal and their band indices kb."""
+    band length, the row pairs (lo, hi) that share a traced occupation split
+    into the sub-diagonal's and the off-band rest, and the sub-diagonal
+    pairs' band indices kb interleaved as [2 kb, 2 kb + 1], the real and
+    imaginary slots of a complex band viewed as floats."""
     k0, k1 = MODE_PAIRS[keep]
     t0, t1 = MODE_PAIRS["mode2" if keep == "mode1" else "mode1"]
     total = occ[:, k0] + occ[:, k1]
@@ -168,7 +193,9 @@ def _trace_plan(occ: np.ndarray, keep: str):
         pairs.append((lo, lo + d))
     lo, hi = np.concatenate(pairs, axis=1)
     band = (total[hi] == total[lo]) & (ks[hi] == ks[lo] + 1)
-    return k, size, order[lo], order[hi], band, ks[lo[band]]
+    kb = 2 * ks[lo[band]]
+    return (k, size, order[lo[band]], order[hi[band]], order[lo[~band]],
+            order[hi[~band]], np.column_stack([kb, kb + 1]).reshape(-1))
 
 
 def partial_trace(state: FockState4, keep: str) -> SectorDensity:
@@ -183,17 +210,17 @@ def partial_trace(state: FockState4, keep: str) -> SectorDensity:
     """
     if keep not in MODE_PAIRS:
         raise ValueError(f"keep must be 'mode1' or 'mode2', got {keep!r}")
-    k, size, lo, hi, band, kb = _planned(keep, (state.occ,),
-                                         lambda occ: _trace_plan(occ, keep))
+    k, size, lo, hi, off_lo, off_hi, kb = _planned(
+        keep, (state.occ,), lambda occ: _trace_plan(occ, keep))
     a = state.amp
-    diag = np.bincount(k, a.real ** 2 + a.imag ** 2, size)
-    prod = a[hi] * a[lo].conj()
-    if not np.all(np.abs(prod[~band]) <= BLOCK_COHERENCE_TOL):
+    if not np.all(np.abs(a[off_hi] * a[off_lo].conj()) <= BLOCK_COHERENCE_TOL):
         raise ValueError(
             "reduced state has coherences across photon-number sectors "
             "or off the tridiagonal band; banded sector storage does not apply")
-    sub = np.bincount(kb, prod[band].real, size) + 1j * np.bincount(
-        kb, prod[band].imag, size)
+    diag = np.bincount(k, a.real ** 2 + a.imag ** 2, size)
+    # one sum of the real and imaginary parts, each in its float slot
+    prod = a[hi] * a[lo].conj()
+    sub = np.bincount(kb, prod.view(float), 2 * size).view(complex)
     return SectorDensity(keep, diag, sub)
 
 
@@ -211,10 +238,10 @@ def cloner_entropy(w) -> float:
 
 def entropy(rho: SectorDensity) -> float:
     """Von Neumann entropy in bits, -sum lambda log2 lambda over all sectors:
-    cloner_entropy of a closed form's pair weights, and the sum over the
-    positive eigenvalues of any other density."""
-    if rho._pair_weights is not None:
-        return cloner_entropy(rho._pair_weights)
+    the cloner_entropy a closed form carries from its memo, and the sum over
+    the positive eigenvalues of any other density."""
+    if rho._entropy is not None:
+        return rho._entropy
     lam = rho.spectrum
     if lam.min(initial=0.0) < EIGENVALUE_FLOOR:
         raise NumericalError(

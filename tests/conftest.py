@@ -9,7 +9,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the BLAS thread pin)
 import pytest  # noqa: E402
 
-from qiopa import fock  # noqa: E402
+from qiopa import amplifier, density, fock, montecarlo  # noqa: E402
 from qiopa.polarization import Qubit  # noqa: E402
 
 
@@ -19,13 +19,22 @@ def random_qubit(rng: np.random.Generator) -> Qubit:
                  rng.uniform(-math.pi, math.pi))
 
 
+def _empty_memos():
+    fock._PLANS.clear()
+    for memo in (amplifier._amplified_kets, amplifier._evolved_kets,
+                 montecarlo._axis_laws, density._closed_form_bands):
+        memo.cache_clear()
+
+
 @pytest.fixture(autouse=True)
-def empty_plan_memo():
-    """Each test starts and ends with no kept trace or overlap plan, so what
-    a test covers does not depend on which tests ran before it."""
-    fock._PLANS.clear()
+def empty_memos():
+    """Each test starts and ends with every per-configuration memo empty (the
+    kept trace and overlap plans, the amplifier's kets, the Monte Carlo axis
+    laws and the closed forms' bands), so what a test covers does not depend
+    on which tests ran before it."""
+    _empty_memos()
     yield
-    fock._PLANS.clear()
+    _empty_memos()
 
 
 @pytest.fixture

@@ -21,17 +21,6 @@ from conftest import random_qubit
 from reference import linear_cutoff
 
 
-@pytest.fixture(autouse=True)
-def empty_state_memos():
-    """Each test starts and ends with no memoised amplifier kets, so what a
-    test covers does not depend on which tests ran before it."""
-    amplifier._amplified_kets.cache_clear()
-    amplifier._evolved_kets.cache_clear()
-    yield
-    amplifier._amplified_kets.cache_clear()
-    amplifier._evolved_kets.cache_clear()
-
-
 @pytest.fixture
 def corrupt_svd(monkeypatch):
     """corrupt() makes np.linalg.svd return three times the singular values,

@@ -148,6 +148,86 @@ class TestClonerEntropy:
         assert entropy(rho) == cloner_entropy(pair_weights(cfg))
 
 
+def _rho1_per_call(q, cfg):
+    """Reference: rho1_closed_form with every array built in the call."""
+    ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
+    w = np.append(0.0, pair_weights(cfg))
+    t, p = density._flat_index(cfg.cutoff + 2)
+    return SectorDensity("mode1", w[t] * (q.alpha ** 2 * (t - p) + q.beta ** 2 * p),
+                         w[t] * (ab * np.sqrt((t - p) * (p + 1))))
+
+
+def _rho2_per_call(q, cfg):
+    """Reference: rho2_closed_form with every array built in the call."""
+    ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
+    w = pair_weights(cfg)
+    n, p = density._flat_index(cfg.cutoff + 1)
+    return SectorDensity("mode2", w[n] * (q.beta ** 2 * (n - p + 1) + q.alpha ** 2 * (p + 1)),
+                         w[n] * (-ab * np.sqrt((n - p) * (p + 1))))
+
+
+_CLOSED_FORMS = {"rho1": (rho1_closed_form, _rho1_per_call),
+                 "rho2": (rho2_closed_form, _rho2_per_call)}
+_MEMO_QUBITS = {"H": Qubit(1.0, 0.0), "V": Qubit(0.0, 1.0),
+                "balanced": Qubit(2 ** -0.5, 2 ** -0.5),
+                "random": random_qubit(np.random.default_rng(2718)),
+                "phi+pi/2": Qubit(0.6, 0.8, math.pi / 2),
+                "phi-pi/2": Qubit(0.6, 0.8, -math.pi / 2)}
+
+
+class TestClosedFormMemo:
+    """Both closed forms scale one memo per configuration of qubit-independent
+    bands and carry its cloner entropy."""
+
+    @pytest.mark.parametrize("build", list(_CLOSED_FORMS))
+    @pytest.mark.parametrize("g", [0.0, 0.07, 1.13, 2.0, _largest_gain()],
+                             ids=["0", "0.07", "1.13", "2.0", "top"])
+    def test_warm_equals_cold_and_per_call(self, g, build):
+        # a cold call builds the entry, a warm one after another qubit reuses
+        # it, and both equal the reference bit for bit, signed zeros included
+        memoised, per_call = _CLOSED_FORMS[build]
+        cfg = AmplifierConfig.for_gain(1.13, 100) if g == 1.13 else AmplifierConfig.for_gain(g)
+        s = cloner_entropy(pair_weights(cfg))
+        for q in _MEMO_QUBITS.values():
+            density._closed_form_bands.cache_clear()
+            cold = memoised(q, cfg)
+            memoised(Qubit(0.6, 0.8, 2.2), cfg)
+            warm = memoised(q, cfg)
+            assert _band_bytes(warm) == _band_bytes(cold) == _band_bytes(per_call(q, cfg))
+            # the cloner sum of the pair weights, bit for bit
+            assert entropy(warm) == entropy(cold) == s
+
+    def test_memo_arrays_reject_writes(self):
+        cfg = AmplifierConfig.for_gain(1.13, 100)
+        rho = rho1_closed_form(_MEMO_QUBITS["balanced"], cfg)
+        _s, mode1, mode2 = density._closed_form_bands(cfg)
+        for arr in (*mode1, *mode2):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+            assert not np.shares_memory(arr, rho.diag)
+            assert not np.shares_memory(arr, rho.sub)
+        # mode 2's sqrt((n-p)(p+1)) is the leading part of mode 1's
+        assert np.shares_memory(mode2[3], mode1[3])
+
+    def test_memo_holds_one_configuration(self, monkeypatch):
+        built = []
+        weights, summed = density.pair_weights, density.cloner_entropy
+        monkeypatch.setattr(density, "pair_weights",
+                            lambda cfg: built.append(cfg) or weights(cfg))
+        monkeypatch.setattr(density, "cloner_entropy",
+                            lambda w: built.append("s") or summed(w))
+        first, other = AmplifierConfig.for_gain(0.5), AmplifierConfig.for_gain(0.3)
+        for cfg, q, builds in ((first, Qubit(0.6, 0.8, 0.4), [first, "s"]),
+                               (first, Qubit(0.8, 0.6, -1.2), []),
+                               (other, Qubit(0.6, 0.8, 0.4), [other, "s"]),
+                               (first, Qubit(0.6, 0.8, 0.4), [first, "s"])):
+            built.clear()
+            for rho in (rho1_closed_form(q, cfg), rho2_closed_form(q, cfg)):
+                entropy(rho)
+            assert built == builds
+            assert density._closed_form_bands.cache_info().currsize == 1
+
+
 class TestClosedFormsAgainstPartialTrace:
     @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100)])
     def test_blocks_equal_summand_reference(self, g, cutoff, rng):
@@ -321,6 +401,31 @@ def _band_bytes(rho: SectorDensity) -> bytes:
     return rho.diag.tobytes() + rho.sub.tobytes()
 
 
+def _dense_trace(state: FockState4, keep: str) -> np.ndarray:
+    """Reference: the reduced state as a dense matrix over the band index
+    t(t+1)/2 + p, summed over every pair of rows that share a traced occupation."""
+    k0, k1 = fock.MODE_PAIRS[keep]
+    t0, t1 = fock.MODE_PAIRS["mode2" if keep == "mode1" else "mode1"]
+    rows = state.occ.tolist()
+    index = [(r[k0] + r[k1]) * (r[k0] + r[k1] + 1) // 2 + r[k1] for r in rows]
+    sectors = max(r[k0] + r[k1] for r in rows) + 1
+    rho = np.zeros((sectors * (sectors + 1) // 2,) * 2, dtype=complex)
+    for ri, i, a in zip(rows, index, state.amp):
+        for rj, j, b in zip(rows, index, state.amp):
+            if ri[t0:t1 + 1] == rj[t0:t1 + 1]:
+                rho[i, j] += a * b.conjugate()
+    return rho
+
+
+def _assert_equals_dense(rho: SectorDensity, dense: np.ndarray) -> None:
+    """The bands equal the dense trace's diagonal and sub-diagonal, and the
+    rest of it lies within BLOCK_COHERENCE_TOL."""
+    assert rho.diag.tolist() == dense.diagonal().real.tolist()
+    assert rho.sub[:-1].tolist() == dense.diagonal(-1).tolist()
+    banded = np.diag(rho.diag) + np.diag(rho.sub[:-1], -1) + np.diag(rho.sub[:-1].conj(), 1)
+    assert np.abs(banded - dense).max() <= BLOCK_COHERENCE_TOL
+
+
 class TestTracePlans:
     """partial_trace keeps one plan per kept mode for read-only rows that own
     their memory, and plans any other rows on every call."""
@@ -417,6 +522,43 @@ class TestTracePlans:
         assert _band_bytes(partial_trace(a, "mode2")) == cold_a
         assert fock._PLANS["mode2"][0][0] is a.occ
         assert _band_bytes(partial_trace(b, "mode2")) == cold_b
+
+    @pytest.mark.parametrize("rows, amps", [
+        # two traced occupations, each with kets at p = 0 and 1 of sector 1:
+        # both pairs land on one sub-diagonal entry, which sums them
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]],
+         [0.5, 0.5j, -0.5, 0.5]),
+        # pairs only off the band: p = 0 and 2 of sector 2, and sectors 1 and 3
+        ([[2, 0, 0, 0], [0, 2, 0, 0], [1, 0, 0, 1], [3, 0, 0, 1]],
+         [0.6, 1e-13, 0.8, 1e-13j]),
+        # one row pairs with nothing
+        ([[1, 1, 2, 0]], [1.0]),
+    ], ids=["shared-entry", "off-band-only", "single-row"])
+    def test_hand_built_rows_equal_the_dense_trace(self, rows, amps, monkeypatch):
+        state = FockState4.from_arrays(_read_only(rows), np.array(amps, dtype=complex), 4)
+        cold = partial_trace(state, "mode1")
+        _assert_equals_dense(cold, _dense_trace(state, "mode1"))
+        # the warm call applies the kept plan: planning again would raise
+        monkeypatch.setattr(density, "_trace_plan", None)
+        assert _band_bytes(partial_trace(state, "mode1")) == _band_bytes(cold)
+
+    @pytest.mark.parametrize("phi", [math.pi / 2, -math.pi / 2], ids=["+pi/2", "-pi/2"])
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100)], ids=["LG", "HG"])
+    def test_one_sum_equals_separate_real_and_imaginary_sums(self, g, cutoff, phi):
+        # the sub-diagonal sums each product's real and imaginary parts in one
+        # bincount over the floats; summing them apart and adding re + 1j im
+        # gives the same bits, signed zeros included
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        q = Qubit(0.6, 0.8, phi)
+        for state in (amplify(q, cfg), propagate_hamiltonian(q, cfg)):
+            for mode in ("mode1", "mode2"):
+                rho = partial_trace(state, mode)
+                _k, size, lo, hi, _off_lo, _off_hi, kb = fock._PLANS[mode][1]
+                prod = state.amp[hi] * state.amp[lo].conj()
+                kb = kb[0::2] // 2
+                apart = np.bincount(kb, prod.real, size) + 1j * np.bincount(
+                    kb, prod.imag, size)
+                assert rho.sub.tobytes() == apart.tobytes()
 
 
 class TestBands:

@@ -142,15 +142,6 @@ class TestThinning:
         assert out.stdout.strip() == "False"
 
 
-@pytest.fixture(autouse=True)
-def empty_axis_law_memo():
-    """Each test starts and ends with no memoised axis laws, so what a test
-    covers does not depend on which tests ran before it."""
-    montecarlo._axis_laws.cache_clear()
-    yield
-    montecarlo._axis_laws.cache_clear()
-
-
 @pytest.fixture
 def scale_axis_laws(monkeypatch):
     """scale(factor, tilts) scales the per-axis outcome vectors of the terms
