@@ -97,6 +97,8 @@ def pair_tail(gain: GainParams, start: int) -> float:
 class AmplifierConfig:
     gain: GainParams
     cutoff: int
+    # analytic bound on the probability weight lost to truncation: the pair tail
+    epsilon_trunc: float = field(init=False, compare=False)
     # the four-mode states and banded densities cost O(cutoff^2), pairs and the
     # Monte Carlo O(cutoff); 1000 holds g = 2.5 (988).  fringe reads no config
     MAX_CUTOFF: ClassVar[int] = 1000
@@ -119,11 +121,7 @@ class AmplifierConfig:
             raise ValueError(
                 f"cutoff {self.cutoff} leaves truncated pair weight {tail:.3e} "
                 f">= {TAIL_RULE:g}; {fix}")
-
-    @property
-    def epsilon_trunc(self) -> float:
-        """Analytic bound on the probability weight lost to truncation."""
-        return pair_tail(self.gain, self.cutoff + 1)
+        object.__setattr__(self, "epsilon_trunc", tail)
 
     def check_lost_weight(self, lost: float, what: str) -> None:
         """Raise NumericalError unless a weight lost to truncation, named by

@@ -12,24 +12,24 @@ is one closed form.
 Every statistic of a run sums, over independent pulses, a function of one
 per-pulse outcome: whether the gate passed and what D2 and D2* saw.  Within
 each of the law's three terms the two axes are independent, so a point of n
-pulses is two multinomial draws: one of n over the 13 cells (term, D2
-clicked, D2* clicked, and a sink for gated-out pulses), then one of each
-term-axis's clicks over that axis's outcomes.  The totals have the same
-law as n single-pulse draws, and the sampler holds O(cutoff) numbers.  The
-per-axis laws depend only on the amplifier, eta, the dark rate and the D1
-and D1* gates, not on the qubit: they are built once per detector setup and
-shared read-only, so a sweep point builds only its 13 cells.  All
-randomness flows from a single seed through one spawned stream per point,
-so runs are reproducible.
+pulses is a few multinomial draws: one of n over the 13 cells (term, D2
+clicked, D2* clicked, and a sink for gated-out pulses), then one for each
+term-axis that clicked, of its clicks over that axis's outcomes.  The
+totals, Python ints, have the same law as n single-pulse draws, and the
+sampler holds O(cutoff) numbers.  The per-axis laws depend only on the
+amplifier, eta, the dark rate and the D1 and D1* gates, not on the qubit:
+they are built once per detector setup and shared read-only, so a sweep
+point builds only its 13 cells.  All randomness flows from a single seed
+through one spawned stream per point, so runs are reproducible.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy
 
 from .amplifier import AmplifierConfig
 from .errors import NumericalError
@@ -39,6 +39,7 @@ from .polarization import BlochPath, Qubit
 DETECTORS = ("D_T", "D2", "D2*", "D1", "D1*")
 FULL_PERIOD_TOL = 1e-3   # relative slack of a sweep's period against 2 pi
 CALIBRATION_SWEEP_POINTS = 12   # phases of calibrate_visibility_loss's one sweep
+INT64_MAX = 2 ** 63 - 1     # numpy's draws and survivor sums are int64
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,20 @@ class DetectorConfig:
         if unknown:
             raise ValueError(f"unknown detectors in mask: {sorted(unknown)}")
         object.__setattr__(self, "coincidence_mask", mask)
-        if self.pulses < 1:
-            raise ValueError("pulses must be >= 1")
+        pulses = self.pulses
+        if type(pulses) is not int:     # bool is an Integral, but not a count
+            if isinstance(pulses, bool) or not isinstance(pulses, numbers.Integral):
+                raise TypeError(f"pulses must be an integer, got {pulses!r}")
+            pulses = int(pulses)
+            object.__setattr__(self, "pulses", pulses)
+        if not 1 <= pulses <= INT64_MAX:
+            raise ValueError(f"pulses must lie in 1 .. {INT64_MAX}, got {pulses}")
 
 
 @dataclass(frozen=True)
 class RunStats:
+    """One point's counts and estimates, as Python ints and floats."""
+
     pulses: int
     counts_h: int               # [D2, D_T] gated coincidences
     counts_v: int               # [D2*, D_T] gated coincidences
@@ -125,9 +134,16 @@ class PulseSampler:
     (cfg, eta, dark, D1/D1* gates) alone: _axis_laws builds them once per
     such setup and every sampler of it shares them read-only, so a sampler
     computes only c_t, its 13 cells and both NumericalError checks.
+
+    A run's survivor sums are int64 and reach pulses * cutoff^2, so a
+    sampler refuses a pulse count past INT64_MAX // cutoff^2.
     """
 
     def __init__(self, q: Qubit, cfg: AmplifierConfig, det: DetectorConfig):
+        if det.pulses * cfg.cutoff ** 2 > INT64_MAX:
+            raise ValueError(
+                f"{det.pulses} pulses can overflow the int64 survivor sums at cutoff "
+                f"{cfg.cutoff}; the largest pulse count is {INT64_MAX // cfg.cutoff ** 2}")
         self.det = det
         mask = det.coincidence_mask
         masses, split, self.axes, self.moments = _axis_laws(
@@ -140,26 +156,38 @@ class PulseSampler:
                                             det.p_inject * a * gamma2,
                                             (1.0 - det.p_inject) * cfg.gain.C ** -4)]
         passed = sum(ct * mh * mv for ct, mh, mv in zip(c, masses[:3], masses[3:]))
-        cells = np.array(c)[:, None, None] * split[:3, :, None] * split[3:, None, :]
+        self.cells = np.empty(13)
+        cells = self.cells[:12].reshape(3, 2, 2)
+        np.multiply(np.array(c)[:, None, None] * split[:3, :, None], split[3:, None, :],
+                    out=cells)
         gated = cells.sum()
         if gated > 1.0 + 1e-12:
             raise NumericalError(f"outcome law holds gated weight {gated!r} > 1")
         cfg.check_lost_weight(passed - gated, "gated weight the outcome law drops")
-        self.cells = np.append(cells.ravel(), max(1.0 - gated, 0.0))
+        if gated > 1.0:     # a cell holding the whole law can round past 1
+            np.minimum(cells, 1.0, out=cells)
+        self.cells[12] = max(1.0 - gated, 0.0)
 
-    def sample_chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """The eight integer totals of n pulses: [D2, D_T] and [D2*, D_T]
-        counts, coincidences, gated pulses, and the sums of s and s^2 of each
-        channel's survivors.  One multinomial puts the pulses on the cells,
-        one more puts each term-axis's non-zero count on its outcomes."""
+    def sample_chunk(self, rng: np.random.Generator, n: int) -> tuple:
+        """The eight totals of n pulses, as Python ints: [D2, D_T] and
+        [D2*, D_T] counts, coincidences, gated pulses, and the sums of s and
+        s^2 of each channel's survivors.  One multinomial puts the pulses on
+        the cells, then one per term-axis with a non-zero count, in axis
+        order, puts its clicks on its outcomes."""
         mask = self.det.coincidence_mask
-        cells = rng.multinomial(n, self.cells)[:-1].reshape(3, 2, 2)
-        clicks_h, clicks_v = cells[:, 1, :].sum(axis=1), cells[:, :, 1].sum(axis=1)
-        outcomes = rng.multinomial(np.concatenate([clicks_h, clicks_v]), self.axes)
-        (s1h, s2h), (s1v, s2v) = (outcomes @ self.moments).reshape(2, 3, 2).sum(axis=1)
-        coincident = cells[:, int("D2" in mask):, int("D2*" in mask):].sum()
-        return np.array([clicks_h.sum(), clicks_v.sum(), coincident, cells.sum(),
-                         s1h, s2h, s1v, s2v])
+        cells = rng.multinomial(n, self.cells).tolist()[:-1]    # [4 t + 2 zH + zV]
+        clicks = ([a + b for a, b in zip(cells[2::4], cells[3::4])]      # H axes
+                  + [a + b for a, b in zip(cells[1::4], cells[3::4])])   # V axes
+        sums = [0, 0, 0, 0]     # s and s^2 of H, then of V
+        for i, k in enumerate(clicks):
+            if k:   # a zero count would draw nothing from the stream either
+                s1, s2 = (rng.multinomial(k, self.axes[i]) @ self.moments).tolist()
+                sums[2 * (i // 3)] += s1
+                sums[2 * (i // 3) + 1] += s2
+        d2, d2_star = int("D2" in mask), int("D2*" in mask)
+        coincident = sum(sum(cells[2 * zh + zv::4])
+                         for zh in range(d2, 2) for zv in range(d2_star, 2))
+        return (sum(clicks[:3]), sum(clicks[3:]), coincident, sum(cells), *sums)
 
 
 @functools.lru_cache(maxsize=1)
@@ -227,17 +255,18 @@ def _thinned_geometric(z: float, rest: float, tilt: int, eta: float, dark: float
 
 
 def _run_point(sampler: PulseSampler, seed_seq: np.random.SeedSequence) -> RunStats:
-    det = sampler.det
-    totals = sampler.sample_chunk(np.random.default_rng(seed_seq), det.pulses)
-    ch, cv, coin, ngate, s1h, s2h, s1v, s2v = totals
-    pulses = det.pulses
-    xi_h, xi_v = ch / pulses, cv / pulses
-    mh = s1h / ngate if ngate else 0.0
-    mv = s1v / ngate if ngate else 0.0
-    var_h = max(s2h / ngate - mh ** 2, 0.0) if ngate else 0.0
-    var_v = max(s2v / ngate - mv ** 2, 0.0) if ngate else 0.0
+    pulses = sampler.det.pulses
+    ch, cv, coin, ngate, s1h, s2h, s1v, s2v = sampler.sample_chunk(
+        np.random.default_rng(seed_seq), pulses)
+    # each total is rounded to a float before it is divided, as numpy divides
+    # int64 totals; a true int division rounds differently past 2^53
+    xi_h, xi_v = float(ch) / pulses, float(cv) / pulses
+    mh = float(s1h) / ngate if ngate else 0.0
+    mv = float(s1v) / ngate if ngate else 0.0
+    var_h = max(float(s2h) / ngate - mh ** 2, 0.0) if ngate else 0.0
+    var_v = max(float(s2v) / ngate - mv ** 2, 0.0) if ngate else 0.0
     return RunStats(
-        pulses=pulses, counts_h=int(ch), counts_v=int(cv), coincidences=int(coin),
+        pulses=pulses, counts_h=ch, counts_v=cv, coincidences=coin,
         xi_h=xi_h, xi_v=xi_v,
         stderr_xi_h=math.sqrt(max(xi_h * (1 - xi_h), 0.0) / pulses),
         stderr_xi_v=math.sqrt(max(xi_v * (1 - xi_v), 0.0) / pulses),
@@ -278,14 +307,32 @@ def _null_pvalue(points) -> float:
         if tot:
             stat += (p.counts_h - p.counts_v) ** 2 / tot
             dof += 1
-    # chi2 survival function
-    return float(scipy.special.chdtrc(dof, stat)) if dof else 1.0
+    return _chi2_tail(dof, stat)
+
+
+def _chi2_tail(dof: int, stat: float) -> float:
+    """P(chi^2 > stat) on dof >= 0 degrees of freedom, y = stat / 2: e^-y
+    times the sum of y^k / k! over k < dof / 2 for even dof, and erfc(sqrt y)
+    plus e^-y times the sum of y^k / Gamma(k + 1) over the half-integers
+    k < dof / 2 for odd dof.  Each term is summed from its log, so none
+    overflows; the relative error is a few (y + dof) ulps."""
+    y = 0.5 * stat
+    if y <= 0.0:
+        return 1.0
+    half = dof % 2 / 2
+    logs = [(half + j) * math.log(y) - y - math.lgamma(half + j + 1)
+            for j in range(dof // 2)]
+    tail = math.erfc(math.sqrt(y)) if half else 0.0
+    if logs:
+        top = max(logs)
+        tail += math.exp(top + math.log(sum(math.exp(v - top) for v in logs)))
+    return tail
 
 
 def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
     """Aggregate pulses for a single qubit (RunStats) or a Bloch path (SweepStats).
 
-    threads is checked and otherwise unused: a point is two draws."""
+    threads is checked and otherwise unused: a point is a few draws."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     root = np.random.SeedSequence(det.seed)

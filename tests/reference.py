@@ -1,5 +1,7 @@
-"""Test-side references: the linear search for the default cutoff, and the
-enumerated Monte Carlo outcome law, the oracle of PulseSampler's closed form.
+"""Test-side references: the linear search for the default cutoff, the
+enumerated Monte Carlo outcome law, the oracle of PulseSampler's closed form,
+and the draw of a point's totals as one broadcast multinomial over all six
+term-axes, which PulseSampler.sample_chunk must match draw for draw.
 
 The detected law lists the photon numbers behind the analyzer cell by cell,
 and the outcome law weighs every cell by its gate probability and thins both
@@ -125,3 +127,18 @@ def per_pulse_totals(sampler) -> np.ndarray:
     f = np.zeros((8, side * side + 1))
     f[:, :-1] = [oh > 0, ov > 0, coincident, np.ones_like(oh), sh, sh ** 2, sv, sv ** 2]
     return f
+
+
+def broadcast_totals(sampler, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The eight int64 totals of n pulses, as sample_chunk's per-axis draws
+    must give them: one multinomial of n over the cells, then one multinomial
+    call with the six term-axes as rows.  A row with a zero count draws
+    nothing from the stream."""
+    mask = sampler.det.coincidence_mask
+    cells = rng.multinomial(n, sampler.cells)[:-1].reshape(3, 2, 2)
+    clicks_h, clicks_v = cells[:, 1, :].sum(axis=1), cells[:, :, 1].sum(axis=1)
+    outcomes = rng.multinomial(np.concatenate([clicks_h, clicks_v]), sampler.axes)
+    (s1h, s2h), (s1v, s2v) = (outcomes @ sampler.moments).reshape(2, 3, 2).sum(axis=1)
+    coincident = cells[:, int("D2" in mask):, int("D2*" in mask):].sum()
+    return np.array([clicks_h.sum(), clicks_v.sum(), coincident, cells.sum(),
+                     s1h, s2h, s1v, s2v])

@@ -321,7 +321,7 @@ PINNED_STDOUT = {
     "entropy --preset HG":
         "13d283554c3e5104568e2131029e9c3874bbbb7de09372d36fa05eb220f5371c",
     "montecarlo --preset HG --path z:0:0.785:8 --pulses 5000 --seed 31415":
-        "97fb7dadf820332506095406b85cecc874b10a2b928c5456e6bbcf66746bee93",
+        "c042b0330ff4942e963ddba3b8ffb366fa69cf7c173262d5c96b00b0e8726dcc",
 }
 
 
@@ -363,6 +363,14 @@ class TestErrorHandling:
     def test_bad_mask_exits_2(self, capsys):
         assert main(["montecarlo", "--mask", "D_T,D9", "--pulses", "10"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--pulses", str(2 ** 63)], "pulses must lie in"),
+        (["--g", "2.5", "--pulses", str(2 ** 62)], "the largest pulse count is"),
+    ], ids=["past-int64", "survivor-sums-overflow"])
+    def test_pulse_count_past_int64_exits_2(self, argv, message, capsys):
+        assert main(["montecarlo", *argv]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, fmt", [("entropy", "csv"),
                                               ("montecarlo", "json")])

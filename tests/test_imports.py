@@ -8,10 +8,11 @@ import sys
 import qiopa
 
 # runs in a fresh interpreter: the test process has loaded scipy.linalg and
-# scipy.special already.  The closed-form commands and one HG oracle round
-# (propagator, partial traces, g1, closed-form entropies) must leave both
-# unloaded; an eigensolved spectrum and a sweep's p-value load them on first
-# use through scipy's lazy submodule access.
+# scipy.special already.  Every command (a montecarlo sweep and its p-value
+# included) and one HG oracle round (propagator, partial traces, g1,
+# closed-form entropies) must leave both unloaded; an eigensolved spectrum
+# loads scipy.linalg on first use through scipy's lazy submodule access, and
+# no code path loads scipy.special.
 SCRIPT = """
 import contextlib, io, json, math, sys
 
@@ -27,7 +28,7 @@ def lazy():
     return [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
 
 loaded = {"import qiopa": lazy()}
-for cmd in ("pairs", "entropy", "fringe"):
+for cmd in ("pairs", "entropy", "fringe", "montecarlo"):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([cmd, "--preset", "HG"])
     loaded[cmd] = lazy() + ([] if code == 0 else [f"exit {code}"])
@@ -61,9 +62,10 @@ def test_closed_forms_leave_scipy_linalg_and_special_unloaded():
                          capture_output=True, text=True, check=True)
     report = json.loads(out.stdout)
     assert report["loaded"] == {"import qiopa": [], "pairs": [], "entropy": [],
-                                "fringe": [], "run(Qubit)": [], "oracle round": []}
-    # the eigensolved spectrum and the p-value still run
-    assert report["after"] == ["scipy.linalg", "scipy.special"]
+                                "fringe": [], "montecarlo": [], "run(Qubit)": [],
+                                "oracle round": []}
+    # the eigensolved spectrum still runs; the sweep's p-value loads nothing
+    assert report["after"] == ["scipy.linalg"]
     assert report["fidelity_defect"] <= 1e-8
     assert report["g1_error"] <= 1e-9
     assert report["entropy_error"] <= 1e-12

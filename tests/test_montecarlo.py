@@ -17,10 +17,11 @@ from qiopa.errors import NumericalError
 from qiopa.fock import rotate_mode_pair
 from qiopa.montecarlo import (DETECTORS, DetectorConfig, PulseSampler, SweepStats,
                               calibrate_visibility_loss, run)
-from qiopa.observables import DETECTED_FIELD_UNITARY, visibility
+from qiopa.observables import DETECTED_FIELD_UNITARY, g1_closed_form, visibility
 from qiopa.polarization import BlochPath, Qubit
 
-from reference import detected_law, enumerated_law, grid_law, per_pulse_totals, thinning
+from reference import (broadcast_totals, detected_law, enumerated_law, grid_law,
+                       per_pulse_totals, thinning)
 
 BALANCED = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
 LG = AmplifierConfig.for_gain(0.07)
@@ -50,6 +51,23 @@ class TestDetectorConfig:
     def test_pulses_positive(self):
         with pytest.raises(ValueError):
             DetectorConfig(pulses=0)
+
+    @pytest.mark.parametrize("pulses,error", [
+        (1.5, TypeError), (2.0, TypeError), (True, TypeError), (False, TypeError),
+        ("5", TypeError), (np.float64(5.0), TypeError), (np.bool_(True), TypeError),
+        (-3, ValueError), (np.int64(0), ValueError), (2 ** 63, ValueError)],
+        ids=["1.5", "2.0", "True", "False", "str", "np.float64", "np.bool_", "-3",
+             "np.int64-0", "2^63"])
+    def test_pulses_must_be_an_int64_count(self, pulses, error):
+        with pytest.raises(error, match="pulses"):
+            DetectorConfig(pulses=pulses)
+
+    def test_integral_pulses_become_a_python_int(self):
+        for pulses in (7, np.int64(7), np.uint64(2 ** 63 - 1), 2 ** 63 - 1):
+            det = DetectorConfig(pulses=pulses)
+            assert type(det.pulses) is int and det.pulses == pulses
+        assert run(BALANCED, LG, DetectorConfig(pulses=np.int32(5000), seed=8)) == \
+            run(BALANCED, LG, DetectorConfig(pulses=5000, seed=8))
 
 
 FOUR_FOLD = frozenset({"D_T", "D2", "D1", "D1*"})
@@ -428,6 +446,32 @@ class TestRunPoint:
         assert 0 < stats.coincidences <= min(stats.counts_h, stats.counts_v)
         assert max(stats.counts_h, stats.counts_v) <= det.pulses
 
+    @pytest.mark.parametrize("cfg", [LG, _hg()], ids=["LG", "HG"])
+    def test_law_on_one_cell_runs(self, cfg):
+        # blind detectors and no gate put every vacuum pulse on one cell, whose
+        # product of masses rounds past 1; numpy's multinomial refuses that
+        det = DetectorConfig(qe=0.0, p_inject=0.0, coincidence_mask=frozenset(),
+                             pulses=1_000)
+        assert PulseSampler(BALANCED, cfg, det).cells.max() <= 1.0
+        stats = run(BALANCED, cfg, det)
+        assert (stats.counts_h, stats.counts_v, stats.coincidences) == (0, 0, 1_000)
+
+    def test_survivor_sums_cannot_wrap(self):
+        # the int64 sum of s^2 over the pulses reaches pulses * cutoff^2: at
+        # cutoff 988 a larger count is refused, naming the largest, and that
+        # one runs to the closed-form channel means
+        cfg = AmplifierConfig.for_gain(2.5)
+        largest = montecarlo.INT64_MAX // cfg.cutoff ** 2
+        for pulses in (2 ** 62, largest + 1):
+            with pytest.raises(ValueError, match=f"the largest pulse count is {largest}$"):
+                run(BALANCED, cfg, DetectorConfig(pulses=pulses))
+        det = DetectorConfig(pulses=largest, seed=6)
+        stats = run(BALANCED, cfg, det)
+        cf = g1_closed_form(BALANCED, cfg.gain)
+        for mean, se, g2 in ((stats.mean_photons_h, stats.stderr_mean_h, cf.g2h),
+                             (stats.mean_photons_v, stats.stderr_mean_v, cf.g2v)):
+            assert se > 0 and mean == pytest.approx(det.qe * g2, rel=1e-4)
+
     @pytest.mark.parametrize("threads", [0, -5])
     def test_thread_count_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
@@ -488,6 +532,55 @@ class TestRunPoint:
         det4 = dataclasses.replace(det2, coincidence_mask=FOUR_FOLD)
         assert run(BALANCED, _hg(), det4).coincidences <= \
             run(BALANCED, _hg(), det2).coincidences
+
+
+class TestPerAxisDraws:
+    @pytest.mark.parametrize("cfg", [LG, _hg(), _top()], ids=["LG", "HG", "top"])
+    def test_totals_equal_the_broadcast_draw(self, cfg):
+        # one multinomial per clicked axis, in axis order, takes the same
+        # numbers from the stream as one multinomial over all six term-axes:
+        # the eight totals agree as integers, and so does the next draw
+        q = Qubit(0.6, 0.8, 0.7)
+        detectors = ({"dark_rate": 0.0}, {"dark_rate": 0.05}, {"qe": 0.0})
+        for k in range(len(DETECTORS) + 1):
+            for mask in itertools.combinations(DETECTORS, k):
+                for p, extra in itertools.product((0.0, 0.5, 1.0), detectors):
+                    det = DetectorConfig(coincidence_mask=mask, p_inject=p, **extra)
+                    sampler = PulseSampler(q, cfg, det)
+                    for seed, n in ((1, 1), (2, 1_000), (3, 200_000), (4, 10 ** 12)):
+                        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                        got = sampler.sample_chunk(rng, n)
+                        want = broadcast_totals(sampler, ref, n)
+                        assert all(type(v) is int for v in got)
+                        assert got == tuple(want.tolist()), (mask, p, extra, seed)
+                        assert rng.random() == ref.random()
+
+
+class TestNullPvalue:
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 8, 31, 32, 69, 100, 501, 1000, 2001])
+    def test_tail_matches_extended_precision_oracle(self, dof):
+        # the regularised upper incomplete gamma Q(dof / 2, stat / 2); each
+        # term's log carries about (stat / 2 + dof) ulps of rounding.  Past the
+        # smallest normal float the tail underflows to 0 or a subnormal
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for stat in (1e-3, 0.1 * dof, 0.5 * dof, dof - 0.5, dof, 2 * dof + 5,
+                         5 * dof + 50, 10 * dof + 200):
+                want = mp.gammainc(mp.mpf(dof) / 2, mp.mpf(stat) / 2, mp.inf,
+                                   regularized=True)
+                got = montecarlo._chi2_tail(dof, stat)
+                if want < 2.3e-308:
+                    assert 0.0 <= got < 2.3e-308, (stat, got)
+                else:
+                    tol = 4 * (stat / 2 + dof) * 2.0 ** -52
+                    assert abs(got / want - 1) <= tol, (stat, got, want)
+
+    def test_no_click_and_zero_statistic_give_one(self):
+        point = lambda h, v: SimpleNamespace(counts_h=h, counts_v=v)
+        assert montecarlo._null_pvalue([point(0, 0)] * 4) == 1.0
+        assert montecarlo._null_pvalue([point(5, 5), point(0, 0)]) == 1.0
+        assert montecarlo._chi2_tail(3, 0.0) == 1.0
+        assert montecarlo._chi2_tail(0, 0.0) == 1.0
 
 
 class TestSweep:
