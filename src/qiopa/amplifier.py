@@ -18,7 +18,8 @@ injected branches depend on the configuration alone.  amplify keeps its rows
 and factors, propagate_hamiltonian its factors on amplify's rows, for the
 last configuration used (one-entry memos of read-only arrays, 0.61 MB at HG,
 cutoff 100, and 60 MB at the top gain, cutoff 1000).  Both returned states
-share one row array, and a repeated configuration only scales by the qubit.
+share one row array, and its trace plans (held in amplify's entry) while
+nothing is pruned; a repeated configuration only scales by the qubit.
 """
 from __future__ import annotations
 
@@ -40,6 +41,16 @@ from .polarization import Qubit
 PROPAGATOR_PADDING = 8
 # cutoff rule: the analytic pair-number tail beyond the cutoff must stay below this
 TAIL_RULE = 1e-9
+
+
+def as_int(value, name: str, low: int = 0, high: float = math.inf) -> int:
+    """value as a Python int: TypeError unless it is an Integral but no bool,
+    ValueError unless it lies in low .. high."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not low <= int(value) <= high:
+        raise ValueError(f"{name} must lie in {low} .. {high}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -104,8 +115,7 @@ class AmplifierConfig:
     MAX_CUTOFF: ClassVar[int] = 1000
 
     def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
+        object.__setattr__(self, "cutoff", as_int(self.cutoff, "cutoff"))
         if self.cutoff > self.MAX_CUTOFF:
             raise ValueError(
                 f"cutoff {self.cutoff} (gain {self.gain.g:g}) exceeds MAX_CUTOFF "
@@ -172,17 +182,23 @@ def _pair_amplitudes(cfg: AmplifierConfig, pref: float):
 
 @functools.lru_cache(maxsize=1)
 def _amplified_kets(cfg: AmplifierConfig):
-    """The qubit-independent part of amplify: (occ, base, sqrt(i+1),
-    sqrt(j+1)) over the pair terms (i, j), occ holding |i+1, j, j, i> and then
-    |i, j+1, j, i> for each term.  Read-only; the memo keeps the last cfg.
-    occ is copied out of the reshape's view to own its memory, so that the
-    trace and overlap plans of fock._planned keep it."""
+    """The qubit-independent part of amplify: read-only (occ, base,
+    sqrt(i+1), sqrt(j+1)) over the pair terms (i, j), occ holding
+    |i+1, j, j, i> and then |i, j+1, j, i> for each term, and a dict that
+    traces fill with occ's plans by kept mode.  The memo keeps the last cfg."""
     i, j, base = _pair_amplitudes(cfg, cfg.gain.gamma)
-    occ = np.column_stack([i + 1, j, j, i, i, j + 1, j, i]).reshape(-1, 4).copy()
+    occ = np.column_stack([i + 1, j, j, i, i, j + 1, j, i]).reshape(-1, 4)
     arrays = (occ, base, np.sqrt(i + 1), np.sqrt(j + 1))
     for arr in arrays:
         arr.setflags(write=False)
-    return arrays
+    return *arrays, {}
+
+
+def _on_memo_rows(state: FockState4, occ: np.ndarray, plans: dict) -> FockState4:
+    """state, carrying the trace plans of the memoised rows occ if it holds them."""
+    if state.occ is occ:
+        state._plans = plans
+    return state
 
 
 def amplify(q: Qubit, cfg: AmplifierConfig) -> FockState4:
@@ -190,14 +206,14 @@ def amplify(q: Qubit, cfg: AmplifierConfig) -> FockState4:
 
     Each pair term (i, j) gives |i+1, j, j, i> (alpha) and then |i, j+1, j, i> (beta).
     The output is linear in the qubit: the rows and pair factors come from a
-    one-entry memo per configuration, whose rows the state shares when
-    neither branch is pruned.
+    one-entry memo per configuration, whose rows and trace plans the state
+    shares when neither branch is pruned.
     """
-    occ, base, s_h, s_v = _amplified_kets(cfg)
+    occ, base, s_h, s_v, plans = _amplified_kets(cfg)
     amp = np.empty(len(occ), dtype=complex)
     amp[0::2] = q.alpha * base * s_h
     amp[1::2] = q.beta * cmath.exp(1j * q.phi) * base * s_v
-    return FockState4.from_arrays(occ, amp, cfg.cutoff)
+    return _on_memo_rows(FockState4.from_arrays(occ, amp, cfg.cutoff), occ, plans)
 
 
 def vacuum_output(cfg: AmplifierConfig) -> FockState4:
@@ -278,7 +294,8 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
     to the cutoff.  The evolution is linear in the qubit: the factors of
     both injected rows' evolved kets come from a one-entry memo per
     configuration.  Their rows are amplify's, taken from its memo on every
-    call, so the two outputs share one row array when neither is pruned.
+    call, so the two outputs share one row array and its trace plans when
+    neither is pruned.
     """
     amp0 = np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)])
     if cfg.gain.g == 0.0:
@@ -287,4 +304,5 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
     terms = np.tile(amp0, len(f1) // 2)   # a new array: scaled in place
     terms *= f1
     terms *= f2
-    return FockState4.from_arrays(_amplified_kets(cfg)[0], terms, cfg.cutoff)
+    occ, *_factors, plans = _amplified_kets(cfg)
+    return _on_memo_rows(FockState4.from_arrays(occ, terms, cfg.cutoff), occ, plans)

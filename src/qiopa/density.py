@@ -9,9 +9,8 @@ the bands directly and are cross-checked against a brute-force partial
 trace, which checks the banded structure instead of assuming it.  The
 trace plans from the rows alone each row's band index and the row pairs
 that share a traced occupation, split into the sub-diagonal's and the
-off-band rest, and keeps that plan for the amplifier's read-only rows,
-which both its outputs share; so a warm trace only gathers amplitudes,
-checks the off-band products and sums the others in one pass.
+off-band rest; the amplifier's memoised rows keep their plans, so a warm
+trace only gathers amplitudes, checks and sums their products.
 
 Covariance also gives pair term n, in either mode, the spectrum w_n {1, ...,
 n+1} of the optimal cloner and the universal NOT (Gisin & Massar, PRL 79, 2153,
@@ -35,7 +34,7 @@ import scipy
 
 from .amplifier import AmplifierConfig, pair_weights
 from .errors import NumericalError
-from .fock import FockState4, MODE_PAIRS, _planned, row_keys
+from .fock import FockState4, MODE_PAIRS, row_keys
 from .polarization import Qubit
 
 EIGENVALUE_FLOOR = -1e-9
@@ -169,7 +168,7 @@ def _trace_plan(occ: np.ndarray, keep: str):
     band length, the row pairs (lo, hi) that share a traced occupation split
     into the sub-diagonal's and the off-band rest, and the sub-diagonal
     pairs' band indices kb interleaved as [2 kb, 2 kb + 1], the real and
-    imaginary slots of a complex band viewed as floats."""
+    imaginary slots of a complex band viewed as floats; read-only arrays."""
     k0, k1 = MODE_PAIRS[keep]
     t0, t1 = MODE_PAIRS["mode2" if keep == "mode1" else "mode1"]
     total = occ[:, k0] + occ[:, k1]
@@ -194,8 +193,11 @@ def _trace_plan(occ: np.ndarray, keep: str):
     lo, hi = np.concatenate(pairs, axis=1)
     band = (total[hi] == total[lo]) & (ks[hi] == ks[lo] + 1)
     kb = 2 * ks[lo[band]]
-    return (k, size, order[lo[band]], order[hi[band]], order[lo[~band]],
+    plan = (k, order[lo[band]], order[hi[band]], order[lo[~band]],
             order[hi[~band]], np.column_stack([kb, kb + 1]).reshape(-1))
+    for arr in plan:
+        arr.setflags(write=False)
+    return size, *plan
 
 
 def partial_trace(state: FockState4, keep: str) -> SectorDensity:
@@ -205,13 +207,15 @@ def partial_trace(state: FockState4, keep: str) -> SectorDensity:
     state.  Those at p and p + 1 of one sector form the sub-diagonal; any
     other, across sectors or off the band, must stay within
     BLOCK_COHERENCE_TOL (a NaN does not) or the state is rejected.  Which
-    rows pair up is the rows' plan, kept per kept mode for read-only rows
-    (fock._planned), so a repeated call only gathers and checks products.
+    rows pair up is the rows' plan, kept for the amplifier's memoised rows
+    in their memo entry and built anew for any other state.
     """
     if keep not in MODE_PAIRS:
         raise ValueError(f"keep must be 'mode1' or 'mode2', got {keep!r}")
-    k, size, lo, hi, off_lo, off_hi, kb = _planned(
-        keep, (state.occ,), lambda occ: _trace_plan(occ, keep))
+    plans = {} if state._plans is None else state._plans
+    if keep not in plans:
+        plans[keep] = _trace_plan(state.occ, keep)
+    size, k, lo, hi, off_lo, off_hi, kb = plans[keep]
     a = state.amp
     if not np.all(np.abs(a[off_hi] * a[off_lo].conj()) <= BLOCK_COHERENCE_TOL):
         raise ValueError(

@@ -7,11 +7,9 @@ PRUNE_THRESHOLD are dropped, and one of non-finite modulus raises
 NumericalError.
 
 A contraction of states (inner_product here, density.partial_trace) is a
-plan that reads only the rows, applied to the amplitudes.  A plan is kept,
-one per slot, while its rows are the same read-only arrays that own their
-memory, as the amplifier's memoised rows are, one array per configuration
-for both its outputs; so a warm oracle round only gathers and sums
-amplitudes.  Any other rows are planned on every call.
+plan that reads only the rows, applied to the amplitudes.  Two states on one
+row array need no overlap plan; the amplifier's memoised rows keep their
+trace plans in their memo entry, and any other rows are planned per call.
 """
 from __future__ import annotations
 
@@ -35,6 +33,9 @@ class FockState4:
     FockState4(mapping, cutoff) takes a map of (n1h, n1v, n2h, n2v) tuples to
     amplitudes, and .amplitudes gives one back.  Rows are never repeated, so
     two states' rows match one to one by their packed keys (row_keys)."""
+
+    # the trace plans by kept mode of the amplifier's memoised rows, if held
+    _plans = None
 
     def __init__(self, amplitudes: dict, cutoff: int):
         self._set(np.array(list(amplitudes), dtype=np.int64).reshape(len(amplitudes), 4),
@@ -97,26 +98,6 @@ def row_groups(rows: np.ndarray):
     return np.argsort(np.argsort(first))[label], np.sort(first)
 
 
-# the last plan of each slot, as (rows, plan); see _planned
-_PLANS = {}
-
-
-def _planned(slot: str, rows: tuple, build):
-    """build(*rows), a plan that reads the occupation rows alone.  It is kept
-    in _PLANS[slot] while rows are the same arrays and each is read-only and
-    owns its memory (base None), so no view can write into it; the entry
-    holds the rows, so their ids stay theirs.  Other rows are planned anew
-    and not kept."""
-    held = _PLANS.get(slot)
-    owned = all(r.base is None and not r.flags.writeable for r in rows)
-    if owned and held is not None and all(r is h for r, h in zip(rows, held[0])):
-        return held[1]
-    plan = build(*rows)
-    if owned:
-        _PLANS[slot] = rows, plan
-    return plan
-
-
 def _overlap_plan(occ_a, occ_b):
     """Row indices (ia, ib) of the rows both sets hold, ascending by key.
     Neither set repeats a row, so in one stable sort of both sets' keys a
@@ -130,10 +111,12 @@ def _overlap_plan(occ_a, occ_b):
 
 def inner_product(a: FockState4, b: FockState4) -> complex:
     """Sesquilinear form <a|b> (conjugate-linear in the first argument): one
-    vdot over the matched rows of the "overlap" plan."""
+    vdot over the rows the overlap plan matches, or all on one row array."""
     if a.cutoff != b.cutoff:
         raise ValueError(f"mode caps differ: {a.cutoff} vs {b.cutoff}")
-    ia, ib = _planned("overlap", (a.occ, b.occ), _overlap_plan)
+    if a.occ is b.occ:
+        return complex(np.vdot(a.amp, b.amp))
+    ia, ib = _overlap_plan(a.occ, b.occ)
     return complex(np.vdot(a.amp[ia], b.amp[ib]))
 
 

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .amplifier import AmplifierConfig
+from .amplifier import AmplifierConfig, as_int
 from .errors import NumericalError
 from .observables import visibility
 from .polarization import BlochPath, Qubit
@@ -62,14 +61,8 @@ class DetectorConfig:
         if unknown:
             raise ValueError(f"unknown detectors in mask: {sorted(unknown)}")
         object.__setattr__(self, "coincidence_mask", mask)
-        pulses = self.pulses
-        if type(pulses) is not int:     # bool is an Integral, but not a count
-            if isinstance(pulses, bool) or not isinstance(pulses, numbers.Integral):
-                raise TypeError(f"pulses must be an integer, got {pulses!r}")
-            pulses = int(pulses)
-            object.__setattr__(self, "pulses", pulses)
-        if not 1 <= pulses <= INT64_MAX:
-            raise ValueError(f"pulses must lie in 1 .. {INT64_MAX}, got {pulses}")
+        object.__setattr__(self, "pulses", as_int(self.pulses, "pulses", 1, INT64_MAX))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 
 # one BLAS thread, as the benchmark runs: on a shared host OpenBLAS's default
 # threads make the small per-total matrix products of a rotation many times slower
@@ -9,7 +10,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the BLAS thread pin)
 import pytest  # noqa: E402
 
-from qiopa import amplifier, density, fock, montecarlo  # noqa: E402
+import qiopa  # noqa: E402  (loads every module whose memos are emptied)
 from qiopa.polarization import Qubit  # noqa: E402
 
 
@@ -19,19 +20,32 @@ def random_qubit(rng: np.random.Generator) -> Qubit:
                  rng.uniform(-math.pi, math.pi))
 
 
+# the package's per-configuration memos; _empty_memos empties
+# every memo it finds, and these must be among them
+KNOWN_MEMOS = {"qiopa.amplifier._amplified_kets", "qiopa.amplifier._evolved_kets",
+               "qiopa.density._closed_form_bands", "qiopa.montecarlo._axis_laws"}
+
+
 def _empty_memos():
-    fock._PLANS.clear()
-    for memo in (amplifier._amplified_kets, amplifier._evolved_kets,
-                 montecarlo._axis_laws, density._closed_form_bands):
+    """Empty every memo of the loaded qiopa modules: each module-level
+    function with a cache_clear, KNOWN_MEMOS among them."""
+    memos = {f"{name}.{attr}": obj
+             for name, module in list(sys.modules.items())
+             if name == qiopa.__name__ or name.startswith(qiopa.__name__ + ".")
+             for attr, obj in vars(module).items()
+             if callable(getattr(obj, "cache_clear", None))
+             and getattr(obj, "__module__", None) == name}
+    assert KNOWN_MEMOS <= memos.keys(), f"memos not found: {KNOWN_MEMOS - memos.keys()}"
+    for memo in memos.values():
         memo.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def empty_memos():
     """Each test starts and ends with every per-configuration memo empty (the
-    kept trace and overlap plans, the amplifier's kets, the Monte Carlo axis
-    laws and the closed forms' bands), so what a test covers does not depend
-    on which tests ran before it."""
+    amplifier's kets with their trace plans, the Monte Carlo axis laws and
+    the closed forms' bands), so what a test covers does not depend on which
+    tests ran before it."""
     _empty_memos()
     yield
     _empty_memos()

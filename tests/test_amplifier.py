@@ -10,7 +10,9 @@ from scipy.sparse.linalg import expm_multiply
 
 from qiopa import amplifier
 from qiopa.amplifier import (_COUPLINGS, PROPAGATOR_PADDING, AmplifierConfig,
-                             GainParams, amplify, propagate_hamiltonian, vacuum_output)
+                             GainParams, amplify, pair_tail, propagate_hamiltonian,
+                             vacuum_output)
+from qiopa.density import partial_trace
 from qiopa.errors import NumericalError
 from qiopa.fock import (FockState4, fidelity, inner_product, number_expectation,
                         rotate_mode_pair)
@@ -76,6 +78,23 @@ class TestAmplifierConfig:
     def test_cutoff_violating_tail_rule_rejected(self):
         with pytest.raises(ValueError):
             AmplifierConfig(GainParams(1.13), 5)
+
+    @pytest.mark.parametrize("cutoff", [12.5, 13.0, np.float64(13.0), "13", True,
+                                        np.bool_(True)],
+                             ids=["12.5", "13.0", "np.float64", "str", "True", "np.bool_"])
+    def test_cutoff_must_be_an_integer(self, cutoff):
+        # 12.5 built cutoff-13 arrays with the cutoff-13.5 tail
+        with pytest.raises(TypeError, match="cutoff must be an integer"):
+            AmplifierConfig(GainParams(0.07), cutoff)
+
+    def test_integral_cutoff_becomes_a_python_int(self):
+        for cutoff in (13, np.int64(13), np.uint16(13)):
+            cfg = AmplifierConfig(GainParams(0.07), cutoff)
+            assert type(cfg.cutoff) is int and cfg.cutoff == 13
+            assert cfg == AmplifierConfig(GainParams(0.07), 13)
+            assert cfg.epsilon_trunc == pair_tail(GainParams(0.07), 14)
+        with pytest.raises(TypeError):
+            AmplifierConfig.for_gain(0.07, 12.5)
 
     def test_for_gain_picks_valid_cutoff(self):
         for g in (0.0, 0.07, 0.5, 1.13):
@@ -466,10 +485,16 @@ class TestStateMemo:
 
     @pytest.mark.parametrize("build", list(_BUILDS))
     def test_memo_arrays_reject_writes(self, build):
+        # the warm trace plans too, which amplify's entry holds for both builds
         memoised, _per_call, memo = _BUILDS[build]
         cfg = AmplifierConfig.for_gain(1.13, 100)
         state = memoised(_MEMO_QUBITS["balanced"], cfg)
-        for arr in memo(cfg):
+        for mode in ("mode1", "mode2"):
+            partial_trace(state, mode)
+        *_kets, plans = amplifier._amplified_kets(cfg)
+        assert sorted(plans) == ["mode1", "mode2"]
+        warm = [arr for plan in plans.values() for arr in plan[1:]]
+        for arr in [*(a for a in memo(cfg) if a is not plans), *warm]:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
         # nothing pruned: the state shares amplify's memoised rows

@@ -372,6 +372,10 @@ class TestErrorHandling:
         assert main(["montecarlo", *argv]) == 2
         assert message in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["montecarlo", "--preset", "LG", "--pulses", "10", "--seed", "-1"]) == 2
+        assert "seed must lie in 0 .. inf, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, fmt", [("entropy", "csv"),
                                               ("montecarlo", "json")])
     def test_format_the_command_cannot_write_exits_2(self, command, fmt, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qiopa import density, fock
+from qiopa import amplifier, density, fock
 from qiopa.amplifier import (AmplifierConfig, GainParams, _largest_gain, amplify,
                              pair_probability, pair_tail, pair_weights,
                              propagate_hamiltonian)
@@ -390,11 +390,17 @@ class TestPartialTrace:
 
 
 def _read_only(rows) -> np.ndarray:
-    """Rows as a read-only int64 array that owns its memory, as the
-    amplifier's memoised rows are."""
+    """Rows as a read-only int64 array, as the amplifier's memoised rows are."""
     occ = np.array(rows, dtype=np.int64)
     occ.setflags(write=False)
     return occ
+
+
+def _carrying(state: FockState4, plans: dict) -> FockState4:
+    """state, carrying plans as the trace plans of its rows, as a state on
+    the amplifier's memoised rows carries their memo entry's."""
+    state._plans = plans
+    return state
 
 
 def _band_bytes(rho: SectorDensity) -> bytes:
@@ -427,8 +433,9 @@ def _assert_equals_dense(rho: SectorDensity, dense: np.ndarray) -> None:
 
 
 class TestTracePlans:
-    """partial_trace keeps one plan per kept mode for read-only rows that own
-    their memory, and plans any other rows on every call."""
+    """A state on the amplifier's memoised rows carries their memo entry's
+    trace plans, one per kept mode, built on first use; any other state is
+    planned on every call."""
 
     @pytest.mark.parametrize("g, cutoff",
                              [(0.07, 12), (1.13, 100), (_largest_gain(), 1000)],
@@ -438,16 +445,43 @@ class TestTracePlans:
         for mode in ("mode1", "mode2"):
             partial_trace(amplify(random_qubit(rng), cfg), mode)
         state = amplify(random_qubit(rng), cfg)
-        cold = {}
-        with monkeypatch.context() as m:
-            m.setattr(fock, "_PLANS", {})
-            for mode in ("mode1", "mode2"):
-                cold[mode] = _band_bytes(partial_trace(state, mode))
-        # the warm calls apply the kept plans: planning again would raise
+        # the same rows and amplitudes, carrying no plans: planned per call
+        unplanned = FockState4.from_arrays(state.occ, state.amp, cfg.cutoff)
+        cold = {mode: _band_bytes(partial_trace(unplanned, mode))
+                for mode in ("mode1", "mode2")}
+        # the warm calls apply the carried plans: planning again would raise
         monkeypatch.setattr(density, "_trace_plan", None)
         for mode in ("mode1", "mode2"):
             assert _band_bytes(partial_trace(state, mode)) == cold[mode]
-            assert fock._PLANS[mode][0][0] is state.occ
+        assert state._plans is amplifier._amplified_kets(cfg)[-1]
+        assert unplanned._plans is None
+
+    @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100)], ids=["LG", "HG"])
+    def test_amplifier_states_carry_the_memo_entrys_plans(self, g, cutoff, rng):
+        cfg = AmplifierConfig.for_gain(g, cutoff)
+        plans = amplifier._amplified_kets(cfg)[-1]
+        assert plans == {}
+        q = random_qubit(rng)
+        for state in (amplify(q, cfg), propagate_hamiltonian(q, cfg)):
+            assert state._plans is plans
+            partial_trace(state, "mode2")
+        assert list(plans) == ["mode2"]
+        # a g = 0 propagator state holds the injected rows alone
+        zero = AmplifierConfig.for_gain(0.0)
+        assert propagate_hamiltonian(q, zero)._plans is None
+
+    @pytest.mark.parametrize("q", [Qubit(1.0, 0.0), Qubit(0.0, 1.0)], ids=["H", "V"])
+    @pytest.mark.parametrize("build", [amplify, propagate_hamiltonian],
+                             ids=["amplify", "propagate_hamiltonian"])
+    def test_pruned_state_carries_no_plans(self, build, q):
+        # one branch is zero and pruned: the state holds rows of its own
+        cfg = AmplifierConfig.for_gain(0.07, 12)
+        state = build(q, cfg)
+        assert len(state) == len(amplifier._amplified_kets(cfg)[0]) // 2
+        assert state._plans is None
+        for mode in ("mode1", "mode2"):
+            _assert_equals_dense(partial_trace(state, mode), _dense_trace(state, mode))
+        assert amplifier._amplified_kets(cfg)[-1] == {}
 
     def test_writable_rows_mutated_in_place_give_fresh_bands(self):
         occ = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
@@ -457,30 +491,21 @@ class TestTracePlans:
         occ[1] = [0, 1, 1, 0]     # the two kets no longer share a traced occupation
         rho = partial_trace(state, "mode1")
         assert not rho.sub.any()
-        assert fock._PLANS == {}
-
-    def test_read_only_view_of_a_writable_base_is_not_kept(self):
-        base = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
-        view = base.view()
-        view.setflags(write=False)
-        state = FockState4.from_arrays(view, np.array([0.6, 0.8j]), 4)
-        assert partial_trace(state, "mode1").sub.any()
-        assert fock._PLANS == {}
-        base[1] = [0, 1, 1, 0]
-        assert not partial_trace(state, "mode1").sub.any()
 
     def test_warm_plan_still_rejects_off_band_coherence(self):
-        occ = _read_only([[2, 0, 0, 0], [0, 2, 0, 0]])
-        partial_trace(FockState4.from_arrays(occ, np.array([1.0, 1e-13 + 0j]), 4), "mode1")
-        assert fock._PLANS["mode1"][0][0] is occ
-        coherent = FockState4.from_arrays(occ, np.array([0.6, 0.8 + 0j]), 4)
+        occ, plans = _read_only([[2, 0, 0, 0], [0, 2, 0, 0]]), {}
+        partial_trace(_carrying(FockState4.from_arrays(
+            occ, np.array([1.0, 1e-13 + 0j]), 4), plans), "mode1")
+        assert "mode1" in plans
+        coherent = _carrying(FockState4.from_arrays(occ, np.array([0.6, 0.8 + 0j]), 4),
+                             plans)
         with pytest.raises(ValueError, match="off the tridiagonal band"):
             partial_trace(coherent, "mode1")
 
     def test_nan_written_into_the_amplitudes_fails_the_off_band_check(self):
         # nan > tol is False: a guard written as any(|prod| > tol) lets it pass
         occ = _read_only([[2, 0, 0, 0], [0, 2, 0, 0]])
-        state = FockState4.from_arrays(occ, np.array([1.0, 1e-13 + 0j]), 4)
+        state = _carrying(FockState4.from_arrays(occ, np.array([1.0, 1e-13 + 0j]), 4), {})
         partial_trace(state, "mode1")
         state.amp[1] = np.nan
         with pytest.raises(ValueError, match="off the tridiagonal band"):
@@ -514,15 +539,6 @@ class TestTracePlans:
         oracle_round(random_qubit(rng))
         assert built == []
 
-    def test_a_second_row_set_replaces_the_entry(self, rng):
-        a = amplify(random_qubit(rng), AmplifierConfig.for_gain(0.07, 12))
-        b = propagate_hamiltonian(random_qubit(rng), AmplifierConfig.for_gain(0.5, 30))
-        cold_a, cold_b = (_band_bytes(partial_trace(s, "mode2")) for s in (a, b))
-        assert fock._PLANS["mode2"][0][0] is b.occ
-        assert _band_bytes(partial_trace(a, "mode2")) == cold_a
-        assert fock._PLANS["mode2"][0][0] is a.occ
-        assert _band_bytes(partial_trace(b, "mode2")) == cold_b
-
     @pytest.mark.parametrize("rows, amps", [
         # two traced occupations, each with kets at p = 0 and 1 of sector 1:
         # both pairs land on one sub-diagonal entry, which sums them
@@ -535,10 +551,11 @@ class TestTracePlans:
         ([[1, 1, 2, 0]], [1.0]),
     ], ids=["shared-entry", "off-band-only", "single-row"])
     def test_hand_built_rows_equal_the_dense_trace(self, rows, amps, monkeypatch):
-        state = FockState4.from_arrays(_read_only(rows), np.array(amps, dtype=complex), 4)
+        state = _carrying(FockState4.from_arrays(
+            _read_only(rows), np.array(amps, dtype=complex), 4), {})
         cold = partial_trace(state, "mode1")
         _assert_equals_dense(cold, _dense_trace(state, "mode1"))
-        # the warm call applies the kept plan: planning again would raise
+        # the warm call applies the carried plan: planning again would raise
         monkeypatch.setattr(density, "_trace_plan", None)
         assert _band_bytes(partial_trace(state, "mode1")) == _band_bytes(cold)
 
@@ -553,7 +570,7 @@ class TestTracePlans:
         for state in (amplify(q, cfg), propagate_hamiltonian(q, cfg)):
             for mode in ("mode1", "mode2"):
                 rho = partial_trace(state, mode)
-                _k, size, lo, hi, _off_lo, _off_hi, kb = fock._PLANS[mode][1]
+                size, _k, lo, hi, _off_lo, _off_hi, kb = state._plans[mode]
                 prod = state.amp[hi] * state.amp[lo].conj()
                 kb = kb[0::2] // 2
                 apart = np.bincount(kb, prod.real, size) + 1j * np.bincount(

@@ -62,6 +62,23 @@ class TestDetectorConfig:
         with pytest.raises(error, match="pulses"):
             DetectorConfig(pulses=pulses)
 
+    @pytest.mark.parametrize("seed,error", [
+        (1.5, TypeError), (2.0, TypeError), (True, TypeError), ("5", TypeError),
+        (np.float64(5.0), TypeError), (np.bool_(False), TypeError),
+        (-1, ValueError), (np.int64(-3), ValueError)],
+        ids=["1.5", "2.0", "True", "str", "np.float64", "np.bool_", "-1", "np.int64--3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed, error):
+        # 1.5 was accepted here and failed only in run, inside numpy
+        with pytest.raises(error, match="seed"):
+            DetectorConfig(seed=seed)
+
+    def test_integral_seed_becomes_a_python_int(self):
+        for seed in (0, 7, np.int64(7), np.uint64(2 ** 64 - 1), 2 ** 70):
+            det = DetectorConfig(seed=seed)
+            assert type(det.seed) is int and det.seed == seed
+        assert run(BALANCED, LG, DetectorConfig(pulses=5000, seed=np.int32(8))) == \
+            run(BALANCED, LG, DetectorConfig(pulses=5000, seed=8))
+
     def test_integral_pulses_become_a_python_int(self):
         for pulses in (7, np.int64(7), np.uint64(2 ** 63 - 1), 2 ** 63 - 1):
             det = DetectorConfig(pulses=pulses)
