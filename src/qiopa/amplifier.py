@@ -28,6 +28,7 @@ import cmath
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -44,13 +45,15 @@ TAIL_RULE = 1e-9
 
 
 def as_int(value, name: str, low: int = 0, high: float = math.inf) -> int:
-    """value as a Python int: TypeError unless it is an Integral but no bool,
-    ValueError unless it lies in low .. high."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if not low <= int(value) <= high:
+    """value as a Python int: TypeError unless it has an integer index but
+    is no bool, ValueError unless it lies in low .. high."""
+    try:    # numpy 1.x bools still have an index
+        n = operator.index(None if isinstance(value, (bool, np.bool_)) else value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= n <= high:
         raise ValueError(f"{name} must lie in {low} .. {high}, got {value}")
-    return int(value)
+    return n
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,11 @@ pulses is a few multinomial draws: one of n over the 13 cells (term, D2
 clicked, D2* clicked, and a sink for gated-out pulses), then one for each
 term-axis that clicked, of its clicks over that axis's outcomes.  The
 totals, Python ints, have the same law as n single-pulse draws, and the
-sampler holds O(cutoff) numbers.  The per-axis laws depend only on the
-amplifier, eta, the dark rate and the D1 and D1* gates, not on the qubit:
-they are built once per detector setup and shared read-only, so a sweep
-point builds only its 13 cells.  All randomness flows from a single seed
-through one spawned stream per point, so runs are reproducible.
+sampler holds O(cutoff) numbers.  The per-axis laws read no qubit: memoised
+under (Gamma^2, C^-2, cutoff, eta, dark rate, D1 and D1* gates) and shared
+read-only, they leave a sweep point only its 13 cells to build, in Python
+floats.  All randomness flows from a single seed through one spawned stream
+per point, so runs are reproducible.
 """
 from __future__ import annotations
 
@@ -52,14 +52,13 @@ class DetectorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("qe", "attenuation", "dark_rate", "p_inject"):
-            v = getattr(self, name)
+        for name, v in (("qe", self.qe), ("attenuation", self.attenuation),
+                        ("dark_rate", self.dark_rate), ("p_inject", self.p_inject)):
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         mask = frozenset(self.coincidence_mask)
-        unknown = mask - set(DETECTORS)
-        if unknown:
-            raise ValueError(f"unknown detectors in mask: {sorted(unknown)}")
+        if not mask.issubset(DETECTORS):
+            raise ValueError(f"unknown detectors in mask: {sorted(mask - set(DETECTORS))}")
         object.__setattr__(self, "coincidence_mask", mask)
         object.__setattr__(self, "pulses", as_int(self.pulses, "pulses", 1, INT64_MAX))
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
@@ -124,9 +123,9 @@ class PulseSampler:
     O(cutoff).
 
     Only c_t reads the qubit.  The axes, their masses and moments depend on
-    (cfg, eta, dark, D1/D1* gates) alone: _axis_laws builds them once per
-    such setup and every sampler of it shares them read-only, so a sampler
-    computes only c_t, its 13 cells and both NumericalError checks.
+    (Gamma^2, C^-2, cutoff, eta, dark, D1/D1* gates) alone, the key under
+    which _axis_laws memoises them read-only, so a sampler computes only c_t,
+    its 13 cells in Python floats and both NumericalError checks.
 
     A run's survivor sums are int64 and reach pulses * cutoff^2, so a
     sampler refuses a pulse count past INT64_MAX // cutoff^2.
@@ -140,7 +139,8 @@ class PulseSampler:
         self.det = det
         mask = det.coincidence_mask
         masses, split, self.axes, self.moments = _axis_laws(
-            cfg, det.qe * det.attenuation, det.dark_rate, "D1*" in mask, "D1" in mask)
+            cfg.gain.Gamma ** 2, cfg.gain.C ** -2, cfg.cutoff, det.qe * det.attenuation,
+            det.dark_rate, "D1*" in mask, "D1" in mask)
         herald = 1.0 - (1.0 - det.qe) * (1.0 - det.dark_rate) if "D_T" in mask else 1.0
         # a is a probability; rounding can put it one ulp outside [0, 1]
         a = min(max(0.5 + q.alpha * q.beta * math.cos(q.phi), 0.0), 1.0)
@@ -149,17 +149,17 @@ class PulseSampler:
                                             det.p_inject * a * gamma2,
                                             (1.0 - det.p_inject) * cfg.gain.C ** -4)]
         passed = sum(ct * mh * mv for ct, mh, mv in zip(c, masses[:3], masses[3:]))
-        self.cells = np.empty(13)
-        cells = self.cells[:12].reshape(3, 2, 2)
-        np.multiply(np.array(c)[:, None, None] * split[:3, :, None], split[3:, None, :],
-                    out=cells)
-        gated = cells.sum()
+        cells = [(ct * zh) * zv for ct, h, v in zip(c, split[:3], split[3:])
+                 for zh in h for zv in v]      # [4 t + 2 zH + zV]
+        gated = ((((cells[0] + cells[1]) + (cells[2] + cells[3]))   # numpy's order, to the bit
+                  + ((cells[4] + cells[5]) + (cells[6] + cells[7])))
+                 + cells[8] + cells[9] + cells[10] + cells[11])
         if gated > 1.0 + 1e-12:
             raise NumericalError(f"outcome law holds gated weight {gated!r} > 1")
         cfg.check_lost_weight(passed - gated, "gated weight the outcome law drops")
         if gated > 1.0:     # a cell holding the whole law can round past 1
-            np.minimum(cells, 1.0, out=cells)
-        self.cells[12] = max(1.0 - gated, 0.0)
+            cells = [min(cell, 1.0) for cell in cells]
+        self.cells = np.array([*cells, max(1.0 - gated, 0.0)])
 
     def sample_chunk(self, rng: np.random.Generator, n: int) -> tuple:
         """The eight totals of n pulses, as Python ints: [D2, D_T] and
@@ -174,7 +174,7 @@ class PulseSampler:
         sums = [0, 0, 0, 0]     # s and s^2 of H, then of V
         for i, k in enumerate(clicks):
             if k:   # a zero count would draw nothing from the stream either
-                s1, s2 = (rng.multinomial(k, self.axes[i]) @ self.moments).tolist()
+                s1, s2 = rng.multinomial(k, self.axes[i]).dot(self.moments).tolist()
                 sums[2 * (i // 3)] += s1
                 sums[2 * (i // 3) + 1] += s2
         d2, d2_star = int("D2" in mask), int("D2*" in mask)
@@ -184,23 +184,23 @@ class PulseSampler:
 
 
 @functools.lru_cache(maxsize=1)
-def _axis_laws(cfg: AmplifierConfig, eta: float, dark: float, gate_h: bool,
-               gate_v: bool):
+def _axis_laws(x: float, rest: float, cutoff: int, eta: float, dark: float,
+               gate_h: bool, gate_v: bool):
     """The qubit-independent part of a PulseSampler: (masses, split, axes,
-    moments) of the six term-axes, H of terms 0, 1, 2 then V, with the H
-    axes gated by D1* iff gate_h and the V axes by D1 iff gate_v.
+    moments) of the six term-axes, H of terms 0, 1, 2 then V, at pair ratio
+    x = Gamma^2, rest = C^-2 = 1 - x, with the H axes gated by D1* iff gate_h
+    and the V axes by D1 iff gate_v.
 
     masses[i] is the closed-form total mass of term-axis i, split[i] its
-    mass on no click and on a click, axes[i] its law given a click and
-    moments the survivors s and s^2 of each outcome.  A sweep's points,
-    and a calibration's, share one setup, so the memo keeps only the last
-    one; its arrays are shared and read-only."""
-    # 1 - x and 1 - (1 - eta) x, summed without cancellation
-    x, rest = cfg.gain.Gamma ** 2, cfg.gain.C ** -2
+    mass on no click and on a click, both Python floats, axes[i] its law
+    given a click and moments the survivors s and s^2 of each outcome.  A
+    sweep's points share one key, so the memo keeps only the last; its
+    arrays are shared and read-only."""
+    # 1 - (1 - eta) x, summed without cancellation
     lost_rest = rest + eta * x
-    plain = [_thinned_geometric(x, rest, t, eta, dark, cfg.cutoff) for t in (0, 1)]
+    plain = [_thinned_geometric(x, rest, t, eta, dark, cutoff) for t in (0, 1)]
     # the law a D1 or D1* gate subtracts; no gate, no vector
-    lost = [_thinned_geometric((1.0 - eta) * x, lost_rest, t, eta, dark, cfg.cutoff)
+    lost = [_thinned_geometric((1.0 - eta) * x, lost_rest, t, eta, dark, cutoff)
             for t in (0, 1)] if gate_h or gate_v else None
 
     def axis(tilt: int, gated: bool):
@@ -219,14 +219,13 @@ def _axis_laws(cfg: AmplifierConfig, eta: float, dark: float, gate_h: bool,
     vecs = np.array([vec for vec, _mass in rows])
     masses = tuple(mass for _vec, mass in rows)
     nonzero = vecs[:, 1:].sum(axis=1)
-    split = np.column_stack([vecs[:, 0], nonzero])      # [term-axis, z]
+    split = tuple(zip(vecs[:, 0].tolist(), nonzero.tolist()))     # [term-axis][z]
     # an axis that cannot click keeps a zero row; it never draws a pulse
     axes = np.divide(vecs[:, 1:], nonzero[:, None],
                      out=np.zeros_like(vecs[:, 1:]), where=nonzero[:, None] > 0)
-    s = np.arange(cfg.cutoff + 1)
+    s = np.arange(cutoff + 1)
     moments = np.column_stack([s, s * s])      # survivors s and s^2
-    for arr in (split, axes, moments):
-        arr.setflags(write=False)
+    axes.flags.writeable = moments.flags.writeable = False
     return masses, split, axes, moments
 
 

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import enum
 import math
 
 import numpy as np
@@ -95,6 +96,14 @@ class TestAmplifierConfig:
             assert cfg.epsilon_trunc == pair_tail(GainParams(0.07), 14)
         with pytest.raises(TypeError):
             AmplifierConfig.for_gain(0.07, 12.5)
+
+    def test_int_subclass_cutoff_becomes_a_python_int(self):
+        class Cutoff(enum.IntEnum):
+            LG = 13
+
+        cfg = AmplifierConfig(GainParams(0.07), Cutoff.LG)
+        assert type(cfg.cutoff) is int
+        assert repr(cfg) == repr(AmplifierConfig(GainParams(0.07), 13))
 
     def test_for_gain_picks_valid_cutoff(self):
         for g in (0.0, 0.07, 0.5, 1.13):

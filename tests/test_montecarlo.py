@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import itertools
 import math
 import os
@@ -85,6 +86,14 @@ class TestDetectorConfig:
             assert type(det.pulses) is int and det.pulses == pulses
         assert run(BALANCED, LG, DetectorConfig(pulses=np.int32(5000), seed=8)) == \
             run(BALANCED, LG, DetectorConfig(pulses=5000, seed=8))
+
+    def test_int_subclass_becomes_a_python_int(self):
+        class Count(enum.IntEnum):
+            POINT = 5000
+
+        det = DetectorConfig(pulses=Count.POINT, seed=Count.POINT)
+        assert type(det.pulses) is int and type(det.seed) is int
+        assert repr(det) == repr(DetectorConfig(pulses=5000, seed=5000))
 
 
 FOUR_FOLD = frozenset({"D_T", "D2", "D1", "D1*"})
@@ -243,6 +252,18 @@ class TestPulseSampler:
                 assert arrays and max(v.size for v in arrays) <= 6 * (cfg.cutoff + 1)
                 assert run(BALANCED, cfg, det).pulses == 1_000
 
+    @pytest.mark.parametrize("cfg", [LG, _hg(), _top()], ids=["LG", "HG", "top"])
+    def test_sink_is_one_less_numpys_sum_of_the_cells(self, cfg):
+        # the sampler sums its 12 cells in Python floats, in the order numpy
+        # sums them, so its sink is the one numpy's sum gives, to the bit
+        q = Qubit(0.6, 0.8, 0.7)
+        for detectors in ({}, LOSSY):
+            for k in range(len(DETECTORS) + 1):
+                for mask in itertools.combinations(DETECTORS, k):
+                    det = DetectorConfig(coincidence_mask=mask, **detectors)
+                    cells = PulseSampler(q, cfg, det).cells
+                    assert cells[12] == max(1.0 - cells[:12].sum(), 0.0), mask
+
     @pytest.mark.parametrize("mask,detectors", [
         *(pytest.param(m, LOSSY, id=",".join(sorted(m))) for m in (
             {"D_T", "D2"}, {"D_T", "D2", "D2*"}, {"D_T", "D1", "D2"}, FOUR_FOLD, {"D2"})),
@@ -342,6 +363,18 @@ class TestAxisLawMemo:
                 for shared in (warm.axes, warm.moments):
                     with pytest.raises(ValueError):
                         shared[0, 0] = 0
+
+    def test_the_memo_is_keyed_by_the_amplifiers_scalars(self):
+        # two configurations of one gain and cutoff, built apart, share an
+        # entry; the same gain at another cutoff builds its own
+        det = DetectorConfig()
+        first = PulseSampler(BALANCED, AmplifierConfig.for_gain(1.13, 100), det)
+        second = PulseSampler(BALANCED, AmplifierConfig.for_gain(1.13, 100), det)
+        assert montecarlo._axis_laws.cache_info().misses == 1
+        assert second.axes is first.axes and first.axes.shape == (6, 101)
+        wider = PulseSampler(BALANCED, AmplifierConfig.for_gain(1.13, 101), det)
+        assert montecarlo._axis_laws.cache_info().misses == 2
+        assert wider.axes.shape == (6, 102) and wider.moments.shape == (102, 2)
 
     def test_a_sweep_builds_the_axis_laws_once(self, monkeypatch):
         # a gated setup builds two plain and two gated vectors, not two plain
