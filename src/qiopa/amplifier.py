@@ -67,9 +67,10 @@ class GainParams:
     nbar: float = field(init=False)     # sinh(g)**2, mean photon number per squeezed mode
 
     def __post_init__(self):
-        if not isinstance(self.g, numbers.Real) or not 0 <= self.g < math.inf:
+        if (isinstance(self.g, bool) or not isinstance(self.g, numbers.Real)
+                or not 0 <= self.g < math.inf):
             raise ValueError(f"gain must be a finite non-negative real number, got {self.g!r}")
-        g = float(self.g)
+        g = float(self.g) + 0.0   # -0.0 + 0.0 is 0.0
         try:
             nbar = math.sinh(g) ** 2
         except OverflowError:

@@ -254,13 +254,9 @@ def cmd_montecarlo(args) -> None:
         },
         "null_pvalue": sweep.null_pvalue,
     }
-    json_text = json.dumps(summary, indent=2) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(csv_text)
-        sys.stdout.write(json_text)
-    else:
-        _emit(csv_text, args.out)
-        _emit(json_text, args.out + ".json")
+    _emit(csv_text, args.out)
+    _emit(json.dumps(summary, indent=2) + "\n",
+          args.out if args.out in (None, "-") else args.out + ".json")
 
 
 def main(argv=None) -> int:

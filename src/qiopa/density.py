@@ -18,10 +18,10 @@ n+1} of the optimal cloner and the universal NOT (Gisin & Massar, PRL 79, 2153,
 is cloner_entropy, one O(cutoff) sum over its pair weights w_n; any other
 density, the partial trace included, is eigensolved, the oracle path.  Both
 closed forms are linear in the qubit through alpha^2, beta^2 and
-alpha beta e^{i phi}, so their weighted band factors and that entropy depend
-on the configuration alone: a one-entry memo keeps them for the last one
-used (read-only, 0.29 MB at HG, cutoff 100, and 28 MB at the top gain,
-cutoff 1000), and a repeated configuration only scales them by the qubit.
+alpha beta e^{i phi}, so one builder scales either mode's weighted band
+factors by them; the factors and that entropy depend on the configuration
+alone: a one-entry memo keeps them for the last one used (read-only,
+0.29 MB at HG, cutoff 100, and 28 MB at the top gain, cutoff 1000).
 """
 from __future__ import annotations
 
@@ -116,11 +116,10 @@ class SectorDensity:
 def _closed_form_bands(cfg: AmplifierConfig):
     """The qubit-independent part of both closed forms: (s, mode1, mode2),
     s the cloner_entropy of the pair weights w_n, and each mode's
-    (w, c1, c2, root) over its bands: the gathered weights, the factors of
-    the two squares in the order the diagonal adds them (mode 1: alpha^2
-    (t-p), beta^2 p; mode 2: beta^2 (n-p+1), alpha^2 (p+1)) and
-    sqrt((t-p)(p+1)), mode 2's a prefix of mode 1's.  Read-only; the memo
-    keeps the last cfg."""
+    (w, ca, cb, root) over its bands: the gathered weights, the factors of
+    alpha^2 and beta^2 on the diagonal (mode 1: t-p and p; mode 2: p+1 and
+    n-p+1) and sqrt((t-p)(p+1)), mode 2's a prefix of mode 1's.  Read-only;
+    the memo keeps the last cfg."""
     w = pair_weights(cfg)
     t, p = _flat_index(cfg.cutoff + 2)
     root = np.sqrt((t - p) * (p + 1))
@@ -128,15 +127,18 @@ def _closed_form_bands(cfg: AmplifierConfig):
     n, p2 = t[:m], p[:m]
     mode1 = (np.append(0.0, w)[t],   # mode 1 always holds >= 1 photon
              (t - p).astype(float), p.astype(float), root)
-    mode2 = (w[n], (n - p2 + 1).astype(float), (p2 + 1).astype(float), root[:m])
+    mode2 = (w[n], (p2 + 1).astype(float), (n - p2 + 1).astype(float), root[:m])
     for arr in (*mode1, *mode2):
         arr.setflags(write=False)
     return cloner_entropy(w), mode1, mode2
 
 
-def _with_entropy(rho: SectorDensity, s: float) -> SectorDensity:
-    """rho, holding the cloner entropy s of the pair weights its bands were
-    filled from: entropy returns it without solving the spectrum."""
+def _closed_form(mode: str, bands, s: float, q: Qubit, ab: complex) -> SectorDensity:
+    """One mode's density from its bands (w, ca, cb, root): diagonal
+    w (alpha^2 ca + beta^2 cb), sub-diagonal w ab root, and the cloner
+    entropy s of w, which entropy returns without solving the spectrum."""
+    w, ca, cb, root = bands
+    rho = SectorDensity(mode, w * (q.alpha ** 2 * ca + q.beta ** 2 * cb), w * (ab * root))
     rho._entropy = s
     return rho
 
@@ -146,21 +148,18 @@ def rho1_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
     with diagonal alpha^2 (t-p) + beta^2 p and sub-diagonal
     alpha beta e^{i phi} sqrt((t-p)(p+1)), p = 0..t vertical photons.  Its
     spectrum is the |H> diagonal w_n (t-p), the optimal 1 -> t cloner's."""
-    ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
-    s, (w, c1, c2, root), _ = _closed_form_bands(cfg)
-    return _with_entropy(SectorDensity(
-        "mode1", w * (q.alpha ** 2 * c1 + q.beta ** 2 * c2), w * (ab * root)), s)
+    s, bands, _ = _closed_form_bands(cfg)
+    return _closed_form("mode1", bands, s, q, q.alpha * q.beta * cmath.exp(1j * q.phi))
 
 
 def rho2_closed_form(q: Qubit, cfg: AmplifierConfig) -> SectorDensity:
     """Reduced state of the anticloning mode: pair term n fills sector n with
-    diagonal beta^2 (n-p+1) + alpha^2 (p+1) and the negative sub-diagonal
+    diagonal alpha^2 (p+1) + beta^2 (n-p+1) and the negative sub-diagonal
     -alpha beta e^{i phi} sqrt((n-p)(p+1)), p = 0..n vertical photons.  Its
     spectrum is the |H> diagonal w_n (p+1), the universal NOT's."""
-    ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
-    s, _, (w, c1, c2, root) = _closed_form_bands(cfg)
-    return _with_entropy(SectorDensity(
-        "mode2", w * (q.beta ** 2 * c1 + q.alpha ** 2 * c2), w * (-ab * root)), s)
+    s, _, bands = _closed_form_bands(cfg)
+    # negated, not multiplied by -1, which gives +0.0 where negation gives -0.0
+    return _closed_form("mode2", bands, s, q, -(q.alpha * q.beta * cmath.exp(1j * q.phi)))
 
 
 def _trace_plan(occ: np.ndarray, keep: str):

@@ -8,8 +8,10 @@ NumericalError.
 
 A contraction of states (inner_product here, density.partial_trace) is a
 plan that reads only the rows, applied to the amplitudes.  Two states on one
-row array need no overlap plan; the amplifier's memoised rows keep their
-trace plans in their memo entry, and any other rows are planned per call.
+row array need no overlap plan; on two row sets the plan is the
+intersection of their packed row keys, built per call.  The amplifier's
+memoised rows keep their trace plans in their memo entry, and any other
+rows are planned per call.
 """
 from __future__ import annotations
 
@@ -99,14 +101,12 @@ def row_groups(rows: np.ndarray):
 
 
 def _overlap_plan(occ_a, occ_b):
-    """Row indices (ia, ib) of the rows both sets hold, ascending by key.
-    Neither set repeats a row, so in one stable sort of both sets' keys a
-    key held by both appears exactly twice, the row of a first."""
+    """Row indices (ia, ib) of the rows both sets hold, ascending by key:
+    np.intersect1d of the two sets' row_keys, taken on one radix.  Neither
+    set repeats a row, so their keys are unique."""
     key = row_keys(np.concatenate([occ_a, occ_b]))
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    pair = np.flatnonzero(key[1:] == key[:-1])
-    return order[pair], order[pair + 1] - len(occ_a)
+    return np.intersect1d(key[:len(occ_a)], key[len(occ_a):],
+                          assume_unique=True, return_indices=True)[1:]
 
 
 def inner_product(a: FockState4, b: FockState4) -> complex:

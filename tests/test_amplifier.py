@@ -60,10 +60,15 @@ class TestGainParams:
             g, math.cosh(g), math.tanh(g), math.cosh(g) ** -3, math.sinh(g) ** 2)
 
     @pytest.mark.parametrize("g", ["1.13", None, 1j, np.complex128(1.0), np.float64(np.nan),
-                                   np.int64(-1)])
+                                   np.int64(-1), True, np.True_])
     def test_rejects_what_is_not_a_real_number(self, g):
         with pytest.raises(ValueError, match="finite non-negative real number"):
             GainParams(g)
+
+    @pytest.mark.parametrize("g", [-0.0, np.float64(-0.0)], ids=["float", "float64"])
+    def test_negative_zero_is_stored_as_zero(self, g):
+        # -0.0 passes 0 <= g; kept as it came, the commands printed g = -0
+        assert math.copysign(1.0, GainParams(g).g) == 1.0
 
     @pytest.mark.parametrize("g", [np.int64(1), np.float32(1.13), np.float64(0.07)],
                              ids=["int64", "float32", "float64"])

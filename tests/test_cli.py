@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from qiopa import amplifier, density
+from qiopa import amplifier, cli, density
 from qiopa.amplifier import GainParams
 from qiopa.cli import _load_preset, main
+from qiopa.errors import NumericalError
 from qiopa.observables import g1_closed_form
 from qiopa.polarization import BlochPath, Qubit
 
@@ -136,6 +137,17 @@ class TestFringe:
         pairs = [g1_closed_form(q, gain) for q in path.qubits()]
         assert rows == [[angle, p.difference, p.g2h, p.g2v]
                         for angle, p in zip(path.angles, pairs)]
+
+    @pytest.mark.parametrize("given, missing, start", [
+        ("--alpha", "--beta", "(0.6,0.8,0)"), ("--beta", "--alpha", "(0.8,0.6,0)")],
+        ids=["alpha", "beta"])
+    def test_one_amplitude_is_completed_to_a_unit_qubit(self, given, missing, start, capsys):
+        assert main(["fringe", given, "0.6"]) == 0
+        alone = capsys.readouterr().out
+        assert f"# start_qubit={start}\n" in alone
+        # the run equals one given both, the other sqrt(1 - 0.6^2)
+        assert main(["fringe", given, "0.6", missing, repr(math.sqrt(1 - 0.6 ** 2))]) == 0
+        assert capsys.readouterr().out == alone
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "fringe.json"
@@ -335,6 +347,16 @@ def test_stdout_matches_pinned_digests(capsys):
     assert not changed, f"stdout changed for: {changed}"
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["entropy"], '  "g": 0.0,\n'), (["pairs"], "# g=0\n"), (["fringe"], "# g=0\n"),
+    (["montecarlo", "--pulses", "100", "--path", f"z:0:{math.pi}:2"], "# g=0\n")],
+    ids=["entropy", "pairs", "fringe", "montecarlo"])
+def test_negative_zero_gain_prints_zero(argv, line, capsys):
+    # GainParams kept -0.0, which printed as "g": -0.0 and # g=-0
+    assert main([*argv[:1], "--g", "-0", *argv[1:]]) == 0
+    assert line in capsys.readouterr().out
+
+
 class TestErrorHandling:
     @pytest.mark.parametrize("argv", [[], ["--selftest"]], ids=["none", "--selftest"])
     def test_no_command_exits_2(self, argv, capsys):
@@ -402,6 +424,19 @@ class TestErrorHandling:
             main([*argv[:1], "--preset", "LG", *argv[1:]])
         assert exc.value.code == 2
         assert argv[1] in capsys.readouterr().err
+
+    def test_unnormalized_qubit_exits_2(self, capsys):
+        assert main(["fringe", "--alpha", "0.6", "--beta", "0.6"]) == 2
+        assert "error: qubit must be normalized" in capsys.readouterr().err
+
+    def test_numerical_failure_exits_3(self, monkeypatch, capsys):
+        def fail(_weights):
+            raise NumericalError("forced")
+
+        monkeypatch.setattr(cli, "cloner_entropy", fail)
+        assert main(["entropy", "--preset", "LG"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: forced\n" and captured.out == ""
 
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "x.csv"

@@ -313,6 +313,12 @@ class TestClosedFormsAgainstPartialTrace:
 
 
 class TestPartialTrace:
+    @pytest.mark.parametrize("keep", ["mode3", "1h", "k2"])
+    def test_unknown_keep_rejected(self, keep):
+        st = FockState4({(1, 0, 2, 1): 1.0}, 4)
+        with pytest.raises(ValueError, match=f"'mode1' or 'mode2', got '{keep}'"):
+            partial_trace(st, keep)
+
     def test_product_state_reduces_to_rank_one(self):
         st = FockState4({(1, 0, 2, 1): 1.0}, 4)
         rho = partial_trace(st, "mode1")

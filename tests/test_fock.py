@@ -150,6 +150,13 @@ class TestInnerProduct:
         assert inner_product(st, empty) == 0j
         assert inner_product(empty, empty) == 0j
 
+    def test_fidelity_with_a_zero_state_is_undefined(self, rng):
+        empty = FockState4({(1, 0, 0, 0): 1e-16}, 6)
+        st = _random_state(rng)
+        for a, b in ((empty, st), (st, empty), (empty, empty)):
+            with pytest.raises(ValueError, match="zero state"):
+                fidelity(a, b)
+
     def test_occupations_beyond_an_int64_key_rejected(self):
         # per-column radices 2^16 + 1 multiply to more than 2^63
         a = FockState4({(2 ** 16, 2 ** 16, 2 ** 16, 2 ** 16): 1.0}, 4)
@@ -296,6 +303,12 @@ class TestRotateModePair:
         st = FockState4({(0, 0, 1, 0): 1.0}, 4)
         with pytest.raises(ValueError):
             rotate_mode_pair(st, "mode2", np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("pair", ["mode3", "1h", "k1"])
+    def test_unknown_pair_rejected(self, pair):
+        st = FockState4({(0, 0, 1, 0): 1.0}, 4)
+        with pytest.raises(ValueError, match=f"'mode1' or 'mode2', got '{pair}'"):
+            rotate_mode_pair(st, pair, np.eye(2))
 
     def test_entry_order_matches_grouped_reference(self, rng):
         # per-entry reference: groups of (other pair, total) in order of

@@ -22,6 +22,12 @@ class TestQubit:
         q = Qubit(1.0, 0.0, phi=2.3)
         assert q.phi == 0.0
 
+    @pytest.mark.parametrize("args", [(math.nan, 0.0), (1.0, math.inf), (1.0, 0.0, math.nan),
+                                      (1.0, 0.0, -math.inf)])
+    def test_non_finite_component_rejected(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            Qubit(*args)
+
     def test_phi_wrapped_to_half_open_interval(self):
         q = Qubit(2 ** -0.5, 2 ** -0.5, phi=3 * math.pi)
         assert q.phi == pytest.approx(math.pi)
@@ -52,6 +58,11 @@ class TestSu2Rotation:
         with pytest.raises(ValueError):
             su2_rotation("w", 1.0)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            su2_rotation("z", angle)
+
 
 class TestWaveplate:
     def test_half_wave_at_zero(self):
@@ -81,6 +92,11 @@ class TestWaveplate:
         with pytest.raises(ValueError):
             waveplate("third", 0.0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            waveplate("half", theta)
+
 
 class TestBabinet:
     def test_zero_is_identity(self):
@@ -94,6 +110,11 @@ class TestBabinet:
         d1, d2 = rng.uniform(-math.pi, math.pi, size=2)
         composed = (babinet(d1) @ babinet(d2)).matrix
         assert np.allclose(composed, babinet(d1 + d2).matrix, atol=1e-14)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            babinet(delta)
 
 
 class TestApply:
@@ -147,6 +168,11 @@ class TestBlochPath:
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
             BlochPath("z", (0.0,), Qubit(1.0, 0.0))
+
+    @pytest.mark.parametrize("axis", ["w", "X", ""])
+    def test_unknown_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match="axis must be one of x, y, z"):
+            BlochPath(axis, (0.0, 1.0), Qubit(1.0, 0.0))
 
     def test_qubits_follow_rotation(self):
         path = BlochPath("z", (0.0, 1.0, 2.0), Qubit(2 ** -0.5, 2 ** -0.5, 0.0))
