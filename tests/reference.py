@@ -63,14 +63,18 @@ def thinning(cutoff: int, eta: float, dark: float) -> np.ndarray:
     """B[o, n]: probability of outcome o of one threshold detector fed n
     photons, each surviving with probability eta, with dark counts.  The
     binomial law of s survivors comes from Pascal's recurrence, each entry a
-    convex combination of two non-negative ones, so it stays accurate in n."""
+    convex combination of two non-negative ones, so it stays accurate in n.
+    Subnormal entries are flushed to 0: they change no product by more than
+    1e-300, and they slow enumerated_law's products at cutoff 1000."""
     pmf = np.zeros((cutoff + 1, cutoff + 1))    # pmf[n, s]
     pmf[0, 0] = 1.0
     for n in range(1, cutoff + 1):
         pmf[n] = (1.0 - eta) * pmf[n - 1]
         pmf[n, 1:] += eta * pmf[n - 1, :-1]
     pmf = pmf.T
-    return np.vstack([pmf[0] * (1.0 - dark), pmf[0] * dark, pmf[1:]])
+    thin = np.vstack([pmf[0] * (1.0 - dark), pmf[0] * dark, pmf[1:]])
+    thin[thin < np.finfo(float).tiny] = 0.0
+    return thin
 
 
 def enumerated_law(q: Qubit, cfg: AmplifierConfig, det, thin=None) -> np.ndarray:

@@ -11,9 +11,9 @@ from scipy.sparse.linalg import expm_multiply
 
 from qiopa import amplifier
 from qiopa.amplifier import (_COUPLINGS, PROPAGATOR_PADDING, AmplifierConfig,
-                             GainParams, amplify, pair_tail, propagate_hamiltonian,
-                             vacuum_output)
-from qiopa.density import partial_trace
+                             GainParams, amplify, pair_probability, pair_tail,
+                             propagate_hamiltonian, vacuum_output)
+from qiopa.density import partial_trace, rho1_closed_form
 from qiopa.errors import NumericalError
 from qiopa.fock import (FockState4, fidelity, inner_product, number_expectation,
                         rotate_mode_pair)
@@ -60,7 +60,8 @@ class TestGainParams:
             g, math.cosh(g), math.tanh(g), math.cosh(g) ** -3, math.sinh(g) ** 2)
 
     @pytest.mark.parametrize("g", ["1.13", None, 1j, np.complex128(1.0), np.float64(np.nan),
-                                   np.int64(-1), True, np.True_])
+                                   np.int64(-1), True, np.True_, -0.1,
+                                   pytest.param(float("nan"), id="float-nan"), float("inf")])
     def test_rejects_what_is_not_a_real_number(self, g):
         with pytest.raises(ValueError, match="finite non-negative real number"):
             GainParams(g)
@@ -78,6 +79,42 @@ class TestGainParams:
     def test_configs_over_a_numpy_range(self):
         assert [AmplifierConfig.for_gain(g) for g in np.arange(3)] == [
             AmplifierConfig.for_gain(g) for g in (0.0, 1.0, 2.0)]
+
+
+class TestMakeGain:
+    """GainParams(g), the constants one gain derives."""
+
+    @pytest.mark.parametrize("g", [0.0, 0.07, 0.5, 1.13, 2.0])
+    def test_hyperbolic_identity(self, g):
+        gp = GainParams(g)
+        lhs = gp.C ** 2 * (1.0 - gp.Gamma ** 2)
+        assert abs(lhs - 1.0) <= 4 * math.ulp(1.0)
+
+    def test_low_gain_values(self):
+        # frozen from a 40-digit evaluation of tanh/sinh at g = 0.07
+        gp = GainParams(0.07)
+        assert gp.Gamma == pytest.approx(0.06988589031642899, abs=1e-16)
+        assert gp.nbar == pytest.approx(0.004908008564008272, abs=1e-16)
+
+    def test_high_gain_values(self):
+        # frozen from a 40-digit evaluation at g = 1.13
+        gp = GainParams(1.13)
+        assert gp.Gamma == pytest.approx(0.8110192620996814, abs=1e-15)
+        assert gp.nbar == pytest.approx(1.9218599128797857, abs=1e-14)
+        assert gp.gamma == pytest.approx(0.20022159416359232, abs=1e-15)
+
+    @pytest.mark.parametrize("g", [355.036, 355.6, 400.0, 711.0, 1e308])
+    def test_rejects_gain_whose_constants_overflow(self, g):
+        # 3 sinh(g)^2 overflows just above g = 355.035, sinh(g)^2 above 355.58
+        # and sinh(g) above 710.48
+        with pytest.raises(ValueError, match="355.035"):
+            GainParams(g)
+
+    @pytest.mark.parametrize("g", [355.0, 355.035])
+    def test_accepts_gain_below_the_overflow_edge(self, g):
+        gp = GainParams(g)
+        assert math.isfinite(3 * gp.nbar) and math.isfinite(gp.C)
+        assert (gp.Gamma, gp.gamma) == (1.0, 0.0)
 
 
 class TestAmplifierConfig:
@@ -153,6 +190,60 @@ class TestAmplifierConfig:
         for lost in (-2e-12, cfg.epsilon_trunc + 2e-12, float("nan")):
             with pytest.raises(NumericalError, match="held weight"):
                 cfg.check_lost_weight(lost, "held weight")
+
+
+class TestPairStatistics:
+    def test_tail_matches_extended_precision_sum(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        gp = GainParams(1.13)
+        x = mp.tanh(mp.mpf("1.13")) ** 2
+        pref = mp.cosh(mp.mpf("1.13")) ** -6
+        for start in (1, 4, 8, 20):
+            exact = pref * mp.nsum(lambda n: (n + 1) * (n + 2) / 2 * x ** n,
+                                   [start, mp.inf])
+            assert pair_tail(gp, start) == pytest.approx(float(exact), abs=1e-14)
+
+    def test_tail_zero_threshold_is_one(self):
+        assert pair_tail(GainParams(0.9), 0) == 1.0
+
+    def test_tail_is_one_where_gamma_rounds_to_one(self):
+        # tanh 20 == 1.0: the geometric sums would divide by 1 - Gamma^2 = 0
+        assert pair_tail(GainParams(20.0), 1) == 1.0
+
+    def test_probabilities_sum_with_tail(self):
+        gp = GainParams(0.6)
+        total = sum(float(pair_probability(gp, n)) for n in range(30))
+        assert total + pair_tail(gp, 30) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPairDistribution:
+    def test_zero_gain_concentrates_at_zero(self):
+        p = pair_probability(GainParams(0.0), np.arange(13))
+        assert p[0] == 1.0
+        assert p[1:].sum() == 0.0
+
+    def test_qubit_independence_via_sector_traces(self, rng):
+        cfg = AmplifierConfig.for_gain(0.9)
+        p = pair_probability(cfg.gain, np.arange(cfg.cutoff + 1))
+        for q in (Qubit(1.0, 0.0), Qubit(2 ** -0.5, 2 ** -0.5, 0.0),
+                  random_qubit(rng)):
+            rho = rho1_closed_form(q, cfg)
+            # sector t starts at t(t+1)/2; mode 1's sector 0 holds no pair term
+            weights = np.add.reduceat(rho.diag, np.cumsum(np.arange(rho.sectors)))[1:]
+            assert weights == pytest.approx(p, abs=1e-14)
+
+    def test_tail_monotone_and_bounded(self):
+        gain = GainParams(1.13)
+        p = pair_probability(gain, np.arange(101))
+        assert pair_tail(gain, 0) == pytest.approx(1.0, abs=1e-9)
+        prev = 1.0
+        for thr in range(1, 30):
+            t = pair_tail(gain, thr)
+            assert t <= prev + 1e-15
+            # the closed form equals the stored terms plus the remainder
+            assert t == pytest.approx(p[thr:].sum() + pair_tail(gain, 101), abs=1e-15)
+            prev = t
 
 
 class TestAmplify:

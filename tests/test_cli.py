@@ -126,7 +126,7 @@ class TestFringe:
                 _, _, g2h, g2v = map(float, line.split(","))
                 assert g2h + g2v == pytest.approx(3 * nbar, abs=1e-9)
 
-    @pytest.mark.parametrize("g", [3.0, 10.0, 100.0])
+    @pytest.mark.parametrize("g", [3.0, 5.0, 10.0, 100.0])
     def test_rows_are_the_closed_form_beyond_the_cutoff_limit(self, g, capsys):
         # fringe reads only the gain, so MAX_CUTOFF does not bind it
         assert main(["fringe", "--g", repr(g), "--path", "z:0:0.5:4",
@@ -138,15 +138,20 @@ class TestFringe:
         assert rows == [[angle, p.difference, p.g2h, p.g2v]
                         for angle, p in zip(path.angles, pairs)]
 
-    @pytest.mark.parametrize("given, missing, start", [
-        ("--alpha", "--beta", "(0.6,0.8,0)"), ("--beta", "--alpha", "(0.8,0.6,0)")],
-        ids=["alpha", "beta"])
-    def test_one_amplitude_is_completed_to_a_unit_qubit(self, given, missing, start, capsys):
-        assert main(["fringe", given, "0.6"]) == 0
+    @pytest.mark.parametrize("argv, missing, start", [
+        (["fringe", "--alpha", "0.6"], "--beta", "(0.6,0.8,0)"),
+        (["fringe", "--beta", "0.6"], "--alpha", "(0.8,0.6,0)"),
+        (["fringe", "--beta", "0.8", "--phi", "0.3"], "--alpha", "(0.6,0.8,0.3)"),
+        (["montecarlo", "--alpha", "0", "--preset", "LG", "--pulses", "1000",
+          "--path", f"z:0:{math.pi}:2"], "--beta", None)],
+        ids=["alpha", "beta", "beta-phi", "montecarlo-alpha"])
+    def test_one_amplitude_is_completed_to_a_unit_qubit(self, argv, missing, start, capsys):
+        assert main(argv) == 0
         alone = capsys.readouterr().out
-        assert f"# start_qubit={start}\n" in alone
-        # the run equals one given both, the other sqrt(1 - 0.6^2)
-        assert main(["fringe", given, "0.6", missing, repr(math.sqrt(1 - 0.6 ** 2))]) == 0
+        # montecarlo prints no start qubit
+        assert start is None or f"# start_qubit={start}\n" in alone
+        # the run equals one given both, the other sqrt(1 - given^2)
+        assert main([*argv, missing, repr(math.sqrt(1 - float(argv[2]) ** 2))]) == 0
         assert capsys.readouterr().out == alone
 
     def test_json_format(self, tmp_path):
@@ -205,12 +210,15 @@ class TestPairs:
 
 class TestGainLimit:
     @pytest.mark.parametrize("argv, code", [
-        (["--g", "8"], 2), (["--g", "20"], 2), (["--cutoff", "1001"], 2),
-        (["--g", "2.5"], 0)], ids=["g-8", "g-20", "cutoff-1001", "g-2.5"])
+        (["pairs", "--g", "8"], 2), (["pairs", "--g", "20"], 2),
+        (["pairs", "--cutoff", "1001"], 2), (["pairs", "--g", "2.5"], 0),
+        (["entropy", "--g", "8"], 2), (["montecarlo", "--g", "8"], 2)],
+        ids=["g-8", "g-20", "cutoff-1001", "g-2.5", "entropy-g-8", "montecarlo-g-8"])
     def test_pairs_beyond_the_cutoff_limit_exits_2(self, argv, code, capsys):
         # g = 20 divided by 1 - tanh(20)^2 = 0, and g = 8 searched for a
-        # cutoff near the millions; g = 2.5 (cutoff 988) is the top that runs
-        assert main(["pairs", *argv]) == code
+        # cutoff near the millions; g = 2.5 (cutoff 988) is the top that runs.
+        # entropy and montecarlo build the same configuration as pairs
+        assert main(argv) == code
         err = capsys.readouterr().err
         assert ("g = 2.5062" in err) == bool(code)
 

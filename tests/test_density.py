@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from qiopa import amplifier, density, fock
-from qiopa.amplifier import (AmplifierConfig, GainParams, _largest_gain, amplify,
-                             pair_probability, pair_tail, pair_weights,
-                             propagate_hamiltonian)
+from qiopa.amplifier import (AmplifierConfig, _largest_gain, amplify, pair_probability,
+                             pair_weights, propagate_hamiltonian)
 from qiopa.density import (BLOCK_COHERENCE_TOL, SectorDensity, cloner_entropy, entropy,
                            hs_distance, partial_trace, rho1_closed_form, rho2_closed_form)
 from qiopa.errors import NumericalError
@@ -719,49 +718,3 @@ class TestHsDistance:
         q = Qubit(1.0, 0.0)
         with pytest.raises(ValueError):
             hs_distance(rho1_closed_form(q, cfg), rho2_closed_form(q, cfg))
-
-
-class TestPairDistribution:
-    def test_zero_gain_concentrates_at_zero(self):
-        p = pair_probability(GainParams(0.0), np.arange(13))
-        assert p[0] == 1.0
-        assert p[1:].sum() == 0.0
-
-    @pytest.mark.parametrize("g,cutoff", [(0.07, 12), (1.13, 100)])
-    def test_normalization_and_mean(self, g, cutoff):
-        cfg = AmplifierConfig.for_gain(g, cutoff)
-        n = np.arange(cfg.cutoff + 1)
-        p = pair_probability(cfg.gain, n)
-        assert p.sum() == pytest.approx(1.0, abs=1e-9)
-        assert n @ p == pytest.approx(3 * cfg.gain.nbar, abs=1e-9)
-
-    def test_qubit_independence_via_sector_traces(self, rng):
-        cfg = AmplifierConfig.for_gain(0.9)
-        p = pair_probability(cfg.gain, np.arange(cfg.cutoff + 1))
-        for q in (Qubit(1.0, 0.0), Qubit(2 ** -0.5, 2 ** -0.5, 0.0),
-                  random_qubit(rng)):
-            rho = rho1_closed_form(q, cfg)
-            # sector t starts at t(t+1)/2; mode 1's sector 0 holds no pair term
-            weights = np.add.reduceat(rho.diag, np.cumsum(np.arange(rho.sectors)))[1:]
-            assert weights == pytest.approx(p, abs=1e-14)
-
-    def test_tail_monotone_and_bounded(self):
-        gain = GainParams(1.13)
-        p = pair_probability(gain, np.arange(101))
-        assert pair_tail(gain, 0) == pytest.approx(1.0, abs=1e-9)
-        prev = 1.0
-        for thr in range(1, 30):
-            t = pair_tail(gain, thr)
-            assert t <= prev + 1e-15
-            # the closed form equals the stored terms plus the remainder
-            assert t == pytest.approx(p[thr:].sum() + pair_tail(gain, 101), abs=1e-15)
-            prev = t
-
-    def test_tail_matches_extended_precision_oracle(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        x = mp.tanh(mp.mpf("1.13")) ** 2
-        pref = mp.cosh(mp.mpf("1.13")) ** -6
-        exact = pref * mp.nsum(lambda n: (n + 1) * (n + 2) / 2 * x ** n,
-                               [8, mp.inf])
-        assert pair_tail(GainParams(1.13), 8) == pytest.approx(float(exact), abs=1e-12)

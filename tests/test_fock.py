@@ -5,8 +5,7 @@ import pytest
 from scipy.linalg import logm
 
 from qiopa import fock
-from qiopa.amplifier import (AmplifierConfig, GainParams, _largest_gain, amplify,
-                             pair_probability, pair_tail, propagate_hamiltonian)
+from qiopa.amplifier import AmplifierConfig, _largest_gain, amplify, propagate_hamiltonian
 from qiopa.errors import NumericalError
 from qiopa.fock import (FockState4, _pair_rotation, fidelity, inner_product,
                         number_expectation, rotate_mode_pair, row_keys)
@@ -14,88 +13,6 @@ from qiopa.observables import DETECTED_FIELD_UNITARY
 from qiopa.polarization import Qubit
 
 from conftest import random_qubit
-
-
-class TestMakeGain:
-    """GainParams(g), the constants one gain derives."""
-
-    def test_zero_gain_identity_case(self):
-        gp = GainParams(0.0)
-        assert gp.C == 1.0
-        assert gp.Gamma == 0.0
-        assert gp.gamma == 1.0
-        assert gp.nbar == 0.0
-
-    @pytest.mark.parametrize("g", [0.0, 0.07, 0.5, 1.13, 2.0])
-    def test_hyperbolic_identity(self, g):
-        gp = GainParams(g)
-        lhs = gp.C ** 2 * (1.0 - gp.Gamma ** 2)
-        assert abs(lhs - 1.0) <= 4 * math.ulp(1.0)
-
-    def test_low_gain_values(self):
-        # frozen from a 40-digit evaluation of tanh/sinh at g = 0.07
-        gp = GainParams(0.07)
-        assert gp.Gamma == pytest.approx(0.06988589031642899, abs=1e-16)
-        assert gp.nbar == pytest.approx(0.004908008564008272, abs=1e-16)
-
-    def test_high_gain_values(self):
-        # frozen from a 40-digit evaluation at g = 1.13
-        gp = GainParams(1.13)
-        assert gp.Gamma == pytest.approx(0.8110192620996814, abs=1e-15)
-        assert gp.nbar == pytest.approx(1.9218599128797857, abs=1e-14)
-        assert gp.gamma == pytest.approx(0.20022159416359232, abs=1e-15)
-
-    @pytest.mark.parametrize("g", [-0.1, float("nan"), float("inf")])
-    def test_rejects_bad_gain(self, g):
-        with pytest.raises(ValueError):
-            GainParams(g)
-
-    @pytest.mark.parametrize("g", [355.036, 355.6, 400.0, 711.0, 1e308])
-    def test_rejects_gain_whose_constants_overflow(self, g):
-        # 3 sinh(g)^2 overflows just above g = 355.035, sinh(g)^2 above 355.58
-        # and sinh(g) above 710.48
-        with pytest.raises(ValueError, match="355.035"):
-            GainParams(g)
-
-    @pytest.mark.parametrize("g", [355.0, 355.035])
-    def test_accepts_gain_below_the_overflow_edge(self, g):
-        gp = GainParams(g)
-        assert math.isfinite(3 * gp.nbar) and math.isfinite(gp.C)
-        assert (gp.Gamma, gp.gamma) == (1.0, 0.0)
-
-
-class TestPairStatistics:
-    def test_tail_matches_extended_precision_sum(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        gp = GainParams(1.13)
-        x = mp.tanh(mp.mpf("1.13")) ** 2
-        pref = mp.cosh(mp.mpf("1.13")) ** -6
-        for start in (1, 4, 8, 20):
-            exact = pref * mp.nsum(lambda n: (n + 1) * (n + 2) / 2 * x ** n,
-                                   [start, mp.inf])
-            assert pair_tail(gp, start) == pytest.approx(float(exact), abs=1e-14)
-
-    def test_tail_zero_threshold_is_one(self):
-        assert pair_tail(GainParams(0.9), 0) == 1.0
-
-    def test_tail_is_one_where_gamma_rounds_to_one(self):
-        # tanh 20 == 1.0: the geometric sums would divide by 1 - Gamma^2 = 0
-        assert pair_tail(GainParams(20.0), 1) == 1.0
-
-    def test_probabilities_sum_with_tail(self):
-        gp = GainParams(0.6)
-        total = sum(float(pair_probability(gp, n)) for n in range(30))
-        assert total + pair_tail(gp, 30) == pytest.approx(1.0, abs=1e-12)
-
-    def test_default_cutoff_respects_tail_rule(self):
-        for g in (0.0, 0.07, 0.5, 1.13):
-            assert pair_tail(GainParams(g), AmplifierConfig.for_gain(g).cutoff + 1) < 1e-9
-
-    def test_default_cutoff_stops_past_the_limit(self):
-        # at g = 8 the tail rule would need a cutoff in the millions
-        with pytest.raises(ValueError, match=r"cutoff 1001 \(gain 8\) exceeds MAX_CUTOFF"):
-            AmplifierConfig.for_gain(8.0)
 
 
 def _random_state(rng, n_entries=25, cutoff=6):

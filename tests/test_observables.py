@@ -44,12 +44,6 @@ class TestClosedForm:
         pair = g1_closed_form(Qubit(1.0, 0.0), gp)
         assert pair.g2h == pair.g2v == pytest.approx(1.5 * gp.nbar, rel=1e-14)
 
-    def test_sum_rule(self, rng):
-        for _ in range(100):
-            gp = GainParams(rng.uniform(0.0, 1.2))
-            pair = g1_closed_form(random_qubit(rng), gp)
-            assert pair.g2h + pair.g2v == pytest.approx(3 * gp.nbar, abs=1e-10)
-
     def test_difference_antisymmetric_under_phase_flip(self, rng):
         gp = GainParams(0.8)
         for _ in range(10):

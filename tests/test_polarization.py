@@ -65,10 +65,6 @@ class TestSu2Rotation:
 
 
 class TestWaveplate:
-    def test_half_wave_at_zero(self):
-        assert np.allclose(waveplate("half", 0.0).matrix, np.diag([1, -1]),
-                           atol=1e-15)
-
     def test_half_wave_at_22p5_degrees(self):
         q = apply(waveplate("half", math.radians(22.5)), Qubit(1.0, 0.0))
         assert q.alpha == pytest.approx(2 ** -0.5)
