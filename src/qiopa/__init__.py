@@ -1,7 +1,7 @@
 """Numerical simulator of a quantum-injected optical parametric amplifier."""
 
-from .amplifier import (AmplifierConfig, GainParams, amplify, pair_probability, pair_tail,
-                        pair_weights, propagate_hamiltonian, vacuum_output)
+from .amplifier import (AmplifierConfig, GainParams, amplify, pair_tail, pair_weights,
+                        propagate_hamiltonian, vacuum_output)
 from .density import (SectorDensity, cloner_entropy, entropy, hs_distance, partial_trace,
                       rho1_closed_form, rho2_closed_form)
 from .errors import NumericalError

@@ -84,14 +84,8 @@ class GainParams:
             object.__setattr__(self, name, value)
 
 
-def pair_probability(gain: GainParams, n):
-    """Probability of emitting n photon pairs: gamma^2 Gamma^(2n) (n+1)(n+2)/2."""
-    n = np.asarray(n)
-    return gain.gamma ** 2 * gain.Gamma ** (2 * n) * (n + 1) * (n + 2) / 2
-
-
 def pair_tail(gain: GainParams, start: int) -> float:
-    """Closed-form sum of pair_probability(n) over n >= start."""
+    """Closed-form sum of the pair law gamma^2 Gamma^(2n) (n+1)(n+2)/2 over n >= start."""
     if start <= 0:
         return 1.0
     x = gain.Gamma ** 2
@@ -170,14 +164,16 @@ def _largest_gain() -> float:
 
 
 def pair_weights(cfg: AmplifierConfig) -> np.ndarray:
-    """gamma^2 Gamma^(2n), n = 0..cutoff (scalar pow, as the amplitudes)."""
+    """gamma^2 Gamma^(2n), n = 0..cutoff: the pair law less its (n+1)(n+2)/2.
+    Scalar pow, libm's: numpy's vector power runs SIMD kernels (AVX-512 among
+    them) that round the last bit differently, so outputs would follow the CPU."""
     gp = cfg.gain
     return np.array([gp.gamma ** 2 * gp.Gamma ** (2 * n) for n in range(cfg.cutoff + 1)])
 
 
 def _pair_amplitudes(cfg: AmplifierConfig, pref: float):
     """Pair terms (i, j), n = i + j then i ascending, and pref (-Gamma)^i Gamma^j
-    (scalar pow: numpy's vectorised pow can round the last bit differently)."""
+    (scalar pow, as pair_weights)."""
     n, i = np.tril_indices(cfg.cutoff + 1)
     gam = cfg.gain.Gamma
     powers = np.array([[(-gam) ** k, gam ** k] for k in range(cfg.cutoff + 1)])

@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .amplifier import AmplifierConfig, GainParams, pair_probability, pair_tail, pair_weights
+from .amplifier import AmplifierConfig, GainParams, pair_tail, pair_weights
 from .density import cloner_entropy
 from .errors import NumericalError
 from .montecarlo import DetectorConfig, phase_sweep, run
@@ -183,7 +183,7 @@ def cmd_pairs(args) -> None:
     cfg = AmplifierConfig.for_gain(args.g, args.cutoff)
     reported = REPORTED.get(cfg.gain.g, {})
     n = np.arange(cfg.cutoff + 1)
-    p = pair_probability(cfg.gain, n)
+    p = pair_weights(cfg) * (n + 1) * (n + 2) / 2
     meta = {"g": _fmt(cfg.gain.g),
             "mean_pairs": _fmt(np.sum(n * p)),
             "three_nbar": _fmt(3 * cfg.gain.nbar)}

@@ -235,8 +235,8 @@ def cloner_entropy(w) -> float:
     underflowed to 0 holds none; 0.0 - sum gives a pure state 0.0, not -0.0."""
     w = np.asarray(w, dtype=float)
     k = np.arange(1.0, w.size + 1)
-    log_w = np.log2(w, out=np.zeros_like(w), where=w > 0)
-    return 0.0 - math.fsum(w * (k * (k + 1) / 2 * log_w + np.cumsum(k * np.log2(k))))
+    log_w, log_k = (np.array([math.log2(x) if x > 0 else 0.0 for x in v.tolist()]) for v in (w, k))
+    return 0.0 - math.fsum(w * (k * (k + 1) / 2 * log_w + np.cumsum(k * log_k)))
 
 
 def entropy(rho: SectorDensity) -> float:

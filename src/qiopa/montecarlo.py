@@ -239,10 +239,10 @@ def _thinned_geometric(z: float, rest: float, tilt: int, eta: float, dark: float
     the tilt (k + 1) gives (s + 1) rho^s / d^2.  The entries sum to
     1 / rest^(1 + tilt) less the survivors beyond the cutoff."""
     d = rest + eta * z
-    s = np.arange(cutoff + 1)
-    p = (eta * z / d) ** s / d
+    ratio = eta * z / d
+    p = np.array([ratio ** s for s in range(cutoff + 1)]) / d    # scalar pow, as pair_weights
     if tilt:
-        p *= (s + 1) / d
+        p *= np.arange(1, cutoff + 2) / d
     return np.concatenate(([p[0] * (1.0 - dark), p[0] * dark], p[1:]))
 
 
@@ -277,15 +277,15 @@ def _estimate_visibility(angles, points):
     d = np.array([p.mean_photons_h - p.mean_photons_v for p in points])
     var_d = np.array([p.stderr_mean_h ** 2 + p.stderr_mean_v ** 2 for p in points])
     tot = np.array([p.mean_photons_h + p.mean_photons_v for p in points])
-    cosv, sinv = np.cos(angles), np.sin(angles)
+    cosv, sinv = (np.array([f(a) for a in angles]) for f in (math.cos, math.sin))
     ac = 2.0 / k * np.sum(d * cosv)
     as_ = 2.0 / k * np.sum(d * sinv)
     amp = math.hypot(ac, as_)
     s = float(np.mean(tot))
     if s == 0.0 or amp == 0.0:
         return 0.0, float("nan")
-    var_ac = (2.0 / k) ** 2 * np.sum(var_d * cosv ** 2)
-    var_as = (2.0 / k) ** 2 * np.sum(var_d * sinv ** 2)
+    var_ac = (2.0 / k) ** 2 * np.sum(var_d * (cosv * cosv))
+    var_as = (2.0 / k) ** 2 * np.sum(var_d * (sinv * sinv))
     se_amp = math.sqrt((ac / amp) ** 2 * var_ac + (as_ / amp) ** 2 * var_as)
     se_s = math.sqrt(float(np.sum(var_d))) / k
     v = amp / s
@@ -344,7 +344,7 @@ def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
         points = tuple(
             _run_point(PulseSampler(q, cfg, det), s)
             for q, s in zip(qubits, seeds))
-        v, se = _estimate_visibility(np.asarray(target.angles), points)
+        v, se = _estimate_visibility(target.angles, points)
         return SweepStats(angles=target.angles, points=points, visibility=v,
                           visibility_stderr=se, null_pvalue=_null_pvalue(points))
     raise TypeError("target must be a Qubit or a BlochPath")

@@ -1,7 +1,8 @@
-"""Test-side references: the linear search for the default cutoff, the
-enumerated Monte Carlo outcome law, the oracle of PulseSampler's closed form,
-and the draw of a point's totals as one broadcast multinomial over all six
-term-axes, which PulseSampler.sample_chunk must match draw for draw.
+"""Test-side references: the linear search for the default cutoff, the pair
+law, the enumerated Monte Carlo outcome law, the oracle of PulseSampler's
+closed form, and the draw of a point's totals as one broadcast multinomial
+over all six term-axes, which PulseSampler.sample_chunk must match draw for
+draw.
 
 The detected law lists the photon numbers behind the analyzer cell by cell,
 and the outcome law weighs every cell by its gate probability and thins both
@@ -29,6 +30,13 @@ def linear_cutoff(g: float) -> int:
     while cutoff <= AmplifierConfig.MAX_CUTOFF and pair_tail(gain, cutoff + 1) >= TAIL_RULE:
         cutoff += 1
     return max(cutoff, 12)
+
+
+def pair_law(cfg: AmplifierConfig) -> np.ndarray:
+    """The pair law p_n = gamma^2 Gamma^(2n) (n+1)(n+2)/2, n = 0..cutoff, as
+    the pairs command computes it: pair_weights times (n+1)(n+2)/2."""
+    n = np.arange(cfg.cutoff + 1)
+    return pair_weights(cfg) * (n + 1) * (n + 2) / 2
 
 
 def detected_law(q: Qubit | None, cfg: AmplifierConfig):
@@ -103,8 +111,32 @@ def enumerated_law(q: Qubit, cfg: AmplifierConfig, det, thin=None) -> np.ndarray
             gated += np.bincount(cell, weight, minlength=top * top)
     if thin is None:
         thin = thinning(cfg.cutoff, eta, dark)
-    joint = thin @ gated.reshape(top, top) @ thin.T
+    joint = thinned_joint(thin, gated.reshape(top, top))
     return np.append(joint.ravel(), 1.0 - joint.sum())
+
+
+def thinned_joint(thin: np.ndarray, gated: np.ndarray) -> np.ndarray:
+    """thin @ gated @ thin.T, for photon numbers gated[h, v] that are 0 for
+    h + v > cutoff, without multiplying the zero blocks: column v of gated is
+    0 from row top - v on, and column o of (thin @ gated).T from row
+    top + 1 - o on."""
+    top = len(gated)
+    left = _thinned_product(thin, gated, lambda v: top - v)
+    return _thinned_product(thin, left.T, lambda o: min(top, top + 1 - o)).T
+
+
+def _thinned_product(thin: np.ndarray, m: np.ndarray, depth) -> np.ndarray:
+    """thin @ m for a thinning matrix thin and an m whose column j is 0 from
+    row depth(j) on, depth falling in j.  Row 1 + s of thin is 0 before column
+    s, so the block of rows r.. and columns j.. of the product needs only
+    columns r - 1 .. depth(j) of thin: the zero blocks are not multiplied."""
+    out = np.zeros((thin.shape[0], m.shape[1]))
+    for j in range(0, m.shape[1], 128):
+        d = depth(j)
+        for r in range(0, d + 1, 128):
+            n = max(r - 1, 0)
+            out[r:r + 128, j:j + 128] = thin[r:r + 128, n:d] @ m[n:d, j:j + 128]
+    return out
 
 
 def grid_law(sampler) -> np.ndarray:

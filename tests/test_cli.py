@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
@@ -214,7 +218,7 @@ class TestGainLimit:
         (["pairs", "--cutoff", "1001"], 2), (["pairs", "--g", "2.5"], 0),
         (["entropy", "--g", "8"], 2), (["montecarlo", "--g", "8"], 2)],
         ids=["g-8", "g-20", "cutoff-1001", "g-2.5", "entropy-g-8", "montecarlo-g-8"])
-    def test_pairs_beyond_the_cutoff_limit_exits_2(self, argv, code, capsys):
+    def test_commands_beyond_the_cutoff_limit_exit_2(self, argv, code, capsys):
         # g = 20 divided by 1 - tanh(20)^2 = 0, and g = 8 searched for a
         # cutoff near the millions; g = 2.5 (cutoff 988) is the top that runs.
         # entropy and montecarlo build the same configuration as pairs
@@ -331,13 +335,15 @@ class TestMonteCarlo:
 
 
 # sha256 of each run's stdout, pinned across commits (test_13 compares two
-# runs of one commit); the montecarlo digest also depends on numpy's random
-# stream, as test_seeded_counts_pinned does
+# runs of one commit) and across hosts: every per-entry pow, log2, cos and sin
+# on a command's path is Python's scalar libm, never numpy's SIMD kernels,
+# which round differently on CPUs with AVX-512.  The montecarlo digest also
+# depends on numpy's random stream, as test_seeded_counts_pinned does
 PINNED_STDOUT = {
     "fringe --preset HG --path z:0:0.785:8":
         "c117f04f2307d68edd87956570eabeebf27fd878277de09d5d3728dc55ff47be",
     "pairs --preset HG --threshold 8 --format json":
-        "a6cb026f678653b30e55893ed47ef39302872fcae11182d1f23f94e1d11b2663",
+        "f4b151c4ed64449ec50c52d0051347a62aa4eb2dbc2a15710cb77ab39ae2a5e4",
     "entropy --preset HG":
         "13d283554c3e5104568e2131029e9c3874bbbb7de09372d36fa05eb220f5371c",
     "montecarlo --preset HG --path z:0:0.785:8 --pulses 5000 --seed 31415":
@@ -345,14 +351,60 @@ PINNED_STDOUT = {
 }
 
 
-def test_stdout_matches_pinned_digests(capsys):
-    changed = []
-    for args, digest in PINNED_STDOUT.items():
-        assert main(args.split()) == 0
-        out = capsys.readouterr().out.encode("utf-8")
-        if hashlib.sha256(out).hexdigest() != digest:
-            changed.append(args)
+def _stdout_digests() -> dict:
+    """The sha256 of each pinned command's stdout, or the exit code it failed with."""
+    digests = {}
+    for args in PINNED_STDOUT:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(args.split())
+        digests[args] = (hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+                         if code == 0 else f"exit {code}")
+    return digests
+
+
+def test_stdout_matches_pinned_digests():
+    digests = _stdout_digests()
+    changed = [args for args, digest in PINNED_STDOUT.items() if digests[args] != digest]
     assert not changed, f"stdout changed for: {changed}"
+
+
+def _cpu_dispatch():
+    """numpy's dispatch targets and the CPU features this process uses."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:     # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_dispatch__, umath.__cpu_features__
+
+
+# a fresh interpreter, whose numpy read NPY_DISABLE_CPU_FEATURES at import:
+# the pinned digests and the dispatch targets still on
+DISPATCH_CHILD = """
+import json
+from test_cli import _cpu_dispatch, _stdout_digests
+targets, found = _cpu_dispatch()
+print(json.dumps({"digests": _stdout_digests(), "on": [t for t in targets if found.get(t)]}))
+"""
+
+
+@pytest.mark.parametrize("avx512_only", [False, True], ids=["all-targets", "avx512"])
+def test_stdout_does_not_depend_on_numpy_cpu_dispatch(avx512_only):
+    # the same digests with numpy's SIMD targets switched off, as on a CPU that
+    # lacks them; the names come from numpy (a baseline name would fail the
+    # import, an unknown one is ignored), and the variable acts only on the
+    # child that reads it
+    targets = [t for t in _cpu_dispatch()[0] if not avx512_only or "AVX512" in t or t == "X86_V4"]
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+    env.update(NPY_DISABLE_CPU_FEATURES=" ".join(targets), PYTHONPATH=os.pathsep.join(
+        filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", DISPATCH_CHILD], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    child = json.loads(out.stdout)
+    assert set(child["on"]).isdisjoint(targets)
+    assert child["digests"] == _stdout_digests()
 
 
 @pytest.mark.parametrize("argv, line", [

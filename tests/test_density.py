@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qiopa import amplifier, density, fock
-from qiopa.amplifier import (AmplifierConfig, _largest_gain, amplify, pair_probability,
-                             pair_weights, propagate_hamiltonian)
+from qiopa.amplifier import (AmplifierConfig, _largest_gain, amplify, pair_weights,
+                             propagate_hamiltonian)
 from qiopa.density import (BLOCK_COHERENCE_TOL, SectorDensity, cloner_entropy, entropy,
                            hs_distance, partial_trace, rho1_closed_form, rho2_closed_form)
 from qiopa.errors import NumericalError
@@ -57,10 +57,10 @@ def _blocks_by_summands(q, cfg, mode):
 def _cloner_spectrum(cfg, mode):
     """Sector spectra of the |H> reductions, w_n (t-p), p = 0..t, in mode-1
     sector t = n + 1 and w_n (p+1), p = 0..n, in mode-2 sector n, with
-    w_n = p(n) / ((n+1)(n+2)/2).  By SU(2) covariance, those of every qubit."""
+    w_n = gamma^2 Gamma^(2n) the pair weights.  By SU(2) covariance, those of
+    every qubit."""
     spectra = [np.zeros(1)] if mode == "mode1" else []
-    for n in range(cfg.cutoff + 1):
-        w = float(pair_probability(cfg.gain, n)) * 2 / ((n + 1) * (n + 2))
+    for n, w in enumerate(pair_weights(cfg).tolist()):
         spectra.append(w * np.arange(0 if mode == "mode1" else 1, n + 2))
     return spectra
 

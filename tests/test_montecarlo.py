@@ -22,7 +22,7 @@ from qiopa.observables import DETECTED_FIELD_UNITARY, g1_closed_form, visibility
 from qiopa.polarization import BlochPath, Qubit
 
 from reference import (broadcast_totals, detected_law, enumerated_law, grid_law,
-                       per_pulse_totals, thinning)
+                       per_pulse_totals, thinned_joint, thinning)
 
 BALANCED = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
 LG = AmplifierConfig.for_gain(0.07)
@@ -174,6 +174,19 @@ class TestThinning:
         dark = 0.01
         expected = np.vstack([pmf[0] * (1.0 - dark), pmf[0] * dark, pmf[1:]])
         assert np.abs(thinning(cutoff, eta, dark) - expected).max() < 1e-14
+
+    @pytest.mark.parametrize("eta, dark", [(0.126, 0.01), (1.0, 0.0)])
+    def test_joint_skips_only_zero_blocks(self, eta, dark, rng):
+        # the dense product is the definition.  Each of its two products sums
+        # n non-negative terms, within n eps relative in any order, so the
+        # blocks, which sum them in another order, part by at most 4 n eps
+        cutoff = 300
+        h, v = np.indices((cutoff + 1, cutoff + 1))
+        gated = np.where(h + v <= cutoff, rng.uniform(size=h.shape), 0.0)
+        thin = thinning(cutoff, eta, dark)
+        dense = thin @ gated @ thin.T
+        assert np.all(np.abs(thinned_joint(thin, gated) - dense)
+                      <= 4 * (cutoff + 1) * np.finfo(float).eps * dense)
 
     def test_package_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats would double the package's import time and add ~40 MB
