@@ -13,13 +13,14 @@ chains.  Each chain links only even to odd pair numbers, so one SVD of that
 bipartite half exponentiates it exactly, with numpy alone.
 
 Both outputs are linear in the qubit alpha|H> + beta e^{i phi}|V>, and hold
-amplitudes on the same rows: the rows and the per-row factors of the two
-injected branches depend on the configuration alone.  amplify keeps its rows
-and factors, propagate_hamiltonian its factors on amplify's rows, for the
-last configuration used (one-entry memos of read-only arrays, 0.61 MB at HG,
-cutoff 100, and 60 MB at the top gain, cutoff 1000).  Both returned states
-share one row array, and its trace plans (held in amplify's entry) while
-nothing is pruned; a repeated configuration only scales by the qubit.
+amplitudes on the same rows: each is alpha times one ket on the first row of
+each pair term plus beta e^{i phi} times another on the second, and the rows
+and that per-row ket depend on the configuration alone.  amplify keeps its
+rows and ket, propagate_hamiltonian its ket on amplify's rows, for the last
+configuration used (one-entry memos of read-only arrays, 0.49 MB together at
+HG, cutoff 100, and 48 MB at the top gain, cutoff 1000).  One builder scales
+either ket by the qubit; both returned states share one row array, and its
+trace plans (held in amplify's entry) while nothing is pruned.
 """
 from __future__ import annotations
 
@@ -93,6 +94,10 @@ def pair_tail(gain: GainParams, start: int) -> float:
         return 0.0
     if x == 1.0:    # tanh g rounds to 1: no finite cutoff holds any weight
         return 1.0
+    if start >= 2 ** 63:
+        # x <= 1 - 2^-53, so x^start <= exp(-1024) is 0.0 and so is the
+        # tail; a float of start, or of start^2, could overflow
+        return 0.0
     m = start
     one = 1.0 - x
     # geometric sums of n^0, n^1, n^2 weights starting at n = m
@@ -182,20 +187,27 @@ def _pair_amplitudes(cfg: AmplifierConfig, pref: float):
 
 @functools.lru_cache(maxsize=1)
 def _amplified_kets(cfg: AmplifierConfig):
-    """The qubit-independent part of amplify: read-only (occ, base,
-    sqrt(i+1), sqrt(j+1)) over the pair terms (i, j), occ holding
-    |i+1, j, j, i> and then |i, j+1, j, i> for each term, and a dict that
-    traces fill with occ's plans by kept mode.  The memo keeps the last cfg."""
+    """The qubit-independent part of amplify: read-only rows occ, holding
+    |i+1, j, j, i> and then |i, j+1, j, i> for each pair term (i, j), the
+    read-only ket gamma (-Gamma)^i Gamma^j times sqrt(i+1) and then sqrt(j+1)
+    on them, and a dict that traces fill with occ's plans by kept mode.  The
+    memo keeps the last cfg."""
     i, j, base = _pair_amplitudes(cfg, cfg.gain.gamma)
     occ = np.column_stack([i + 1, j, j, i, i, j + 1, j, i]).reshape(-1, 4)
-    arrays = (occ, base, np.sqrt(i + 1), np.sqrt(j + 1))
-    for arr in arrays:
-        arr.setflags(write=False)
-    return *arrays, {}
+    ket = np.column_stack([base * np.sqrt(i + 1), base * np.sqrt(j + 1)]).reshape(-1)
+    occ.setflags(write=False)
+    ket.setflags(write=False)
+    return occ, ket, {}
 
 
-def _on_memo_rows(state: FockState4, occ: np.ndarray, plans: dict) -> FockState4:
-    """state, carrying the trace plans of the memoised rows occ if it holds them."""
+def _on_qubit(q: Qubit, cfg: AmplifierConfig, ket: np.ndarray) -> FockState4:
+    """The state alpha ket (first rows) + beta e^{i phi} ket (second rows) of
+    each pair term, on amplify's memoised rows, carrying their trace plans
+    when nothing is pruned."""
+    occ, _ket, plans = _amplified_kets(cfg)
+    amp = np.tile(np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)]), len(ket) // 2)
+    amp *= ket
+    state = FockState4.from_arrays(occ, amp, cfg.cutoff)
     if state.occ is occ:
         state._plans = plans
     return state
@@ -205,15 +217,10 @@ def amplify(q: Qubit, cfg: AmplifierConfig) -> FockState4:
     """Closed-form amplifier output for an injected qubit.
 
     Each pair term (i, j) gives |i+1, j, j, i> (alpha) and then |i, j+1, j, i> (beta).
-    The output is linear in the qubit: the rows and pair factors come from a
-    one-entry memo per configuration, whose rows and trace plans the state
-    shares when neither branch is pruned.
+    The output is linear in the qubit: it scales the memoised per-row ket of
+    the configuration.
     """
-    occ, base, s_h, s_v, plans = _amplified_kets(cfg)
-    amp = np.empty(len(occ), dtype=complex)
-    amp[0::2] = q.alpha * base * s_h
-    amp[1::2] = q.beta * cmath.exp(1j * q.phi) * base * s_v
-    return _on_memo_rows(FockState4.from_arrays(occ, amp, cfg.cutoff), occ, plans)
+    return _on_qubit(q, cfg, _amplified_kets(cfg)[1])
 
 
 def vacuum_output(cfg: AmplifierConfig) -> FockState4:
@@ -258,12 +265,13 @@ def _chain(cfg: AmplifierConfig, d: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _evolved_kets(cfg: AmplifierConfig):
-    """The qubit-independent part of propagate_hamiltonian: (f1, f2), both
-    injected rows' evolved kets' factors from the two couplings' chains, laid
-    out as amplify's rows (pair term by pair term, the two alternating).  The
-    evolved rows must equal _amplified_kets' rows, or NumericalError is raised.
-    Two chain solves per configuration; read-only; the memo keeps the last cfg."""
+def _evolved_kets(cfg: AmplifierConfig) -> np.ndarray:
+    """The qubit-independent part of propagate_hamiltonian: one ket, the
+    product of the two couplings' chain factors, holding both injected rows'
+    evolved kets laid out as amplify's rows (pair term by pair term, the two
+    alternating).  The evolved rows must equal _amplified_kets' rows, or
+    NumericalError is raised.  Two chain solves per configuration; read-only;
+    the memo keeps the last cfg."""
     pair = np.eye(4, dtype=np.int64)[[ab for ab, _sign in _COUPLINGS]].sum(axis=1)
     n, i = np.tril_indices(cfg.cutoff + 1)
     k = np.column_stack([i, n - i])   # k[:, c] pairs of coupling c, at most cutoff in all
@@ -275,9 +283,9 @@ def _evolved_kets(cfg: AmplifierConfig):
     f1, f2 = (np.column_stack([(sign ** pairs * chains[seed[a] - seed[b]])[k[:, c]]
                                for seed in _INJECTED]).reshape(-1)
               for c, ((a, b), sign) in enumerate(_COUPLINGS))
-    f1.setflags(write=False)
-    f2.setflags(write=False)
-    return f1, f2
+    ket = f1 * f2
+    ket.setflags(write=False)
+    return ket
 
 
 def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
@@ -291,18 +299,10 @@ def propagate_hamiltonian(q: Qubit, cfg: AmplifierConfig) -> FockState4:
     coupling is the gauge diag((-1)^k) on its chain, so the chains of both
     signs come from one solve per d.  Each chain's weight beyond the cutoff
     is checked against the pair-number tail; the product is truncated back
-    to the cutoff.  The evolution is linear in the qubit: the factors of
-    both injected rows' evolved kets come from a one-entry memo per
-    configuration.  Their rows are amplify's, taken from its memo on every
-    call, so the two outputs share one row array and its trace plans when
-    neither is pruned.
+    to the cutoff.  The evolution is linear in the qubit: it scales the
+    memoised evolved ket of the configuration, on amplify's rows.
     """
-    amp0 = np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)])
     if cfg.gain.g == 0.0:
+        amp0 = np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)])
         return FockState4.from_arrays(_INJECTED, amp0, cfg.cutoff)
-    f1, f2 = _evolved_kets(cfg)
-    terms = np.tile(amp0, len(f1) // 2)   # a new array: scaled in place
-    terms *= f1
-    terms *= f2
-    occ, *_factors, plans = _amplified_kets(cfg)
-    return _on_memo_rows(FockState4.from_arrays(occ, terms, cfg.cutoff), occ, plans)
+    return _on_qubit(q, cfg, _evolved_kets(cfg))

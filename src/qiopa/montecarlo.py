@@ -151,9 +151,7 @@ class PulseSampler:
         passed = sum(ct * mh * mv for ct, mh, mv in zip(c, masses[:3], masses[3:]))
         cells = [(ct * zh) * zv for ct, h, v in zip(c, split[:3], split[3:])
                  for zh in h for zv in v]      # [4 t + 2 zH + zV]
-        gated = ((((cells[0] + cells[1]) + (cells[2] + cells[3]))   # numpy's order, to the bit
-                  + ((cells[4] + cells[5]) + (cells[6] + cells[7])))
-                 + cells[8] + cells[9] + cells[10] + cells[11])
+        gated = math.fsum(cells)
         if gated > 1.0 + 1e-12:
             raise NumericalError(f"outcome law holds gated weight {gated!r} > 1")
         cfg.check_lost_weight(passed - gated, "gated weight the outcome law drops")

@@ -94,6 +94,8 @@ def enumerated_law(q: Qubit, cfg: AmplifierConfig, det, thin=None) -> np.ndarray
     mask = det.coincidence_mask
     eta, dark = det.qe * det.attenuation, det.dark_rate
     top = cfg.cutoff + 1        # photon numbers 0..cutoff on each mode-2 axis
+    # a mode-1 detector's click probability given k photons, k <= cutoff + 1
+    clicks = np.array([1.0 - (1.0 - eta) ** k * (1.0 - dark) for k in range(top + 1)])
     gated = np.zeros(top * top)
     for label, source, share in (("injected", q, det.p_inject),
                                  ("vacuum", None, 1.0 - det.p_inject)):
@@ -107,7 +109,7 @@ def enumerated_law(q: Qubit, cfg: AmplifierConfig, det, thin=None) -> np.ndarray
                 weight = weight * (1.0 - (1.0 - det.qe) * (1.0 - dark))
             for d, n1 in zip(("D1", "D1*"), mode1):
                 if d in mask:
-                    weight = weight * (1.0 - (1.0 - eta) ** n1 * (1.0 - dark))
+                    weight = weight * clicks[n1]
             gated += np.bincount(cell, weight, minlength=top * top)
     if thin is None:
         thin = thinning(cfg.cutoff, eta, dark)

@@ -209,6 +209,14 @@ class TestPairStatistics:
         # tanh 20 == 1.0: the geometric sums would divide by 1 - Gamma^2 = 0
         assert pair_tail(GainParams(20.0), 1) == 1.0
 
+    @pytest.mark.parametrize("g", [0.07, 1.13, 15.0], ids=["LG", "HG", "15"])
+    def test_tail_is_zero_at_huge_starts(self, g):
+        # Gamma^2 <= 1 - 2^-53 puts the tail at 0.0 long before start, or
+        # start^2, overflows a float; the closed form still runs at 10**150
+        gp = GainParams(g)
+        for start in (10 ** 150, 2 ** 63 - 1, 2 ** 63, 10 ** 154, 10 ** 400):
+            assert pair_tail(gp, start) == 0.0
+
     def test_probabilities_sum_with_tail(self):
         cfg = AmplifierConfig.for_gain(0.6, 29)
         total = sum(pair_law(cfg).tolist())
@@ -525,8 +533,8 @@ def _amplify_per_call(q, cfg):
     i, j, base = amplifier._pair_amplitudes(cfg, cfg.gain.gamma)
     b_amp = q.beta * cmath.exp(1j * q.phi)
     occ = np.column_stack([i + 1, j, j, i, i, j + 1, j, i]).reshape(-1, 4)
-    amp = np.column_stack([q.alpha * base * np.sqrt(i + 1),
-                           b_amp * base * np.sqrt(j + 1)]).reshape(-1)
+    ket = np.column_stack([base * np.sqrt(i + 1), base * np.sqrt(j + 1)]).reshape(-1)
+    amp = np.tile(np.array([q.alpha, b_amp]), len(i)) * ket
     return FockState4.from_arrays(occ, amp, cfg.cutoff)
 
 
@@ -546,11 +554,11 @@ def _propagate_per_call(q, cfg):
     pairs = np.arange(chains[0].size)
     occ, amp = [], []
     for seed, amp0 in zip(psi_in.occ, psi_in.amp):
-        terms = np.full(len(k), amp0)
+        ket = np.ones(len(k))
         for c, ((a, b), sign) in enumerate(_COUPLINGS):
-            terms *= (sign ** pairs * chains[seed[a] - seed[b]])[k[:, c]]
+            ket *= (sign ** pairs * chains[seed[a] - seed[b]])[k[:, c]]
         occ.append(seed + k @ pair)
-        amp.append(terms)
+        amp.append(amp0 * ket)
     occ, amp = np.stack(occ, axis=1).reshape(-1, 4), np.stack(amp, axis=1).reshape(-1)
     return FockState4.from_arrays(occ, amp, cfg.cutoff)
 
@@ -594,10 +602,13 @@ class TestStateMemo:
         state = memoised(_MEMO_QUBITS["balanced"], cfg)
         for mode in ("mode1", "mode2"):
             partial_trace(state, mode)
-        *_kets, plans = amplifier._amplified_kets(cfg)
+        occ, ket, plans = amplifier._amplified_kets(cfg)
         assert sorted(plans) == ["mode1", "mode2"]
         warm = [arr for plan in plans.values() for arr in plan[1:]]
-        for arr in [*(a for a in memo(cfg) if a is not plans), *warm]:
+        # each entry holds one ket; amplify's also holds the rows
+        own = ket if memo is amplifier._amplified_kets else memo(cfg)
+        assert own.shape == (len(occ),)
+        for arr in [occ, own, *warm]:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
         # nothing pruned: the state shares amplify's memoised rows

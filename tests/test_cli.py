@@ -196,6 +196,11 @@ class TestPairs:
         out = capsys.readouterr().out.splitlines()
         assert [l for l in out if l.startswith("# reported")] == reported
 
+    @pytest.mark.parametrize("exponent", [154, 400])
+    def test_huge_threshold_has_zero_tail(self, exponent, capsys):
+        assert main(["pairs", "--preset", "HG", "--threshold", str(10 ** exponent)]) == 0
+        assert "# tail_probability=0\n" in capsys.readouterr().out
+
     def test_negative_threshold_exits_2(self, capsys):
         # pair_tail reads a start <= 0 as the whole law; the command rejects it
         assert main(["pairs", "--g", "0.5", "--threshold", "-1"]) == 2

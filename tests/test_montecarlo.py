@@ -266,16 +266,22 @@ class TestPulseSampler:
                 assert run(BALANCED, cfg, det).pulses == 1_000
 
     @pytest.mark.parametrize("cfg", [LG, _hg(), _top()], ids=["LG", "HG", "top"])
-    def test_sink_is_one_less_numpys_sum_of_the_cells(self, cfg):
-        # the sampler sums its 12 cells in Python floats, in the order numpy
-        # sums them, so its sink is the one numpy's sum gives, to the bit
+    def test_sink_is_one_less_the_exact_sum_of_the_cells(self, cfg):
         q = Qubit(0.6, 0.8, 0.7)
         for detectors in ({}, LOSSY):
             for k in range(len(DETECTORS) + 1):
                 for mask in itertools.combinations(DETECTORS, k):
                     det = DetectorConfig(coincidence_mask=mask, **detectors)
                     cells = PulseSampler(q, cfg, det).cells
-                    assert cells[12] == max(1.0 - cells[:12].sum(), 0.0), mask
+                    assert cells[12] == max(1.0 - math.fsum(cells[:12]), 0.0), mask
+
+    def test_sink_moves_no_draw(self):
+        # numpy's multinomial never reads the last cell: the sink's last bits
+        # cannot move a seeded run
+        sampler = PulseSampler(BALANCED, _hg(), DetectorConfig(coincidence_mask=FOUR_FOLD))
+        want = sampler.sample_chunk(np.random.default_rng(5), 100_000)
+        sampler.cells[12] = 0.123456
+        assert sampler.sample_chunk(np.random.default_rng(5), 100_000) == want
 
     @pytest.mark.parametrize("mask,detectors", [
         *(pytest.param(m, LOSSY, id=",".join(sorted(m))) for m in (
