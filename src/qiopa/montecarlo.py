@@ -19,8 +19,9 @@ totals, Python ints, have the same law as n single-pulse draws, and the
 sampler holds O(cutoff) numbers.  The per-axis laws read no qubit: memoised
 under (Gamma^2, C^-2, cutoff, eta, dark rate, D1 and D1* gates) and shared
 read-only, they leave a sweep point only its 13 cells to build, in Python
-floats.  All randomness flows from a single seed through one spawned stream
-per point, so runs are reproducible.
+floats.  Point i of a sweep draws from the stream numpy's
+SeedSequence(seed, spawn_key=(i,)) seeds into PCG64, and a single point from
+spawn key (); the hash runs on Python ints, so runs are reproducible.
 """
 from __future__ import annotations
 
@@ -39,6 +40,13 @@ DETECTORS = ("D_T", "D2", "D2*", "D1", "D1*")
 FULL_PERIOD_TOL = 1e-3   # relative slack of a sweep's period against 2 pi
 CALIBRATION_SWEEP_POINTS = 12   # phases of calibrate_visibility_loss's one sweep
 INT64_MAX = 2 ** 63 - 1     # numpy's draws and survivor sums are int64
+# numpy.random.SeedSequence's hash: a pool of four 32-bit words, the entropy
+# hashed in with INIT_A/MULT_A and mixed with MIX_L/MIX_R, the state hashed
+# out with INIT_B/MULT_B, each hash and mix ending in a 16-bit xorshift
+MASK32, POOL = 0xFFFFFFFF, 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_L, MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -145,19 +153,25 @@ class PulseSampler:
         # a is a probability; rounding can put it one ulp outside [0, 1]
         a = min(max(0.5 + q.alpha * q.beta * math.cos(q.phi), 0.0), 1.0)
         gamma2 = cfg.gain.gamma ** 2
-        c = [herald * weight for weight in (det.p_inject * (1.0 - a) * gamma2,
-                                            det.p_inject * a * gamma2,
-                                            (1.0 - det.p_inject) * cfg.gain.C ** -4)]
-        passed = sum(ct * mh * mv for ct, mh, mv in zip(c, masses[:3], masses[3:]))
-        cells = [(ct * zh) * zv for ct, h, v in zip(c, split[:3], split[3:])
-                 for zh in h for zv in v]      # [4 t + 2 zH + zV]
+        c = (herald * (det.p_inject * (1.0 - a) * gamma2),
+             herald * (det.p_inject * a * gamma2),
+             herald * ((1.0 - det.p_inject) * cfg.gain.C ** -4))
+        passed, cells = 0.0, []     # cells[4 t + 2 zH + zV]
+        for t in range(3):
+            ct = c[t]
+            passed += ct * masses[t] * masses[t + 3]
+            for zh in split[t]:
+                for zv in split[t + 3]:
+                    cells.append((ct * zh) * zv)
         gated = math.fsum(cells)
         if gated > 1.0 + 1e-12:
             raise NumericalError(f"outcome law holds gated weight {gated!r} > 1")
         cfg.check_lost_weight(passed - gated, "gated weight the outcome law drops")
         if gated > 1.0:     # a cell holding the whole law can round past 1
-            cells = [min(cell, 1.0) for cell in cells]
-        self.cells = np.array([*cells, max(1.0 - gated, 0.0)])
+            for i in range(12):
+                cells[i] = min(cells[i], 1.0)
+        cells.append(max(1.0 - gated, 0.0))
+        self.cells = np.array(cells)
 
     def sample_chunk(self, rng: np.random.Generator, n: int) -> tuple:
         """The eight totals of n pulses, as Python ints: [D2, D_T] and
@@ -166,19 +180,25 @@ class PulseSampler:
         the cells, then one per term-axis with a non-zero count, in axis
         order, puts its clicks on its outcomes."""
         mask = self.det.coincidence_mask
-        cells = rng.multinomial(n, self.cells).tolist()[:-1]    # [4 t + 2 zH + zV]
-        clicks = ([a + b for a, b in zip(cells[2::4], cells[3::4])]      # H axes
-                  + [a + b for a, b in zip(cells[1::4], cells[3::4])])   # V axes
+        cells = rng.multinomial(n, self.cells).tolist()     # [4 t + 2 zH + zV], then sink
+        # a cell is coincident when every one of D2 and D2* in the mask clicked in it
+        need = 2 * ("D2" in mask) + ("D2*" in mask)
+        coincident = gated = 0
+        for i in range(12):
+            gated += cells[i]
+            if (i & need) == need:
+                coincident += cells[i]
+        clicks = [0, 0]         # H, V
         sums = [0, 0, 0, 0]     # s and s^2 of H, then of V
-        for i, k in enumerate(clicks):
+        for i in range(6):      # term-axes H0, H1, H2, V0, V1, V2
+            v, t = divmod(i, 3)
+            k = cells[4 * t + 2 - v] + cells[4 * t + 3]
             if k:   # a zero count would draw nothing from the stream either
+                clicks[v] += k
                 s1, s2 = rng.multinomial(k, self.axes[i]).dot(self.moments).tolist()
-                sums[2 * (i // 3)] += s1
-                sums[2 * (i // 3) + 1] += s2
-        d2, d2_star = int("D2" in mask), int("D2*" in mask)
-        coincident = sum(sum(cells[2 * zh + zv::4])
-                         for zh in range(d2, 2) for zv in range(d2_star, 2))
-        return (sum(clicks[:3]), sum(clicks[3:]), coincident, sum(cells), *sums)
+                sums[2 * v] += s1
+                sums[2 * v + 1] += s2
+        return (clicks[0], clicks[1], coincident, gated, *sums)
 
 
 @functools.lru_cache(maxsize=1)
@@ -244,10 +264,74 @@ def _thinned_geometric(z: float, rest: float, tilt: int, eta: float, dark: float
     return np.concatenate(([p[0] * (1.0 - dark), p[0] * dark], p[1:]))
 
 
-def _run_point(sampler: PulseSampler, seed_seq: np.random.SeedSequence) -> RunStats:
-    pulses = sampler.det.pulses
-    ch, cv, coin, ngate, s1h, s2h, s1v, s2v = sampler.sample_chunk(
-        np.random.default_rng(seed_seq), pulses)
+@functools.cache
+def _seed_class():
+    """numpy's SeedSequence hash on Python ints, as an ISeedSequence whose
+    (seed, key) seeds PCG64 exactly as SeedSequence(seed, spawn_key=key).
+
+    Built on first use, so that importing the package does not load
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    def words(n: int) -> list:
+        """n's little-endian 32-bit words, [0] for n = 0."""
+        out = [n & MASK32]
+        while n > MASK32:
+            n >>= 32
+            out.append(n & MASK32)
+        return out
+
+    class IntSeedSequence(ISeedSequence):
+        def __init__(self, seed: int, key: tuple):
+            entropy = words(seed)
+            if key:     # numpy pads the seed to the pool before a spawn key
+                entropy += [0] * (POOL - len(entropy))
+                for k in key:
+                    entropy += words(k)
+            h, pool = INIT_A, []
+            for i in range(POOL):
+                value = (entropy[i] if i < len(entropy) else 0) ^ h
+                h = h * MULT_A & MASK32
+                value = value * h & MASK32
+                pool.append(value ^ value >> 16)
+            # hash every other pool word, then every entropy word past the
+            # pool, and mix it into each pool word
+            for src in range(max(len(entropy), POOL)):
+                for dst in range(POOL):
+                    if src != dst:
+                        value = (pool[src] if src < POOL else entropy[src]) ^ h
+                        h = h * MULT_A & MASK32
+                        value = value * h & MASK32
+                        value = (MIX_L * pool[dst] - MIX_R * (value ^ value >> 16)) & MASK32
+                        pool[dst] = value ^ value >> 16
+            self.pool = pool
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            wide = np.dtype(dtype) == np.uint64
+            if not wide and np.dtype(dtype) != np.uint32:
+                raise ValueError("only support uint32 or uint64")
+            h, state = INIT_B, []
+            for i in range(2 * n_words if wide else n_words):
+                value = self.pool[i % POOL] ^ h
+                h = h * MULT_B & MASK32
+                value = value * h & MASK32
+                value ^= value >> 16
+                if wide and i % 2:  # word pairs join little-endian on every host
+                    state[-1] |= value << 32
+                else:
+                    state.append(value)
+            return np.array(state, dtype=dtype)
+
+    return IntSeedSequence
+
+
+def _run_point(sampler: PulseSampler, key: tuple) -> RunStats:
+    """One point's RunStats, drawn from the stream of
+    SeedSequence(det.seed, spawn_key=key)."""
+    det = sampler.det
+    pulses = det.pulses
+    rng = np.random.Generator(np.random.PCG64(_seed_class()(det.seed, key)))
+    ch, cv, coin, ngate, s1h, s2h, s1v, s2v = sampler.sample_chunk(rng, pulses)
     # each total is rounded to a float before it is divided, as numpy divides
     # int64 totals; a true int division rounds differently past 2^53
     xi_h, xi_v = float(ch) / pulses, float(cv) / pulses
@@ -325,9 +409,8 @@ def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
     threads is checked and otherwise unused: a point is a few draws."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    root = np.random.SeedSequence(det.seed)
     if isinstance(target, Qubit):
-        return _run_point(PulseSampler(target, cfg, det), root)
+        return _run_point(PulseSampler(target, cfg, det), ())
     if isinstance(target, BlochPath):
         # _estimate_visibility needs equal steps over one period: count times
         # each step must be 2 pi to within FULL_PERIOD_TOL of 2 pi
@@ -337,11 +420,8 @@ def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
             raise ValueError(
                 f"the visibility estimator needs {len(target.angles)} equal steps "
                 f"covering 2 pi, got steps {steps.min():.6g} .. {steps.max():.6g}")
-        qubits = target.qubits()
-        seeds = root.spawn(len(qubits))
-        points = tuple(
-            _run_point(PulseSampler(q, cfg, det), s)
-            for q, s in zip(qubits, seeds))
+        points = tuple(_run_point(PulseSampler(q, cfg, det), (i,))
+                       for i, q in enumerate(target.qubits()))
         v, se = _estimate_visibility(target.angles, points)
         return SweepStats(angles=target.angles, points=points, visibility=v,
                           visibility_stderr=se, null_pvalue=_null_pvalue(points))

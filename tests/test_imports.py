@@ -7,15 +7,19 @@ import sys
 
 import qiopa
 
-# runs in a fresh interpreter: the test process has loaded scipy.linalg and
-# scipy.special already.  Every command (a montecarlo sweep and its p-value
-# included) and one HG oracle round (propagator, partial traces, g1,
-# closed-form entropies) must leave both unloaded; an eigensolved spectrum
-# loads scipy.linalg on first use through scipy's lazy submodule access, and
-# no code path loads scipy.special.
+# runs in a fresh interpreter: the test process has loaded scipy.linalg,
+# scipy.special and numpy.random already.  Every command (a montecarlo sweep
+# and its p-value included) and one HG oracle round (propagator, partial
+# traces, g1, closed-form entropies) must leave both scipy modules unloaded;
+# an eigensolved spectrum loads scipy.linalg on first use through scipy's
+# lazy submodule access, and no code path loads scipy.special.  numpy.random
+# costs every process 12 to 16 ms to import, so only Monte Carlo code may
+# load it.
 SCRIPT = """
 import contextlib, io, json, math, sys
 
+import numpy
+eager = "numpy.random" in sys.modules   # numpy 1.x imports it with numpy
 from qiopa import cli
 from qiopa.amplifier import AmplifierConfig, amplify, propagate_hamiltonian
 from qiopa.density import entropy, partial_trace, rho1_closed_form, rho2_closed_form
@@ -25,7 +29,8 @@ from qiopa.observables import g1_closed_form, g1_oracle
 from qiopa.polarization import BlochPath, Qubit
 
 def lazy():
-    return [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+    return [m for m in ("scipy.linalg", "scipy.special", "numpy.random")
+            if m in sys.modules]
 
 loaded = {"import qiopa": lazy()}
 for cmd in ("pairs", "entropy", "fringe", "montecarlo"):
@@ -47,7 +52,8 @@ loaded["oracle round"] = lazy()
 oracle = entropy(traced[0])
 angles = tuple(2 * math.pi * k / 8 for k in range(8))
 sweep = run(BlochPath("z", angles, q), cfg, DetectorConfig(pulses=1000))
-print(json.dumps({"loaded": loaded, "after": lazy(), "fidelity_defect": defect,
+print(json.dumps({"loaded": loaded, "after": lazy(), "eager": eager,
+                  "fidelity_defect": defect,
                   "g1_error": abs(pair.difference - g1_closed_form(q, cfg.gain).difference),
                   "entropy_error": abs(oracle - closed[0]),
                   "null_pvalue": sweep.null_pvalue}))
@@ -61,11 +67,13 @@ def test_closed_forms_leave_scipy_linalg_and_special_unloaded():
     out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
     report = json.loads(out.stdout)
-    assert report["loaded"] == {"import qiopa": [], "pairs": [], "entropy": [],
-                                "fringe": [], "montecarlo": [], "run(Qubit)": [],
-                                "oracle round": []}
+    rand = ["numpy.random"]
+    early = rand if report["eager"] else []
+    assert report["loaded"] == {"import qiopa": early, "pairs": early, "entropy": early,
+                                "fringe": early, "montecarlo": rand, "run(Qubit)": rand,
+                                "oracle round": rand}
     # the eigensolved spectrum still runs; the sweep's p-value loads nothing
-    assert report["after"] == ["scipy.linalg"]
+    assert report["after"] == ["scipy.linalg", "numpy.random"]
     assert report["fidelity_defect"] <= 1e-8
     assert report["g1_error"] <= 1e-9
     assert report["entropy_error"] <= 1e-12

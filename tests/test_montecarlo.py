@@ -603,6 +603,35 @@ class TestRunPoint:
             run(BALANCED, _hg(), det2).coincidences
 
 
+SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 + 5, 2 ** 299 + 0x9E3779B97F4A7C15]
+
+
+class TestSeedStreams:
+    # a point's stream is numpy's SeedSequence -> PCG64 stream, hashed on
+    # Python ints; numpy's own SeedSequence is the reference
+    @pytest.mark.parametrize("key", [(), (0,), (31,), (2 ** 32 + 1,), (3, 7)], ids=str)
+    def test_pcg64_state_equals_numpys(self, key):
+        seed_class = montecarlo._seed_class()
+        for seed in SEEDS:
+            want = np.random.SeedSequence(seed, spawn_key=key)
+            got = seed_class(seed, key)
+            assert np.random.PCG64(got).state == np.random.PCG64(want).state, seed
+            for dtype in (np.uint32, np.uint64):
+                a, b = got.generate_state(9, dtype), want.generate_state(9, dtype)
+                assert a.dtype == b.dtype and a.tolist() == b.tolist(), (seed, dtype)
+
+    def test_spawned_children_are_the_point_keys(self):
+        seed_class = montecarlo._seed_class()
+        for seed in SEEDS:
+            for i, child in enumerate(np.random.SeedSequence(seed).spawn(32)):
+                assert np.random.PCG64(seed_class(seed, (i,))).state == \
+                    np.random.PCG64(child).state, (seed, i)
+
+    def test_other_dtypes_rejected(self):
+        with pytest.raises(ValueError):
+            montecarlo._seed_class()(0, ()).generate_state(4, np.int64)
+
+
 class TestPerAxisDraws:
     @pytest.mark.parametrize("cfg", [LG, _hg(), _top()], ids=["LG", "HG", "top"])
     def test_totals_equal_the_broadcast_draw(self, cfg):
