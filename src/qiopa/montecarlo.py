@@ -19,9 +19,9 @@ totals, Python ints, have the same law as n single-pulse draws, and the
 sampler holds O(cutoff) numbers.  The per-axis laws read no qubit: memoised
 under (Gamma^2, C^-2, cutoff, eta, dark rate, D1 and D1* gates) and shared
 read-only, they leave a sweep point only its 13 cells to build, in Python
-floats.  Point i of a sweep draws from the stream numpy's
-SeedSequence(seed, spawn_key=(i,)) seeds into PCG64, and a single point from
-spawn key (); the hash runs on Python ints, so runs are reproducible.
+floats.  A single point draws from the stream numpy's SeedSequence(seed)
+seeds into PCG64, and point i of a sweep from SeedSequence(seed,
+spawn_key=(i,)); the hash runs on Python ints, so runs are reproducible.
 """
 from __future__ import annotations
 
@@ -266,8 +266,9 @@ def _thinned_geometric(z: float, rest: float, tilt: int, eta: float, dark: float
 
 @functools.cache
 def _seed_class():
-    """numpy's SeedSequence hash on Python ints, as an ISeedSequence whose
-    (seed, key) seeds PCG64 exactly as SeedSequence(seed, spawn_key=key).
+    """numpy's SeedSequence hash on Python ints: IntSeedSequence(seed, index)
+    seeds PCG64 with the stream of sweep point index, or of a single point
+    for None, and generates uint64 words only, the one request PCG64 makes.
 
     Built on first use, so that importing the package does not load
     numpy.random."""
@@ -282,55 +283,52 @@ def _seed_class():
         return out
 
     class IntSeedSequence(ISeedSequence):
-        def __init__(self, seed: int, key: tuple):
+        def __init__(self, seed: int, index: int | None):
             entropy = words(seed)
-            if key:     # numpy pads the seed to the pool before a spawn key
-                entropy += [0] * (POOL - len(entropy))
-                for k in key:
-                    entropy += words(k)
             h, pool = INIT_A, []
             for i in range(POOL):
                 value = (entropy[i] if i < len(entropy) else 0) ^ h
                 h = h * MULT_A & MASK32
                 value = value * h & MASK32
                 pool.append(value ^ value >> 16)
-            # hash every other pool word, then every entropy word past the
-            # pool, and mix it into each pool word
-            for src in range(max(len(entropy), POOL)):
+            # hash every other pool word, then the seed's words past the pool
+            # and the index's, and mix each into each pool word; numpy's zeros
+            # that pad a short seed before a spawn key are the else 0 above
+            rest = entropy[POOL:] if index is None else entropy[POOL:] + words(index)
+            for src in range(POOL + len(rest)):
                 for dst in range(POOL):
                     if src != dst:
-                        value = (pool[src] if src < POOL else entropy[src]) ^ h
+                        value = (pool[src] if src < POOL else rest[src - POOL]) ^ h
                         h = h * MULT_A & MASK32
                         value = value * h & MASK32
                         value = (MIX_L * pool[dst] - MIX_R * (value ^ value >> 16)) & MASK32
                         pool[dst] = value ^ value >> 16
             self.pool = pool
 
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            wide = np.dtype(dtype) == np.uint64
-            if not wide and np.dtype(dtype) != np.uint32:
-                raise ValueError("only support uint32 or uint64")
+        def generate_state(self, n_words: int, dtype) -> np.ndarray:
+            if np.dtype(dtype) != np.uint64:
+                raise ValueError(f"only uint64 words are generated, got {dtype}")
             h, state = INIT_B, []
-            for i in range(2 * n_words if wide else n_words):
+            for i in range(2 * n_words):
                 value = self.pool[i % POOL] ^ h
                 h = h * MULT_B & MASK32
                 value = value * h & MASK32
                 value ^= value >> 16
-                if wide and i % 2:  # word pairs join little-endian on every host
+                if i % 2:   # word pairs join little-endian on every host
                     state[-1] |= value << 32
                 else:
                     state.append(value)
-            return np.array(state, dtype=dtype)
+            return np.array(state, dtype=np.uint64)
 
     return IntSeedSequence
 
 
-def _run_point(sampler: PulseSampler, key: tuple) -> RunStats:
-    """One point's RunStats, drawn from the stream of
-    SeedSequence(det.seed, spawn_key=key)."""
+def _run_point(sampler: PulseSampler, index: int | None) -> RunStats:
+    """One point's RunStats, drawn from the stream of sweep point index, or
+    of a single point for index None."""
     det = sampler.det
     pulses = det.pulses
-    rng = np.random.Generator(np.random.PCG64(_seed_class()(det.seed, key)))
+    rng = np.random.Generator(np.random.PCG64(_seed_class()(det.seed, index)))
     ch, cv, coin, ngate, s1h, s2h, s1v, s2v = sampler.sample_chunk(rng, pulses)
     # each total is rounded to a float before it is divided, as numpy divides
     # int64 totals; a true int division rounds differently past 2^53
@@ -410,7 +408,7 @@ def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if isinstance(target, Qubit):
-        return _run_point(PulseSampler(target, cfg, det), ())
+        return _run_point(PulseSampler(target, cfg, det), None)
     if isinstance(target, BlochPath):
         # _estimate_visibility needs equal steps over one period: count times
         # each step must be 2 pi to within FULL_PERIOD_TOL of 2 pi
@@ -420,7 +418,7 @@ def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
             raise ValueError(
                 f"the visibility estimator needs {len(target.angles)} equal steps "
                 f"covering 2 pi, got steps {steps.min():.6g} .. {steps.max():.6g}")
-        points = tuple(_run_point(PulseSampler(q, cfg, det), (i,))
+        points = tuple(_run_point(PulseSampler(q, cfg, det), i)
                        for i, q in enumerate(target.qubits()))
         v, se = _estimate_visibility(target.angles, points)
         return SweepStats(angles=target.angles, points=points, visibility=v,

@@ -85,13 +85,16 @@ def thinning(cutoff: int, eta: float, dark: float) -> np.ndarray:
     return thin
 
 
-def enumerated_law(q: Qubit, cfg: AmplifierConfig, det, thin=None) -> np.ndarray:
+def enumerated_law(q: Qubit, cfg: AmplifierConfig, det, thin: np.ndarray) -> np.ndarray:
     """grid_law(PulseSampler(q, cfg, det)) by enumeration: each branch of each
     source, normalised over the truncated cells, weighs in with its gate
     probability; the branches are summed onto (n2H, n2V) and both axes are
-    thinned, then one sink cell takes every other pulse.  thin, if given, is
-    thinning(cfg.cutoff, qe * attenuation, dark_rate)."""
+    thinned by thin, thinning(cfg.cutoff, qe * attenuation, dark_rate), then
+    one sink cell takes every other pulse.  The herald is a constant factor
+    that the caller applies, so a mask holding D_T raises ValueError."""
     mask = det.coincidence_mask
+    if "D_T" in mask:
+        raise ValueError("enumerated_law takes no D_T; apply the herald to its cells")
     eta, dark = det.qe * det.attenuation, det.dark_rate
     top = cfg.cutoff + 1        # photon numbers 0..cutoff on each mode-2 axis
     # a mode-1 detector's click probability given k photons, k <= cutoff + 1
@@ -105,14 +108,10 @@ def enumerated_law(q: Qubit, cfg: AmplifierConfig, det, thin=None) -> np.ndarray
         cell = h * top + v
         for mode1, p in branches:
             weight = share * (p / total)
-            if "D_T" in mask:   # ideal herald photon at D_T
-                weight = weight * (1.0 - (1.0 - det.qe) * (1.0 - dark))
             for d, n1 in zip(("D1", "D1*"), mode1):
                 if d in mask:
                     weight = weight * clicks[n1]
             gated += np.bincount(cell, weight, minlength=top * top)
-    if thin is None:
-        thin = thinning(cfg.cutoff, eta, dark)
     joint = thinned_joint(thin, gated.reshape(top, top))
     return np.append(joint.ravel(), 1.0 - joint.sum())
 

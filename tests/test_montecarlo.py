@@ -603,33 +603,37 @@ class TestRunPoint:
             run(BALANCED, _hg(), det2).coincidences
 
 
-SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 + 5, 2 ** 299 + 0x9E3779B97F4A7C15]
+# 2^96 - 1 .. 2^128 hold 3, 4, 4 and 5 words: numpy pads a seed to the
+# four-word pool before a spawn key, and 2^128 is the first seed with a word
+# past the pool
+SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 + 5, 2 ** 96 - 1, 2 ** 96,
+         2 ** 128 - 1, 2 ** 128, 2 ** 299 + 0x9E3779B97F4A7C15]
 
 
 class TestSeedStreams:
     # a point's stream is numpy's SeedSequence -> PCG64 stream, hashed on
     # Python ints; numpy's own SeedSequence is the reference
-    @pytest.mark.parametrize("key", [(), (0,), (31,), (2 ** 32 + 1,), (3, 7)], ids=str)
+    @pytest.mark.parametrize("key", [(), (0,), (31,), (2 ** 32 + 1,)], ids=str)
     def test_pcg64_state_equals_numpys(self, key):
         seed_class = montecarlo._seed_class()
         for seed in SEEDS:
             want = np.random.SeedSequence(seed, spawn_key=key)
-            got = seed_class(seed, key)
+            got = seed_class(seed, key[0] if key else None)
             assert np.random.PCG64(got).state == np.random.PCG64(want).state, seed
-            for dtype in (np.uint32, np.uint64):
-                a, b = got.generate_state(9, dtype), want.generate_state(9, dtype)
-                assert a.dtype == b.dtype and a.tolist() == b.tolist(), (seed, dtype)
+            a, b = got.generate_state(9, np.uint64), want.generate_state(9, np.uint64)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), seed
 
     def test_spawned_children_are_the_point_keys(self):
         seed_class = montecarlo._seed_class()
         for seed in SEEDS:
             for i, child in enumerate(np.random.SeedSequence(seed).spawn(32)):
-                assert np.random.PCG64(seed_class(seed, (i,))).state == \
+                assert np.random.PCG64(seed_class(seed, i)).state == \
                     np.random.PCG64(child).state, (seed, i)
 
     def test_other_dtypes_rejected(self):
-        with pytest.raises(ValueError):
-            montecarlo._seed_class()(0, ()).generate_state(4, np.int64)
+        for dtype in (np.uint32, np.int64, np.float64):
+            with pytest.raises(ValueError):
+                montecarlo._seed_class()(0, None).generate_state(4, dtype)
 
 
 class TestPerAxisDraws:
