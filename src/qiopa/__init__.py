@@ -2,8 +2,8 @@
 
 from .amplifier import (AmplifierConfig, GainParams, amplify, pair_tail, pair_weights,
                         propagate_hamiltonian, vacuum_output)
-from .density import (SectorDensity, cloner_entropy, entropy, hs_distance, partial_trace,
-                      rho1_closed_form, rho2_closed_form)
+from .density import (SectorDensity, cloner_entropy, entropy, partial_trace, rho1_closed_form,
+                      rho2_closed_form)
 from .errors import NumericalError
 from .fock import (FockState4, fidelity, inner_product, number_expectation,
                    rotate_mode_pair)

@@ -1,4 +1,4 @@
-"""Reduced density matrices, their entropies and Hilbert-Schmidt distances.
+"""Reduced density matrices and their entropies.
 
 Both single-mode reductions of the amplified state are exactly
 block-diagonal in the total photon number of the kept mode pair, and the
@@ -251,14 +251,3 @@ def entropy(rho: SectorDensity) -> float:
             f"density block has eigenvalue {lam.min():.3e} below {EIGENVALUE_FLOOR:g}")
     lam = lam[lam > 0]
     return float(0.0 - np.sum(lam * np.log2(lam)))
-
-
-def hs_distance(a: SectorDensity, b: SectorDensity) -> float:
-    """Hilbert-Schmidt distance Tr[(rho_a - rho_b)^2]."""
-    if a.mode != b.mode:
-        raise ValueError(f"mode mismatch: {a.mode} vs {b.mode}")
-    n = max(a.diag.size, b.diag.size)
-    dd = np.pad(a.diag, (0, n - a.diag.size)) - np.pad(b.diag, (0, n - b.diag.size))
-    ds = np.pad(a.sub, (0, n - a.sub.size)) - np.pad(b.sub, (0, n - b.sub.size))
-    # each sub-diagonal entry stands for itself and its conjugate
-    return float(dd @ dd + 2.0 * np.sum(ds.real ** 2 + ds.imag ** 2))

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import logm
-from scipy.optimize import minimize_scalar
 
 from qiopa.amplifier import (AmplifierConfig, GainParams, _largest_gain, amplify,
                              vacuum_output)
@@ -176,29 +175,8 @@ class TestDetectedLaw:
 
 
 class TestVisibility:
-    def test_balanced_case_is_exactly_one_third(self):
-        assert visibility(BALANCED) == 2 * 0.5 / 3
-
     def test_pole_case_is_zero(self):
         assert visibility(Qubit(1.0, 0.0)) == 0.0
-
-    def test_matches_fringe_extremization(self, rng):
-        gp = GainParams(1.13)
-        for _ in range(20):
-            q = random_qubit(rng)
-
-            def diff(phi, q=q):
-                p = g1_closed_form(Qubit(q.alpha, q.beta, phi), gp)
-                return p.g2h
-
-            hi = -minimize_scalar(lambda t: -diff(t), bounds=(-math.pi, math.pi),
-                                  method="bounded",
-                                  options={"xatol": 1e-12}).fun
-            lo = minimize_scalar(diff, bounds=(-math.pi, math.pi),
-                                 method="bounded",
-                                 options={"xatol": 1e-12}).fun
-            assert (hi - lo) / (hi + lo) == pytest.approx(
-                visibility(q), abs=1e-10)
 
 
 def _fringe_rows(capsys, g: float, count: int) -> list:
