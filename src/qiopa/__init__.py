@@ -5,8 +5,7 @@ from .amplifier import (AmplifierConfig, GainParams, amplify, pair_tail, pair_we
 from .density import (SectorDensity, cloner_entropy, entropy, partial_trace, rho1_closed_form,
                       rho2_closed_form)
 from .errors import NumericalError
-from .fock import (FockState4, fidelity, inner_product, number_expectation,
-                   rotate_mode_pair)
+from .fock import FockState4, fidelity, inner_product, rotate_mode_pair
 from .montecarlo import (CalibrationResult, DetectorConfig, PulseSampler, RunStats,
                          SweepStats, calibrate_visibility_loss, run)
 from .observables import (DETECTED_FIELD_UNITARY, G1Pair, g1_closed_form, g1_oracle,

@@ -24,7 +24,6 @@ import scipy
 from .errors import NumericalError
 from .polarization import PolarizationUnitary
 
-MODE_ORDER = ("1h", "1v", "2h", "2v")
 MODE_PAIRS = {"mode1": (0, 1), "mode2": (2, 3)}
 
 PRUNE_THRESHOLD = 1e-15
@@ -126,14 +125,6 @@ def fidelity(a: FockState4, b: FockState4) -> float:
     if na == 0.0 or nb == 0.0:
         raise ValueError("fidelity undefined for a zero state")
     return abs(inner_product(a, b)) ** 2 / (na * nb)
-
-
-def number_expectation(state: FockState4, mode: str) -> float:
-    """Mean photon number in one of the modes 1h, 1v, 2h, 2v."""
-    if mode not in MODE_ORDER:
-        raise ValueError(f"mode must be one of {', '.join(MODE_ORDER)}, got {mode!r}")
-    pos = MODE_ORDER.index(mode)
-    return float(np.sum(np.abs(state.amp) ** 2 * state.occ[:, pos]))
 
 
 def _pair_rotation(h: np.ndarray, t: int) -> np.ndarray:

@@ -13,6 +13,8 @@ import pytest  # noqa: E402
 import qiopa  # noqa: E402  (loads every module whose memos are emptied)
 from qiopa.polarization import Qubit  # noqa: E402
 
+BALANCED = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
+
 
 def random_qubit(rng: np.random.Generator) -> Qubit:
     u = rng.uniform(0.0, 1.0)

@@ -1,8 +1,8 @@
 """Test-side references: the linear search for the default cutoff, the pair
-law, the enumerated Monte Carlo outcome law, the oracle of PulseSampler's
-closed form, and the draw of a point's totals as one broadcast multinomial
-over all six term-axes, which PulseSampler.sample_chunk must match draw for
-draw.
+law, a state's mean photon number per mode, the enumerated Monte Carlo
+outcome law, the oracle of PulseSampler's closed form, and the draw of a
+point's totals as one broadcast multinomial over all six term-axes, which
+PulseSampler.sample_chunk must match draw for draw.
 
 The detected law lists the photon numbers behind the analyzer cell by cell,
 and the outcome law weighs every cell by its gate probability and thins both
@@ -37,6 +37,11 @@ def pair_law(cfg: AmplifierConfig) -> np.ndarray:
     the pairs command computes it: pair_weights times (n+1)(n+2)/2."""
     n = np.arange(cfg.cutoff + 1)
     return pair_weights(cfg) * (n + 1) * (n + 2) / 2
+
+
+def photon_number(state, column: int) -> float:
+    """Mean photon number of a FockState4 in mode column 0..3 (1h, 1v, 2h, 2v)."""
+    return float(np.sum(np.abs(state.amp) ** 2 * state.occ[:, column]))
 
 
 def detected_law(q: Qubit | None, cfg: AmplifierConfig):

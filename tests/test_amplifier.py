@@ -15,13 +15,12 @@ from qiopa.amplifier import (_COUPLINGS, PROPAGATOR_PADDING, AmplifierConfig,
                              vacuum_output)
 from qiopa.density import partial_trace, rho1_closed_form
 from qiopa.errors import NumericalError
-from qiopa.fock import (FockState4, fidelity, inner_product, number_expectation,
-                        rotate_mode_pair)
+from qiopa.fock import FockState4, fidelity, inner_product, rotate_mode_pair
 from qiopa.observables import DETECTED_FIELD_UNITARY
 from qiopa.polarization import PolarizationUnitary, Qubit, apply
 
 from conftest import random_qubit
-from reference import linear_cutoff, pair_law
+from reference import linear_cutoff, pair_law, photon_number
 
 
 @pytest.fixture
@@ -298,8 +297,8 @@ class TestVacuumOutput:
         st = vacuum_output(cfg)
         # each truncated unit of probability carries at most cutoff photons
         tol = 2 * cfg.cutoff * cfg.epsilon_trunc + 1e-12
-        for mode in ("2h", "2v"):
-            assert number_expectation(st, mode) == pytest.approx(
+        for column in (2, 3):   # 2h, 2v
+            assert photon_number(st, column) == pytest.approx(
                 cfg.gain.nbar, abs=tol)
 
     def test_perfect_pair_correlation(self):
@@ -308,8 +307,8 @@ class TestVacuumOutput:
         for n1h, n1v, n2h, n2v in st.amplitudes:
             assert n1h == n2v
             assert n1v == n2h
-        assert number_expectation(st, "1h") == pytest.approx(
-            number_expectation(st, "2v"), abs=1e-14)
+        assert photon_number(st, 0) == pytest.approx(   # 1h against 2v
+            photon_number(st, 3), abs=1e-14)
 
 
 def _analyzed(state):

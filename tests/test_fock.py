@@ -8,7 +8,7 @@ from qiopa import fock
 from qiopa.amplifier import AmplifierConfig, _largest_gain, amplify, propagate_hamiltonian
 from qiopa.errors import NumericalError
 from qiopa.fock import (FockState4, _pair_rotation, fidelity, inner_product,
-                        number_expectation, rotate_mode_pair, row_keys)
+                        rotate_mode_pair, row_keys)
 from qiopa.observables import DETECTED_FIELD_UNITARY
 from qiopa.polarization import Qubit
 
@@ -162,24 +162,6 @@ class TestRowKeys:
         assert row_keys(rows).tolist() == [0, 2 ** 63 - 2 ** 32 - 1]
         with pytest.raises(ValueError, match="int64"):
             row_keys(rows + [[0, 0], [1, 0]])    # radices 2^31, 2^32: 2^63
-
-
-class TestNumberExpectation:
-    def test_vacuum_is_zero(self):
-        vac = FockState4({(0, 0, 0, 0): 1.0}, 4)
-        for mode in ("1h", "1v", "2h", "2v"):
-            assert number_expectation(vac, mode) == 0.0
-
-    def test_fock_state_counts_photons(self):
-        st = FockState4({(2, 1, 0, 3): 1.0}, 6)
-        assert number_expectation(st, "1h") == 2
-        assert number_expectation(st, "2v") == 3
-
-    @pytest.mark.parametrize("mode", ["2x", "mode1", "H"])
-    def test_unknown_mode_names_the_four_modes(self, mode):
-        st = FockState4({(2, 1, 0, 3): 1.0}, 6)
-        with pytest.raises(ValueError, match=f"1h, 1v, 2h, 2v, got '{mode}'"):
-            number_expectation(st, mode)
 
 
 class TestRotateModePair:

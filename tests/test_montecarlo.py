@@ -21,10 +21,10 @@ from qiopa.montecarlo import (DETECTORS, DetectorConfig, PulseSampler, SweepStat
 from qiopa.observables import DETECTED_FIELD_UNITARY, g1_closed_form, visibility
 from qiopa.polarization import BlochPath, Qubit
 
+from conftest import BALANCED
 from reference import (broadcast_totals, detected_law, enumerated_law, grid_law,
                        per_pulse_totals, thinned_joint, thinning)
 
-BALANCED = Qubit(2 ** -0.5, 2 ** -0.5, 0.0)
 LG = AmplifierConfig.for_gain(0.07)
 
 
