@@ -66,9 +66,9 @@ def _load_preset(name_or_path: str) -> dict:
     return {key: convert[key](val) for key, val in values.items()}
 
 
-def _build_parser(preset: dict | None = None) -> argparse.ArgumentParser:
-    """The parser, with a preset's values as every command's defaults: a flag
-    beats the preset, and the preset beats the built-in default."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparsers by command, to which main gives a preset's
+    values as defaults: a flag beats the preset, the preset the built-in default."""
     common, cutoff, qubit, path, detector, tail, fmt = (
         argparse.ArgumentParser(add_help=False) for _ in range(7))
     common.add_argument("--g", type=float, default=0.07, help="amplifier gain")
@@ -110,10 +110,8 @@ def _build_parser(preset: dict | None = None) -> argparse.ArgumentParser:
              "reduced-state entropies of both modes"),
             ("montecarlo", cmd_montecarlo, (common, cutoff, qubit, path, detector),
              "conditional coincidence-detection run")):
-        cmd = sub.add_parser(name, parents=parents, help=hlp)
-        # a preset key the command has no flag for is set and never read
-        cmd.set_defaults(run=command, **(preset or {}))
-    return parser
+        sub.add_parser(name, parents=parents, help=hlp).set_defaults(run=command)
+    return parser, sub.choices
 
 
 def _qubit(args) -> Qubit:
@@ -260,18 +258,20 @@ def cmd_montecarlo(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.error("a command is required (fringe, pairs, entropy, montecarlo)")
     try:
         if args.preset:
             preset = _load_preset(args.preset)
-            args = _build_parser(preset).parse_args(argv)
+            # a preset key the command has no flag for is set and never read
+            commands[args.command].set_defaults(**preset)
+            args = parser.parse_args(argv)
             if args.g != preset.get("g", args.g):
                 # a preset's cutoff fits its own gain; another takes the tail rule's
-                preset.pop("cutoff", None)
-                args = _build_parser(preset).parse_args(argv)
+                commands[args.command].set_defaults(cutoff=None)
+                args = parser.parse_args(argv)
         args.run(args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,25 +3,23 @@
 One test per shipped guarantee; each prints a single pass/fail line so the
 whole gate can be read off `pytest tests/test_acceptance.py -v -s`.
 """
+import json
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
-from qiopa.amplifier import (AmplifierConfig, GainParams, amplify, pair_tail,
-                             propagate_hamiltonian)
+from qiopa.amplifier import AmplifierConfig, amplify, pair_tail, propagate_hamiltonian
 from qiopa.cli import main
 from qiopa.density import (entropy, partial_trace, rho1_closed_form,
                            rho2_closed_form)
 from qiopa.fock import fidelity, inner_product
 from qiopa.montecarlo import DetectorConfig, run
-from qiopa.observables import g1_closed_form, visibility
+from qiopa.observables import g1_closed_form, g1_oracle, visibility
 from qiopa.polarization import (BlochPath, Qubit, babinet, su2_rotation,
                                 waveplate)
 
 from conftest import BALANCED, random_qubit
-from reference import pair_law
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -85,54 +83,74 @@ def test_04_density_oracle_equivalence(rng):
     _report(4, "density assemblies match partial trace", ok)
 
 
+def _oracle(q: Qubit, cfg: AmplifierConfig):
+    """g1_oracle's numbers for q, and whether both channels are within 1e-8 of
+    g1_closed_form, plus past g = 0.5 the truncated tail's epsilon_trunc (2 cutoff + 1)."""
+    tol = 1e-8 + (cfg.epsilon_trunc * (2 * cfg.cutoff + 1) if cfg.gain.g > 0.5 else 0.0)
+    num, ana = g1_oracle(q, cfg), g1_closed_form(q, cfg.gain)
+    return num, abs(num.g2h - ana.g2h) <= tol and abs(num.g2v - ana.g2v) <= tol
+
+
+def _dropped_pairs(cfg: AmplifierConfig) -> float:
+    """The mean pair number truncation drops from amplify's state, sum of n p_n over
+    n > cutoff: cutoff T(cutoff + 1) + the sum of T(k) over k > cutoff, T = pair_tail."""
+    gain, s = cfg.gain, cfg.cutoff + 1
+    return (s - 1) * pair_tail(gain, s) + sum(pair_tail(gain, k) for k in range(s, s + 400))
+
+
 def test_05_visibility(rng):
     ok = visibility(BALANCED) == 1.0 / 3.0
-    gp = GainParams(1.13)
-    for _ in range(50):
-        q = random_qubit(rng)
-
-        def g2h(phi, q=q):
-            return g1_closed_form(Qubit(q.alpha, q.beta, phi), gp).g2h
-
-        hi = -minimize_scalar(lambda t: -g2h(t), bounds=(-math.pi, math.pi),
-                              method="bounded", options={"xatol": 1e-12}).fun
-        lo = minimize_scalar(g2h, bounds=(-math.pi, math.pi),
-                             method="bounded", options={"xatol": 1e-12}).fun
-        v = (hi - lo) / (hi + lo)
-        ok &= abs(v - 2 * q.alpha * q.beta / 3) < 1e-10
-    _report(5, "visibility 1/3 exact and 2ab/3 from extremization", ok)
+    for g in (0.07, 0.5, 1.13):
+        cfg = _config(g)
+        for _ in range(50):
+            q = random_qubit(rng)
+            # the fringe's extremes: g2H is largest in phase and smallest at pi
+            (hi, ok_hi), (lo, ok_lo) = (_oracle(Qubit(q.alpha, q.beta, phi), cfg)
+                                        for phi in (0.0, math.pi))
+            v = (hi.g2h - lo.g2h) / (hi.g2h + lo.g2h)
+            target = 2 * q.alpha * q.beta / 3
+            ok &= ok_hi and ok_lo and max(abs(v - target), abs(visibility(q) - target)) < 1e-10
+    _report(5, "visibility 1/3 exact and 2ab/3 from the oracle's fringe extremes", ok)
 
 
 def test_06_signal_to_noise():
-    gp = GainParams(1.13)
-    snr = g1_closed_form(BALANCED, gp).g2h / gp.nbar
-    _report(6, "signal-to-noise 2 at balanced in-phase qubit", abs(snr - 2.0) <= 1e-12)
+    ok = True
+    for g in (0.07, 0.5, 1.13):
+        cfg = _config(g)
+        pair, ok_pair = _oracle(BALANCED, cfg)
+        # each pair shell puts two thirds of mode 2's photons in H for the
+        # balanced in-phase qubit, so truncation drops 2/3 of the dropped pairs
+        snr = (pair.g2h + 2 * _dropped_pairs(cfg) / 3) / cfg.gain.nbar
+        ok &= ok_pair and abs(snr - 2.0) <= 1e-12
+    _report(6, "signal-to-noise 2 at balanced in-phase qubit", ok)
 
 
 def test_07_sum_rule(rng):
     ok = True
-    for _ in range(100):
-        gp = GainParams(rng.uniform(0.0, 1.2))
-        pair = g1_closed_form(random_qubit(rng), gp)
-        ok &= abs(pair.g2h + pair.g2v - 3 * math.sinh(gp.g) ** 2) < 1e-10
+    for g in (0.07, 0.5, 1.13):
+        cfg = _config(g)
+        # mode 2 holds n photons in pair term n; truncation drops n > cutoff
+        total = 3 * math.sinh(g) ** 2 - _dropped_pairs(cfg)
+        for _ in range(34):
+            pair, ok_pair = _oracle(random_qubit(rng), cfg)
+            ok &= ok_pair and abs(pair.g2h + pair.g2v - total) < 1e-10
     _report(7, "channel sum rule 3 sinh^2 g", ok)
 
 
-def test_08_pair_statistics(rng):
+def test_08_pair_statistics(rng, capsys):
     ok = True
     for g in (0.07, 1.13):
         cfg = _config(g)
-        n = np.arange(cfg.cutoff + 1)
-        p = pair_law(cfg)
-        ok &= abs(p.sum() - 1.0) < 1e-9
+        assert main(["pairs", "--g", str(g), "--cutoff", str(cfg.cutoff),
+                     "--format", "json"]) == 0
+        n, p, cumulative = np.array(json.loads(capsys.readouterr().out)["rows"]).T
+        ok &= abs(cumulative[-1] + pair_tail(cfg.gain, cfg.cutoff + 1) - 1.0) < 1e-12
         ok &= abs(n @ p - 3 * math.sinh(g) ** 2) < 1e-9
-        weights = None
         for q in (Qubit(1.0, 0.0), BALANCED, random_qubit(rng)):
-            rho = rho1_closed_form(q, cfg)
-            w = np.add.reduceat(rho.diag, np.cumsum(np.arange(rho.sectors)))[1:]
-            if weights is None:
-                weights = w
-            ok &= np.abs(w - weights).max() < 1e-14
+            for rho in (partial_trace(amplify(q, cfg), "mode1"), rho1_closed_form(q, cfg)):
+                # sector t starts at t(t+1)/2; mode 1's sector 0 holds no pair term
+                w = np.add.reduceat(rho.diag, np.cumsum(np.arange(rho.sectors)))[1:]
+                ok &= np.abs(w - p).max() < 1e-14
     _report(8, "pair distribution normalization, mean and qubit independence", ok)
 
 

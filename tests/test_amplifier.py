@@ -13,7 +13,7 @@ from qiopa import amplifier
 from qiopa.amplifier import (_COUPLINGS, PROPAGATOR_PADDING, AmplifierConfig,
                              GainParams, amplify, pair_tail, propagate_hamiltonian,
                              vacuum_output)
-from qiopa.density import partial_trace, rho1_closed_form
+from qiopa.density import partial_trace
 from qiopa.errors import NumericalError
 from qiopa.fock import FockState4, fidelity, inner_product, rotate_mode_pair
 from qiopa.observables import DETECTED_FIELD_UNITARY
@@ -216,27 +216,12 @@ class TestPairStatistics:
         for start in (10 ** 150, 2 ** 63 - 1, 2 ** 63, 10 ** 154, 10 ** 400):
             assert pair_tail(gp, start) == 0.0
 
-    def test_probabilities_sum_with_tail(self):
-        cfg = AmplifierConfig.for_gain(0.6, 29)
-        total = sum(pair_law(cfg).tolist())
-        assert total + pair_tail(cfg.gain, 30) == pytest.approx(1.0, abs=1e-12)
-
 
 class TestPairDistribution:
     def test_zero_gain_concentrates_at_zero(self):
         p = pair_law(AmplifierConfig.for_gain(0.0, 12))
         assert p[0] == 1.0
         assert p[1:].sum() == 0.0
-
-    def test_qubit_independence_via_sector_traces(self, rng):
-        cfg = AmplifierConfig.for_gain(0.9)
-        p = pair_law(cfg)
-        for q in (Qubit(1.0, 0.0), Qubit(2 ** -0.5, 2 ** -0.5, 0.0),
-                  random_qubit(rng)):
-            rho = rho1_closed_form(q, cfg)
-            # sector t starts at t(t+1)/2; mode 1's sector 0 holds no pair term
-            weights = np.add.reduceat(rho.diag, np.cumsum(np.arange(rho.sectors)))[1:]
-            assert weights == pytest.approx(p, abs=1e-14)
 
     def test_tail_monotone_and_bounded(self):
         cfg = AmplifierConfig.for_gain(1.13, 100)

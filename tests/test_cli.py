@@ -98,6 +98,13 @@ class TestPresets:
         assert rows("--preset", "LG", "--g", "0.5", "--cutoff", "40") == 41
         assert main(["pairs", "--preset", "LG", "--g", "0.5", "--cutoff", "12"]) == 2
 
+    def test_preset_run_builds_one_parser(self, monkeypatch, capsys):
+        builds = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+        assert main(["pairs", "--preset", "LG", "--g", "0.5"]) == 0
+        assert len(builds) == 1
+
     def test_montecarlo_rejects_preset_qe_out_of_range(self, tmp_path, capsys):
         f = tmp_path / "bad.preset"
         f.write_text("g = 0.3\ncutoff = 40\nqe = 1.5\n")

@@ -51,16 +51,6 @@ class TestClosedForm:
 
 
 class TestOracleAgreement:
-    @pytest.mark.parametrize("g", [0.07, 0.5])
-    def test_brute_force_matches_closed_form(self, g, rng):
-        cfg = AmplifierConfig.for_gain(g)
-        for _ in range(3):
-            q = random_qubit(rng)
-            num = g1_oracle(q, cfg)
-            ana = g1_closed_form(q, cfg.gain)
-            assert num.g2h == pytest.approx(ana.g2h, abs=1e-8)
-            assert num.g2v == pytest.approx(ana.g2v, abs=1e-8)
-
     @pytest.mark.parametrize("g, cutoff", [(0.07, 12), (1.13, 100)])
     def test_equals_rotated_state_reference(self, g, cutoff, rng):
         # reference: mean photon numbers of the analyzer-rotated four-mode state
