@@ -63,7 +63,13 @@ def _load_preset(name_or_path: str) -> dict:
     if unknown:
         raise ValueError(f"unknown keys in preset {name_or_path!r}: {unknown}; "
                          f"known keys are {sorted(convert)}")
-    return {key: convert[key](val) for key, val in values.items()}
+    for key, val in values.items():
+        try:
+            values[key] = convert[key](val)
+        except ValueError as exc:
+            raise ValueError(f"preset {name_or_path!r}: {key}={val!r} "
+                             f"does not parse as {convert[key].__name__}") from exc
+    return values
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:

@@ -22,22 +22,24 @@ def random_qubit(rng: np.random.Generator) -> Qubit:
                  rng.uniform(-math.pi, math.pi))
 
 
-# the package's per-configuration memos; _empty_memos empties
-# every memo it finds, and these must be among them
+# the package's per-process caches; _empty_memos empties every cache it
+# finds, and these must be exactly them, so a new cache is listed here
 KNOWN_MEMOS = {"qiopa.amplifier._amplified_kets", "qiopa.amplifier._evolved_kets",
-               "qiopa.density._closed_form_bands", "qiopa.montecarlo._axis_laws"}
+               "qiopa.density._closed_form_bands", "qiopa.montecarlo._axis_laws",
+               "qiopa.montecarlo._seed_class"}
 
 
 def _empty_memos():
     """Empty every memo of the loaded qiopa modules: each module-level
-    function with a cache_clear, KNOWN_MEMOS among them."""
+    function with a cache_clear, which are exactly KNOWN_MEMOS."""
     memos = {f"{name}.{attr}": obj
              for name, module in list(sys.modules.items())
              if name == qiopa.__name__ or name.startswith(qiopa.__name__ + ".")
              for attr, obj in vars(module).items()
              if callable(getattr(obj, "cache_clear", None))
              and getattr(obj, "__module__", None) == name}
-    assert KNOWN_MEMOS <= memos.keys(), f"memos not found: {KNOWN_MEMOS - memos.keys()}"
+    assert memos.keys() == KNOWN_MEMOS, (f"memos not found: {KNOWN_MEMOS - memos.keys()}, "
+                                         f"not listed: {memos.keys() - KNOWN_MEMOS}")
     for memo in memos.values():
         memo.cache_clear()
 

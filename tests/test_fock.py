@@ -278,8 +278,8 @@ class TestPairRotationBlocks:
     def test_blocks_form_a_representation(self, rng):
         u, w = _random_u2(rng), _random_u2(rng)
         # single photon: |1,0> -> u00|1,0> + u10|0,1>, rows/columns ordered by p
-        assert np.allclose(_pair_rotation(_generator(u), 1), u[::-1, ::-1], atol=1e-14)
+        assert np.allclose(_pair_rotation(_generator(u), 1), u[::-1, ::-1], rtol=0, atol=1e-14)
         for t in range(13):
             assert np.allclose(_pair_rotation(_generator(u @ w), t),
                                _pair_rotation(_generator(u), t)
-                               @ _pair_rotation(_generator(w), t), atol=1e-12)
+                               @ _pair_rotation(_generator(w), t), rtol=0, atol=1e-12)

@@ -8,13 +8,14 @@ import sys
 import qiopa
 
 # runs in a fresh interpreter: the test process has loaded scipy.linalg,
-# scipy.special and numpy.random already.  Every command (a montecarlo sweep
-# and its p-value included) and one HG oracle round (propagator, partial
-# traces, g1, closed-form entropies) must leave both scipy modules unloaded;
-# an eigensolved spectrum loads scipy.linalg on first use through scipy's
-# lazy submodule access, and no code path loads scipy.special.  numpy.random
-# costs every process 12 to 16 ms to import, so only Monte Carlo code may
-# load it.
+# scipy.special, scipy.stats and numpy.random already.  Every command (a
+# montecarlo sweep and its p-value included) and one HG oracle round
+# (propagator, partial traces, g1, closed-form entropies) must leave the three
+# scipy modules unloaded; an eigensolved spectrum loads scipy.linalg on first
+# use through scipy's lazy submodule access, and no code path loads
+# scipy.special or scipy.stats (which would double the package's import time
+# and add ~40 MB).  numpy.random costs every process 12 to 16 ms to import,
+# so only Monte Carlo code may load it.
 SCRIPT = """
 import contextlib, io, json, math, sys
 
@@ -29,7 +30,7 @@ from qiopa.observables import g1_closed_form, g1_oracle
 from qiopa.polarization import BlochPath, Qubit
 
 def lazy():
-    return [m for m in ("scipy.linalg", "scipy.special", "numpy.random")
+    return [m for m in ("scipy.linalg", "scipy.special", "scipy.stats", "numpy.random")
             if m in sys.modules]
 
 loaded = {"import qiopa": lazy()}
