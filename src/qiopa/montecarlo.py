@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,7 @@ from .observables import visibility
 from .polarization import BlochPath, Qubit
 
 DETECTORS = ("D_T", "D2", "D2*", "D1", "D1*")
+DETECTOR_SET = frozenset(DETECTORS)
 FULL_PERIOD_TOL = 1e-3   # relative slack of a sweep's period against 2 pi
 CALIBRATION_SWEEP_POINTS = 12   # phases of calibrate_visibility_loss's one sweep
 INT64_MAX = 2 ** 63 - 1     # numpy's draws and survivor sums are int64
@@ -60,16 +62,27 @@ class DetectorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, v in (("qe", self.qe), ("attenuation", self.attenuation),
-                        ("dark_rate", self.dark_rate), ("p_inject", self.p_inject)):
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        mask = frozenset(self.coincidence_mask)
-        if not mask.issubset(DETECTORS):
-            raise ValueError(f"unknown detectors in mask: {sorted(mask - set(DETECTORS))}")
-        object.__setattr__(self, "coincidence_mask", mask)
-        object.__setattr__(self, "pulses", as_int(self.pulses, "pulses", 1, INT64_MAX))
-        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        qe, att, dark, p = self.qe, self.attenuation, self.dark_rate, self.p_inject
+        # one chain holds four float rates in [0, 1]; the loop names a failing one
+        if not (float is type(qe) is type(att) is type(dark) is type(p)
+                and 0.0 <= qe <= 1.0 >= att >= 0.0 <= dark <= 1.0 >= p >= 0.0):
+            for name, v in zip(("qe", "attenuation", "dark_rate", "p_inject"), (qe, att, dark, p)):
+                if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+                    raise TypeError(f"{name} must be a real number, got {v!r}")
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        mask = self.coincidence_mask
+        if type(mask) is not frozenset:
+            if isinstance(mask, str):   # not its characters
+                raise TypeError(f"coincidence_mask must be a collection of names, got {mask!r}")
+            mask = frozenset(mask)
+            object.__setattr__(self, "coincidence_mask", mask)
+        if not mask <= DETECTOR_SET:
+            raise ValueError(f"unknown detectors in mask: {sorted(mask - DETECTOR_SET)}")
+        if not (type(self.pulses) is int and 1 <= self.pulses <= INT64_MAX):
+            object.__setattr__(self, "pulses", as_int(self.pulses, "pulses", 1, INT64_MAX))
+        if not (type(self.seed) is int and self.seed >= 0):
+            object.__setattr__(self, "seed", as_int(self.seed, "seed"))
 
 
 @dataclass(frozen=True)
@@ -133,36 +146,35 @@ class PulseSampler:
     Only c_t reads the qubit.  The axes, their masses and moments depend on
     (Gamma^2, C^-2, cutoff, eta, dark, D1/D1* gates) alone, the key under
     which _axis_laws memoises them read-only, so a sampler computes only c_t,
-    its 13 cells in Python floats and both NumericalError checks.
+    its 13 cells from the memo's mass table and both NumericalError checks.
 
     A run's survivor sums are int64 and reach pulses * cutoff^2, so a
     sampler refuses a pulse count past INT64_MAX // cutoff^2.
     """
 
     def __init__(self, q: Qubit, cfg: AmplifierConfig, det: DetectorConfig):
-        if det.pulses * cfg.cutoff ** 2 > INT64_MAX:
+        if det.pulses * cfg.cutoff * cfg.cutoff > INT64_MAX:
             raise ValueError(
                 f"{det.pulses} pulses can overflow the int64 survivor sums at cutoff "
                 f"{cfg.cutoff}; the largest pulse count is {INT64_MAX // cfg.cutoff ** 2}")
         self.det = det
         mask = det.coincidence_mask
-        masses, split, self.axes, self.moments = _axis_laws(
+        table, both, self.axes, self.moments = _axis_laws(
             cfg.gain.Gamma ** 2, cfg.gain.C ** -2, cfg.cutoff, det.qe * det.attenuation,
             det.dark_rate, "D1*" in mask, "D1" in mask)
         herald = 1.0 - (1.0 - det.qe) * (1.0 - det.dark_rate) if "D_T" in mask else 1.0
         # a is a probability; rounding can put it one ulp outside [0, 1]
-        a = min(max(0.5 + q.alpha * q.beta * math.cos(q.phi), 0.0), 1.0)
+        a = 0.5 + q.alpha * q.beta * math.cos(q.phi)
+        if not 0.0 <= a <= 1.0:
+            a = min(max(a, 0.0), 1.0)
         gamma2 = cfg.gain.gamma ** 2
         c = (herald * (det.p_inject * (1.0 - a) * gamma2),
              herald * (det.p_inject * a * gamma2),
              herald * ((1.0 - det.p_inject) * cfg.gain.C ** -4))
-        passed, cells = 0.0, []     # cells[4 t + 2 zH + zV]
-        for t in range(3):
-            ct = c[t]
-            passed += ct * masses[t] * masses[t + 3]
-            for zh in split[t]:
-                for zv in split[t + 3]:
-                    cells.append((ct * zh) * zv)
+        cells = []      # [4 t + 2 zH + zV]
+        for t, zh, zv in table:
+            cells.append((c[t] * zh) * zv)
+        passed = c[0] * both[0] + c[1] * both[1] + c[2] * both[2]
         gated = math.fsum(cells)
         if gated > 1.0 + 1e-12:
             raise NumericalError(f"outcome law holds gated weight {gated!r} > 1")
@@ -170,7 +182,7 @@ class PulseSampler:
         if gated > 1.0:     # a cell holding the whole law can round past 1
             for i in range(12):
                 cells[i] = min(cells[i], 1.0)
-        cells.append(max(1.0 - gated, 0.0))
+        cells.append(1.0 - gated if gated < 1.0 else 0.0)
         self.cells = np.array(cells)
 
     def sample_chunk(self, rng: np.random.Generator, n: int) -> tuple:
@@ -180,40 +192,41 @@ class PulseSampler:
         the cells, then one per term-axis with a non-zero count, in axis
         order, puts its clicks on its outcomes."""
         mask = self.det.coincidence_mask
-        cells = rng.multinomial(n, self.cells).tolist()     # [4 t + 2 zH + zV], then sink
+        c = rng.multinomial(n, self.cells).tolist()     # [4 t + 2 zH + zV], then sink
         # a cell is coincident when every one of D2 and D2* in the mask clicked in it
         need = 2 * ("D2" in mask) + ("D2*" in mask)
-        coincident = gated = 0
-        for i in range(12):
-            gated += cells[i]
-            if (i & need) == need:
-                coincident += cells[i]
-        clicks = [0, 0]         # H, V
-        sums = [0, 0, 0, 0]     # s and s^2 of H, then of V
-        for i in range(6):      # term-axes H0, H1, H2, V0, V1, V2
-            v, t = divmod(i, 3)
-            k = cells[4 * t + 2 - v] + cells[4 * t + 3]
+        coincident = 0
+        for i in range(need, 12):
+            if i & need == need:
+                coincident += c[i]
+        out = [0, 0, coincident, n - c[12], 0, 0, 0, 0]     # the sink holds the rest
+        # the clicks of the term-axes H0, H1, H2, V0, V1, V2
+        clicks = (c[2] + c[3], c[6] + c[7], c[10] + c[11], c[1] + c[3], c[5] + c[7], c[9] + c[11])
+        for i in range(6):
+            k = clicks[i]
             if k:   # a zero count would draw nothing from the stream either
-                clicks[v] += k
+                v = i // 3
                 s1, s2 = rng.multinomial(k, self.axes[i]).dot(self.moments).tolist()
-                sums[2 * v] += s1
-                sums[2 * v + 1] += s2
-        return (clicks[0], clicks[1], coincident, gated, *sums)
+                out[v] += k
+                out[4 + 2 * v] += s1
+                out[5 + 2 * v] += s2
+        return tuple(out)
 
 
 @functools.lru_cache(maxsize=1)
 def _axis_laws(x: float, rest: float, cutoff: int, eta: float, dark: float,
                gate_h: bool, gate_v: bool):
-    """The qubit-independent part of a PulseSampler: (masses, split, axes,
+    """The qubit-independent part of a PulseSampler: (table, both, axes,
     moments) of the six term-axes, H of terms 0, 1, 2 then V, at pair ratio
     x = Gamma^2, rest = C^-2 = 1 - x, with the H axes gated by D1* iff gate_h
     and the V axes by D1 iff gate_v.
 
-    masses[i] is the closed-form total mass of term-axis i, split[i] its
-    mass on no click and on a click, both Python floats, axes[i] its law
-    given a click and moments the survivors s and s^2 of each outcome.  A
-    sweep's points share one key, so the memo keeps only the last; its
-    arrays are shared and read-only."""
+    table[4 t + 2 zH + zV] is (t, the mass of term t's H axis on zH, that of
+    its V axis on zV), z = 0 no click and 1 a click, and both[t] the product
+    of the two axes' closed-form total masses, all Python floats; axes[i] is
+    the law of term-axis i given a click and moments the survivors s and s^2
+    of each outcome.  A sweep's points share one key, so the memo keeps only
+    the last; its arrays are shared and read-only."""
     # 1 - (1 - eta) x, summed without cancellation
     lost_rest = rest + eta * x
     plain = [_thinned_geometric(x, rest, t, eta, dark, cutoff) for t in (0, 1)]
@@ -235,16 +248,17 @@ def _axis_laws(x: float, rest: float, cutoff: int, eta: float, dark: float,
     rows = [axis(tilt, gate_h) for tilt in (0, 1, 0)] + [
         axis(tilt, gate_v) for tilt in (1, 0, 0)]
     vecs = np.array([vec for vec, _mass in rows])
-    masses = tuple(mass for _vec, mass in rows)
+    both = tuple(rows[t][1] * rows[t + 3][1] for t in range(3))
     nonzero = vecs[:, 1:].sum(axis=1)
     split = tuple(zip(vecs[:, 0].tolist(), nonzero.tolist()))     # [term-axis][z]
+    table = tuple((t, zh, zv) for t in range(3) for zh in split[t] for zv in split[t + 3])
     # an axis that cannot click keeps a zero row; it never draws a pulse
     axes = np.divide(vecs[:, 1:], nonzero[:, None],
                      out=np.zeros_like(vecs[:, 1:]), where=nonzero[:, None] > 0)
     s = np.arange(cutoff + 1)
     moments = np.column_stack([s, s * s])      # survivors s and s^2
     axes.flags.writeable = moments.flags.writeable = False
-    return masses, split, axes, moments
+    return table, both, axes, moments
 
 
 def _thinned_geometric(z: float, rest: float, tilt: int, eta: float, dark: float,
@@ -270,55 +284,53 @@ def _seed_class():
     seeds PCG64 with the stream of sweep point index, or of a single point
     for None, and generates uint64 words only, the one request PCG64 makes.
 
-    Built on first use, so that importing the package does not load
-    numpy.random."""
+    Each hash multiplies by a fixed sequence h_k = INIT * MULT^k mod 2^32,
+    tabulated here once for up to eight seed and index words and for PCG64's
+    four words (longer ones build their own).  Built on first use, so that
+    importing the package does not load numpy.random."""
     from numpy.random.bit_generator import ISeedSequence
 
-    def words(n: int) -> list:
-        """n's little-endian 32-bit words, [0] for n = 0."""
-        out = [n & MASK32]
-        while n > MASK32:
-            n >>= 32
-            out.append(n & MASK32)
-        return out
+    def hashes(init: int, mult: int, n: int) -> list:
+        """h_k = init * mult^k mod 2^32 for k = 0 .. n."""
+        return [init * pow(mult, k, 1 << 32) & MASK32 for k in range(n + 1)]
+
+    hash_in, hash_out = hashes(INIT_A, MULT_A, POOL * (POOL + 4)), hashes(INIT_B, MULT_B, 8)
 
     class IntSeedSequence(ISeedSequence):
         def __init__(self, seed: int, index: int | None):
-            entropy = words(seed)
-            h, pool = INIT_A, []
+            # 32-bit words, little-endian: the seed's, padded to the pool, then the index's
+            pool = [seed & MASK32, seed >> 32 & MASK32, seed >> 64 & MASK32, seed >> 96 & MASK32]
+            rest = seed >> 32 * POOL
+            while rest:
+                pool.append(rest & MASK32)
+                rest >>= 32
+            if index is not None:
+                pool += [index >> s & MASK32 for s in range(0, index.bit_length() or 1, 32)]
+            h = hash_in if len(pool) <= 2 * POOL else hashes(INIT_A, MULT_A, POOL * len(pool))
             for i in range(POOL):
-                value = (entropy[i] if i < len(entropy) else 0) ^ h
-                h = h * MULT_A & MASK32
-                value = value * h & MASK32
-                pool.append(value ^ value >> 16)
-            # hash every other pool word, then the seed's words past the pool
-            # and the index's, and mix each into each pool word; numpy's zeros
-            # that pad a short seed before a spawn key are the else 0 above
-            rest = entropy[POOL:] if index is None else entropy[POOL:] + words(index)
-            for src in range(POOL + len(rest)):
+                value = (pool[i] ^ h[i]) * h[i + 1] & MASK32
+                pool[i] = value ^ value >> 16
+            # hash each other pool word, then each word past the pool, into each pool word
+            k = POOL
+            for src in range(len(pool)):
                 for dst in range(POOL):
                     if src != dst:
-                        value = (pool[src] if src < POOL else rest[src - POOL]) ^ h
-                        h = h * MULT_A & MASK32
-                        value = value * h & MASK32
+                        value = (pool[src] ^ h[k]) * h[k + 1] & MASK32
                         value = (MIX_L * pool[dst] - MIX_R * (value ^ value >> 16)) & MASK32
                         pool[dst] = value ^ value >> 16
-            self.pool = pool
+                        k += 1
+            self.pool = pool[:POOL]
 
         def generate_state(self, n_words: int, dtype) -> np.ndarray:
-            if np.dtype(dtype) != np.uint64:
+            if dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
                 raise ValueError(f"only uint64 words are generated, got {dtype}")
-            h, state = INIT_B, []
-            for i in range(2 * n_words):
-                value = self.pool[i % POOL] ^ h
-                h = h * MULT_B & MASK32
-                value = value * h & MASK32
-                value ^= value >> 16
-                if i % 2:   # word pairs join little-endian on every host
-                    state[-1] |= value << 32
-                else:
-                    state.append(value)
-            return np.array(state, dtype=np.uint64)
+            h = hash_out if n_words == 4 else hashes(INIT_B, MULT_B, 2 * n_words)
+            pool, state = self.pool, []
+            for i in range(0, 2 * n_words, 2):   # word pairs join little-endian on every host
+                lo = (pool[i % POOL] ^ h[i]) * h[i + 1] & MASK32
+                hi = (pool[(i + 1) % POOL] ^ h[i + 1]) * h[i + 2] & MASK32
+                state.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
+            return np.array(state, np.uint64)
 
     return IntSeedSequence
 
@@ -333,18 +345,15 @@ def _run_point(sampler: PulseSampler, index: int | None) -> RunStats:
     # each total is rounded to a float before it is divided, as numpy divides
     # int64 totals; a true int division rounds differently past 2^53
     xi_h, xi_v = float(ch) / pulses, float(cv) / pulses
-    mh = float(s1h) / ngate if ngate else 0.0
-    mv = float(s1v) / ngate if ngate else 0.0
-    var_h = max(float(s2h) / ngate - mh ** 2, 0.0) if ngate else 0.0
-    var_v = max(float(s2v) / ngate - mv ** 2, 0.0) if ngate else 0.0
-    return RunStats(
-        pulses=pulses, counts_h=ch, counts_v=cv, coincidences=coin,
-        xi_h=xi_h, xi_v=xi_v,
-        stderr_xi_h=math.sqrt(max(xi_h * (1 - xi_h), 0.0) / pulses),
-        stderr_xi_v=math.sqrt(max(xi_v * (1 - xi_v), 0.0) / pulses),
-        mean_photons_h=mh, mean_photons_v=mv,
-        stderr_mean_h=math.sqrt(var_h / ngate) if ngate else 0.0,
-        stderr_mean_v=math.sqrt(var_v / ngate) if ngate else 0.0)
+    mh, mv = (float(s1h) / ngate, float(s1v) / ngate) if ngate else (0.0, 0.0)
+    # xi (1 - xi) >= 0 for xi in [0, 1]; a variance can round below 0, and its stderr is 0
+    var_h = float(s2h) / ngate - mh ** 2 if ngate else 0.0
+    var_v = float(s2v) / ngate - mv ** 2 if ngate else 0.0
+    return RunStats(    # in field order: keywords cost a cold point more to bind
+        pulses, ch, cv, coin, xi_h, xi_v,
+        math.sqrt(xi_h * (1 - xi_h) / pulses), math.sqrt(xi_v * (1 - xi_v) / pulses), mh, mv,
+        math.sqrt(var_h / ngate) if var_h > 0.0 else 0.0,
+        math.sqrt(var_v / ngate) if var_v > 0.0 else 0.0)
 
 
 def _estimate_visibility(angles, points):

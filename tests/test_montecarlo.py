@@ -38,10 +38,28 @@ def _top():
 class TestDetectorConfig:
     @pytest.mark.parametrize("field,value", [
         ("qe", -0.1), ("qe", 1.5), ("attenuation", 2.0),
-        ("dark_rate", -1e-3), ("p_inject", 1.01)])
+        ("dark_rate", -1e-3), ("p_inject", 1.01), ("dark_rate", math.nan),
+        ("attenuation", 2), ("p_inject", np.float64(-0.5))])
     def test_probabilities_bounded(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             DetectorConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("qe", True), ("attenuation", False), ("dark_rate", np.bool_(False)),
+        ("p_inject", False), ("qe", 0.5 + 0j), ("p_inject", "0.5"),
+        ("coincidence_mask", "D2")],
+        ids=["qe-True", "attenuation-False", "dark_rate-np.bool_", "p_inject-False",
+             "qe-complex", "p_inject-str", "coincidence_mask-str"])
+    def test_a_bool_or_non_real_rate_or_a_string_mask_is_a_type_error(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            DetectorConfig(**{field: value})
+
+    def test_real_rates_of_any_type_are_kept(self):
+        rates = {"qe": 1, "attenuation": np.float32(0.5), "dark_rate": 0,
+                 "p_inject": np.float64(0.25)}
+        det = DetectorConfig(coincidence_mask=["D2", "D_T"], **rates)
+        assert all(type(getattr(det, k)) is type(v) for k, v in rates.items())
+        assert det.coincidence_mask == frozenset({"D_T", "D2"})
 
     def test_unknown_detector_rejected(self):
         with pytest.raises(ValueError):
@@ -261,6 +279,30 @@ class TestPulseSampler:
                     det = DetectorConfig(coincidence_mask=mask, **detectors)
                     cells = PulseSampler(q, cfg, det).cells
                     assert cells[12] == max(1.0 - math.fsum(cells[:12]), 0.0), mask
+
+    @pytest.mark.parametrize("cfg", [LG, _hg(), AmplifierConfig.for_gain(_largest_gain(), 1000)],
+                             ids=["LG", "HG", "top-1000"])
+    @pytest.mark.parametrize("mask", [{"D_T", "D2"}, FOUR_FOLD], ids=["D2,D_T", "D1,D1*,D2,D_T"])
+    def test_cells_are_the_nested_loop_products(self, cfg, mask):
+        # cells[4 t + 2 zH + zV] is (c_t * zH) * zV, rounded in that order,
+        # over the no-click and click masses of term t's H and V axes
+        q = Qubit(0.6, 0.8, 0.7)
+        det = DetectorConfig(coincidence_mask=mask, **LOSSY)
+        table = montecarlo._axis_laws(
+            cfg.gain.Gamma ** 2, cfg.gain.C ** -2, cfg.cutoff, det.qe * det.attenuation,
+            det.dark_rate, "D1*" in mask, "D1" in mask)[0]
+        herald = 1.0 - (1.0 - det.qe) * (1.0 - det.dark_rate) if "D_T" in mask else 1.0
+        a = 0.5 + q.alpha * q.beta * math.cos(q.phi)
+        p, gamma2 = det.p_inject, cfg.gain.gamma ** 2
+        c = (herald * (p * (1.0 - a) * gamma2), herald * (p * a * gamma2),
+             herald * ((1.0 - p) * cfg.gain.C ** -4))
+        want = []
+        for t in range(3):
+            for zh in (table[4 * t][1], table[4 * t + 2][1]):
+                for zv in (table[4 * t][2], table[4 * t + 1][2]):
+                    want.append((c[t] * zh) * zv)
+        got = PulseSampler(q, cfg, det).cells[:12]
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_sink_moves_no_draw(self):
         # numpy's multinomial never reads the last cell: the sink's last bits
@@ -591,10 +633,10 @@ class TestRunPoint:
 
 
 # 2^96 - 1 .. 2^128 hold 3, 4, 4 and 5 words: numpy pads a seed to the
-# four-word pool before a spawn key, and 2^128 is the first seed with a word
-# past the pool
+# four-word pool before a spawn key, 2^128 is the first seed with a word
+# past the pool, and 2^2048 + 1 (65 words) is longer than the hash's tables
 SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 + 5, 2 ** 96 - 1, 2 ** 96,
-         2 ** 128 - 1, 2 ** 128, 2 ** 299 + 0x9E3779B97F4A7C15]
+         2 ** 128 - 1, 2 ** 128, 2 ** 299 + 0x9E3779B97F4A7C15, 2 ** 2048 + 1]
 
 
 class TestSeedStreams:
@@ -616,6 +658,12 @@ class TestSeedStreams:
             for i, child in enumerate(np.random.SeedSequence(seed).spawn(32)):
                 assert np.random.PCG64(seed_class(seed, i)).state == \
                     np.random.PCG64(child).state, (seed, i)
+
+    def test_every_spelling_of_uint64_is_accepted(self):
+        want = np.random.SeedSequence(7).generate_state(4, np.uint64).tolist()
+        for dtype in (np.uint64, np.dtype("uint64"), "uint64"):
+            got = montecarlo._seed_class()(7, None).generate_state(4, dtype)
+            assert got.dtype == np.uint64 and got.tolist() == want, dtype
 
     def test_other_dtypes_rejected(self):
         for dtype in (np.uint32, np.int64, np.float64):
