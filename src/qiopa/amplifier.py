@@ -28,14 +28,12 @@ import bisect
 import cmath
 import functools
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, as_int, as_real
 from .fock import FockState4
 from .polarization import Qubit
 
@@ -43,18 +41,8 @@ from .polarization import Qubit
 PROPAGATOR_PADDING = 8
 # cutoff rule: the analytic pair-number tail beyond the cutoff must stay below this
 TAIL_RULE = 1e-9
-
-
-def as_int(value, name: str, low: int = 0, high: float = math.inf) -> int:
-    """value as a Python int: TypeError unless it has an integer index but
-    is no bool, ValueError unless it lies in low .. high."""
-    try:    # numpy 1.x bools still have an index
-        n = operator.index(None if isinstance(value, (bool, np.bool_)) else value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if not low <= n <= high:
-        raise ValueError(f"{name} must lie in {low} .. {high}, got {value}")
-    return n
+# rounding slack of a computed probability or lost weight, at either end of its range
+ROUNDING_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,20 +54,12 @@ class GainParams:
     Gamma: float = field(init=False)    # tanh g
     gamma: float = field(init=False)    # cosh(g)**-3, overall amplitude prefactor
     nbar: float = field(init=False)     # sinh(g)**2, mean photon number per squeezed mode
+    # just above it, 3 sinh(g)^2 (the sum rule g2H + g2V = 3 nbar, bounding every mean) overflows
+    MAX_GAIN: ClassVar[float] = 355.035
 
     def __post_init__(self):
-        if (isinstance(self.g, bool) or not isinstance(self.g, numbers.Real)
-                or not 0 <= self.g < math.inf):
-            raise ValueError(f"gain must be a finite non-negative real number, got {self.g!r}")
-        g = float(self.g) + 0.0   # -0.0 + 0.0 is 0.0
-        try:
-            nbar = math.sinh(g) ** 2
-        except OverflowError:
-            nbar = math.inf
-        if math.isinf(3 * nbar):   # the sum rule g2H + g2V = 3 nbar bounds every mean
-            raise ValueError(
-                f"gain {g:g} overflows 3 sinh(g)^2; the largest gain is about 355.035")
-        C = math.cosh(g)
+        g = as_real(self.g, "g", 0.0, self.MAX_GAIN)
+        nbar, C = math.sinh(g) ** 2, math.cosh(g)
         for name, value in (("g", g), ("C", C), ("Gamma", math.tanh(g)),
                             ("gamma", C ** -3), ("nbar", nbar)):
             object.__setattr__(self, name, value)
@@ -87,7 +67,8 @@ class GainParams:
 
 def pair_tail(gain: GainParams, start: int) -> float:
     """Closed-form sum of the pair law gamma^2 Gamma^(2n) (n+1)(n+2)/2 over n >= start."""
-    if start <= 0:
+    start = as_int(start, "start")
+    if start == 0:
         return 1.0
     x = gain.Gamma ** 2
     if x == 0.0:
@@ -138,8 +119,8 @@ class AmplifierConfig:
 
     def check_lost_weight(self, lost: float, what: str) -> None:
         """Raise NumericalError unless a weight lost to truncation, named by
-        what, lies in 0 .. epsilon_trunc, allowing 1e-12 of rounding at each end."""
-        if not -1e-12 <= lost <= self.epsilon_trunc + 1e-12:
+        what, lies in 0 .. epsilon_trunc, allowing ROUNDING_SLACK at each end."""
+        if not -ROUNDING_SLACK <= lost <= self.epsilon_trunc + ROUNDING_SLACK:
             raise NumericalError(
                 f"{what}: {lost:.3e} lies outside 0 .. epsilon_trunc "
                 f"({self.epsilon_trunc:.3e})")

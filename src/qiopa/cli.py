@@ -21,7 +21,7 @@ import numpy as np
 
 from .amplifier import AmplifierConfig, GainParams, pair_tail, pair_weights
 from .density import cloner_entropy
-from .errors import NumericalError
+from .errors import NumericalError, as_int
 from .montecarlo import DetectorConfig, phase_sweep, run
 from .observables import g1_closed_form
 from .polarization import BlochPath, Qubit
@@ -194,13 +194,11 @@ def cmd_pairs(args) -> None:
     if "mean_pairs" in reported:
         meta["reported_mean_pairs"] = _fmt(reported["mean_pairs"])
     if args.threshold is not None:
-        if args.threshold < 0:
-            # pair_tail reads any start <= 0 as the whole law
-            raise ValueError("threshold must be >= 0")
-        tail = pair_tail(cfg.gain, args.threshold)
-        meta["tail_threshold"] = args.threshold
+        threshold = as_int(args.threshold, "threshold")
+        tail = pair_tail(cfg.gain, threshold)
+        meta["tail_threshold"] = threshold
         meta["tail_probability"] = _fmt(tail)
-        if args.threshold == reported.get("tail_threshold"):
+        if threshold == reported.get("tail_threshold"):
             meta["reported_tail"] = _fmt(reported["tail"])
             meta["reported_tail_agreement"] = (
                 "yes" if abs(tail - reported["tail"]) < 0.01 else
@@ -226,8 +224,9 @@ def _json_number(x: float) -> float | None:
 def cmd_montecarlo(args) -> None:
     cfg = AmplifierConfig.for_gain(args.g, args.cutoff)
     target = _path(args, _qubit(args))
-    detectors = DetectorConfig(qe=args.qe, attenuation=args.attenuation,
-                               dark_rate=args.dark, p_inject=args.p_inject,
+    # DetectorConfig keeps float rates as given: fold a flag's or preset's -0 here
+    detectors = DetectorConfig(qe=args.qe + 0.0, attenuation=args.attenuation + 0.0,
+                               dark_rate=args.dark + 0.0, p_inject=args.p_inject + 0.0,
                                coincidence_mask=args.mask, pulses=args.pulses,
                                seed=args.seed)
     sweep = run(target, cfg, detectors)

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .amplifier import AmplifierConfig, as_int
-from .errors import NumericalError
+from .amplifier import ROUNDING_SLACK, AmplifierConfig
+from .errors import NumericalError, as_int, as_real
 from .observables import visibility
 from .polarization import BlochPath, Qubit
 
@@ -63,14 +62,11 @@ class DetectorConfig:
 
     def __post_init__(self):
         qe, att, dark, p = self.qe, self.attenuation, self.dark_rate, self.p_inject
-        # one chain holds four float rates in [0, 1]; the loop names a failing one
+        # one chain passes four float rates in [0, 1], kept as given; as_real checks others
         if not (float is type(qe) is type(att) is type(dark) is type(p)
                 and 0.0 <= qe <= 1.0 >= att >= 0.0 <= dark <= 1.0 >= p >= 0.0):
             for name, v in zip(("qe", "attenuation", "dark_rate", "p_inject"), (qe, att, dark, p)):
-                if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
-                    raise TypeError(f"{name} must be a real number, got {v!r}")
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{name} must lie in [0, 1], got {v}")
+                as_real(v, name, 0.0, 1.0)
         mask = self.coincidence_mask
         if type(mask) is not frozenset:
             if isinstance(mask, str):   # not its characters
@@ -79,10 +75,8 @@ class DetectorConfig:
             object.__setattr__(self, "coincidence_mask", mask)
         if not mask <= DETECTOR_SET:
             raise ValueError(f"unknown detectors in mask: {sorted(mask - DETECTOR_SET)}")
-        if not (type(self.pulses) is int and 1 <= self.pulses <= INT64_MAX):
-            object.__setattr__(self, "pulses", as_int(self.pulses, "pulses", 1, INT64_MAX))
-        if not (type(self.seed) is int and self.seed >= 0):
-            object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "pulses", as_int(self.pulses, "pulses", 1, INT64_MAX))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
 
 
 @dataclass(frozen=True)
@@ -176,7 +170,7 @@ class PulseSampler:
             cells.append((c[t] * zh) * zv)
         passed = c[0] * both[0] + c[1] * both[1] + c[2] * both[2]
         gated = math.fsum(cells)
-        if gated > 1.0 + 1e-12:
+        if gated > 1.0 + ROUNDING_SLACK:
             raise NumericalError(f"outcome law holds gated weight {gated!r} > 1")
         cfg.check_lost_weight(passed - gated, "gated weight the outcome law drops")
         if gated > 1.0:     # a cell holding the whole law can round past 1
@@ -437,6 +431,7 @@ def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
 
 def phase_sweep(q: Qubit, n_points: int) -> BlochPath:
     """One full period of z from q, in n_points equal steps."""
+    n_points = as_int(n_points, "n_points", 2)
     angles = tuple(2 * math.pi * k / n_points for k in range(n_points))
     return BlochPath("z", angles, q)
 
@@ -466,10 +461,10 @@ def calibrate_visibility_loss(target_v: float, q: Qubit, cfg: AmplifierConfig,
                          "its fringe has no closed form in p_inject")
     if det.qe * det.attenuation == 0.0:
         raise ValueError("qe * attenuation is 0: no photon survives, so there is no fringe")
-    v1 = visibility(q)
+    target_v, v1 = as_real(target_v, "target_v"), visibility(q)
     if not 0.0 < target_v <= v1:
-        raise ValueError(f"target visibility {target_v} must lie in (0, {v1:.6g}], "
-                         f"the visibility at p_inject = 1")
+        raise ValueError(f"target_v must lie in (0, {v1:.6g}], the visibility at "
+                         f"p_inject = 1, got {target_v}")
     p = min(2.0 * target_v / (3.0 * v1 - target_v), 1.0)   # can round above 1 at V1
     stats = run(phase_sweep(q, CALIBRATION_SWEEP_POINTS), cfg, replace(det, p_inject=p))
     dp = stats.visibility_stderr * (2.0 + p) ** 2 / (6.0 * v1)

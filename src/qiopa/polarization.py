@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import as_real
+
 UNITARITY_TOL = 1e-12
 NORM_TOL = 1e-12
 
@@ -22,14 +24,6 @@ _PAULI = {
 }
 
 
-def _wrap_phase(phi: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    phi = math.remainder(phi, 2 * math.pi)
-    if phi <= -math.pi:
-        phi += 2 * math.pi
-    return phi
-
-
 @dataclass(frozen=True)
 class Qubit:
     alpha: float
@@ -37,15 +31,16 @@ class Qubit:
     phi: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "phi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("canonical form requires alpha, beta >= 0")
+        object.__setattr__(self, "alpha", as_real(self.alpha, "alpha", 0.0))
+        object.__setattr__(self, "beta", as_real(self.beta, "beta", 0.0))
         if abs(self.alpha ** 2 + self.beta ** 2 - 1.0) > NORM_TOL:
             raise ValueError("qubit must be normalized: alpha^2 + beta^2 = 1")
+        # wrapped into (-pi, pi]; remainder gives -0.0 at a negative multiple of 2 pi
+        phi = math.remainder(as_real(self.phi, "phi"), 2 * math.pi) + 0.0
+        if phi <= -math.pi:
+            phi += 2 * math.pi
         # beta = 0 leaves the relative phase unconstrained; fix the gauge
-        object.__setattr__(self, "phi", 0.0 if self.beta == 0.0 else _wrap_phase(self.phi))
+        object.__setattr__(self, "phi", phi if self.beta else 0.0)
 
 
 @dataclass(frozen=True)
@@ -69,9 +64,7 @@ def su2_rotation(axis: str, angle: float) -> PolarizationUnitary:
     """exp(-i sigma_axis angle / 2) for axis in {x, y, z}."""
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    if not math.isfinite(angle):
-        raise ValueError("angle must be finite")
-    half = angle / 2
+    half = as_real(angle, "angle") / 2
     return PolarizationUnitary(
         math.cos(half) * np.eye(2) - 1j * math.sin(half) * _PAULI[axis])
 
@@ -81,8 +74,7 @@ def waveplate(kind: str, theta: float) -> PolarizationUnitary:
     retardance = {"half": math.pi, "quarter": math.pi / 2}
     if kind not in retardance:
         raise ValueError(f"kind must be 'half' or 'quarter', got {kind!r}")
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    theta = as_real(theta, "theta")
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, s], [-s, c]])
     return PolarizationUnitary(
@@ -91,9 +83,7 @@ def waveplate(kind: str, theta: float) -> PolarizationUnitary:
 
 def babinet(delta: float) -> PolarizationUnitary:
     """Adjustable compensator diag(1, e^{i delta}); shifts the relative phase by delta."""
-    if not math.isfinite(delta):
-        raise ValueError("delta must be finite")
-    return PolarizationUnitary(np.diag([1.0, cmath.exp(1j * delta)]))
+    return PolarizationUnitary(np.diag([1.0, cmath.exp(1j * as_real(delta, "delta"))]))
 
 
 def apply(u: PolarizationUnitary, q: Qubit) -> Qubit:
@@ -117,11 +107,9 @@ class BlochPath:
     def __post_init__(self):
         if self.axis not in _PAULI:
             raise ValueError(f"axis must be one of x, y, z, got {self.axis!r}")
-        angles = tuple(float(a) for a in self.angles)
-        if len(angles) < 2:
-            raise ValueError("a path needs at least 2 points")
-        if not all(-math.inf < a < b < math.inf for a, b in zip(angles, angles[1:])):
-            raise ValueError("path angles must be finite and strictly increasing")
+        angles = tuple(as_real(a, f"angles[{i}]") for i, a in enumerate(self.angles))
+        if len(angles) < 2 or not all(a < b for a, b in zip(angles, angles[1:])):
+            raise ValueError("a path needs 2 or more strictly increasing angles")
         object.__setattr__(self, "angles", angles)
 
     def qubits(self) -> list:

