@@ -224,11 +224,9 @@ def _json_number(x: float) -> float | None:
 def cmd_montecarlo(args) -> None:
     cfg = AmplifierConfig.for_gain(args.g, args.cutoff)
     target = _path(args, _qubit(args))
-    # DetectorConfig keeps float rates as given: fold a flag's or preset's -0 here
-    detectors = DetectorConfig(qe=args.qe + 0.0, attenuation=args.attenuation + 0.0,
-                               dark_rate=args.dark + 0.0, p_inject=args.p_inject + 0.0,
-                               coincidence_mask=args.mask, pulses=args.pulses,
-                               seed=args.seed)
+    detectors = DetectorConfig(qe=args.qe, attenuation=args.attenuation, dark_rate=args.dark,
+                               p_inject=args.p_inject, coincidence_mask=args.mask,
+                               pulses=args.pulses, seed=args.seed)
     sweep = run(target, cfg, detectors)
     meta = {"g": _fmt(cfg.gain.g), "seed": detectors.seed,
             "pulses_per_point": detectors.pulses}

@@ -52,6 +52,10 @@ MIX_L, MIX_R = 0xCA01F9DD, 0x4973F715
 
 @dataclass(frozen=True)
 class DetectorConfig:
+    """The detection stage: each rate a real in 0 .. 1, stored as a Python float
+    (-0.0 as 0.0); the mask, names from DETECTORS but no string, as a frozenset;
+    pulses per point, 1 .. INT64_MAX, and the seed, at least 0, as Python ints."""
+
     qe: float = 0.18
     attenuation: float = 1.0
     dark_rate: float = 0.0
@@ -61,12 +65,8 @@ class DetectorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        qe, att, dark, p = self.qe, self.attenuation, self.dark_rate, self.p_inject
-        # one chain passes four float rates in [0, 1], kept as given; as_real checks others
-        if not (float is type(qe) is type(att) is type(dark) is type(p)
-                and 0.0 <= qe <= 1.0 >= att >= 0.0 <= dark <= 1.0 >= p >= 0.0):
-            for name, v in zip(("qe", "attenuation", "dark_rate", "p_inject"), (qe, att, dark, p)):
-                as_real(v, name, 0.0, 1.0)
+        for name in ("qe", "attenuation", "dark_rate", "p_inject"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name, 0.0, 1.0))
         mask = self.coincidence_mask
         if type(mask) is not frozenset:
             if isinstance(mask, str):   # not its characters
@@ -408,8 +408,7 @@ def run(target, cfg: AmplifierConfig, det: DetectorConfig, threads: int = 1):
     """Aggregate pulses for a single qubit (RunStats) or a Bloch path (SweepStats).
 
     threads is checked and otherwise unused: a point is a few draws."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    as_int(threads, "threads", 1)
     if isinstance(target, Qubit):
         return _run_point(PulseSampler(target, cfg, det), None)
     if isinstance(target, BlochPath):

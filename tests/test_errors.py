@@ -11,7 +11,7 @@ import pytest
 from qiopa import cli
 from qiopa.amplifier import AmplifierConfig, GainParams, pair_tail
 from qiopa.errors import as_int, as_real
-from qiopa.montecarlo import INT64_MAX, DetectorConfig, calibrate_visibility_loss, phase_sweep
+from qiopa.montecarlo import INT64_MAX, DetectorConfig, calibrate_visibility_loss, phase_sweep, run
 from qiopa.polarization import BlochPath, Qubit, babinet, su2_rotation, waveplate
 
 from conftest import BALANCED
@@ -73,8 +73,8 @@ def test_as_real(value, low, high, expected):
 
 
 def _rate(name):
-    """The stored detector rate, as a float: DetectorConfig keeps rates as given."""
-    return lambda v: float(getattr(DetectorConfig(**{name: v}), name))
+    """The stored detector rate."""
+    return lambda v: getattr(DetectorConfig(**{name: v}), name)
 
 
 def _pairs_stdout(threshold) -> str:
@@ -97,10 +97,12 @@ INT_ROUTES = {
     ("phase_sweep", "n_points"): (lambda v: phase_sweep(BALANCED, v).angles, (1,), 13),
     ("pair_tail", "start"): (lambda v: pair_tail(GainParams(0.5), v), (-1,), 13),
     ("pairs", "threshold"): (_pairs_stdout, (-1,), 13),
+    ("run", "threads"): (lambda v: run(BALANCED, AmplifierConfig.for_gain(0.07),
+                                       DetectorConfig(pulses=10), v), (0,), 13),
 }
 REAL_ROUTES = {
-    ("GainParams", "g"): (GainParams, (-0.1, 355.036), 1),
-    **{("DetectorConfig", name): (_rate(name), (-0.1, 1.5), 1)
+    ("GainParams", "g"): (GainParams, (-0.1, np.int64(-1), 355.036), 1),
+    **{("DetectorConfig", name): (_rate(name), (-0.1, np.float64(-0.5), 1.5, 2), 1)
        for name in ("qe", "attenuation", "dark_rate", "p_inject")},
     ("Qubit", "alpha"): (lambda v: Qubit(v, 0.0), (-1.0,), 1),
     ("Qubit", "beta"): (lambda v: Qubit(0.0, v), (-1.0,), 1),
@@ -108,7 +110,8 @@ REAL_ROUTES = {
     ("su2_rotation", "angle"): (lambda v: su2_rotation("y", v).matrix.tolist(), (), 1),
     ("waveplate", "theta"): (lambda v: waveplate("quarter", v).matrix.tolist(), (), 1),
     ("babinet", "delta"): (lambda v: babinet(v).matrix.tolist(), (), 1),
-    ("BlochPath", "angles"): (lambda v: BlochPath("z", (v, 5.0), BALANCED), (6.0,), 1),
+    # v is the last angle: an ordering check written with b <= a let a NaN there through
+    ("BlochPath", "angles"): (lambda v: BlochPath("z", (-5.0, v), BALANCED), (-6.0,), 1),
     ("calibrate_visibility_loss", "target_v"): (
         lambda v: calibrate_visibility_loss(v, BALANCED, AmplifierConfig.for_gain(0.07),
                                             DetectorConfig(pulses=200)), (0.0, 0.5), 0.25),
