@@ -69,12 +69,16 @@ class DetectorConfig:
             object.__setattr__(self, name, as_real(getattr(self, name), name, 0.0, 1.0))
         mask = self.coincidence_mask
         if type(mask) is not frozenset:
-            if isinstance(mask, str):   # not its characters
-                raise TypeError(f"coincidence_mask must be a collection of names, got {mask!r}")
-            mask = frozenset(mask)
+            try:    # a string is not its characters; None, 5 or [["D2"]] fail in frozenset
+                mask = frozenset(None if isinstance(mask, str) else mask)
+            except TypeError:
+                raise TypeError("coincidence_mask must be a collection of names, "
+                                f"got {mask!r}") from None
             object.__setattr__(self, "coincidence_mask", mask)
         if not mask <= DETECTOR_SET:
-            raise ValueError(f"unknown detectors in mask: {sorted(mask - DETECTOR_SET)}")
+            error = ValueError if all(isinstance(m, str) for m in mask) else TypeError
+            raise error(f"coincidence_mask must name detectors of {DETECTORS}, "
+                        f"got {', '.join(sorted(map(repr, mask - DETECTOR_SET)))}")
         object.__setattr__(self, "pulses", as_int(self.pulses, "pulses", 1, INT64_MAX))
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
 

@@ -1,14 +1,16 @@
 import argparse
+import ast
 import contextlib
 import enum
 import io
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qiopa import cli
+from qiopa import cli, errors
 from qiopa.amplifier import AmplifierConfig, GainParams, pair_tail
 from qiopa.errors import as_int, as_real
 from qiopa.montecarlo import INT64_MAX, DetectorConfig, calibrate_visibility_loss, phase_sweep, run
@@ -98,20 +100,27 @@ INT_ROUTES = {
     ("pair_tail", "start"): (lambda v: pair_tail(GainParams(0.5), v), (-1,), 13),
     ("pairs", "threshold"): (_pairs_stdout, (-1,), 13),
     ("run", "threads"): (lambda v: run(BALANCED, AmplifierConfig.for_gain(0.07),
-                                       DetectorConfig(pulses=10), v), (0,), 13),
+                                       DetectorConfig(pulses=10), v), (0, -5), 13),
 }
+# DetectorConfig checks its rates in a loop, as_real(v, name, ...): the lint
+# below reads that name as these four
+RATES = ("qe", "attenuation", "dark_rate", "p_inject")
+COMPUTED_FIELDS = {("montecarlo.py", "name"): RATES}
 REAL_ROUTES = {
     ("GainParams", "g"): (GainParams, (-0.1, np.int64(-1), 355.036), 1),
     **{("DetectorConfig", name): (_rate(name), (-0.1, np.float64(-0.5), 1.5, 2), 1)
-       for name in ("qe", "attenuation", "dark_rate", "p_inject")},
+       for name in RATES},
     ("Qubit", "alpha"): (lambda v: Qubit(v, 0.0), (-1.0,), 1),
     ("Qubit", "beta"): (lambda v: Qubit(0.0, v), (-1.0,), 1),
     ("Qubit", "phi"): (lambda v: Qubit(0.6, 0.8, v), (), 1),
     ("su2_rotation", "angle"): (lambda v: su2_rotation("y", v).matrix.tolist(), (), 1),
     ("waveplate", "theta"): (lambda v: waveplate("quarter", v).matrix.tolist(), (), 1),
     ("babinet", "delta"): (lambda v: babinet(v).matrix.tolist(), (), 1),
-    # v is the last angle: an ordering check written with b <= a let a NaN there through
+    # v is the last angle, then the first: an ordering check written with b <= a
+    # let a NaN last through
     ("BlochPath", "angles"): (lambda v: BlochPath("z", (-5.0, v), BALANCED), (-6.0,), 1),
+    ("BlochPath first", "angles"): (lambda v: BlochPath("z", (v, 5.0), BALANCED),
+                                    (6.0,), 1),
     ("calibrate_visibility_loss", "target_v"): (
         lambda v: calibrate_visibility_loss(v, BALANCED, AmplifierConfig.for_gain(0.07),
                                             DetectorConfig(pulses=200)), (0.0, 0.5), 0.25),
@@ -141,3 +150,24 @@ def test_each_entry_point_routes_its_field_through_the_helper(route):
                 build(value)
     # the result repeats the Python value's; a repr shows a numpy scalar kept
     assert all(repr(build(value)) == repr(build(ok)) for value in same)
+
+
+def test_every_checked_field_has_a_route():
+    # a field passed to as_int or as_real, written as a string or the literal
+    # prefix of an f-string (angles[{i}] is angles), needs a row above
+    routed = {field for _, field in [*INT_ROUTES, *REAL_ROUTES]}
+    calls = [(path.name, node) for path in pathlib.Path(errors.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in ("as_int", "as_real")]
+    missing = []
+    for module, call in calls:
+        name = call.args[1]
+        if isinstance(name, ast.Constant):
+            fields = [name.value]
+        elif isinstance(name, ast.JoinedStr) and isinstance(name.values[0], ast.Constant):
+            fields = [name.values[0].value.partition("[")[0]]
+        else:
+            fields = COMPUTED_FIELDS.get((module, ast.unparse(name)), [ast.unparse(name)])
+        missing += [f"{module}:{call.lineno} {f}" for f in fields if f not in routed]
+    assert len(calls) > 15 and missing == []
