@@ -66,26 +66,21 @@ class GainParams:
 
 
 def pair_tail(gain: GainParams, start: int) -> float:
-    """Closed-form sum of the pair law gamma^2 Gamma^(2n) (n+1)(n+2)/2 over n >= start."""
-    start = as_int(start, "start")
-    if start == 0:
+    """Weight of the pair law NB(3, x), x = Gamma^2, over n >= m = start, as
+    P(Bin(m + 2, x) >= m) = x^m [C(m+2, 2) s^2 + (m + 2) x s + x^2], s = C^-2:
+    positive terms, so nothing cancels at any gain."""
+    m = as_int(start, "start")
+    if m == 0:
         return 1.0
-    x = gain.Gamma ** 2
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:    # tanh g rounds to 1: no finite cutoff holds any weight
-        return 1.0
-    if start >= 2 ** 63:
-        # x <= 1 - 2^-53, so x^start <= exp(-1024) is 0.0 and so is the
-        # tail; a float of start, or of start^2, could overflow
-        return 0.0
-    m = start
-    one = 1.0 - x
-    # geometric sums of n^0, n^1, n^2 weights starting at n = m
-    s0 = x ** m / one
-    s1 = x ** m * (m - (m - 1) * x) / one ** 2
-    s2 = x ** m * (m * m - (2 * m * m - 2 * m - 1) * x + (m - 1) ** 2 * x ** 2) / one ** 3
-    return gain.gamma ** 2 * (s2 + 3 * s1 + 2 * s0) / 2
+    g, s, x = gain.g, gain.C ** -2, gain.Gamma ** 2
+    # x^m = exp(-m mu), mu = -ln x = 2 log1p(2 / expm1(2g)) over exp(-2g): no step
+    # overflows up to MAX_GAIN, it holds where x rounds to 1, and it is inf at g = 0
+    mu = 2 * math.log1p(-2 * math.exp(-2 * g) / math.expm1(-2 * g)) if g else math.inf
+    # past m s = 2^20 the tail is 0.0, as mu >= s; m / 2^64 is a float up to there
+    p, q = s.as_integer_ratio()
+    m, big = min(m, (q << 20) // p), 2 ** 64
+    a, b, w = (m + 2) / big * (s * big), (m + 1) / big * (s * big), m / big * (mu * big)
+    return min(math.exp(-w) * (a * b / 2 + a * x + x * x), 1.0)   # rounding may pass 1
 
 
 @dataclass(frozen=True)
@@ -139,8 +134,8 @@ class AmplifierConfig:
 
 
 def _largest_gain() -> float:
-    """Largest gain whose tail rule MAX_CUTOFF meets, by bisection: the pair
-    tail rises with g, and tanh g rounds to 1 by g = 20."""
+    """Largest gain whose tail rule MAX_CUTOFF meets, by bisection over 0 .. 20:
+    the pair tail rises with g, and at g = 20 it is 1.0."""
     lo, hi = 0.0, 20.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)

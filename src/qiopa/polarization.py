@@ -108,8 +108,12 @@ class BlochPath:
         if self.axis not in _PAULI:
             raise ValueError(f"axis must be one of x, y, z, got {self.axis!r}")
         angles = tuple(as_real(a, f"angles[{i}]") for i, a in enumerate(self.angles))
-        if len(angles) < 2 or not all(a < b for a, b in zip(angles, angles[1:])):
-            raise ValueError("a path needs 2 or more strictly increasing angles")
+        if len(angles) < 2:
+            raise ValueError(f"angles must hold 2 or more values, got {len(angles)}")
+        for i in range(1, len(angles)):
+            if angles[i - 1] >= angles[i]:
+                raise ValueError(f"angles must strictly increase, got angles[{i - 1}] "
+                                 f"= {angles[i - 1]} >= angles[{i}] = {angles[i]}")
         object.__setattr__(self, "angles", angles)
 
     def qubits(self) -> list:

@@ -191,8 +191,8 @@ def test_09_tail_report(capsys):
     x = mp.tanh(mp.mpf("1.13")) ** 2
     exact = float(mp.cosh(mp.mpf("1.13")) ** -6 * mp.nsum(
         lambda n: (n + 1) * (n + 2) / 2 * x ** n, [8, mp.inf]))
-    # the closed form's geometric sums cancel to a tenth of their size, each
-    # with 1 / (1 - x)^3 rounded from 1 - x: a few tens of ulps of the tail
+    # the binomial form adds three positive terms, and x^8 = exp(-8 mu) turns
+    # mu's few ulps into about 8 mu (3.4) of the tail: a few ulps in all
     checks = [(abs(computed - exact), 64 * EPS * exact, 1.13)]
     assert main(["pairs", "--preset", "HG", "--threshold", "8"]) == 0
     out = capsys.readouterr().out

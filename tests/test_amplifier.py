@@ -168,23 +168,46 @@ class TestAmplifierConfig:
                 cfg.check_lost_weight(lost, "held weight")
 
 
+def _exact_tail(mp, g: float, start: int):
+    """The pair law summed over n >= start in mpmath, with x^start taken out
+    so that each term is sized against the first."""
+    x = mp.tanh(mp.mpf(g)) ** 2
+    return mp.sech(mp.mpf(g)) ** 6 * x ** start * mp.nsum(
+        lambda k: (start + k + 1) * (start + k + 2) / 2 * x ** k, [0, mp.inf])
+
+
 class TestPairStatistics:
-    def test_tail_matches_extended_precision_sum(self):
+    # LG, HG, 2.0 and the top gain, then past the cap, up to where tanh g rounds to 1
+    @pytest.mark.parametrize("g", [0.07, 1.13, 2.0, amplifier._largest_gain(), 4.0, 6.0,
+                                   10.0, 20.0],
+                             ids=["LG", "HG", "2.0", "top", "4", "6", "10", "20"])
+    def test_tail_matches_extended_precision_sum(self, g):
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        gp = GainParams(1.13)
-        x = mp.tanh(mp.mpf("1.13")) ** 2
-        pref = mp.cosh(mp.mpf("1.13")) ** -6
-        for start in (1, 4, 8, 20):
-            exact = pref * mp.nsum(lambda n: (n + 1) * (n + 2) / 2 * x ** n,
-                                   [start, mp.inf])
-            assert pair_tail(gp, start) == pytest.approx(float(exact), abs=1e-14)
+        for start in (1, 2, 8, 100, 363, 1000, 10 ** 4, 10 ** 5):
+            with mp.workdps(60):
+                exact = float(_exact_tail(mp, g, start))
+            if exact < 1e-300:
+                continue
+            # x^start = exp(-start mu) turns mu's few ulps into about start mu
+            # ulps of the tail, and start mu stays below 700 above 1e-300
+            assert pair_tail(GainParams(g), start) == pytest.approx(exact, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("g", [20.0, 21.0, 25.0])
+    def test_tail_at_huge_starts_where_gamma_rounds_to_one(self, g):
+        # Gamma^2 rounds to 1 here, yet the pair law's mean 3 sinh(g)^2 is 1.8e17
+        # (g = 20) to 3.9e21 (g = 25), and the tail falls from 1 to 0 around it
+        mp = pytest.importorskip("mpmath")
+        for start in (10 ** 18, 2 ** 63, 10 ** 22):
+            with mp.workdps(60):
+                exact = float(_exact_tail(mp, g, start))
+            assert pair_tail(GainParams(g), start) == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_tail_zero_threshold_is_one(self):
         assert pair_tail(GainParams(0.9), 0) == 1.0
 
     def test_tail_is_one_where_gamma_rounds_to_one(self):
-        # tanh 20 == 1.0: the geometric sums would divide by 1 - Gamma^2 = 0
+        # tanh 20 == 1.0, yet mu = -ln Gamma^2 comes from exp(-40): the tail at
+        # start 1 is 1 - 5e-51, which rounds to 1.0
         assert pair_tail(GainParams(20.0), 1) == 1.0
 
     @pytest.mark.parametrize("g", [0.07, 1.13, 15.0], ids=["LG", "HG", "15"])
@@ -194,6 +217,21 @@ class TestPairStatistics:
         gp = GainParams(g)
         for start in (10 ** 150, 2 ** 63 - 1, 2 ** 63, 10 ** 154, 10 ** 400):
             assert pair_tail(gp, start) == 0.0
+
+    def test_tail_is_a_probability_at_the_top_gain(self):
+        # at g = 355 the mean 3 sinh(g)^2 nears the float range, so the tail
+        # holds weight at starts past it
+        for g in (355.0, GainParams.MAX_GAIN):
+            tails = [pair_tail(GainParams(g), 10 ** k) for k in range(401)]
+            assert all(0.0 <= t <= 1.0 for t in tails) and tails[308] > 0.5 > tails[310]
+        # past the float range, against the NB(3, x) tail as mpmath's incomplete
+        # beta I_x(start, 3), where nsum would not converge; 1 - x is 2e-308
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(400):
+            x = mp.tanh(mp.mpf(GainParams.MAX_GAIN)) ** 2
+            exact = float(mp.betainc(10 ** 310, 3, 0, x, regularized=True))
+        top = GainParams(GainParams.MAX_GAIN)
+        assert pair_tail(top, 10 ** 310) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 class TestPairDistribution:

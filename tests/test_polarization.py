@@ -36,11 +36,6 @@ class TestSu2Rotation:
         with pytest.raises(ValueError):
             su2_rotation("w", 1.0)
 
-    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
-    def test_non_finite_angle_rejected(self, angle):
-        with pytest.raises(ValueError, match="angle must be finite"):
-            su2_rotation("z", angle)
-
 
 class TestWaveplate:
     def test_half_wave_at_22p5_degrees(self):
@@ -59,21 +54,11 @@ class TestWaveplate:
         with pytest.raises(ValueError):
             waveplate("third", 0.0)
 
-    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
-    def test_non_finite_theta_rejected(self, theta):
-        with pytest.raises(ValueError, match="theta must be finite"):
-            waveplate("half", theta)
-
 
 class TestBabinet:
     def test_shifts_relative_phase(self):
         q = apply(babinet(math.pi), Qubit(2 ** -0.5, 2 ** -0.5, 0.0))
         assert q.phi == pytest.approx(math.pi)
-
-    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
-    def test_non_finite_delta_rejected(self, delta):
-        with pytest.raises(ValueError, match="delta must be finite"):
-            babinet(delta)
 
 
 class TestApply:
@@ -114,12 +99,18 @@ class TestPolarizationUnitary:
 
 class TestBlochPath:
     def test_requires_increasing_angles(self):
-        with pytest.raises(ValueError):
-            BlochPath("z", (0.0, 0.0, 1.0), Qubit(1.0, 0.0))
+        # the message names the first pair out of order, with its indices
+        for angles, pair in (((0.0, 0.0, 1.0), r"angles\[0\] = 0\.0 >= angles\[1\] = 0\.0"),
+                             ((6.0, 5.0), r"angles\[0\] = 6\.0 >= angles\[1\] = 5\.0"),
+                             ((0.0, 2.0, 1.0, 0.5), r"angles\[1\] = 2\.0 >= angles\[2\] = 1\.0")):
+            with pytest.raises(ValueError, match=rf"^angles must strictly increase, got {pair}$"):
+                BlochPath("z", angles, Qubit(1.0, 0.0))
 
     def test_requires_two_points(self):
-        with pytest.raises(ValueError):
-            BlochPath("z", (0.0,), Qubit(1.0, 0.0))
+        for angles in ((0.0,), ()):
+            with pytest.raises(ValueError,
+                               match=rf"^angles must hold 2 or more values, got {len(angles)}$"):
+                BlochPath("z", angles, Qubit(1.0, 0.0))
 
     @pytest.mark.parametrize("axis", ["w", "X", ""])
     def test_unknown_axis_rejected(self, axis):
