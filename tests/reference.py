@@ -1,8 +1,9 @@
 """Test-side references: the linear search for the default cutoff, the pair
-law, a state's mean photon number per mode, the enumerated Monte Carlo
-outcome law, the oracle of PulseSampler's closed form, and the draw of a
-point's totals as one broadcast multinomial over all six term-axes, which
-PulseSampler.sample_chunk must match draw for draw.
+law and its tail in extended precision, a state's mean photon number per
+mode, the enumerated Monte Carlo outcome law, the oracle of PulseSampler's
+closed form, and the draw of a point's totals as one broadcast multinomial
+over all six term-axes, which PulseSampler.sample_chunk must match draw for
+draw.
 
 The detected law lists the photon numbers behind the analyzer cell by cell,
 and the outcome law weighs every cell by its gate probability and thins both
@@ -37,6 +38,15 @@ def pair_law(cfg: AmplifierConfig) -> np.ndarray:
     the pairs command computes it: pair_weights times (n+1)(n+2)/2."""
     n = np.arange(cfg.cutoff + 1)
     return pair_weights(cfg) * (n + 1) * (n + 2) / 2
+
+
+def exact_tail(mp, g: float, start: int):
+    """The pair law summed over n >= start in mpmath, the module mp passed in
+    at the caller's precision, with x^start taken out so that each term is
+    sized against the first."""
+    x = mp.tanh(mp.mpf(g)) ** 2
+    return mp.sech(mp.mpf(g)) ** 6 * x ** start * mp.nsum(
+        lambda k: (start + k + 1) * (start + k + 2) / 2 * x ** k, [0, mp.inf])
 
 
 def photon_number(state, column: int) -> float:

@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from qiopa.amplifier import (AmplifierConfig, _largest_gain, amplify, pair_tail,
-                             propagate_hamiltonian)
+from qiopa.amplifier import (AmplifierConfig, GainParams, _largest_gain, amplify,
+                             pair_tail, propagate_hamiltonian)
 from qiopa.cli import main
 from qiopa.density import entropy, partial_trace, rho1_closed_form, rho2_closed_form
 from qiopa.fock import fidelity, inner_product
@@ -23,6 +23,7 @@ from qiopa.observables import g1_closed_form, g1_oracle, visibility
 from qiopa.polarization import BlochPath, Qubit, babinet, su2_rotation, waveplate
 
 from conftest import BALANCED, random_qubit
+from reference import exact_tail
 
 EPS = np.finfo(float).eps   # 2.2e-16, one ulp of 1.0
 
@@ -186,20 +187,21 @@ def test_08_pair_statistics(rng, capsys):
 
 def test_09_tail_report(capsys):
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    computed = pair_tail(AmplifierConfig.for_gain(1.13).gain, 8)
-    x = mp.tanh(mp.mpf("1.13")) ** 2
-    exact = float(mp.cosh(mp.mpf("1.13")) ** -6 * mp.nsum(
-        lambda n: (n + 1) * (n + 2) / 2 * x ** n, [8, mp.inf]))
-    # the binomial form adds three positive terms, and x^8 = exp(-8 mu) turns
-    # mu's few ulps into about 8 mu (3.4) of the tail: a few ulps in all
-    checks = [(abs(computed - exact), 64 * EPS * exact, 1.13)]
+    checks = []
+    for g, _cutoff in _UP_TO_TOP:
+        computed = pair_tail(GainParams(g), 8)
+        with mp.workdps(60):
+            exact = float(exact_tail(mp, g, 8))
+        # the binomial form adds three positive terms, and x^8 = exp(-8 mu)
+        # turns mu's few ulps into about 8 mu (3.4 at HG, less above) of the
+        # tail: a few ulps in all
+        checks.append((abs(computed - exact), 64 * EPS * exact, g))
     assert main(["pairs", "--preset", "HG", "--threshold", "8"]) == 0
     out = capsys.readouterr().out
     ok = "# reported_tail=0.14" in out
     ok &= "# reported_tail_agreement=no" in out
     with capsys.disabled():
-        print(f"\ncomputed tail P(n >= 8) = {computed:.6f}, "
+        print(f"\ncomputed tail P(n >= 8) = {pair_tail(GainParams(1.13), 8):.6f}, "
               f"reported value 0.14: flagged as disagreement")
         _report(9, "tail verified against extended precision, report flags 14%", checks, ok)
 

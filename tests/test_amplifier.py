@@ -19,7 +19,7 @@ from qiopa.observables import DETECTED_FIELD_UNITARY
 from qiopa.polarization import PolarizationUnitary, Qubit, apply
 
 from conftest import random_qubit
-from reference import linear_cutoff, pair_law, photon_number
+from reference import exact_tail, linear_cutoff, pair_law, photon_number
 
 
 @pytest.fixture
@@ -58,20 +58,6 @@ class TestGainParams:
         gp = GainParams(g)
         assert (gp.g, gp.C, gp.Gamma, gp.gamma, gp.nbar) == (
             g, math.cosh(g), math.tanh(g), math.cosh(g) ** -3, math.sinh(g) ** 2)
-
-    @pytest.mark.parametrize("g", ["1.13", None, 1j, np.complex128(1.0), np.float64(np.nan),
-                                   np.int64(-1), True, np.True_, -0.1,
-                                   pytest.param(float("nan"), id="float-nan"), float("inf")])
-    def test_rejects_what_is_not_a_real_number(self, g):
-        # a negative or non-finite real gain is a ValueError, any other value a TypeError
-        error = ValueError if isinstance(g, (float, np.integer)) else TypeError
-        with pytest.raises(error, match="^g must "):
-            GainParams(g)
-
-    @pytest.mark.parametrize("g", [np.int64(1), np.float32(1.13), np.float64(0.07)],
-                             ids=["int64", "float32", "float64"])
-    def test_numpy_real_scalars_are_gains(self, g):
-        assert GainParams(g) == GainParams(float(g))
 
     def test_configs_over_a_numpy_range(self):
         assert [AmplifierConfig.for_gain(g) for g in np.arange(3)] == [
@@ -114,14 +100,6 @@ class TestAmplifierConfig:
     def test_cutoff_violating_tail_rule_rejected(self):
         with pytest.raises(ValueError):
             AmplifierConfig(GainParams(1.13), 5)
-
-    @pytest.mark.parametrize("cutoff", [12.5, 13.0, np.float64(13.0), "13", True,
-                                        np.bool_(True)],
-                             ids=["12.5", "13.0", "np.float64", "str", "True", "np.bool_"])
-    def test_cutoff_must_be_an_integer(self, cutoff):
-        # 12.5 built cutoff-13 arrays with the cutoff-13.5 tail
-        with pytest.raises(TypeError, match="cutoff must be an integer"):
-            AmplifierConfig(GainParams(0.07), cutoff)
 
     def test_for_gain_picks_valid_cutoff(self):
         for g in (0.0, 0.07, 0.5, 1.13):
@@ -168,14 +146,6 @@ class TestAmplifierConfig:
                 cfg.check_lost_weight(lost, "held weight")
 
 
-def _exact_tail(mp, g: float, start: int):
-    """The pair law summed over n >= start in mpmath, with x^start taken out
-    so that each term is sized against the first."""
-    x = mp.tanh(mp.mpf(g)) ** 2
-    return mp.sech(mp.mpf(g)) ** 6 * x ** start * mp.nsum(
-        lambda k: (start + k + 1) * (start + k + 2) / 2 * x ** k, [0, mp.inf])
-
-
 class TestPairStatistics:
     # LG, HG, 2.0 and the top gain, then past the cap, up to where tanh g rounds to 1
     @pytest.mark.parametrize("g", [0.07, 1.13, 2.0, amplifier._largest_gain(), 4.0, 6.0,
@@ -185,7 +155,7 @@ class TestPairStatistics:
         mp = pytest.importorskip("mpmath")
         for start in (1, 2, 8, 100, 363, 1000, 10 ** 4, 10 ** 5):
             with mp.workdps(60):
-                exact = float(_exact_tail(mp, g, start))
+                exact = float(exact_tail(mp, g, start))
             if exact < 1e-300:
                 continue
             # x^start = exp(-start mu) turns mu's few ulps into about start mu
@@ -199,7 +169,7 @@ class TestPairStatistics:
         mp = pytest.importorskip("mpmath")
         for start in (10 ** 18, 2 ** 63, 10 ** 22):
             with mp.workdps(60):
-                exact = float(_exact_tail(mp, g, start))
+                exact = float(exact_tail(mp, g, start))
             assert pair_tail(GainParams(g), start) == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_tail_zero_threshold_is_one(self):

@@ -191,13 +191,6 @@ class TestPairs:
                     if not l.startswith(("#", "n,")))
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_high_gain_tail_report_flags_disagreement(self, capsys):
-        assert main(["pairs", "--preset", "HG", "--threshold", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "# tail_probability=0.278693840345" in out
-        assert "# reported_tail=0.14" in out
-        assert "# reported_tail_agreement=no" in out
-
     @pytest.mark.parametrize("argv, reported", [
         (["--preset", "HG", "--g", "1.5", "--cutoff", "200"], []),
         (["--g", "1.13"], ["# reported_mean_pairs=4"]),
@@ -276,18 +269,6 @@ class TestEntropy:
         assert doc["entropy_mode2_bits"] == 0.0
         # a pure state's entropy is 0.0, not -0.0
         assert '"entropy_mode1_bits": 0.0' in out
-
-    def test_high_gain_report(self, capsys):
-        assert main(["entropy", "--preset", "HG"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["entropy_difference"] <= 1e-9
-
-    def test_report_at_g_2_5(self, capsys):
-        # cutoff 988: one sector sum over 989 pair weights, where an
-        # eigensolve over the 490k band entries of a density takes seconds
-        assert main(["entropy", "--g", "2.5"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["entropy_difference"] <= 1e-9
 
     def test_builds_no_four_mode_state(self, monkeypatch, capsys):
         # the report reads only the pair weights: every module attribute bound

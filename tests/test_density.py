@@ -574,7 +574,7 @@ class TestBands:
         with pytest.raises(TypeError):
             SectorDensity("mode2", [0.6, 0.2, 0.2], [0.0] * 3, [0.6, 0.1])
         rho = SectorDensity("mode2", [0.6, 0.2, 0.2], [0.0] * 3)
-        assert entropy(rho) == pytest.approx(1.3709505944546687, rel=1e-15)
+        assert entropy(rho) == pytest.approx(1.3709505944546687, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("diag, sub", [([0.5, 0.25], [0.0, 0.0]),
                                            ([0.5, 0.25, 0.25], [0.0, 0.0]),

@@ -28,7 +28,7 @@ class TestInnerProduct:
         st = _random_state(rng)
         ip = inner_product(st, st)
         assert ip.imag == pytest.approx(0.0, abs=1e-14)
-        assert ip.real == pytest.approx(st.norm_sq(), rel=1e-12)
+        assert ip.real == pytest.approx(st.norm_sq(), rel=1e-12, abs=0)
 
     def test_conjugate_symmetry(self, rng):
         a, b = _random_state(rng), _random_state(rng)
@@ -123,8 +123,8 @@ class TestOverlapPlans:
         with monkeypatch.context() as m:
             m.setattr(fock, "_overlap_plan", None)   # shared rows plan nothing
             shared = inner_product(prop, state), fidelity(prop, state)
-        assert shared[0] == pytest.approx(planned[0], rel=1e-13)
-        assert shared[1] == pytest.approx(planned[1], rel=1e-13)
+        assert shared[0] == pytest.approx(planned[0], rel=1e-13, abs=0)
+        assert shared[1] == pytest.approx(planned[1], rel=1e-13, abs=0)
 
     def test_swapped_arguments_give_the_conjugate(self, rng):
         # the propagator shares amplify's rows, so pair it with a second row
@@ -135,7 +135,7 @@ class TestOverlapPlans:
         assert len(prop) == len(other)     # a swapped plan would index in range
         ab = inner_product(prop, other)
         ba = inner_product(other, prop)
-        assert ba == pytest.approx(ab.conjugate(), rel=1e-14)
+        assert ba == pytest.approx(ab.conjugate(), rel=1e-14, abs=0)
         assert inner_product(other, prop) == ba
 
     def test_writable_rows_mutated_in_place_give_a_fresh_overlap(self):

@@ -26,20 +26,20 @@ class TestClosedForm:
     def test_balanced_qubit_in_phase(self):
         gp = GainParams(0.9)
         pair = g1_closed_form(BALANCED, gp)
-        assert pair.g2h == pytest.approx(2.0 * gp.nbar, rel=1e-14)
-        assert pair.g2v == pytest.approx(1.0 * gp.nbar, rel=1e-14)
+        assert pair.g2h == pytest.approx(2.0 * gp.nbar, rel=1e-14, abs=0)
+        assert pair.g2v == pytest.approx(1.0 * gp.nbar, rel=1e-14, abs=0)
 
     def test_balanced_qubit_out_of_phase_swaps_channels(self):
         gp = GainParams(0.9)
         q = Qubit(2 ** -0.5, 2 ** -0.5, math.pi)
         pair = g1_closed_form(q, gp)
-        assert pair.g2h == pytest.approx(1.0 * gp.nbar, rel=1e-12)
-        assert pair.g2v == pytest.approx(2.0 * gp.nbar, rel=1e-12)
+        assert pair.g2h == pytest.approx(1.0 * gp.nbar, rel=1e-12, abs=0)
+        assert pair.g2v == pytest.approx(2.0 * gp.nbar, rel=1e-12, abs=0)
 
     def test_pole_qubit_has_no_interference(self):
         gp = GainParams(0.7)
         pair = g1_closed_form(Qubit(1.0, 0.0), gp)
-        assert pair.g2h == pair.g2v == pytest.approx(1.5 * gp.nbar, rel=1e-14)
+        assert pair.g2h == pair.g2v == pytest.approx(1.5 * gp.nbar, rel=1e-14, abs=0)
 
     def test_difference_antisymmetric_under_phase_flip(self, rng):
         gp = GainParams(0.8)
