@@ -181,7 +181,7 @@ def _on_qubit(q: Qubit, cfg: AmplifierConfig, ket: np.ndarray) -> FockState4:
     each pair term, on amplify's memoised rows, carrying their trace plans
     when nothing is pruned."""
     occ, _ket, plans = _amplified_kets(cfg)
-    amp = np.tile(np.array([q.alpha, q.beta * cmath.exp(1j * q.phi)]), len(ket) // 2)
+    amp = np.array([[q.alpha, q.beta * cmath.exp(1j * q.phi)]]).repeat(len(ket) // 2, 0).ravel()
     amp *= ket
     state = FockState4.from_arrays(occ, amp, cfg.cutoff)
     if state.occ is occ:

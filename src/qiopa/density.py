@@ -33,7 +33,7 @@ import numpy as np
 import scipy
 
 from .amplifier import AmplifierConfig, pair_weights
-from .errors import NumericalError
+from .errors import NumericalError, as_int
 from .fock import FockState4, MODE_PAIRS, row_keys
 from .polarization import Qubit
 
@@ -74,13 +74,14 @@ class SectorDensity:
         ends = np.arange(1, self.sectors + 1) * np.arange(2, self.sectors + 2) // 2 - 1
         if self.sectors * (self.sectors + 1) // 2 != n or self.sub.size != n:
             raise ValueError(f"bands of length {n}, {self.sub.size} do not fill whole sectors")
-        if np.any(self.sub[ends] != 0):
+        if (self.sub[ends] != 0).any():
             raise ValueError("sub-diagonal couples two sectors")
         self.diag.setflags(write=False)
         self.sub.setflags(write=False)
 
     def sector(self, t: int):
         """Diagonal (t+1 entries) and sub-diagonal (t entries) of sector t."""
+        t = as_int(t, "t", 0, self.sectors - 1)
         k = t * (t + 1) // 2
         return self.diag[k:k + t + 1], self.sub[k:k + t]
 
@@ -216,7 +217,7 @@ def partial_trace(state: FockState4, keep: str) -> SectorDensity:
         plans[keep] = _trace_plan(state.occ, keep)
     size, k, lo, hi, off_lo, off_hi, kb = plans[keep]
     a = state.amp
-    if not np.all(np.abs(a[off_hi] * a[off_lo].conj()) <= BLOCK_COHERENCE_TOL):
+    if not (np.abs(a[off_hi] * a[off_lo].conj()) <= BLOCK_COHERENCE_TOL).all():
         raise ValueError(
             "reduced state has coherences across photon-number sectors "
             "or off the tridiagonal band; banded sector storage does not apply")

@@ -73,7 +73,7 @@ class FockState4:
                                          self.amp.tolist())))
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amp) ** 2))
+        return float((np.abs(self.amp) ** 2).sum())
 
     def __len__(self) -> int:
         return len(self.amp)

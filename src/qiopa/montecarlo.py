@@ -464,10 +464,12 @@ def calibrate_visibility_loss(target_v: float, q: Qubit, cfg: AmplifierConfig,
                          "its fringe has no closed form in p_inject")
     if det.qe * det.attenuation == 0.0:
         raise ValueError("qe * attenuation is 0: no photon survives, so there is no fringe")
-    target_v, v1 = as_real(target_v, "target_v"), visibility(q)
-    if not 0.0 < target_v <= v1:
+    v1 = visibility(q)
+    try:    # math.ulp(0.0) is the least positive float, so this range is (0, v1]
+        target_v = as_real(target_v, "target_v", math.ulp(0.0), v1)
+    except ValueError:
         raise ValueError(f"target_v must lie in (0, {v1:.6g}], the visibility at "
-                         f"p_inject = 1, got {target_v}")
+                         f"p_inject = 1, got {target_v}") from None
     p = min(2.0 * target_v / (3.0 * v1 - target_v), 1.0)   # can round above 1 at V1
     stats = run(phase_sweep(q, CALIBRATION_SWEEP_POINTS), cfg, replace(det, p_inject=p))
     dp = stats.visibility_stderr * (2.0 + p) ** 2 / (6.0 * v1)

@@ -38,16 +38,16 @@ def g1_closed_form(q: Qubit, gain: GainParams) -> G1Pair:
 
 
 def g1_oracle(q: Qubit, cfg: AmplifierConfig) -> G1Pair:
-    """Brute-force detected photon numbers Tr(rho2 N_c) on the two bands of the
-    brute-force partial trace over mode 1: the analyzer output c = sum_j u_cj b_j
-    has N_c = |u_ch|^2 n_h + |u_cv|^2 n_v + 2 Re(u_ch* u_cv b_h+ b_v)."""
+    """Brute-force Tr(rho2 N_c) from band dots of the brute-force partial trace
+    over mode 1: the analyzer output c = sum_j u_cj b_j has N_c = |u_ch|^2 n_h +
+    |u_cv|^2 n_v + 2 Re(u_ch* u_cv b_h+ b_v), summed in Python scalars per row."""
     rho = partial_trace(amplify(q, cfg), "mode2")
     t, p = _flat_index(rho.sectors)
-    numbers = np.array([rho.diag @ (t - p), rho.diag @ p])   # <n_h>, <n_v>
-    hop = rho.sub @ np.sqrt((t - p) * (p + 1))                # <b_h+ b_v>
-    u = DETECTED_FIELD_UNITARY
-    g2h, g2v = np.abs(u) ** 2 @ numbers + 2.0 * (u[:, 0].conj() * u[:, 1] * hop).real
-    return G1Pair(g2h=float(g2h), g2v=float(g2v), nbar=cfg.gain.nbar)
+    n_h, n_v = float(rho.diag @ (t - p)), float(rho.diag @ p)
+    hop = complex(rho.sub @ np.sqrt((t - p) * (p + 1)))  # <b_h+ b_v>
+    g2h, g2v = (abs(uh) ** 2 * n_h + abs(uv) ** 2 * n_v + 2.0 * (uh.conjugate() * uv * hop).real
+                for uh, uv in DETECTED_FIELD_UNITARY.tolist())
+    return G1Pair(g2h=g2h, g2v=g2v, nbar=cfg.gain.nbar)
 
 
 def visibility(q: Qubit) -> float:

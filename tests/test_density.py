@@ -585,8 +585,10 @@ class TestBands:
             SectorDensity("mode1", diag, sub)
 
     def test_sub_diagonal_across_sectors_rejected(self):
-        # k = 0 and k = 2 end sectors 0 and 1; sub[1] lies within sector 1
-        for sub in ([0.1, 0.1, 0.0], [0.0, 0.1, 0.1]):
+        # k = 0 and k = 2 end sectors 0 and 1; sub[1] lies within sector 1.  A
+        # NaN or an infinity at a sector end is no zero either
+        for sub in ([0.1, 0.1, 0.0], [0.0, 0.1, 0.1], [math.nan, 0.1, 0.0],
+                    [0.0, 0.1, math.inf], [-math.inf, 0.1, 0.0], [0.0, 0.1, complex(0, math.nan)]):
             with pytest.raises(ValueError, match="couples two sectors"):
                 SectorDensity("mode2", [0.5, 0.25, 0.25], sub)
         SectorDensity("mode2", [0.5, 0.25, 0.25], [0.0, 0.1, 0.0])

@@ -12,6 +12,7 @@ import pytest
 
 from qiopa import cli, errors
 from qiopa.amplifier import AmplifierConfig, GainParams, pair_tail
+from qiopa.density import rho2_closed_form
 from qiopa.errors import as_int, as_real
 from qiopa.montecarlo import INT64_MAX, DetectorConfig, calibrate_visibility_loss, phase_sweep, run
 from qiopa.polarization import BlochPath, Qubit, babinet, su2_rotation, waveplate
@@ -103,6 +104,10 @@ INT_ROUTES = {
     ("pairs", "threshold"): (_pairs_stdout, (-1,), 13),
     ("run", "threads"): (lambda v: run(BALANCED, AmplifierConfig.for_gain(0.07),
                                        DetectorConfig(pulses=10), v), (0, -5), 13),
+    # the 13 sectors 0 .. 12 of the anticloning mode at the LG cutoff
+    ("SectorDensity.sector", "t"): (
+        lambda v: rho2_closed_form(BALANCED, AmplifierConfig.for_gain(0.07)).sector(v),
+        (-1, 13), 1),
 }
 # DetectorConfig checks its rates in a loop, as_real(v, name, ...): the lint
 # below reads that name as these four
@@ -128,6 +133,9 @@ REAL_ROUTES = {
                                             DetectorConfig(pulses=200)), (0.0, 0.5), 0.25),
 }
 KINDS = [True, np.bool_(False), "1", 1j, None]
+# the one message of a range check that words every value out of range alike,
+# NaN and +-inf among them (the visibility of BALANCED is 1/3)
+RANGE_MESSAGES = {("calibrate_visibility_loss", "target_v"): r" must lie in \(0, 0\.333333\], "}
 # None is the default of these fields: the tail rule's cutoff, no tail report
 NONE_IS_LEFT_OUT = {("AmplifierConfig.for_gain", "cutoff"), ("pairs", "threshold")}
 
@@ -149,7 +157,8 @@ def test_each_entry_point_routes_its_field_through_the_helper(route):
     # a wrong kind gets the helper's message (angles[1] is angles); a value out
     # of range may fail the entry point's own check, as a cutoff past
     # MAX_CUTOFF does, whose message also starts with the field
-    head = {TypeError: r"\S* must be (an integer|a real number), got ", ValueError: ""}
+    head = {TypeError: r"\S* must be (an integer|a real number), got ",
+            ValueError: RANGE_MESSAGES.get(route, "")}
     for error, values in ((TypeError, wrong), (ValueError, out_of_range)):
         for value in values:
             with pytest.raises(error, match=rf"^{field}\b{head[error]}"):
