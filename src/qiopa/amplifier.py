@@ -94,6 +94,8 @@ class AmplifierConfig:
     MAX_CUTOFF: ClassVar[int] = 1000
 
     def __post_init__(self):
+        if not isinstance(self.gain, GainParams):
+            raise TypeError(f"gain must be a GainParams, got {self.gain!r}")
         object.__setattr__(self, "cutoff", as_int(self.cutoff, "cutoff"))
         if self.cutoff > self.MAX_CUTOFF:
             raise ValueError(

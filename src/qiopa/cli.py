@@ -122,14 +122,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def _qubit(args) -> Qubit:
     """The balanced qubit, or the given amplitudes; one given alone is
-    completed to a unit vector."""
+    completed to a unit vector from min(1, |given|), which squares without
+    overflow and leaves a NaN to fail the check of the field it was given in."""
     alpha, beta = args.alpha, args.beta
     if alpha is None and beta is None:
         alpha = beta = 2 ** -0.5
     elif beta is None:
-        beta = math.sqrt(max(1.0 - alpha ** 2, 0.0))
+        beta = math.sqrt(1.0 - min(1.0, abs(alpha)) ** 2)
     elif alpha is None:
-        alpha = math.sqrt(max(1.0 - beta ** 2, 0.0))
+        alpha = math.sqrt(1.0 - min(1.0, abs(beta)) ** 2)
     return Qubit(alpha, beta, args.phi)
 
 

@@ -31,8 +31,9 @@ class Qubit:
     phi: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_real(self.alpha, "alpha", 0.0))
-        object.__setattr__(self, "beta", as_real(self.beta, "beta", 0.0))
+        # bounded before they are squared: a float's ** overflows past 1.3e154
+        object.__setattr__(self, "alpha", as_real(self.alpha, "alpha", 0.0, 1.0 + NORM_TOL))
+        object.__setattr__(self, "beta", as_real(self.beta, "beta", 0.0, 1.0 + NORM_TOL))
         if abs(self.alpha ** 2 + self.beta ** 2 - 1.0) > NORM_TOL:
             raise ValueError("qubit must be normalized: alpha^2 + beta^2 = 1")
         # wrapped into (-pi, pi]; remainder gives -0.0 at a negative multiple of 2 pi

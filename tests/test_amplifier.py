@@ -101,6 +101,10 @@ class TestAmplifierConfig:
         with pytest.raises(ValueError):
             AmplifierConfig(GainParams(1.13), 5)
 
+    def test_gain_that_is_no_gain_params_rejected(self):
+        with pytest.raises(TypeError, match="^gain must be a GainParams, got 1.13$"):
+            AmplifierConfig(1.13, 100)
+
     def test_for_gain_picks_valid_cutoff(self):
         for g in (0.0, 0.07, 0.5, 1.13):
             cfg = AmplifierConfig.for_gain(g)

@@ -117,8 +117,9 @@ REAL_ROUTES = {
     ("GainParams", "g"): (GainParams, (-0.1, np.int64(-1), 355.036), 1),
     **{("DetectorConfig", name): (_rate(name), (-0.1, np.float64(-0.5), 1.5, 2), 1)
        for name in RATES},
-    ("Qubit", "alpha"): (lambda v: Qubit(v, 0.0), (-1.0,), 1),
-    ("Qubit", "beta"): (lambda v: Qubit(0.0, v), (-1.0,), 1),
+    # 1e200 squared overflows a float
+    ("Qubit", "alpha"): (lambda v: Qubit(v, 0.0), (-1.0, 1e200), 1),
+    ("Qubit", "beta"): (lambda v: Qubit(0.0, v), (-1.0, 1e200), 1),
     ("Qubit", "phi"): (lambda v: Qubit(0.6, 0.8, v), (), 1),
     ("su2_rotation", "angle"): (lambda v: su2_rotation("y", v).matrix.tolist(), (), 1),
     ("waveplate", "theta"): (lambda v: waveplate("quarter", v).matrix.tolist(), (), 1),

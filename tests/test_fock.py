@@ -142,9 +142,9 @@ class TestOverlapPlans:
         occ = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
         a = FockState4.from_arrays(occ, np.array([0.6, 0.8 + 0j]), 4)
         b = FockState4({(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1.0}, 4)
-        assert inner_product(a, b) == pytest.approx(1.4)
+        assert inner_product(a, b) == pytest.approx(1.4, abs=5e-16)
         occ[1] = [0, 1, 1, 0]
-        assert inner_product(a, b) == pytest.approx(0.6)
+        assert inner_product(a, b) == pytest.approx(0.6, abs=2e-16)
 
 
 class TestRowKeys:
@@ -176,15 +176,15 @@ class TestRotateModePair:
         st = FockState4({(0, 0, 1, 0): 1.0}, 4)
         u = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         out = rotate_mode_pair(st, "mode2", u)
-        assert out.amplitudes[(0, 0, 1, 0)] == pytest.approx(2 ** -0.5)
-        assert out.amplitudes[(0, 0, 0, 1)] == pytest.approx(2 ** -0.5)
+        assert out.amplitudes[(0, 0, 1, 0)] == pytest.approx(2 ** -0.5, abs=1e-14)
+        assert out.amplitudes[(0, 0, 0, 1)] == pytest.approx(2 ** -0.5, abs=1e-14)
 
     def test_hong_ou_mandel_pair_bunches(self):
         st = FockState4({(0, 0, 1, 1): 1.0}, 4)
         u = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         out = rotate_mode_pair(st, "mode2", u)
-        assert out.amplitudes[(0, 0, 2, 0)] == pytest.approx(2 ** -0.5)
-        assert out.amplitudes[(0, 0, 0, 2)] == pytest.approx(-2 ** -0.5)
+        assert out.amplitudes[(0, 0, 2, 0)] == pytest.approx(2 ** -0.5, abs=1e-14)
+        assert out.amplitudes[(0, 0, 0, 2)] == pytest.approx(-2 ** -0.5, abs=1e-14)
         assert (0, 0, 1, 1) not in out.amplitudes
 
     def test_norm_and_pair_total_preserved(self, rng):

@@ -129,3 +129,17 @@ def test_outside_numbers_are_checked_only_in_errors():
             found |= {f"{os.path.basename(path)}:{node.lineno} {name}" for name in names
                       if name in ("numbers", "operator", "math.isfinite")}
     assert {entry.partition(":")[0] for entry in found} == {"errors.py"}, sorted(found)
+
+
+def test_every_approx_states_its_absolute_bound():
+    # pytest.approx with no abs= takes abs 1e-12 and, with no rel=, rel 1e-6: a
+    # window about 10^10 ulps wide around 1.  abs=0 states a relative bound alone
+    tests = os.path.dirname(os.path.abspath(__file__))
+    bare = []
+    for path in sorted(glob.glob(os.path.join(tests, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        bare += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.approx"
+                 and "abs" not in {k.arg for k in node.keywords}]
+    assert bare == []

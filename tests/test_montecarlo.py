@@ -22,8 +22,8 @@ from qiopa.observables import DETECTED_FIELD_UNITARY, g1_closed_form, visibility
 from qiopa.polarization import BlochPath, Qubit
 
 from conftest import BALANCED
-from reference import (broadcast_totals, detected_law, enumerated_law, grid_law,
-                       per_pulse_totals, thinned_joint, thinning)
+from reference import (broadcast_totals, enumerated_law, grid_law, per_pulse_totals,
+                       thinned_joint, thinning)
 
 LG = AmplifierConfig.for_gain(0.07)
 RATES = ("qe", "attenuation", "dark_rate", "p_inject")
@@ -323,21 +323,6 @@ class TestPulseSampler:
         assert len(references) == 4
 
 
-def _expected_rates(q, cfg, det):
-    """Exact per-pulse probabilities of the [D2, D_T] and [D2*, D_T] counts
-    of a run gated by D_T alone, from the closed-form detected law: binomial
-    thinning at qe * attenuation, the herald trigger with probability qe,
-    dark counts and the p_inject mixture of injected and vacuum pulses."""
-    eta, dark = det.qe * det.attenuation, det.dark_rate
-    miss = 0.0    # probability that D2 (D2*) receives no surviving photon
-    for weight, q_or_none in ((det.p_inject, q), (1.0 - det.p_inject, None)):
-        (h, v), branches = detected_law(q_or_none, cfg)
-        p = sum(p for _mode1, p in branches)
-        miss = miss + weight * (p / p.sum()) @ (1.0 - eta) ** np.column_stack([h, v])
-    trigger = 1.0 - (1.0 - det.qe) * (1.0 - dark)
-    return trigger * (1.0 - (1.0 - dark) * miss)
-
-
 class TestAxisLawMemo:
     @pytest.mark.parametrize("cfg", [LG, _hg(), _top()], ids=["LG", "HG", "top"])
     @pytest.mark.parametrize("detectors", [{}, LOSSY], ids=["default", "lossy"])
@@ -391,22 +376,6 @@ class TestAxisLawMemo:
 
 
 class TestExactRates:
-    @pytest.mark.parametrize("q,cfg,det", [
-        (BALANCED, _hg(), DetectorConfig(p_inject=0.5, pulses=100_000, seed=11)),
-        (Qubit(0.6, 0.8, 0.7), _hg(),
-         DetectorConfig(qe=0.5, attenuation=0.6, dark_rate=0.02, p_inject=0.3,
-                        pulses=100_000, seed=4)),
-        (Qubit(0.8, 0.6, -2.0), LG,
-         DetectorConfig(qe=1.0, dark_rate=0.001, p_inject=0.7, pulses=200_000,
-                        seed=8)),
-    ], ids=["HG-pinned", "HG-lossy-dark", "LG"])
-    def test_seeded_counts_within_binomial_noise(self, q, cfg, det):
-        stats = run(q, cfg, det)
-        for count, rate in zip((stats.counts_h, stats.counts_v),
-                               _expected_rates(q, cfg, det)):
-            z = (count - det.pulses * rate) / math.sqrt(det.pulses * rate * (1 - rate))
-            assert abs(z) < 4
-
     @pytest.mark.parametrize("q,det", [
         (Qubit(0.6, 0.8, 0.7),
          DetectorConfig(qe=0.8, attenuation=0.7, dark_rate=0.01, p_inject=0.6,
@@ -429,12 +398,6 @@ class TestExactRates:
 
 
 class TestRunPoint:
-    def test_determinism_across_calls(self):
-        det = DetectorConfig(pulses=30_000, seed=42)
-        a = run(BALANCED, LG, det)
-        b = run(BALANCED, LG, det)
-        assert a == b
-
     def test_threaded_run_matches_serial(self):
         det = DetectorConfig(pulses=450_000, seed=5)
         serial = run(BALANCED, LG, det)
@@ -518,46 +481,11 @@ class TestRunPoint:
         cf = g1_closed_form(BALANCED, cfg.gain)
         for mean, se, g2 in ((stats.mean_photons_h, stats.stderr_mean_h, cf.g2h),
                              (stats.mean_photons_v, stats.stderr_mean_v, cf.g2v)):
-            assert se > 0 and mean == pytest.approx(det.qe * g2, rel=1e-4)
-
-    def test_seed_changes_counts(self):
-        det = DetectorConfig(pulses=30_000, seed=1)
-        a = run(BALANCED, _hg(), det)
-        b = run(BALANCED, _hg(), dataclasses.replace(det, seed=2))
-        assert a.counts_h != b.counts_h
-
-    def test_ungated_mean_photons_approach_analytic(self):
-        # qe=1, no herald gating beyond D_T with qe=1: every pulse counted
-        det = DetectorConfig(qe=1.0, pulses=200_000, seed=12,
-                             coincidence_mask=frozenset({"D_T"}))
-        cfg = _hg()
-        stats = run(BALANCED, cfg, det)
-        total = stats.mean_photons_h + stats.mean_photons_v
-        se = math.hypot(stats.stderr_mean_h, stats.stderr_mean_v)
-        assert abs(total - 3 * cfg.gain.nbar) < 3 * se
-
-    def test_channel_asymmetry_tracks_interference(self):
-        det = DetectorConfig(qe=1.0, pulses=200_000, seed=13,
-                             coincidence_mask=frozenset({"D_T"}))
-        stats = run(BALANCED, _hg(), det)
-        # g2H = 2 nbar vs g2V = nbar at phi = 0
-        assert stats.mean_photons_h > 1.5 * stats.mean_photons_v
-
-    def test_xi_monotone_in_efficiency(self):
-        low = run(BALANCED, _hg(),
-                  DetectorConfig(qe=0.05, pulses=60_000, seed=21))
-        high = run(BALANCED, _hg(),
-                   DetectorConfig(qe=0.6, pulses=60_000, seed=21))
-        assert high.xi_h > low.xi_h
-
-    def test_xi_is_a_rate(self):
-        stats = run(BALANCED, _hg(), DetectorConfig(pulses=50_000, seed=2))
-        for xi in (stats.xi_h, stats.xi_v):
-            assert 0.0 <= xi <= 1.0
-        assert stats.counts_h == round(stats.xi_h * stats.pulses)
+            assert se > 0 and mean == pytest.approx(det.qe * g2, rel=1e-4, abs=0)
 
     @pytest.mark.parametrize("cfg,det,counts", [
-        # exact counts of seeded runs (TestExactRates checks their rates).
+        # exact counts of seeded runs (the TestPulseSampler law tests check
+        # the law they are drawn from, TestPerAxisDraws the draws).
         # Changes to the cell or axis order, to the laws' rounding or to the
         # draws move them.
         (LG, DetectorConfig(qe=1.0, p_inject=0.5, pulses=200_000, seed=3,
@@ -569,12 +497,6 @@ class TestRunPoint:
     def test_seeded_counts_pinned(self, cfg, det, counts):
         stats = run(BALANCED, cfg, det)
         assert (stats.counts_h, stats.counts_v, stats.coincidences) == counts
-
-    def test_four_fold_mask_rarer_than_two_fold(self):
-        det2 = DetectorConfig(pulses=80_000, seed=9)
-        det4 = dataclasses.replace(det2, coincidence_mask=FOUR_FOLD)
-        assert run(BALANCED, _hg(), det4).coincidences <= \
-            run(BALANCED, _hg(), det2).coincidences
 
 
 # 2^96 - 1 .. 2^128 hold 3, 4, 4 and 5 words: numpy pads a seed to the
